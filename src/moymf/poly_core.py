@@ -560,6 +560,12 @@ class QuotientRing:
         as a finite free module tower (each generator monic in its own
         otherwise-untouched variable); general homogeneous ideals fall back
         to the degreewise Macaulay computation.
+
+        The cutoff is a cap, not the amount of work: the Macaulay loop stops
+        once the quotient is zero in vmax consecutive degrees (vmax the
+        largest variable degree).  Every monomial of degree e >= D + vmax
+        is a variable times a monomial of degree in [D, e), so zeros in
+        [D, D + vmax) force zeros in every degree from D on.
         """
         from .qseries import QLaurent, geometric_series, poly_factor
 
@@ -574,11 +580,18 @@ class QuotientRing:
                 if v not in used:
                     series = (series * geometric_series(v.degree, cutoff)).truncate(cutoff)
             return series.truncate(cutoff)
+        window = max((v.degree for v in self.vars), default=1)
         coeffs = {}
+        zeros = 0
         for d in range(0, cutoff + 1):
             n = self.dimension(d)
             if n:
                 coeffs[d] = n
+                zeros = 0
+            else:
+                zeros += 1
+                if zeros == window:
+                    break
         return QLaurent(coeffs)
 
     def _monic_structure(self) -> list[tuple[GradedVar, int]] | None:
