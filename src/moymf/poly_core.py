@@ -18,6 +18,7 @@ degree-bounded.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -498,46 +499,73 @@ class QuotientRing:
 
     # -- degreewise row reduction ------------------------------------------
 
-    def _pivots(self, d: int) -> dict[Mono, dict[Mono, Fraction]]:
+    def _index(self) -> "_MonoIndex":
+        index = self._cache.get("index")
+        if index is None:
+            index = self._cache["index"] = _MonoIndex(self.vars)
+        return index
+
+    def _pivots(self, d: int) -> dict[int, dict[int, Fraction]]:
         """Reduced rows of the degree-d Macaulay matrix, keyed by pivot.
 
-        Each row is stored as {mono: coeff} with pivot coefficient 1 and
-        pivot = graded-lex-largest monomial of the row.  Tails may mention
-        smaller pivots; normal_form reduces iteratively, which terminates
-        because the largest reducible monomial strictly decreases.
+        Rows are positional: a monomial gets its position in the ring's
+        ``_MonoIndex`` when a row first mentions it.  Each row is stored as
+        its tail {position: coeff}; the pivot, dropped from the tail, has
+        coefficient 1 and is the graded-lex-largest monomial of the row.
+        Tails may mention smaller pivots; ``_eliminate`` reduces them
+        largest first, which terminates because every elimination only adds
+        monomials below the one it removes.
         """
         cache = self._cache.setdefault("pivots", {})
-        if d in cache:
-            return cache[d]
-        rows: list[dict[Mono, Fraction]] = []
+        pivots = cache.get(d)
+        if pivots is not None:
+            return pivots
+        index = self._index()
+        position, keys = index.position, index.keys
+        pivots = {}
         for g in self.ideal_gens:
             dg = g.homogeneous_degree()
             if dg > d:
                 continue
+            terms = g.terms.items()
             for m in self.monomials(d - dg):
-                rows.append({mono_mul(m, mg): c for mg, c in g.terms.items()})
-        pivots: dict[Mono, dict[Mono, Fraction]] = {}
-        for row in rows:
-            row = _reduce_row(row, pivots)
-            if not row:
-                continue
-            piv = max(row, key=mono_key)
-            inv = 1 / row[piv]
-            pivots[piv] = {m: c * inv for m, c in row.items()}
+                row = _eliminate(
+                    {position(mono_mul(m, mg)): c for mg, c in terms}, pivots, keys
+                )
+                if not row:
+                    continue
+                piv = min(row, key=keys.__getitem__)
+                inv = 1 / row.pop(piv)
+                pivots[piv] = {q: c * inv for q, c in row.items()}
         cache[d] = pivots
         return pivots
 
     def normal_form(self, p: Poly) -> Poly:
-        """Canonical representative of p modulo the ideal."""
+        """Canonical representative of p modulo the ideal.
+
+        A monomial without a position appears in no Macaulay row of its
+        degree, so it passes through unchanged.
+        """
         if not p:
             return p
         if not self.ideal_gens:
             return p
+        parts: dict[int, list[tuple[Mono, Fraction]]] = {}
+        for m, c in p.terms.items():
+            parts.setdefault(mono_degree(m), []).append((m, c))
+        index = self._index()
         out: dict[Mono, Fraction] = {}
-        for d, part in p.homogeneous_components().items():
-            reduced = _reduce_row(dict(part.terms), self._pivots(d))
-            for m, c in reduced.items():
-                out[m] = c
+        for d in sorted(parts):
+            pivots = self._pivots(d)
+            row: dict[int, Fraction] = {}
+            for m, c in parts[d]:
+                q = index.pos.get(m)
+                if q is None:
+                    out[m] = c
+                else:
+                    row[q] = c
+            for q, c in _eliminate(row, pivots, index.keys).items():
+                out[index.monos[q]] = c
         return Poly(out)
 
     def is_zero(self, p: Poly) -> bool:
@@ -551,7 +579,8 @@ class QuotientRing:
 
     def standard_monomials(self, d: int) -> tuple[Mono, ...]:
         piv = self._pivots(d)
-        return tuple(m for m in self.monomials(d) if m not in piv)
+        pos = self._index().pos
+        return tuple(m for m in self.monomials(d) if pos.get(m) not in piv)
 
     def dimension_series(self, cutoff: int):
         """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff.
@@ -635,28 +664,70 @@ class QuotientRing:
         return f"Q[{vs}] / <{gs}>"
 
 
-def _reduce_row(
-    row: dict[Mono, Fraction], pivots: Mapping[Mono, Mapping[Mono, Fraction]]
-) -> dict[Mono, Fraction]:
-    """Linear reduction of a sparse row against reduced pivot rows."""
-    if not row or not pivots:
-        return dict(row)
-    work = dict(row)
-    while True:
-        hit = None
-        for m in sorted(work, key=mono_key, reverse=True):
-            if m in pivots:
-                hit = m
-                break
-        if hit is None:
-            return work
-        c = work[hit]
-        for m, pc in pivots[hit].items():
-            s = work.get(m, _ZERO) - c * pc
-            if s:
-                work[m] = s
+class _MonoIndex:
+    """Positions of the monomials a ring's Macaulay rows have met.
+
+    A monomial gets the next position when it is first met, with a heap key
+    beside it: its ``mono_key`` negated entry by entry (names replaced by
+    their rank in the ring), so a min-heap of keys pops the
+    graded-lex-largest monomial first.
+    """
+
+    __slots__ = ("pos", "monos", "keys", "_rank")
+
+    def __init__(self, vars: Sequence[GradedVar]):
+        names = sorted(v.name for v in vars)
+        self._rank = {name: r for r, name in enumerate(names)}
+        self.pos: dict[Mono, int] = {}
+        self.monos: list[Mono] = []
+        self.keys: list[tuple[int, ...]] = []
+
+    def position(self, m: Mono) -> int:
+        q = self.pos.get(m)
+        if q is None:
+            q = self.pos[m] = len(self.monos)
+            self.monos.append(m)
+            key = [-mono_degree(m)]
+            for v, e in m:
+                key += (-self._rank[v.name], -e)
+            self.keys.append(tuple(key))
+        return q
+
+
+def _eliminate(
+    row: dict[int, Fraction],
+    pivots: Mapping[int, Mapping[int, Fraction]],
+    keys: Sequence[tuple[int, ...]],
+) -> dict[int, Fraction]:
+    """Reduce a positional row in place against pivot tails; returns it.
+
+    A heap holds the row's pivot positions, largest monomial first.  Each
+    elimination adds only monomials below the pivot it removes, so a
+    popped position never returns; a stale heap entry (already cancelled)
+    is skipped.
+    """
+    heap = [(keys[q], q) for q in row if q in pivots]
+    if not heap:
+        return row
+    heapq.heapify(heap)
+    while heap:
+        p = heapq.heappop(heap)[1]
+        c = row.pop(p, None)
+        if c is None:
+            continue
+        for q, t in pivots[p].items():
+            s = row.get(q)
+            if s is None:
+                row[q] = -c * t
+                if q in pivots:
+                    heapq.heappush(heap, (keys[q], q))
             else:
-                work.pop(m, None)
+                s -= c * t
+                if s:
+                    row[q] = s
+                else:
+                    del row[q]
+    return row
 
 
 def quotient_dimension_series(r: QuotientRing, cutoff: int):
