@@ -51,7 +51,11 @@ class CutoffExceeded(RuntimeError):
 
 @dataclass(frozen=True, order=True)
 class GradedVar:
-    """A polynomial variable carrying a positive even Z-grading."""
+    """A polynomial variable carrying a positive even Z-grading.
+
+    The hash is the one the dataclass would generate, computed once: every
+    monomial lookup hashes its variables.
+    """
 
     name: str
     degree: int
@@ -59,6 +63,10 @@ class GradedVar:
     def __post_init__(self) -> None:
         if self.degree < 2 or self.degree % 2 != 0:
             raise ValueError(f"variable degree must be even and >= 2: {self!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Monomial: ((var, exp), ...) sorted by var name, exps > 0.  () is 1.
