@@ -121,7 +121,7 @@ def _map_rank(
         mp = _mono_poly(mono)
         for r, entry in by_col.get(i, ()):
             img = base.normal_form(entry * mp)
-            for mono2, coeff in img.terms().items():
+            for mono2, coeff in img.terms.items():
                 pos = index[(r, mono2)]
                 vec[pos] = vec.get(pos, Fraction(0)) + coeff
         columns.append({k: v for k, v in vec.items() if v})

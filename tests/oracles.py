@@ -127,3 +127,107 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def koszul_homology_dims(
+    weights: list[int],
+    syms: list[sympy.Symbol],
+    gens: list[sympy.Expr],
+    rows: list[tuple[sympy.Expr, sympy.Expr]],
+    potential_degree: int,
+    cutoff: int,
+) -> dict[tuple[int, int], int]:
+    """Homology dimensions {(degree, parity): dim} of the Koszul factorization
+    with the given rows over Q[syms]/<gens>, by sympy ranks, in the degrees
+    from the lowest generator degree through cutoff.
+
+    The complex is built from scratch: generators are the subsets S of the
+    rows, of parity |S| mod 2 and degree sum over S of (deg b - deg a)/2,
+    and d(e_S) = sum_m (-1)^{#(S below m)} (b_m e_{S-m} if m in S else
+    a_m e_{S+m}).  Nothing is reduced to normal form: the rank of d between
+    quotients in one degree is rank(images of all monomials + target ideal)
+    minus rank(target ideal), over the full monomial basis.
+    """
+
+    def terms(expr) -> dict[tuple[int, ...], sympy.Rational]:
+        expr = sympy.expand(expr)
+        if expr == 0:
+            return {}
+        return dict(sympy.Poly(expr, *syms).terms())
+
+    def degree(t: dict) -> int:
+        degs = {sum(e * w for e, w in zip(mono, weights)) for mono in t}
+        if len(degs) != 1:
+            raise ValueError("row entry not weighted-homogeneous")
+        return degs.pop()
+
+    def times(mono, t: dict) -> dict:
+        return {tuple(a + b for a, b in zip(mono, m)): c for m, c in t.items()}
+
+    def rank(vectors: list[dict]) -> int:
+        index: dict = {}
+        for v in vectors:
+            for key in v:
+                index.setdefault(key, len(index))
+        if not vectors or not index:
+            return 0
+        mat = sympy.zeros(len(vectors), len(index))
+        for i, v in enumerate(vectors):
+            for key, c in v.items():
+                mat[i, index[key]] = c
+        return mat.rank()
+
+    gen_terms = [(terms(g), degree(terms(g))) for g in gens]
+    row_terms = [(terms(a), terms(b)) for a, b in rows]
+    shifts = []
+    for ta, tb in row_terms:
+        da = degree(ta) if ta else potential_degree - degree(tb)
+        shifts.append((potential_degree - 2 * da) // 2)
+    subsets = [
+        frozenset(c)
+        for k in range(len(rows) + 1)
+        for c in itertools.combinations(range(len(rows)), k)
+    ]
+    shift = {s: sum(shifts[m] for m in s) for s in subsets}
+    delta = potential_degree // 2
+
+    def ideal(s: frozenset, e: int) -> list[dict]:
+        return [
+            {(s, m): c for m, c in times(mono, gt).items()}
+            for gt, gd in gen_terms
+            for mono in weighted_monomials(weights, e - gd)
+        ]
+
+    def quotient_dim(e: int) -> int:
+        return len(weighted_monomials(weights, e)) - rank(ideal(frozenset(), e))
+
+    def image(s: frozenset, mono) -> dict:
+        vec: dict = {}
+        for m, (ta, tb) in enumerate(row_terms):
+            sign = -1 if sum(1 for j in s if j < m) % 2 else 1
+            target, side = (s - {m}, tb) if m in s else (s | {m}, ta)
+            for mm, c in times(mono, side).items():
+                vec[(target, mm)] = vec.get((target, mm), 0) + sign * c
+        return {k: c for k, c in vec.items() if c}
+
+    def map_rank(k: int, d: int) -> int:
+        src = [s for s in subsets if len(s) % 2 == k]
+        dst = [s for s in subsets if len(s) % 2 != k]
+        images = [
+            image(s, mono)
+            for s in src
+            for mono in weighted_monomials(weights, d - shift[s])
+        ]
+        target = [v for t in dst for v in ideal(t, d + delta - shift[t])]
+        return rank(images + target) - rank(target)
+
+    table: dict[tuple[int, int], int] = {}
+    for d in range(min(shift.values()), cutoff + 1):
+        for k in (0, 1):
+            dim = sum(quotient_dim(d - shift[s]) for s in subsets if len(s) % 2 == k)
+            if not dim:
+                continue
+            h = dim - map_rank(k, d) - map_rank(1 - k, d - delta)
+            if h:
+                table[(d, k)] = h
+    return table

@@ -4,15 +4,21 @@ the relation verifiers."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+import sympy
 
 import corpus
+import oracles
 from moymf import (
+    GradedVar,
     Irreducible,
     KoszulMF,
     NotClosed,
+    Poly,
     QLaurent,
+    QuotientRing,
     RELATION_NAMES,
     ReductionSession,
     compile_diagram,
@@ -124,6 +130,72 @@ def _random_order_reduce(
             return session
 
 
+def _to_poly(expr, syms: list, vars_: list) -> Poly:
+    expr = sympy.expand(expr)
+    if expr == 0:
+        return Poly.zero()
+    out = Poly.zero()
+    for exps, c in sympy.Poly(expr, *syms).terms():
+        term = Poly.const(int(c))
+        for v, e in zip(vars_, exps):
+            term = term * Poly.variable(v) ** e
+        out = out + term
+    return out
+
+
+class TestHomologyWithRows:
+    """Closed factorizations whose differentials survive: homology must
+    rank the maps, not just add up base dimensions.  Each case is a base
+    (weights, generators) and Koszul rows with zero potential in the base,
+    checked against a sympy rank computation on the full monomial basis."""
+
+    sx, sy, sz = sympy.symbols("x y z")
+    CASES = (
+        # Q[x]/(x^3), row (x; 0): ker x = <x^2>, coker x = <1>
+        ([2], (sx,), [sx**3], [(sx, 0)], 6),
+        # Q[x]/(x^3), row (x; x^2): exact in both parities
+        ([2], (sx,), [sx**3], [(sx, sx**2)], 6),
+        # Q[x,y]/(x^2, y^2), rows (x; x), (y; y)
+        ([2, 2], (sx, sy), [sx**2, sy**2], [(sx, sx), (sy, sy)], 4),
+        # Q[x,y]/(x^3, y^3), rows (x; y), (y; -x)
+        ([2, 2], (sx, sy), [sx**3, sy**3], [(sx, sy), (sy, -sx)], 4),
+        # Q[x(2), z(4)]/(x^3, z^2, xz), rows (x^2; x), (z; x)
+        ([2, 4], (sx, sz), [sx**3, sz**2, sx * sz], [(sx**2, sx), (sz, sx)], 6),
+    )
+
+    def _build(self, case, shift: int = 0, z2: int = 0) -> tuple[KoszulMF, dict]:
+        weights, syms, gens, rows, pot_deg = case
+        vars_ = [GradedVar(str(s), w) for s, w in zip(syms, weights)]
+        base = QuotientRing(
+            tuple(vars_), tuple(_to_poly(g, syms, vars_) for g in gens)
+        )
+        k = KoszulMF(
+            base,
+            tuple(
+                (_to_poly(a, syms, vars_), _to_poly(b, syms, vars_)) for a, b in rows
+            ),
+            shift,
+            z2,
+            pot_deg,
+        )
+        want = oracles.koszul_homology_dims(
+            list(weights), list(syms), gens, rows, pot_deg, 24
+        )
+        return k, want
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_rank_oracle(self, case: int) -> None:
+        k, want = self._build(self.CASES[case])
+        mf = k.expand()
+        assert any(p for p in mf.d0.entries.values())
+        assert homology(mf, cutoff=24) == want
+
+    def test_shifts_move_the_table(self) -> None:
+        k, want = self._build(self.CASES[3], shift=3, z2=1)
+        got = homology(k.expand(), cutoff=24)
+        assert got == {(d + 3, 1 - p): h for (d, p), h in want.items()}
+
+
 class TestEuler:
     def test_circle_values(self) -> None:
         for i, n in ((1, 2), (1, 3), (2, 3)):
@@ -144,6 +216,17 @@ class TestEuler:
     def test_open_diagram_rejected(self) -> None:
         with pytest.raises(NotClosed):
             euler_of_diagram(parse(LINE))
+
+    def test_cutoff_is_a_cap_not_the_work(self) -> None:
+        # circle (3,6): top degree 18, so cutoff 24 already settles it;
+        # at cutoff 144 the dimension series must stop at the zero degrees
+        src = "level n 6\nedge e1 color 3 from boundary:a to boundary:a\n"
+        small = euler_of_diagram(parse(src), cutoff=24)
+        t0 = time.perf_counter()
+        large = euler_of_diagram(parse(src), cutoff=144)
+        elapsed = time.perf_counter() - t0
+        assert large == small == qbinomial(6, 3)
+        assert elapsed < 2.0, f"cutoff 144 took {elapsed:.2f} s"
 
 
 class TestBracketOracle:
