@@ -213,3 +213,84 @@ class TestQuotientRing:
         ring = QuotientRing((X,), (Poly.variable(X) ** 2,), cutoff=6)
         with pytest.raises(CutoffExceeded):
             ring.normal_form(Poly.variable(X) ** 10)
+
+
+class TestMacaulayKernel:
+    """The degreewise Macaulay path, on ideals the closed form does not
+    recognise, against sympy ranks of the Macaulay matrix."""
+
+    def test_random_ideals_against_macaulay_rank(self) -> None:
+        rng = random.Random(2027)
+        syms = list(sympy.symbols("x y z"))
+        weights = [v.degree for v in VARS]
+        checked = 0
+        while checked < 6:
+            gens, gens_sym = [], []
+            for _ in range(rng.randint(2, 3)):
+                monos = oracles.weighted_monomials(weights, rng.choice((4, 6)))
+                g, g_sym = Poly.zero(), sympy.Integer(0)
+                for exps in rng.sample(monos, min(len(monos), rng.randint(2, 3))):
+                    c = rng.choice((-3, -2, -1, 1, 2, 3))
+                    g = g + _mono(exps, c)
+                    g_sym += c * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
+                gens.append(g)
+                gens_sym.append(g_sym)
+            ring = QuotientRing(VARS, tuple(gens))
+            if ring._monic_structure() is not None:
+                continue
+            checked += 1
+            want = oracles.weighted_quotient_dims(weights, gens_sym, syms, 16)
+            assert [ring.dimension(d) for d in range(17)] == [
+                want[d] for d in range(17)
+            ], gens_sym
+            series = ring.dimension_series(16)
+            assert dict(series.coeffs) == {d: n for d, n in want.items() if n}
+            for g in gens:
+                for exps in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0)):
+                    assert not ring.normal_form(_mono(exps, 1) * g)
+
+    def test_zero_run_shorter_than_vmax_does_not_stop(self) -> None:
+        # Q[x(2), y(6)] / <x^2, x*y> is zero in degrees 3, 4 and 5, but y
+        # lives in degree 6: three zeros are not the six the stop needs
+        x, y = GradedVar("x", 2), GradedVar("y", 6)
+        px, py = Poly.variable(x), Poly.variable(y)
+        ring = QuotientRing((x, y), (px**2, px * py))
+        sx, sy = sympy.symbols("x y")
+        want = oracles.weighted_quotient_dims([2, 6], [sx**2, sx * sy], [sx, sy], 24)
+        assert want[3] == want[4] == want[5] == 0
+        series = ring.dimension_series(24)
+        assert dict(series.coeffs) == {d: n for d, n in want.items() if n}
+        assert dict(series.coeffs) == {0: 1, 2: 1, 6: 1, 12: 1, 18: 1, 24: 1}
+
+    def test_artinian_series_stops_below_the_cap(self) -> None:
+        # Jacobi ring of x^6 + x^2 y^2 + y^3 with x(2), y(4): top degree 12.
+        # The ring refuses degrees past 24, so the series at cap 144 can
+        # only succeed by stopping once the quotient is zero.
+        x, y = GradedVar("x", 2), GradedVar("y", 4)
+        px, py = Poly.variable(x), Poly.variable(y)
+        w = px**6 + px**2 * py**2 + py**3
+        ring = QuotientRing(
+            (x, y), (w.differentiate(x), w.differentiate(y)), cutoff=24
+        )
+        assert ring._monic_structure() is None
+        sx, sy = sympy.symbols("x y")
+        sw = sx**6 + sx**2 * sy**2 + sy**3
+        want = oracles.weighted_quotient_dims(
+            [2, 4], [sympy.diff(sw, sx), sympy.diff(sw, sy)], [sx, sy], 24
+        )
+        small = ring.dimension_series(24)
+        assert dict(small.coeffs) == {d: n for d, n in want.items() if n}
+        assert small.max_exp() == 12 and small.at_one() == 10
+        assert ring.dimension_series(144) == small
+
+    def test_normal_form_passes_foreign_variables_through(self) -> None:
+        # w is not a variable of the ring: terms mentioning it are returned
+        # as they are, the rest is reduced
+        w = Poly.variable(GradedVar("w", 2))
+        gens = (_mono((2, 0, 0), 1) + _mono((0, 2, 0), 1), _mono((1, 1, 0), 1))
+        ring = QuotientRing((X, Y), gens)
+        inside = _mono((0, 2, 0), 2) + _mono((1, 1, 0), 3) + _mono((1, 0, 0), 1)
+        foreign = w * _mono((1, 1, 0), 1) + w**2 - w
+        got = ring.normal_form(inside + foreign)
+        assert got == ring.normal_form(inside) + foreign
+        assert ring.normal_form(inside) == _mono((2, 0, 0), -2) + _mono((1, 0, 0), 1)
