@@ -13,6 +13,8 @@ import time
 
 import corpus
 from moymf import (
+    ConditionUnmet,
+    CutoffExceeded,
     KoszulMF,
     Poly,
     QLaurent,
@@ -195,7 +197,7 @@ def test_criterion_09_property_suites() -> None:
             base_euler = euler_characteristic(
                 homology(session.current.expand(), cutoff=24)
             )
-        except Exception:
+        except (CutoffExceeded, ConditionUnmet):
             continue
         usable += 1
         for trial in range(2):
