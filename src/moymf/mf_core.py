@@ -484,7 +484,6 @@ class KoszulMF:
             even, odd = even + odd * h, odd + even * h
         if self.z2_shift:
             even, odd = odd, even
-        head = max(even.max_exp() if even else 0, odd.max_exp() if odd else 0)
         base = self.base.dimension_series(
             max(cutoff - self.global_grading_shift - min(
                 even.min_exp() if even else 0, odd.min_exp() if odd else 0
