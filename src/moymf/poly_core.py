@@ -14,6 +14,13 @@ row-reduced once (a Macaulay matrix over Q) and cached, after which normal
 forms in degree d are a single linear reduction.  No Groebner machinery is
 needed because every ideal here is homogeneous and every computation is
 degree-bounded.
+
+Macaulay rows are positional: each ring numbers the monomials its rows
+mention, in the order it first meets them, and a row is {position: coeff}.
+Rows are reduced with a heap of pivot positions, largest monomial first.
+A dimension series stops at the first vmax consecutive zero degrees (vmax
+the largest variable degree), since the quotient is zero from there on;
+the requested cutoff is only a cap.
 """
 
 from __future__ import annotations
