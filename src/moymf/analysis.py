@@ -12,12 +12,13 @@ unsigned: both parity components count positively.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from .poly_core import CutoffExceeded, Poly, QuotientRing
 from .qseries import QLaurent, qbinomial, cor_square_sides
-from .mf_core import KoszulMF, MatrixFactorization, GradedFreeModule
+from .mf_core import MatrixFactorization, GradedFreeModule
 from .reduce import ReductionSession
 from .symfun import Alphabet, L_poly
 from .diagram import Diagram, compile_diagram, parse
@@ -26,6 +27,7 @@ __all__ = [
     "NotClosed",
     "Irreducible",
     "DEFAULT_CUTOFF",
+    "RELATIONS",
     "RELATION_NAMES",
     "homology",
     "euler_characteristic",
@@ -36,18 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 40
-
-RELATION_NAMES = (
-    "line_contract",
-    "circle_jacobi",
-    "assoc_merge",
-    "assoc_split",
-    "bubble",
-    "counter_bubble",
-    "square_j",
-    "square_wide",
-    "cor_square",
-)
 
 
 class NotClosed(ValueError):
@@ -579,13 +569,19 @@ def _excluded_session(src: str, force: bool = False) -> ReductionSession:
     return session
 
 
-def _session_table(session: ReductionSession, cutoff: int) -> Table:
-    return session.current.graded_series(cutoff)
-
-
 def _diagram_table(src: str, cutoff: int) -> Table:
     d = parse(src)
     return compile_diagram(d).graded_series(cutoff)
+
+
+def _judge(report: dict, lhs: Table, rhs: Table) -> dict:
+    """Set the report's verdict, and append the first differing coefficient
+    on failure.  A "verdict" key already in the report keeps its place."""
+    diff = _first_difference(lhs, rhs)
+    report["verdict"] = "PASS" if diff is None else "FAIL"
+    if diff is not None:
+        report["first_difference"] = diff
+    return report
 
 
 def _verify_series_pair(
@@ -593,46 +589,36 @@ def _verify_series_pair(
     params: tuple[int, ...],
     lhs: Table,
     rhs: Table,
-    hi: int,
+    hi: int | None,
     log: list[dict],
     signed: bool = True,
 ) -> dict:
-    lhs, rhs = _truncate(lhs, hi), _truncate(rhs, hi)
+    """Compare two tables through degree hi (all degrees when hi is None);
+    unsigned comparisons use the total over both parities."""
+    if hi is not None:
+        lhs, rhs = _truncate(lhs, hi), _truncate(rhs, hi)
     if not signed:
         lhs = (_total(lhs), QLaurent.zero())
         rhs = (_total(rhs), QLaurent.zero())
-    diff = _first_difference(lhs, rhs)
     report = {
         "relation": relation,
         "params": list(params),
         "lhs_series": _render_table(lhs) if signed else {"total": lhs[0].render()},
         "rhs_series": _render_table(rhs) if signed else {"total": rhs[0].render()},
-        "verdict": "PASS" if diff is None else "FAIL",
+        "verdict": None,
         "reduction_log_ref": "inline:reduction_log",
         "reduction_log": log,
     }
-    if diff is not None:
-        report["first_difference"] = diff
-    return report
+    return _judge(report, lhs, rhs)
 
 
-def _verify_cor_square(j1: int, j2: int) -> dict:
+def _verify_cor_square(j1: int, j2: int, cutoff: int) -> dict:
+    """Closed-form identity: exact, so the cutoff does not apply."""
     lhs, rhs = cor_square_sides(j1, j2)
-    ok = lhs == rhs
-    report = {
-        "relation": "cor_square",
-        "params": [j1, j2],
-        "lhs_series": {"total": lhs.render()},
-        "rhs_series": {"total": rhs.render()},
-        "verdict": "PASS" if ok else "FAIL",
-        "reduction_log_ref": "inline:reduction_log",
-        "reduction_log": [],
-    }
-    if not ok:
-        report["first_difference"] = _first_difference(
-            (lhs, QLaurent.zero()), (rhs, QLaurent.zero())
-        )
-    return report
+    zero = QLaurent.zero()
+    return _verify_series_pair(
+        "cor_square", (j1, j2), (lhs, zero), (rhs, zero), None, [], signed=False
+    )
 
 
 def _verify_circle(i: int, n: int, cutoff: int) -> dict:
@@ -642,21 +628,11 @@ def _verify_circle(i: int, n: int, cutoff: int) -> dict:
     table = homology(session.current.expand(), cutoff=cutoff)
     lhs = euler_characteristic(table)
     rhs = qbinomial(n, i)
-    ok = lhs == rhs
-    report = {
-        "relation": "circle_jacobi",
-        "params": [i, n],
-        "lhs_series": {"total": lhs.render()},
-        "rhs_series": {"total": rhs.render()},
-        "verdict": "PASS" if ok else "FAIL",
-        "reduction_log_ref": "inline:reduction_log",
-        "reduction_log": session.log_dicts(),
-    }
-    if not ok:
-        report["first_difference"] = _first_difference(
-            (lhs, QLaurent.zero()), (rhs, QLaurent.zero())
-        )
-    return report
+    zero = QLaurent.zero()
+    log = session.log_dicts()
+    return _verify_series_pair(
+        "circle_jacobi", (i, n), (lhs, zero), (rhs, zero), None, log, signed=False
+    )
 
 
 def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
@@ -699,7 +675,7 @@ def _verify_bubble(i1: int, i2: int, i3: int, n: int, cutoff: int) -> dict:
     if i1 + i2 != i3:
         raise ValueError("bubble needs thin colors summing to the thick one")
     session = _excluded_session(_bubble_src(i1, i2, i3, n))
-    lhs = _session_table(session, cutoff)
+    lhs = session.current.graded_series(cutoff)
     factor = qbinomial(i3, i1)
     line = _diagram_table(_line_src(i3, n), cutoff)
     rhs = _scale(line, factor)
@@ -732,7 +708,7 @@ def _verify_counter_bubble(i1: int, i2: int, n: int, cutoff: int) -> dict:
         rows=list(range(i1)),
     )
     session.absorb_zero_rows()
-    lhs = _session_table(session, cutoff)
+    lhs = session.current.graded_series(cutoff)
     factor = qbinomial(n - i1, i2)
     line = _diagram_table(_line_src(i1, n), cutoff)
     rhs = _scale(_swap(line, i2), factor)
@@ -758,8 +734,8 @@ def _verify_assoc(
     pot = left.current.potential() - right.current.potential()
     if set(lb.vars) == set(rb.vars) and lb.normal_form(pot):
         structural.append("potentials differ")
-    lhs = _session_table(left, cutoff)
-    rhs = _session_table(right, cutoff)
+    lhs = left.current.graded_series(cutoff)
+    rhs = right.current.graded_series(cutoff)
     report = _verify_series_pair(
         relation, (i1, i2, i3, n), lhs, rhs, cutoff, log
     )
@@ -773,9 +749,9 @@ def _verify_square_tall(j: int, n: int, cutoff: int) -> dict:
     if not 2 <= j <= n:
         raise ValueError("ladder color must lie between 2 and the level")
     session = _excluded_session(_square_tall_src(j, n))
-    lhs = _session_table(session, cutoff)
+    lhs = session.current.graded_series(cutoff)
     join = _excluded_session(_join_src(j, n))
-    rhs = _session_table(join, cutoff)
+    rhs = join.current.graded_series(cutoff)
     lines = _diagram_table(_parallel_src(j, n), cutoff)
     slack = 0
     for i in range(1, j):
@@ -812,7 +788,7 @@ def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
     # side; swapping the row exposes it to exclusion
     session.transpose_row(j)
     session.exclude_variable(j)
-    lhs = _session_table(session, cutoff)
+    lhs = session.current.graded_series(cutoff)
     rhs = _diagram_table(_antiparallel_src(j, n), cutoff)
     # split variant: each extra summand carries a parity flip
     rhs_split = rhs
@@ -821,7 +797,7 @@ def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
     for k in range(1, n - j):
         h = _excluded_session(_h_src(j, n))
         hlog = h.log_dicts()
-        ht = _session_table(h, cutoff)
+        ht = h.current.graded_series(cutoff)
         scale = QLaurent.q_power(2 * k + j - n)
         rhs = _add(rhs, _scale(ht, scale))
         rhs_split = _add(rhs_split, _scale(_swap(ht, 1), scale))
@@ -849,6 +825,23 @@ def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
     return report
 
 
+# name -> (parameter count, runner); a runner takes the parameters, then the
+# cutoff, and returns the report.  The order is the one the CLI lists.
+RELATIONS: dict[str, tuple[int, Callable[..., dict]]] = {
+    "line_contract": (2, _verify_line_contract),
+    "circle_jacobi": (2, _verify_circle),
+    "assoc_merge": (4, partial(_verify_assoc, "assoc_merge")),
+    "assoc_split": (4, partial(_verify_assoc, "assoc_split")),
+    "bubble": (4, _verify_bubble),
+    "counter_bubble": (3, _verify_counter_bubble),
+    "square_j": (2, _verify_square_tall),
+    "square_wide": (2, _verify_square_wide),
+    "cor_square": (2, _verify_cor_square),
+}
+
+RELATION_NAMES = tuple(RELATIONS)
+
+
 def verify_relation(
     name: str,
     params: Sequence[int],
@@ -859,35 +852,19 @@ def verify_relation(
     Diagram sides are built, reduced by the calculus, and compared as
     graded series; ``cor_square`` is a closed-form identity and needs no
     reduction.  The report carries both series, a PASS/FAIL verdict, the
-    reduction log, and the first differing coefficient on failure.
+    reduction log, and the first differing coefficient on failure.  An
+    unknown name or a parameter count other than the one ``RELATIONS``
+    lists raises ValueError.
     """
-    if name not in RELATION_NAMES:
+    if name not in RELATIONS:
         raise ValueError(f"unknown relation {name!r}; choose from {RELATION_NAMES}")
+    arity, runner = RELATIONS[name]
     params = tuple(int(p) for p in params)
-    hi = DEFAULT_CUTOFF if cutoff is None else cutoff
-    if name == "cor_square":
-        j1, j2 = params
-        return _verify_cor_square(j1, j2)
-    if name == "circle_jacobi":
-        i, n = params
-        return _verify_circle(i, n, hi)
-    if name == "line_contract":
-        i, n = params
-        return _verify_line_contract(i, n, hi)
-    if name == "bubble":
-        i1, i2, i3, n = params
-        return _verify_bubble(i1, i2, i3, n, hi)
-    if name == "counter_bubble":
-        i1, i2, n = params
-        return _verify_counter_bubble(i1, i2, n, hi)
-    if name in ("assoc_merge", "assoc_split"):
-        i1, i2, i3, n = params
-        return _verify_assoc(name, i1, i2, i3, n, hi)
-    if name == "square_j":
-        j, n = params
-        return _verify_square_tall(j, n, hi)
-    j, n = params
-    return _verify_square_wide(j, n, hi)
+    if len(params) != arity:
+        raise ValueError(
+            f"relation {name} expects {arity} parameters, got {len(params)}"
+        )
+    return runner(*params, DEFAULT_CUTOFF if cutoff is None else cutoff)
 
 
 def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
@@ -899,14 +876,6 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
     """
     engine = euler_of_diagram(d, cutoff=cutoff)
     oracle = moy_bracket(d)
-    ok = engine == oracle
-    report = {
-        "engine_euler": engine.render(),
-        "oracle_value": oracle.render(),
-        "verdict": "PASS" if ok else "FAIL",
-    }
-    if not ok:
-        report["first_difference"] = _first_difference(
-            (engine, QLaurent.zero()), (oracle, QLaurent.zero())
-        )
-    return report
+    zero = QLaurent.zero()
+    report = {"engine_euler": engine.render(), "oracle_value": oracle.render()}
+    return _judge(report, (engine, zero), (oracle, zero))

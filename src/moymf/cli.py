@@ -46,19 +46,6 @@ CUTOFF_ENV = "MOYMF_CUTOFF"
 
 _LEVEL_LINE = re.compile(r"^(\s*level\s+n\s+)(\d+)[ \t]*$", re.MULTILINE)
 
-# expected parameter count per relation, for early diagnostics
-_ARITY = {
-    "line_contract": 2,
-    "circle_jacobi": 2,
-    "assoc_merge": 4,
-    "assoc_split": 4,
-    "bubble": 4,
-    "counter_bubble": 3,
-    "square_j": 2,
-    "square_wide": 2,
-    "cor_square": 2,
-}
-
 
 class UsageError(ValueError):
     """Bad command input that argparse cannot catch on its own."""
@@ -197,11 +184,6 @@ def _print_series_block(label: str, block: dict) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _verify_params(args)
-    expected = _ARITY[args.relation]
-    if len(params) != expected:
-        raise UsageError(
-            f"relation {args.relation} expects {expected} parameters, got {len(params)}"
-        )
     report = verify_relation(args.relation, params, cutoff=_resolve_cutoff(args))
     if args.format == "json":
         print(json.dumps(report, indent=2))

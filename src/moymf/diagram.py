@@ -416,7 +416,7 @@ def _ep(end: tuple[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _line_piece_alphabets(d: Diagram, e: Edge) -> tuple[Alphabet, Alphabet] | None:
+def _line_piece_alphabets(e: Edge) -> tuple[Alphabet, Alphabet] | None:
     """(head, tail) alphabets when the edge is a standalone line piece."""
     if e.tail[0] == "boundary" and e.head[0] == "boundary":
         return Alphabet(e.color, e.head[1]), Alphabet(e.color, e.tail[1])
@@ -439,7 +439,7 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     by_id = {e.id: e for e in d.edges}
 
     for e in d.edges:
-        pair = _line_piece_alphabets(d, e)
+        pair = _line_piece_alphabets(e)
         if pair is not None:
             hd, tl = pair
             vars_.update(hd.vars)

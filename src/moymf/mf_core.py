@@ -15,9 +15,8 @@ still carry a definite homogeneous map degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from .poly_core import GradedVar, Poly, QuotientRing
 from .qseries import QLaurent

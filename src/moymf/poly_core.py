@@ -26,10 +26,9 @@ the requested cutoff is only a cap.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 __all__ = [
     "GradedVar",
@@ -37,7 +36,6 @@ __all__ = [
     "Poly",
     "QuotientRing",
     "DegreeMismatch",
-    "NotDivisible",
     "CutoffExceeded",
     "divided_difference",
     "divided_difference_values",
@@ -46,10 +44,6 @@ __all__ = [
 
 class DegreeMismatch(ValueError):
     """A substitution image is inhomogeneous or has the wrong degree."""
-
-
-class NotDivisible(ArithmeticError):
-    """An exact polynomial division failed; indicates an internal error."""
 
 
 class CutoffExceeded(RuntimeError):
@@ -165,14 +159,6 @@ class Poly:
 
     def coefficient(self, m: Mono) -> Fraction:
         return self._terms.get(m, _ZERO)
-
-    def constant_value(self) -> Fraction | None:
-        """The value of a constant polynomial, else None."""
-        if not self._terms:
-            return _ZERO
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
-        return None
 
     def variables(self) -> frozenset[GradedVar]:
         return frozenset(v for m in self._terms for v, _ in m)
@@ -484,10 +470,6 @@ class QuotientRing:
     def with_generator(self, g: Poly) -> "QuotientRing":
         return QuotientRing(self.vars, self.ideal_gens + (g,), self.cutoff)
 
-    def without_var(self, y: GradedVar, gens: Sequence[Poly]) -> "QuotientRing":
-        remaining = tuple(v for v in self.vars if v != y)
-        return QuotientRing(remaining, tuple(g for g in gens if g), self.cutoff)
-
     # -- monomial bases ---------------------------------------------------
 
     def monomials(self, d: int) -> tuple[Mono, ...]:
@@ -582,9 +564,6 @@ class QuotientRing:
             for q, c in _eliminate(row, pivots, index.keys).items():
                 out[index.monos[q]] = c
         return Poly(out)
-
-    def is_zero(self, p: Poly) -> bool:
-        return not self.normal_form(p)
 
     def dimension(self, d: int) -> int:
         """dim_Q of the degree-d piece of the quotient."""

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly_core import (
-    CutoffExceeded,
     DegreeMismatch,
     GradedVar,
     Mono,
@@ -40,14 +39,8 @@ from .poly_core import (
     mono_divides,
     mono_key,
 )
-from .qseries import QLaurent, poincare_regular_quotient
-from .mf_core import (
-    GradedFreeModule,
-    InhomogeneousRow,
-    KoszulMF,
-    MatrixFactorization,
-    SparseMat,
-)
+from .qseries import poincare_regular_quotient
+from .mf_core import KoszulMF
 from .symfun import Alphabet, ColorMismatch
 
 __all__ = [
@@ -66,8 +59,6 @@ __all__ = [
     "glue",
     "regularity_heuristic",
     "default_regularity_cutoff",
-    "remove_contractible",
-    "solve_first_column",
     "LogEntry",
     "ReductionSession",
 ]
@@ -460,163 +451,6 @@ def glue(
         joined.z2_shift,
         joined.potential_degree,
     )
-
-
-# ---------------------------------------------------------------------------
-# Contractible summands on expanded objects
-# ---------------------------------------------------------------------------
-
-
-def remove_contractible(x: MatrixFactorization) -> MatrixFactorization:
-    """Split off unit entries until none remain (Gaussian elimination on the
-    folded differential).  Unit means: normal form is a nonzero constant."""
-    base = x.base
-    while True:
-        hit = None
-        for name, mat in (("d0", x.d0), ("d1", x.d1)):
-            for (i, j), p in sorted(mat.entries.items()):
-                c = base.normal_form(p).constant_value()
-                if c:
-                    hit = (name, i, j, c)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return x
-        name, i, j, u = hit
-        if name == "d0":
-            x = _eliminate(x, i, j, u, True)
-        else:
-            x = _eliminate(x, i, j, u, False)
-
-
-def _eliminate(
-    x: MatrixFactorization, i: int, j: int, u: Fraction, in_d0: bool
-) -> MatrixFactorization:
-    """Remove target generator i and source generator j around a unit entry."""
-    base = x.base
-    if in_d0:
-        src, dst, mat, other = x.m0, x.m1, x.d0, x.d1
-    else:
-        src, dst, mat, other = x.m1, x.m0, x.d1, x.d0
-    inv = Fraction(1) / u
-    col = {r: p for (r, c), p in mat.entries.items() if c == j and r != i}
-    rowe = {c: p for (r, c), p in mat.entries.items() if r == i and c != j}
-    new_entries: dict[tuple[int, int], Poly] = {}
-    for (r, c), p in mat.entries.items():
-        if r == i or c == j:
-            continue
-        q = p
-        if r in col and c in rowe:
-            q = base.normal_form(p - col[r] * inv * rowe[c])
-        if q:
-            new_entries[(_drop(r, i), _drop(c, j))] = q
-    new_mat = SparseMat(mat.nrows - 1, mat.ncols - 1, new_entries)
-    other_entries = {
-        (_drop(r, j), _drop(c, i)): p
-        for (r, c), p in other.entries.items()
-        if r != j and c != i
-    }
-    new_other = SparseMat(other.nrows - 1, other.ncols - 1, other_entries)
-    new_src = GradedFreeModule(base, _drop_shift(src.generator_shifts, j))
-    new_dst = GradedFreeModule(base, _drop_shift(dst.generator_shifts, i))
-    if in_d0:
-        return MatrixFactorization(
-            new_src, new_dst, new_mat, new_other, x.potential, x.potential_degree
-        )
-    return MatrixFactorization(
-        new_dst, new_src, new_other, new_mat, x.potential, x.potential_degree
-    )
-
-
-def _drop(idx: int, removed: int) -> int:
-    return idx if idx < removed else idx - 1
-
-
-def _drop_shift(shifts: tuple[int, ...], removed: int) -> tuple[int, ...]:
-    return shifts[:removed] + shifts[removed + 1 :]
-
-
-# ---------------------------------------------------------------------------
-# Degreewise linear solving for replacement columns
-# ---------------------------------------------------------------------------
-
-
-def solve_first_column(
-    base: QuotientRing,
-    b_seq: Sequence[Poly],
-    omega: Poly,
-    potential_degree: int,
-) -> list[Poly] | None:
-    """Find homogeneous a_m with sum a_m b_m = omega modulo the base ideal.
-
-    Degrees are forced: deg a_m = potential_degree - deg b_m.  Solved as one
-    rational linear system on normal-form coordinates; returns None when the
-    system is inconsistent.
-    """
-    want = base.normal_form(omega)
-    if want and want.homogeneous_degree() != potential_degree:
-        raise DegreeMismatch("omega degree does not match the potential degree")
-    unknowns: list[tuple[int, Mono]] = []
-    images: list[Poly] = []
-    for m, b in enumerate(b_seq):
-        if not b:
-            continue
-        d = potential_degree - b.homogeneous_degree()
-        if d < 0:
-            continue
-        for mono in base.standard_monomials(d):
-            unknowns.append((m, mono))
-            images.append(base.normal_form(Poly({mono: Fraction(1)}) * b))
-    targets = base.standard_monomials(potential_degree)
-    t_index = {mono: r for r, mono in enumerate(targets)}
-    rows = len(targets)
-    cols = len(unknowns)
-    mat = [[Fraction(0)] * (cols + 1) for _ in range(rows)]
-    for c, img in enumerate(images):
-        for mono, coef in img.terms.items():
-            mat[t_index[mono]][c] = coef
-    for mono, coef in want.terms.items():
-        mat[t_index[mono]][cols] = coef
-    sol = _solve_fraction_system(mat, cols)
-    if sol is None:
-        return None
-    out = [Poly.zero() for _ in b_seq]
-    for (m, mono), val in zip(unknowns, sol):
-        if val:
-            out[m] = out[m] + Poly({mono: val})
-    return out
-
-
-def _solve_fraction_system(
-    mat: list[list[Fraction]], cols: int
-) -> list[Fraction] | None:
-    """Gaussian elimination on an augmented matrix; any solution or None."""
-    rows = len(mat)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    for i in range(rows):
-        if mat[i][cols] and all(not mat[i][c] for c in range(cols)):
-            return None
-    sol = [Fraction(0)] * cols
-    for c, pr in pivot_of_col.items():
-        sol[c] = mat[pr][cols]
-    return sol
 
 
 # ---------------------------------------------------------------------------

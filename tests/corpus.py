@@ -3,7 +3,8 @@
 Two generators live here: diagram sources in the text format (closed ones
 built as a palindromic composition of merge/split moves wrapped into a
 trace, so color bookkeeping closes up by construction), and small random
-Koszul row presentations over a fixed variable pool.
+Koszul row presentations over a fixed variable pool.  random_order_reduce
+replays the reduction with a seeded exclusion order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from moymf import Diagram, GradedVar, KoszulMF, Poly, QuotientRing, compile_diagram, parse
+from moymf import (
+    Diagram,
+    GradedVar,
+    KoszulMF,
+    Poly,
+    QuotientRing,
+    ReductionSession,
+    compile_diagram,
+    exclusion_candidate,
+    parse,
+)
 
 
 def _weighted_monomials(weights: list[int], d: int) -> list[tuple[int, ...]]:
@@ -210,3 +221,22 @@ def random_compiled(
         k = compile_diagram(d)
         if k.row_count <= max_rows:
             return src, d, k
+
+
+def random_order_reduce(
+    k: KoszulMF, external: frozenset, rng: random.Random
+) -> ReductionSession:
+    """Exclude admissible rows in a random order, then absorb zero rows
+    (skipping unverified ones), until neither applies."""
+    session = ReductionSession(k, external=external)
+    while True:
+        rows = [
+            m
+            for m in range(session.current.row_count)
+            if exclusion_candidate(session.current, m, session.external)
+        ]
+        if rows:
+            session.exclude_variable(rng.choice(rows))
+            continue
+        if session.absorb_zero_rows(skip_unverified=True) == 0:
+            return session

@@ -24,7 +24,6 @@ from moymf import (
     SparseMat,
     compile_diagram,
     euler_characteristic,
-    exclusion_candidate,
     grade_shift,
     homology,
     jacobi_series,
@@ -201,7 +200,7 @@ def test_criterion_09_property_suites() -> None:
             continue
         usable += 1
         for trial in range(2):
-            shuffled = _random_order_reduce(
+            shuffled = corpus.random_order_reduce(
                 k, d.external_vars(), random.Random(7000 + 10 * attempts + trial)
             )
             got = euler_characteristic(
@@ -211,23 +210,6 @@ def test_criterion_09_property_suites() -> None:
     assert usable >= 10
 
     _finish(9, "randomized property suites", t0, 300.0)
-
-
-def _random_order_reduce(
-    k: KoszulMF, external: frozenset, rng: random.Random
-) -> ReductionSession:
-    session = ReductionSession(k, external=external)
-    while True:
-        rows = [
-            m
-            for m in range(session.current.row_count)
-            if exclusion_candidate(session.current, m, session.external)
-        ]
-        if rows:
-            session.exclude_variable(rng.choice(rows))
-            continue
-        if session.absorb_zero_rows(skip_unverified=True) == 0:
-            return session
 
 
 def test_criterion_10_defects_are_caught() -> None:

@@ -26,7 +26,6 @@ from moymf import (
     compile_diagram,
     euler_characteristic,
     euler_of_diagram,
-    exclusion_candidate,
     grade_shift,
     homology,
     moy_bracket,
@@ -102,7 +101,7 @@ class TestHomology:
                 continue  # stalled instances cannot be expanded; skip them
             usable += 1
             for trial in range(2):
-                shuffled = _random_order_reduce(
+                shuffled = corpus.random_order_reduce(
                     k, d.external_vars(), random.Random(1000 * attempts + trial)
                 )
                 assert homology(shuffled.current.expand(), cutoff=24) == baseline
@@ -113,23 +112,6 @@ def _reduce_fully(k: KoszulMF, d) -> ReductionSession:
     session = ReductionSession(k, external=d.external_vars())
     session.reduce_fully()
     return session
-
-
-def _random_order_reduce(
-    k: KoszulMF, external: frozenset, rng: random.Random
-) -> ReductionSession:
-    session = ReductionSession(k, external=external)
-    while True:
-        rows = [
-            m
-            for m in range(session.current.row_count)
-            if exclusion_candidate(session.current, m, session.external)
-        ]
-        if rows:
-            session.exclude_variable(rng.choice(rows))
-            continue
-        if session.absorb_zero_rows(skip_unverified=True) == 0:
-            return session
 
 
 def _to_poly(expr, syms: list, vars_: list) -> Poly:
@@ -313,7 +295,7 @@ class TestVerifyRelation:
             verify_relation("pentagon", (1, 2))
 
     def test_wrong_arity_rejected(self) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expects 4 parameters"):
             verify_relation("bubble", (1, 1, 3))
 
     def test_bubble_colors_must_sum(self) -> None:

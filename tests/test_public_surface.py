@@ -1,0 +1,53 @@
+"""The exported surface of every moymf module stays importable, and the
+relation table is the only source of relation names."""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import pkgutil
+
+import pytest
+
+import moymf
+from moymf import analysis, cli
+
+MODULES = sorted(
+    f"moymf.{info.name}" for info in pkgutil.iter_modules(moymf.__path__)
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name: str) -> None:
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", None)
+    assert exported is not None, f"{name} has no __all__"
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert missing == [], f"{name}.__all__ names missing objects: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_works(name: str) -> None:
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    assert set(importlib.import_module(name).__all__) <= set(namespace)
+
+
+def test_relation_names_follow_the_table() -> None:
+    assert analysis.RELATION_NAMES == tuple(analysis.RELATIONS)
+    for name, (arity, runner) in analysis.RELATIONS.items():
+        assert isinstance(arity, int) and arity > 0, name
+        assert callable(runner), name
+
+
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices[command]
+    raise AssertionError("parser has no subcommands")
+
+
+def test_verify_command_offers_every_relation() -> None:
+    verify = _subparser(cli.build_parser(), "verify")
+    (relation,) = [a for a in verify._actions if a.dest == "relation"]
+    assert tuple(relation.choices) == analysis.RELATION_NAMES
