@@ -15,8 +15,8 @@ still carry a definite homogeneous map degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 from .poly_core import GradedVar, Poly, QuotientRing
 from .qseries import QLaurent
@@ -88,9 +88,6 @@ class SparseMat:
     def __neg__(self) -> "SparseMat":
         return SparseMat(self.nrows, self.ncols, {k: -p for k, p in self._e.items()})
 
-    def map(self, fn: Callable[[Poly], Poly]) -> "SparseMat":
-        return SparseMat(self.nrows, self.ncols, {k: fn(p) for k, p in self._e.items()})
-
     def mul(self, other: "SparseMat", base: QuotientRing | None = None) -> "SparseMat":
         """Matrix product; entries reduced in ``base`` when given."""
         if self.ncols != other.nrows:
@@ -106,11 +103,6 @@ class SparseMat:
         if base is not None:
             acc = {k: base.normal_form(p) for k, p in acc.items()}
         return SparseMat(self.nrows, other.ncols, acc)
-
-    @staticmethod
-    def identity(n: int, diag: Poly | None = None) -> "SparseMat":
-        d = diag if diag is not None else Poly.const(1)
-        return SparseMat(n, n, {(i, i): d for i in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -429,33 +421,16 @@ class KoszulMF:
     # -- functors ----------------------------------------------------------
 
     def grade_shifted(self, n: int) -> "KoszulMF":
-        return KoszulMF(
-            self.base,
-            self.rows,
-            self.global_grading_shift + n,
-            self.z2_shift,
-            self.potential_degree,
-        )
+        return replace(self, global_grading_shift=self.global_grading_shift + n)
 
     def translated(self, k: int = 1) -> "KoszulMF":
-        return KoszulMF(
-            self.base,
-            self.rows,
-            self.global_grading_shift,
-            (self.z2_shift + k) % 2,
-            self.potential_degree,
-        )
+        return replace(self, z2_shift=(self.z2_shift + k) % 2)
 
     def with_rows(
         self, rows: Sequence[tuple[Poly, Poly]], base: QuotientRing | None = None
     ) -> "KoszulMF":
-        return KoszulMF(
-            base if base is not None else self.base,
-            tuple(rows),
-            self.global_grading_shift,
-            self.z2_shift,
-            self.potential_degree,
-        )
+        base = self.base if base is None else base
+        return replace(self, rows=tuple(rows), base=base)
 
     def join(self, other: "KoszulMF") -> "KoszulMF":
         """Tensor product in row form: concatenate rows, add shifts."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "GradedVar",
@@ -110,6 +110,17 @@ def mono_divides(m1: Mono, m2: Mono) -> bool:
     return all(e <= 0 for e in need.values())
 
 
+def pure_power(p: Poly, v: GradedVar) -> tuple[int, Fraction] | None:
+    """(k, c) when p = c*v^k + rest, with k the top exponent of v in p and
+    no monomial of rest divisible by v^k; None otherwise."""
+    k = p.max_exponent(v)
+    pure: Mono = ((v, k),)
+    c = p.coefficient(pure)
+    if not c or any(m != pure and mono_divides(pure, m) for m in p.terms):
+        return None
+    return k, c
+
+
 def mono_key(m: Mono) -> tuple:
     """Graded lexicographic sort key: total degree, then name-wise exponents."""
     return (mono_degree(m), tuple((v.name, e) for v, e in m))
@@ -162,10 +173,6 @@ class Poly:
 
     def variables(self) -> frozenset[GradedVar]:
         return frozenset(v for m in self._terms for v, _ in m)
-
-    def degree(self) -> int:
-        """Top degree; 0 for the zero polynomial."""
-        return max((mono_degree(m) for m in self._terms), default=0)
 
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self._terms}
@@ -292,7 +299,22 @@ class Poly:
                 )
             if not img.is_homogeneous():
                 raise DegreeMismatch(f"image of {v.name} is inhomogeneous")
-        return self._apply_map(lambda v: sigma.get(v))
+        # cache per-variable powers; substitution cost is dominated by these
+        powers: dict[tuple[GradedVar, int], Poly] = {}
+        total = _POLY_ZERO
+        for m, c in self._terms.items():
+            term = Poly.const(c)
+            for v, e in m:
+                img = sigma.get(v)
+                if img is None:
+                    term = term * Poly({((v, e),): _ONE})
+                    continue
+                got = powers.get((v, e))
+                if got is None:
+                    got = powers[(v, e)] = img ** e
+                term = term * got
+            total = total + term
+        return total
 
     def evaluate(self, point: Mapping[GradedVar, Fraction | int]) -> Fraction:
         """Evaluate at a rational point; every variable must be assigned."""
@@ -302,31 +324,6 @@ class Poly:
             for v, e in m:
                 val *= Fraction(point[v]) ** e
             total += val
-        return total
-
-    def _apply_map(self, image: Callable[[GradedVar], "Poly | None"]) -> "Poly":
-        # cache per-variable powers; substitution cost is dominated by these
-        powers: dict[tuple[GradedVar, int], Poly] = {}
-
-        def power(v: GradedVar, e: int) -> Poly:
-            key = (v, e)
-            got = powers.get(key)
-            if got is None:
-                img = image(v)
-                base = Poly.variable(v) if img is None else img
-                got = base ** e
-                powers[key] = got
-            return got
-
-        total = _POLY_ZERO
-        for m, c in self._terms.items():
-            term = Poly.const(c)
-            for v, e in m:
-                if image(v) is None:
-                    term = term * Poly({((v, e),): _ONE})
-                else:
-                    term = term * power(v, e)
-            total = total + term
         return total
 
     def differentiate(self, v: GradedVar) -> "Poly":
@@ -526,14 +523,9 @@ class QuotientRing:
                 continue
             terms = g.terms.items()
             for m in self.monomials(d - dg):
-                row = _eliminate(
+                insert_pivot_row(
                     {position(mono_mul(m, mg)): c for mg, c in terms}, pivots, keys
                 )
-                if not row:
-                    continue
-                piv = min(row, key=keys.__getitem__)
-                inv = 1 / row.pop(piv)
-                pivots[piv] = {q: c * inv for q, c in row.items()}
         cache[d] = pivots
         return pivots
 
@@ -628,21 +620,15 @@ class QuotientRing:
         for idx, g in enumerate(self.ideal_gens):
             found = None
             for v in sorted(g.variables(), key=lambda w: w.name):
-                k = g.max_exponent(v)
-                pure: Mono = ((v, k),)
-                c = g.coefficient(pure)
-                if not c:
+                power = pure_power(g, v)
+                if power is None or v in claimed:
                     continue
-                rest_ok = all(
-                    m == pure or not mono_divides(pure, m) for m in g.terms
-                )
-                others_ok = all(
+                if all(
                     v not in h.variables()
                     for j, h in enumerate(self.ideal_gens)
                     if j != idx
-                )
-                if rest_ok and others_ok and v not in claimed:
-                    found = (v, k)
+                ):
+                    found = (v, power[0])
                     break
             if found is None:
                 return None
@@ -691,14 +677,14 @@ class _MonoIndex:
 def _eliminate(
     row: dict[int, Fraction],
     pivots: Mapping[int, Mapping[int, Fraction]],
-    keys: Sequence[tuple[int, ...]],
+    keys: Sequence,
 ) -> dict[int, Fraction]:
     """Reduce a positional row in place against pivot tails; returns it.
 
-    A heap holds the row's pivot positions, largest monomial first.  Each
-    elimination adds only monomials below the pivot it removes, so a
-    popped position never returns; a stale heap entry (already cancelled)
-    is skipped.
+    A heap holds the row's pivot positions, least key first (for Macaulay
+    rows, the largest monomial).  Each elimination adds only positions of
+    larger key than the pivot it removes, so a popped position never
+    returns; a stale heap entry (already cancelled) is skipped.
     """
     heap = [(keys[q], q) for q in row if q in pivots]
     if not heap:
@@ -722,6 +708,21 @@ def _eliminate(
                 else:
                     del row[q]
     return row
+
+
+def insert_pivot_row(
+    row: dict[int, Fraction],
+    pivots: dict[int, dict[int, Fraction]],
+    keys: Sequence,
+) -> None:
+    """Reduce a positional row against the pivots; a nonzero remainder
+    becomes the pivot at its least key, scaled to 1, stored as its tail."""
+    row = _eliminate(row, pivots, keys)
+    if not row:
+        return
+    piv = min(row, key=keys.__getitem__)
+    inv = 1 / row.pop(piv)
+    pivots[piv] = {q: c * inv for q, c in row.items()}
 
 
 def quotient_dimension_series(r: QuotientRing, cutoff: int):

@@ -26,18 +26,17 @@ on the spot.  Both require the zero-potential context and are logged as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .poly_core import (
     DegreeMismatch,
     GradedVar,
-    Mono,
     Poly,
     QuotientRing,
-    mono_divides,
     mono_key,
+    pure_power,
 )
 from .qseries import poincare_regular_quotient
 from .mf_core import KoszulMF
@@ -145,12 +144,11 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     a, b = k.rows[row]
     rows = list(k.rows)
     rows[row] = (b, a)
-    return KoszulMF(
-        k.base,
-        tuple(rows),
-        k.global_grading_shift + h,
-        (k.z2_shift + 1) % 2,
-        k.potential_degree,
+    return replace(
+        k,
+        rows=tuple(rows),
+        global_grading_shift=k.global_grading_shift + h,
+        z2_shift=(k.z2_shift + 1) % 2,
     )
 
 
@@ -270,41 +268,53 @@ def exclusion_candidate(
 ) -> _Candidate | None:
     """Best admissible (variable, power) for excluding this row, or None."""
     _, b = k.rows[row]
-    if not b:
-        return None
     internal = sorted(
         (v for v in b.variables() if v not in external), key=lambda v: v.name
     )
     gen_vars = frozenset(v for g in k.base.ideal_gens for v in g.variables())
     best: _Candidate | None = None
     for y in internal:
-        e = b.max_exponent(y)
-        pure: Mono = ((y, e),)
-        c = b.coefficient(pure)
-        if not c:
+        power = pure_power(b, y)
+        if power is None:
             continue
-        if any(m != pure and mono_divides(pure, m) for m in b.terms):
-            continue
+        e, c = power
         if e > 1 and y in gen_vars:
             # y is already constrained; y^e is no longer a free monomial
             continue
-        cand = _Candidate(row, y, e, c)
         # prefer substitutions, then the lexicographically smallest variable
-        key = (0 if e == 1 else 1, y.name)
-        if best is None or key < (0 if best.power == 1 else 1, best.var.name):
-            best = cand
+        if best is None or (e == 1 and best.power > 1):
+            best = _Candidate(row, y, e, c)
     return best
 
 
-def _substituted_ring(base: QuotientRing, sigma: dict[GradedVar, Poly], drop: GradedVar) -> QuotientRing:
-    gens = []
-    for g in base.ideal_gens:
-        g2 = g.substitute(sigma)
-        if g2:
-            gens.append(g2)
-    return QuotientRing(
-        tuple(v for v in base.vars if v != drop), tuple(gens), base.cutoff
-    )
+def _substituted_ring(
+    base: QuotientRing, sigma: Mapping[GradedVar, Poly], keep: tuple[GradedVar, ...]
+) -> QuotientRing:
+    gens = (g.substitute(sigma) for g in base.ideal_gens)
+    return QuotientRing(keep, tuple(g for g in gens if g), base.cutoff)
+
+
+def _rebased_rows(
+    k: KoszulMF,
+    new_base: QuotientRing,
+    drop: int | None,
+    sigma: Mapping[GradedVar, Poly] | None,
+    context: str,
+) -> tuple[tuple[Poly, Poly], ...]:
+    """The rows of k other than row ``drop``, each substituted by ``sigma``
+    when given and reduced in ``new_base``.  A row that collapses to (0; 0)
+    has no degrees: ConditionUnmet, with ``context`` naming the step."""
+    rows = []
+    for m, (a, b) in enumerate(k.rows):
+        if m == drop:
+            continue
+        if sigma:
+            a, b = a.substitute(sigma), b.substitute(sigma)
+        a, b = new_base.normal_form(a), new_base.normal_form(b)
+        if not a and not b:
+            raise ConditionUnmet(f"row collapsed to (0; 0) {context}")
+        rows.append((a, b))
+    return tuple(rows)
 
 
 def exclude_variable(
@@ -318,48 +328,40 @@ def exclude_variable(
     current ideal generators.
     """
     external = frozenset(external)
+    return _excluded(k, row, external, exclusion_candidate(k, row, external))
+
+
+def _excluded(
+    k: KoszulMF, row: int, external: frozenset[GradedVar], cand: _Candidate | None
+) -> KoszulMF:
+    """exclude_variable with the row's candidate already chosen."""
     pot = k.potential()
     bad = [v.name for v in pot.variables() if v not in external]
     if bad:
         raise ConditionUnmet(
             f"potential involves internal variable(s) {', '.join(sorted(bad))}"
         )
-    cand = exclusion_candidate(k, row, external)
+    b = k.rows[row][1]
     if cand is None:
-        a, b = k.rows[row]
         raise ConditionUnmet(
-            f"row {row}: no admissible unit-coefficient pure power of an "
-            f"internal variable in {b.render() if b else '0'}"
+            f"row {row}: no admissible pure power of an internal variable "
+            f"in {b.render()}"
         )
     y, e, c = cand.var, cand.power, cand.coeff
-    _, b = k.rows[row]
     if e == 1:
         rest = b - Poly({((y, 1),): c})
         sigma = {y: rest * (Fraction(-1) / c)}
-        new_base = _substituted_ring(k.base, sigma, y)
-        new_rows = []
-        for m, (ra, rb) in enumerate(k.rows):
-            if m == row:
-                continue
-            new_rows.append(
-                (new_base.normal_form(ra.substitute(sigma)),
-                 new_base.normal_form(rb.substitute(sigma)))
-            )
+        new_base = _substituted_ring(
+            k.base, sigma, tuple(v for v in k.base.vars if v != y)
+        )
     else:
-        monic = b * (1 / c)
-        new_base = k.base.with_generator(monic)
-        new_rows = []
-        for m, (ra, rb) in enumerate(k.rows):
-            if m == row:
-                continue
-            new_rows.append((new_base.normal_form(ra), new_base.normal_form(rb)))
-    for m, (ra, rb) in enumerate(new_rows):
-        if not ra and not rb:
-            raise ConditionUnmet(
-                f"row collapsed to (0; 0) after excluding {y.name}; "
-                "the remaining data is not a regular presentation"
-            )
-    return k.with_rows(new_rows, base=new_base)
+        sigma = None
+        new_base = k.base.with_generator(b * (1 / c))
+    context = (
+        f"after excluding {y.name}; "
+        "the remaining data is not a regular presentation"
+    )
+    return k.with_rows(_rebased_rows(k, new_base, row, sigma, context), new_base)
 
 
 def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
@@ -381,22 +383,15 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
         )
     lead = gen.terms[max(gen.terms, key=mono_key)]
     new_base = k.base.with_generator(gen * (1 / lead))
-    new_rows = []
-    for m, (ra, rb) in enumerate(k.rows):
-        if m == row:
-            continue
-        nra, nrb = new_base.normal_form(ra), new_base.normal_form(rb)
-        if not nra and not nrb:
-            raise ConditionUnmet(
-                f"row collapsed to (0; 0) while absorbing row {row}"
-            )
-        new_rows.append((nra, nrb))
+    rows = _rebased_rows(k, new_base, row, None, f"while absorbing row {row}")
     z2 = k.z2_shift
     shift = k.global_grading_shift
     if a:
         z2 = (z2 + 1) % 2
         shift += k.potential_degree // 2 - a.homogeneous_degree()
-    return KoszulMF(new_base, tuple(new_rows), shift, z2, k.potential_degree)
+    return replace(
+        k, base=new_base, rows=rows, global_grading_shift=shift, z2_shift=z2
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +418,18 @@ def glue(
             sigma[repl.var(j)] = keep.poly(j)
     if not sigma:
         return joined
-    replaced = set(sigma)
-    for v in replaced:
+    for v in sigma:
         if v not in joined.base.vars:
             raise ValueError(f"glued variable {v.name} is not in the base ring")
-    kept_vars = tuple(v for v in joined.base.vars if v not in replaced)
+    kept_vars = tuple(v for v in joined.base.vars if v not in sigma)
     missing = [
         v for pair in pairs for v in pair[0].vars if v not in kept_vars
     ]
     if missing:
         kept_vars = tuple(sorted(set(kept_vars) | set(missing), key=lambda v: v.name))
-    gens = []
-    for g in joined.base.ideal_gens:
-        g2 = g.substitute(sigma)
-        if g2:
-            gens.append(g2)
-    new_base = QuotientRing(kept_vars, tuple(gens), joined.base.cutoff)
-    new_rows = [
-        (new_base.normal_form(a.substitute(sigma)),
-         new_base.normal_form(b.substitute(sigma)))
-        for a, b in joined.rows
-    ]
-    return KoszulMF(
-        new_base,
-        tuple(new_rows),
-        joined.global_grading_shift,
-        joined.z2_shift,
-        joined.potential_degree,
-    )
+    new_base = _substituted_ring(joined.base, sigma, kept_vars)
+    rows = _rebased_rows(joined, new_base, None, sigma, "while gluing")
+    return replace(joined, base=new_base, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +464,11 @@ class ReductionSession:
     force: bool = False
     log: list[LogEntry] = field(default_factory=list)
 
-    def _step(self, op: str, params: dict, new: KoszulMF, check: str | None = None) -> None:
-        if check is None:
-            old_pot = self.current.potential()
-            ok = not new.base.normal_form(new.potential() - old_pot)
-            check = "ok" if ok else "FAILED"
-            if not ok:
-                raise PotentialMismatch(f"{op} changed the potential")
-        self.log.append(LogEntry(op, params, check))
+    def _step(self, op: str, params: dict, new: KoszulMF) -> None:
+        old_pot = self.current.potential()
+        if new.base.normal_form(new.potential() - old_pot):
+            raise PotentialMismatch(f"{op} changed the potential")
+        self.log.append(LogEntry(op, params, "ok"))
         self.current = new
 
     def scalar_twist(self, row: int, c: Fraction | int) -> None:
@@ -535,15 +511,13 @@ class ReductionSession:
         )
 
     def exclude_variable(self, row: int) -> None:
-        cand = exclusion_candidate(self.current, row, self.external)
-        new = exclude_variable(self.current, row, self.external)
+        self._exclude(row, exclusion_candidate(self.current, row, self.external))
+
+    def _exclude(self, row: int, cand: _Candidate | None) -> None:
+        new = _excluded(self.current, row, self.external, cand)
         self._step(
             "exclude_variable",
-            {
-                "row": row,
-                "variable": cand.var.name if cand else "?",
-                "power": cand.power if cand else 0,
-            },
+            {"row": row, "variable": cand.var.name, "power": cand.power},
             new,
         )
 
@@ -559,7 +533,7 @@ class ReductionSession:
                     best = cand
             if best is None:
                 return removed
-            self.exclude_variable(best.row)
+            self._exclude(best.row, best)
             removed += 1
 
     def absorb_zero_rows(self, skip_unverified: bool = False) -> int:

@@ -10,7 +10,6 @@ replays the reduction with a seeded exclusion order.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from moymf import (
     Diagram,

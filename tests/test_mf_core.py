@@ -10,7 +10,6 @@ import pytest
 
 import corpus
 from moymf import (
-    GradedFreeModule,
     GradedVar,
     KoszulMF,
     Poly,

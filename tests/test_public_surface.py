@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import moymf
 from moymf import analysis, cli
 
-MODULES = sorted(
+MODULES = ["moymf"] + sorted(
     f"moymf.{info.name}" for info in pkgutil.iter_modules(moymf.__path__)
 )
 
@@ -31,6 +32,15 @@ def test_star_import_works(name: str) -> None:
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(importlib.import_module(name).__all__) <= set(namespace)
+
+
+def test_package_all_lists_its_public_names() -> None:
+    public = [
+        name
+        for name, value in vars(moymf).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert sorted(moymf.__all__) == sorted(public)
 
 
 def test_relation_names_follow_the_table() -> None:

@@ -22,8 +22,10 @@ from moymf import (
     ReductionSession,
     RegularityUnverified,
     ZeroScalar,
+    absorb_zero_row,
     boundary_potential,
     compile_diagram,
+    exclude_variable,
     exclusion_candidate,
     glue,
     parse,
@@ -135,8 +137,16 @@ class TestExclusion:
         k = KoszulMF(base, ((PX**3, PY - PX),), 0, 0, 8)
         assert exclusion_candidate(k, 0, frozenset({X, Y})) is None
         session = ReductionSession(k, external=frozenset({X, Y}))
-        with pytest.raises(ConditionUnmet):
+        with pytest.raises(ConditionUnmet, match="no admissible pure power"):
             session.exclude_variable(0)
+
+    def test_collapsed_row_is_refused(self) -> None:
+        # y -> x sends the second row to (0; 0)
+        base = QuotientRing((X, Y))
+        d = PY - PX
+        k = KoszulMF(base, ((-d * PX**2, d), (d, d * PX**2)), 0, 0, 8)
+        with pytest.raises(ConditionUnmet, match=r"collapsed to \(0; 0\)"):
+            exclude_variable(k, 0, {X})
 
     def test_greedy_prefers_substitution_rows(self) -> None:
         base = QuotientRing((X, Y, Z))
@@ -185,6 +195,12 @@ class TestAbsorption:
         assert session.absorb_zero_rows() == 1
         assert session.current.row_count == 0
 
+    def test_collapsed_row_is_refused(self) -> None:
+        # absorbing x kills both entries of (x; x^3)
+        base = QuotientRing((X,))
+        k = KoszulMF(base, ((PX, Poly.zero()), (PX, PX**3)), 0, 0, 8)
+        with pytest.raises(ConditionUnmet, match=r"collapsed to \(0; 0\)"):
+            absorb_zero_row(k, 0)
 
 class TestRegularityHeuristic:
     def test_product_expansion_sequence_verifies(self) -> None:
@@ -273,6 +289,15 @@ class TestGlue:
         with pytest.raises(ColorMismatch):
             glue(x, y, [(Alphabet(1, "q"), Alphabet(2, "r"))])
 
+    def test_collapsed_row_is_refused(self) -> None:
+        # identifying b with a sends the first row to (0; 0)
+        alpha, beta = Alphabet(1, "a"), Alphabet(1, "b")
+        pa, pb = alpha.poly(1), beta.poly(1)
+        base = QuotientRing((alpha.var(1), beta.var(1)))
+        rows = ((pa - pb, (pa - pb) * pa**2), (pa**3, pa - pb))
+        k = KoszulMF(base, rows, 0, 0, 8)
+        with pytest.raises(ConditionUnmet, match=r"collapsed to \(0; 0\)"):
+            glue(k, k, [(alpha, beta)])
 
 class TestSessionContract:
     def test_every_step_preserves_the_potential(self) -> None:

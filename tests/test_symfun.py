@@ -20,7 +20,7 @@ from moymf import (
     power_sum_in,
     product_term,
 )
-from moymf.symfun import IndexOutOfRange, generic_slots
+from moymf.symfun import generic_slots
 
 
 class TestAlphabet:
