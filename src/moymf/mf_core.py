@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .poly_core import GradedVar, Poly, QuotientRing
-from .qseries import QLaurent
+from .qseries import QLaurent, poly_factor
 
 __all__ = [
     "SparseMat",
@@ -127,11 +127,18 @@ class GradedFreeModule:
 
     def dimension_series(self, cutoff: int) -> QLaurent:
         """Graded dimension over Q through degree cutoff."""
-        base = self.base.dimension_series(cutoff - min(self.generator_shifts, default=0))
-        total = QLaurent.zero()
-        for s in self.generator_shifts:
-            total = total + base.shift(s)
-        return total.truncate(cutoff)
+        return _free_series(self.base, (poly_factor(self.generator_shifts),), cutoff)[0]
+
+
+def _free_series(
+    base: QuotientRing, shifts: Sequence[QLaurent], cutoff: int
+) -> tuple[QLaurent, ...]:
+    """Graded dimensions through degree cutoff of free modules over base,
+    one per generator-shift polynomial.  The base series is computed once,
+    through the degree the lowest generator of any module needs."""
+    low = min((s.min_exp() for s in shifts if s), default=0)
+    series = base.dimension_series(max(cutoff - low, 0))
+    return tuple((s * series).truncate(cutoff) for s in shifts)
 
 
 @dataclass(frozen=True)
@@ -164,10 +171,8 @@ class MatrixFactorization:
         return self.potential_degree // 2
 
     def graded_series(self, cutoff: int) -> tuple[QLaurent, QLaurent]:
-        return (
-            self.m0.dimension_series(cutoff),
-            self.m1.dimension_series(cutoff),
-        )
+        shifts = (self.m0.generator_shifts, self.m1.generator_shifts)
+        return _free_series(self.base, tuple(map(poly_factor, shifts)), cutoff)
 
     def as_dict(self) -> dict:
         return {
@@ -354,9 +359,9 @@ class KoszulMF:
 
     base: QuotientRing
     rows: tuple[tuple[Poly, Poly], ...]
-    global_grading_shift: int = 0
-    z2_shift: int = 0
-    potential_degree: int = -1  # derived in __post_init__ when left at -1
+    global_grading_shift: int
+    z2_shift: int
+    potential_degree: int
 
     def __post_init__(self) -> None:
         if self.z2_shift not in (0, 1):
@@ -364,16 +369,6 @@ class KoszulMF:
         rows = tuple((a, b) for a, b in self.rows)
         object.__setattr__(self, "rows", rows)
         pot_deg = self.potential_degree
-        if pot_deg == -1:
-            for a, b in rows:
-                if a and b:
-                    pot_deg = a.homogeneous_degree() + b.homogeneous_degree()
-                    break
-            else:
-                raise InhomogeneousRow(
-                    "potential_degree must be given when no row has both sides nonzero"
-                )
-            object.__setattr__(self, "potential_degree", pot_deg)
         if pot_deg < 0 or pot_deg % 2:
             raise ValueError(f"bad potential degree {pot_deg}")
         for m, (a, b) in enumerate(rows):
@@ -458,16 +453,8 @@ class KoszulMF:
             even, odd = even + odd * h, odd + even * h
         if self.z2_shift:
             even, odd = odd, even
-        base = self.base.dimension_series(
-            max(cutoff - self.global_grading_shift - min(
-                even.min_exp() if even else 0, odd.min_exp() if odd else 0
-            ), 0)
-        )
         g = self.global_grading_shift
-        return (
-            (even.shift(g) * base).truncate(cutoff),
-            (odd.shift(g) * base).truncate(cutoff),
-        )
+        return _free_series(self.base, (even.shift(g), odd.shift(g)), cutoff)
 
     def expand(self) -> MatrixFactorization:
         return koszul_expand(self)

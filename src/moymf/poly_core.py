@@ -723,8 +723,3 @@ def insert_pivot_row(
     piv = min(row, key=keys.__getitem__)
     inv = 1 / row.pop(piv)
     pivots[piv] = {q: c * inv for q, c in row.items()}
-
-
-def quotient_dimension_series(r: QuotientRing, cutoff: int):
-    """Module-level alias: the Poincare series of the quotient up to cutoff."""
-    return r.dimension_series(cutoff)

@@ -205,10 +205,8 @@ def _replace_column(
     for m, p in zip(idx, target):
         a, b = new_rows[m]
         new_rows[m] = (a, p) if col == "b" else (p, b)
-    new_pot = Poly.zero()
-    for a, b in new_rows:
-        new_pot = new_pot + a * b
-    if k.base.normal_form(new_pot - k.potential()):
+    new = k.with_rows(new_rows)
+    if new.potential() != k.potential():
         raise PotentialMismatch(f"target {col}-column changes the potential")
     fixed = [
         (k.rows[m][0] if col == "b" else k.rows[m][1]) for m in idx
@@ -219,7 +217,7 @@ def _replace_column(
             f"the fixed column on rows {idx} is not verified regular; "
             "pass force to proceed"
         )
-    return k.with_rows(new_rows), verdict
+    return new, verdict
 
 
 def replace_second_sequence(

@@ -179,6 +179,20 @@ class TestHomologyWithRows:
         got = homology(k.expand(), cutoff=24)
         assert got == {(d + 3, 1 - p): h for (d, p), h in want.items()}
 
+    def test_row_left_by_skip_unverified(self) -> None:
+        # Q[x(2), y(2)]/(x^3, y^3, xy), row (x; 0): the absorption gate
+        # cannot verify x, so reduce_fully keeps the row and homology must
+        # rank its differential
+        sx, sy = self.sx, self.sy
+        k, want = self._build(
+            ([2, 2], (sx, sy), [sx**3, sy**3, sx * sy], [(sx, 0)], 4)
+        )
+        session = ReductionSession(k, external=frozenset())
+        got = session.reduce_fully()
+        assert got.row_count == 1
+        assert homology(got.expand(), cutoff=24) == want
+        assert want == {(0, 1): 1, (2, 0): 1, (2, 1): 1, (4, 0): 2, (4, 1): 1}
+
 
 class TestEuler:
     def test_circle_values(self) -> None:
@@ -297,6 +311,37 @@ class TestVerifyRelation:
     def test_wrong_arity_rejected(self) -> None:
         with pytest.raises(ValueError, match="expects 4 parameters"):
             verify_relation("bubble", (1, 1, 3))
+
+    def test_square_j_rejects_ladder_color_at_the_level(self) -> None:
+        # the join diagram would need a rung of color n + 1
+        with pytest.raises(ValueError, match="between 2 and level-1"):
+            verify_relation("square_j", (2, 2))
+
+    def test_structural_mismatch_fails_matching_series(self, monkeypatch) -> None:
+        # the direct line gets other boundary labels: same series, but its
+        # rows and potential no longer match the contracted pair
+        line_src = analysis._line_src
+        monkeypatch.setattr(
+            analysis, "_line_src", lambda i, n, *labels: line_src(i, n, "p", "q")
+        )
+        report = verify_relation("line_contract", (1, 2))
+        assert report["lhs_series"] == report["rhs_series"]
+        assert report["verdict"] == "FAIL"
+        assert "first_difference" not in report
+        assert report["structural_mismatch"] == [
+            "row 0 differs after normalization",
+            "potentials differ",
+        ]
+        assert list(report) == [
+            "relation",
+            "params",
+            "lhs_series",
+            "rhs_series",
+            "verdict",
+            "reduction_log_ref",
+            "reduction_log",
+            "structural_mismatch",
+        ]
 
     def test_bubble_colors_must_sum(self) -> None:
         with pytest.raises(ValueError, match="summing"):

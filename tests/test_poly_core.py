@@ -21,7 +21,6 @@ from moymf import (
     divided_difference,
     divided_difference_values,
     poincare_regular_quotient,
-    quotient_dimension_series,
 )
 
 X = GradedVar("x", 2)
@@ -141,13 +140,13 @@ class TestQuotientRing:
 
     def test_dimension_series_frozen_instance(self) -> None:
         # dims of Q[x,y]/<x^2+y^2, x*y> counted by brute monomial algebra
-        series = quotient_dimension_series(self.ring, 10)
+        series = self.ring.dimension_series(10)
         assert dict(series.coeffs) == {0: 1, 2: 2, 4: 1}
 
     def test_dimension_series_frozen_mixed_weights(self) -> None:
         # Q[x(2), z(4)] / <x*z - x^3>
         ring = QuotientRing((X, Z), (_mono((1, 0, 1), 1) - _mono((3, 0, 0), 1),))
-        series = quotient_dimension_series(ring, 12)
+        series = ring.dimension_series(12)
         assert dict(series.coeffs) == {0: 1, 2: 1, 4: 2, 6: 1, 8: 2, 10: 1, 12: 2}
 
     def test_dimension_series_frozen_three_vars(self) -> None:
@@ -156,7 +155,7 @@ class TestQuotientRing:
             (X, Y, Z),
             (_mono((2, 0, 0), 1) - _mono((0, 0, 1), 1), _mono((0, 3, 0), 1)),
         )
-        series = quotient_dimension_series(ring, 12)
+        series = ring.dimension_series(12)
         assert dict(series.coeffs) == {
             0: 1, 2: 2, 4: 3, 6: 3, 8: 3, 10: 3, 12: 3,
         }
@@ -169,7 +168,7 @@ class TestQuotientRing:
             ex, ey = rng.randint(1, 3), rng.randint(1, 3)
             gens = (_mono((ex, 0, 0), 1), _mono((0, ey, 0), 1))
             ring = QuotientRing((X, Y), gens)
-            got = quotient_dimension_series(ring, 14)
+            got = ring.dimension_series(14)
             want = oracles.weighted_quotient_dims(
                 [2, 2], [sx**ex, sy**ey], [sx, sy], 14
             )
@@ -181,7 +180,7 @@ class TestQuotientRing:
         ring = QuotientRing(
             (X, Y, Z), (_mono((2, 0, 0), 1) + _mono((0, 0, 1), 3),)
         )
-        got = quotient_dimension_series(ring, 16)
+        got = ring.dimension_series(16)
         want = poincare_regular_quotient([2, 2, 4], [4], 16)
         assert got == want
 
@@ -195,7 +194,7 @@ class TestQuotientRing:
             Poly.variable(x2) - Poly.variable(y2),
         )
         ring = QuotientRing((x1, x2, y1, y2), gens)
-        got = quotient_dimension_series(ring, 16)
+        got = ring.dimension_series(16)
         want = poincare_regular_quotient([2, 4, 2, 4], [2, 4], 16)
         assert got == want
 
