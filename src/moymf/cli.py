@@ -8,7 +8,8 @@ balanced q-binomials.
 
 Exit codes: 0 on success or PASS, 1 when a verification reports FAIL,
 2 on input errors (unreadable file, syntax error, color violation,
-open diagram where a closed one is required, bad parameters).
+open diagram where a closed one is required, bad parameters), 3 on an
+internal error, reported as one ``internal error: <Type>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -345,6 +346,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect in the engine, not in the input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -355,7 +355,12 @@ def validate(x: MatrixFactorization) -> list[str]:
 
 @dataclass(frozen=True)
 class KoszulMF:
-    """Row presentation K(a; b) with global shifts applied after expansion."""
+    """Row presentation K(a; b) with global shifts applied after expansion.
+
+    The potential is computed once per instance, on the first
+    ``potential()`` call; it is not a field, so equality, hashing, ``repr``
+    and ``as_dict`` do not see whether it has been computed.
+    """
 
     base: QuotientRing
     rows: tuple[tuple[Poly, Poly], ...]
@@ -408,10 +413,20 @@ class KoszulMF:
         return len(self.rows)
 
     def potential(self) -> Poly:
-        total = Poly.zero()
-        for a, b in self.rows:
-            total = total + a * b
-        return self.base.normal_form(total)
+        """Sum of a_m * b_m over the rows, in normal form in the base.
+
+        Kept on the instance after the first call.  ``replace``,
+        ``with_rows`` and ``join`` build new instances, which compute their
+        own.
+        """
+        pot = self.__dict__.get("_potential")
+        if pot is None:
+            total = Poly.zero()
+            for a, b in self.rows:
+                total = total + a * b
+            pot = self.base.normal_form(total)
+            object.__setattr__(self, "_potential", pot)
+        return pot
 
     # -- functors ----------------------------------------------------------
 

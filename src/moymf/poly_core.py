@@ -8,6 +8,12 @@ exponents positive; the empty tuple is the monomial 1.  A ``Poly`` maps
 monomials to nonzero ``Fraction`` coefficients.  All arithmetic is exact;
 no floating point appears anywhere in this package.
 
+Two monomials multiply by one merge of their name-sorted pairs, so a
+product is canonical without re-sorting.  Substitution splits each
+monomial into a kept part and a substituted part, builds the image of each
+distinct substituted part once, and adds that image, shifted by the kept
+part and scaled by the coefficient, into a single accumulator.
+
 Quotient rings by homogeneous ideals are handled degree by degree: for each
 degree d the span of ``{m * g : g generator, m monomial, deg(m*g) = d}`` is
 row-reduced once (a Macaulay matrix over Q) and cached, after which normal
@@ -82,14 +88,35 @@ def mono_degree(m: Mono) -> int:
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """Product of two monomials: one merge of their name-sorted pairs."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged: dict[GradedVar, int] = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return _mono_from_dict(merged)
+    out: list[tuple[GradedVar, int]] = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        a, b = p1[0].name, p2[0].name
+        if a < b:
+            out.append(p1)
+            i += 1
+        elif b < a:
+            out.append(p2)
+            j += 1
+        else:
+            if p1[0].degree != p2[0].degree:
+                # same name with two different degrees would split a variable
+                raise ValueError(f"conflicting gradings for variable {a}")
+            out.append((p1[0], p1[1] + p2[1]))
+            i += 1
+            j += 1
+    if i < n1:
+        out.extend(m1[i:])
+    elif j < n2:
+        out.extend(m2[j:])
+    return tuple(out)
 
 
 def _mono_from_dict(d: Mapping[GradedVar, int]) -> Mono:
@@ -220,15 +247,8 @@ class Poly:
             return NotImplemented
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        p._hash = None
-        return p
+            _accumulate(out, m, c)
+        return _from_clean(out)
 
     __radd__ = __add__
 
@@ -261,16 +281,8 @@ class Poly:
         out: dict[Mono, Fraction] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        p = Poly.__new__(Poly)
-        p._terms = out
-        p._hash = None
-        return p
+                _accumulate(out, mono_mul(m1, m2), c1 * c2)
+        return _from_clean(out)
 
     __rmul__ = __mul__
 
@@ -299,22 +311,34 @@ class Poly:
                 )
             if not img.is_homogeneous():
                 raise DegreeMismatch(f"image of {v.name} is inhomogeneous")
-        # cache per-variable powers; substitution cost is dominated by these
+        # A monomial is its kept part times its substituted part.  The image
+        # of each distinct substituted part is built once, from cached
+        # per-variable powers, then shifted by the kept part into ``out``.
         powers: dict[tuple[GradedVar, int], Poly] = {}
-        total = _POLY_ZERO
+        images: dict[Mono, Mapping[Mono, Fraction]] = {}
+        out: dict[Mono, Fraction] = {}
         for m, c in self._terms.items():
-            term = Poly.const(c)
-            for v, e in m:
-                img = sigma.get(v)
-                if img is None:
-                    term = term * Poly({((v, e),): _ONE})
-                    continue
-                got = powers.get((v, e))
-                if got is None:
-                    got = powers[(v, e)] = img ** e
-                term = term * got
-            total = total + term
-        return total
+            kept: list[tuple[GradedVar, int]] = []
+            part: list[tuple[GradedVar, int]] = []
+            for ve in m:
+                (part if ve[0] in sigma else kept).append(ve)
+            if not part:
+                _accumulate(out, m, c)
+                continue
+            part_key = tuple(part)
+            image = images.get(part_key)
+            if image is None:
+                prod = _POLY_ONE
+                for ve in part:
+                    got = powers.get(ve)
+                    if got is None:
+                        got = powers[ve] = sigma[ve[0]] ** ve[1]
+                    prod = prod * got
+                image = images[part_key] = prod.terms
+            shift = tuple(kept)
+            for mi, ci in image.items():
+                _accumulate(out, mono_mul(shift, mi), c * ci)
+        return _from_clean(out)
 
     def evaluate(self, point: Mapping[GradedVar, Fraction | int]) -> Fraction:
         """Evaluate at a rational point; every variable must be assigned."""
@@ -391,7 +415,29 @@ def _coerce(x: "Poly | int | Fraction") -> Poly:
     return NotImplemented  # type: ignore[return-value]
 
 
+def _from_clean(terms: dict[Mono, Fraction]) -> Poly:
+    """A Poly over terms already canonical: Fraction coefficients, no zeros."""
+    p = Poly.__new__(Poly)
+    p._terms = terms
+    p._hash = None
+    return p
+
+
+def _accumulate(out: dict[Mono, Fraction], m: Mono, c: Fraction) -> None:
+    """out[m] += c, dropping the monomial when it cancels."""
+    s = out.get(m)
+    if s is None:
+        out[m] = c
+    else:
+        s += c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+
+
 _POLY_ZERO = Poly()
+_POLY_ONE = Poly.const(1)
 
 
 def divided_difference(f: Poly, x: GradedVar, y: GradedVar) -> Poly:

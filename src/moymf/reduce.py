@@ -463,6 +463,8 @@ class ReductionSession:
     log: list[LogEntry] = field(default_factory=list)
 
     def _step(self, op: str, params: dict, new: KoszulMF) -> None:
+        # the previous step computed this as its new.potential(), and the
+        # instance kept it; only the new potential is summed here
         old_pot = self.current.potential()
         if new.base.normal_form(new.potential() - old_pot):
             raise PotentialMismatch(f"{op} changed the potential")

@@ -195,6 +195,19 @@ class TestVerifyCommand:
         assert lines[-1] == "FAIL"
         assert any(line.startswith("first difference:") for line in lines)
 
+    def test_internal_error_exits_3_without_traceback(self, capsys, monkeypatch) -> None:
+        def broken(name, params, cutoff=None):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "verify_relation", broken)
+        assert main(["verify", "cor_square", "--params", "3", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "internal error: TypeError: unsupported operand"
+        ]
+        assert "Traceback" not in captured.err
+
 
 class TestCrosscheckCommand:
     def test_theta_passes(self, theta_file, capsys) -> None:

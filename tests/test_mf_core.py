@@ -66,6 +66,46 @@ class TestKoszulConstruction:
         assert k.potential() == x * x * y * y + x * x * y * y
 
 
+def _row_sum(k: KoszulMF) -> Poly:
+    """The potential summed afresh from the rows, in normal form."""
+    total = Poly.zero()
+    for a, b in k.rows:
+        total = total + a * b
+    return k.base.normal_form(total)
+
+
+class TestPotentialMemo:
+    def test_derived_objects_compute_their_own(self) -> None:
+        rng = random.Random(11)
+        moved = 0
+        for _ in range(12):
+            k, other = corpus.random_koszul(rng), corpus.random_koszul(rng)
+            pot = k.potential()  # stored on k before anything is derived
+            other.potential()
+            (a, b), *rest = k.rows
+            ring = QuotientRing(k.base.vars, (Poly.variable(X) ** 3,))
+            derived = (
+                k.with_rows(rest or [(a, b * 2)]),
+                k.with_rows(k.rows, ring),
+                dataclasses.replace(k, rows=((a * 3, b), *rest)),
+                k.join(other),
+            )
+            for d in derived:
+                assert d.potential() == _row_sum(d)
+                moved += d.potential() != pot
+        # the derived potentials differ, so an inherited value would show
+        assert moved >= 30
+
+    def test_memo_is_invisible(self) -> None:
+        k, fresh = _simple_koszul(), _simple_koszul()
+        before = (repr(k), hash(k))
+        assert k.potential() == _row_sum(k)
+        assert (repr(k), hash(k)) == before
+        assert k == fresh and hash(k) == hash(fresh)
+        assert k.as_dict() == fresh.as_dict()
+        assert k.potential() is k.potential()
+
+
 class TestExpansion:
     def test_expanded_object_validates(self) -> None:
         assert validate(koszul_expand(_simple_koszul())) == []

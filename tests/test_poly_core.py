@@ -90,6 +90,69 @@ class TestPolyArithmetic:
             GradedVar("w", -2)
 
 
+@st.composite
+def substitutions(draw) -> dict:
+    """Homogeneous images for one to three of VARS, substituted at once.
+    An image may mention kept and substituted variables, and may be 0."""
+    chosen = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=3, unique=True))
+    sigma = {}
+    for v in chosen:
+        if v.degree == 2:
+            basis = [(1, 0, 0), (0, 1, 0)]
+        else:
+            basis = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)]
+        img = Poly.zero()
+        for exps in basis:
+            img = img + _mono(exps, draw(st.integers(-2, 2)))
+        sigma[v] = img
+    return sigma
+
+
+def _assert_canonical(p: Poly) -> None:
+    for m in p.terms:
+        names = [v.name for v, _ in m]
+        assert names == sorted(set(names)), m
+        assert all(e > 0 for _, e in m), m
+
+
+class TestMonomialKernel:
+    """Merged monomial products and per-part substitution."""
+
+    @given(polys(), substitutions(), points())
+    def test_substitute_agrees_with_evaluation(
+        self, p: Poly, sigma: dict, pt: dict
+    ) -> None:
+        moved = {**pt, **{v: img.evaluate(pt) for v, img in sigma.items()}}
+        assert p.substitute(sigma).evaluate(pt) == p.evaluate(moved)
+
+    def test_substitute_cases(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        p = x * x * y + 3 * z * y + x * y * z - 2
+        # a zero image kills every term it touches
+        assert p.substitute({X: Poly.zero()}) == 3 * z * y - 2
+        # an image in a kept variable merges with that variable's exponent
+        assert p.substitute({X: 2 * y}) == 4 * y**3 + 3 * z * y + 2 * y * y * z - 2
+        # simultaneous: x and y swap rather than both becoming one variable
+        assert p.substitute({X: y, Y: x}) == y * y * x + 3 * z * x + y * x * z - 2
+        # several substituted parts, one of them repeated across terms
+        q = x * z + y * z + x * x * z
+        assert q.substitute({X: y, Z: x * y}) == 2 * x * y * y + x * y**3
+
+    def test_conflicting_gradings_raise(self) -> None:
+        x2 = Poly({((GradedVar("x", 2), 1),): 1})
+        x4 = Poly({((GradedVar("x", 4), 1),): 1})
+        with pytest.raises(ValueError, match="conflicting gradings"):
+            x2 * x4
+        # the image of z (degree 4) brings in an x of degree 4 beside x
+        with pytest.raises(ValueError, match="conflicting gradings"):
+            (Poly.variable(X) * Poly.variable(Z)).substitute({Z: x4})
+
+    @given(polys(), polys(), substitutions())
+    def test_monomials_stay_canonical(self, p: Poly, q: Poly, sigma: dict) -> None:
+        _assert_canonical(p * q)
+        _assert_canonical(p.substitute(sigma))
+
+
 class TestDividedDifference:
     @given(polys())
     def test_exactness(self, f: Poly) -> None:

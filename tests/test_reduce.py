@@ -299,6 +299,43 @@ class TestGlue:
         with pytest.raises(ConditionUnmet, match=r"collapsed to \(0; 0\)"):
             glue(k, k, [(alpha, beta)])
 
+class TestPotentialMemo:
+    def test_exclusion_results_compute_their_own(self) -> None:
+        rng = random.Random(29)
+        steps = 0
+        for _ in range(6):
+            _, d, k = corpus.random_compiled(rng, closed=False)
+            external = d.external_vars()
+            while True:
+                cands = [
+                    c for m in range(k.row_count)
+                    if (c := exclusion_candidate(k, m, external)) is not None
+                ]
+                if not cands:
+                    break
+                k.potential()  # stored on the parent before the step
+                try:
+                    k = exclude_variable(k, cands[0].row, external)
+                except ConditionUnmet:
+                    break
+                fresh = Poly.zero()
+                for a, b in k.rows:
+                    fresh = fresh + a * b
+                assert k.potential() == k.base.normal_form(fresh)
+                steps += 1
+        assert steps > 0
+
+    def test_step_compares_stored_potentials(self) -> None:
+        k = _two_rows()
+        other = k.with_rows(((PX * PX, PY * PY), (PX**3, -PY)))
+        session = ReductionSession(k)
+        # both values are stored before the step compares them
+        assert k.potential() != other.potential()
+        with pytest.raises(PotentialMismatch, match="rigged changed the potential"):
+            session._step("rigged", {}, other)
+        assert session.current is k and not session.log
+
+
 class TestSessionContract:
     def test_every_step_preserves_the_potential(self) -> None:
         rng = random.Random(61)
