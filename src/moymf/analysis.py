@@ -75,15 +75,15 @@ def _map_rank(
     for (r, c), p in mat.entries.items():
         by_col.setdefault(c, []).append((r, p))
     keys = range(len(cod))
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int | Fraction]] = {}
     for i, mono in dom:
-        vec: dict[int, Fraction] = {}
+        vec: dict[int, int | Fraction] = {}
         mp = Poly({mono: 1})
         for r, entry in by_col.get(i, ()):
             img = base.normal_form(entry * mp)
             for mono2, coeff in img.terms.items():
                 pos = index[(r, mono2)]
-                vec[pos] = vec.get(pos, Fraction(0)) + coeff
+                vec[pos] = vec.get(pos, 0) + coeff
         insert_pivot_row({k: v for k, v in vec.items() if v}, pivots, keys)
     return len(pivots)
 
@@ -138,8 +138,17 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
     return total
 
 
+def _check_cutoff(cutoff: int | None) -> None:
+    """A negative cutoff truncates every series to nothing, so a comparison
+    of two series would pass vacuously: ValueError."""
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+
+
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
-    """Euler characteristic of a closed diagram through the engine pipeline."""
+    """Euler characteristic of a closed diagram through the engine pipeline.
+    A negative cutoff raises ValueError."""
+    _check_cutoff(cutoff)
     if not d.closed:
         raise NotClosed("Euler characteristic requires a closed diagram")
     return _reduced_euler(d, cutoff)[1]
@@ -815,8 +824,8 @@ def verify_relation(
     graded series; ``cor_square`` is a closed-form identity and needs no
     reduction.  The report carries both series, a PASS/FAIL verdict, the
     reduction log, and the first differing coefficient on failure.  An
-    unknown name or a parameter count other than the one ``RELATIONS``
-    lists raises ValueError.
+    unknown name, a parameter count other than the one ``RELATIONS``
+    lists, or a negative cutoff raises ValueError.
     """
     if name not in RELATIONS:
         raise ValueError(f"unknown relation {name!r}; choose from {RELATION_NAMES}")
@@ -826,6 +835,7 @@ def verify_relation(
         raise ValueError(
             f"relation {name} expects {arity} parameters, got {len(params)}"
         )
+    _check_cutoff(cutoff)
     return runner(*params, DEFAULT_CUTOFF if cutoff is None else cutoff)
 
 
@@ -834,7 +844,7 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
 
     The engine side compiles, reduces, expands, and takes the unsigned
     Euler characteristic of the homology; the oracle side never touches a
-    matrix.  Closed diagrams only.
+    matrix.  Closed diagrams only; a negative cutoff raises ValueError.
     """
     engine = euler_of_diagram(d, cutoff=cutoff)
     oracle = moy_bracket(d)

@@ -5,8 +5,12 @@ Representation
 A variable is a ``GradedVar`` (name, even degree >= 2).  A monomial is a
 tuple of ``(GradedVar, exponent)`` pairs, sorted by variable name, with all
 exponents positive; the empty tuple is the monomial 1.  A ``Poly`` maps
-monomials to nonzero ``Fraction`` coefficients.  All arithmetic is exact;
-no floating point appears anywhere in this package.
+monomials to nonzero ``int | Fraction`` coefficients in canonical form: an
+``int`` when the value is integral, a ``Fraction`` only when its
+denominator exceeds 1.  Integer arithmetic is far cheaper than
+``Fraction`` arithmetic, and most coefficients here are integers.  All
+arithmetic is exact; no floating point appears anywhere in this package,
+and a ``float`` coefficient raises TypeError.
 
 Two monomials multiply by one merge of their name-sorted pairs, so a
 product is canonical without re-sorting.  Substitution splits each
@@ -79,8 +83,21 @@ class GradedVar:
 # Monomial: ((var, exp), ...) sorted by var name, exps > 0.  () is 1.
 Mono = tuple[tuple[GradedVar, int], ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coeff(c: object) -> int | Fraction:
+    """The canonical form of a coefficient: an int when it is integral, a
+    Fraction only when its denominator exceeds 1.  Any other type, a float
+    included, raises TypeError, so no inexact value enters a Poly."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def _inverse(c: int | Fraction) -> int | Fraction:
+    """The exact inverse 1/c of a nonzero coefficient, in canonical form."""
+    return _coeff(Fraction(1, c))
 
 
 def mono_degree(m: Mono) -> int:
@@ -137,7 +154,7 @@ def mono_divides(m1: Mono, m2: Mono) -> bool:
     return all(e <= 0 for e in need.values())
 
 
-def pure_power(p: Poly, v: GradedVar) -> tuple[int, Fraction] | None:
+def pure_power(p: Poly, v: GradedVar) -> tuple[int, int | Fraction] | None:
     """(k, c) when p = c*v^k + rest, with k the top exponent of v in p and
     no monomial of rest divisible by v^k; None otherwise."""
     k = p.max_exponent(v)
@@ -158,14 +175,14 @@ class Poly:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        clean: dict[Mono, Fraction] = {}
+    def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
+        clean: dict[Mono, int | Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     clean[m] = c
-        self._terms: dict[Mono, Fraction] = clean
+        self._terms: dict[Mono, int | Fraction] = clean
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
@@ -175,18 +192,18 @@ class Poly:
         return _POLY_ZERO
 
     @staticmethod
-    def const(c: Fraction | int) -> "Poly":
-        c = Fraction(c)
-        return Poly({(): c}) if c else _POLY_ZERO
+    def const(c: int | Fraction) -> "Poly":
+        c = _coeff(c)
+        return _from_clean({(): c}) if c else _POLY_ZERO
 
     @staticmethod
     def variable(v: GradedVar) -> "Poly":
-        return Poly({((v, 1),): _ONE})
+        return _from_clean({((v, 1),): 1})
 
     # -- inspection ----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Mono, Fraction]:
+    def terms(self) -> Mapping[Mono, int | Fraction]:
         return self._terms
 
     def __bool__(self) -> bool:
@@ -195,8 +212,8 @@ class Poly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, m: Mono) -> Fraction:
-        return self._terms.get(m, _ZERO)
+    def coefficient(self, m: Mono) -> int | Fraction:
+        return self._terms.get(m, 0)
 
     def variables(self) -> frozenset[GradedVar]:
         return frozenset(v for m in self._terms for v, _ in m)
@@ -213,10 +230,10 @@ class Poly:
         return degs.pop()
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
-        parts: dict[int, dict[Mono, Fraction]] = {}
+        parts: dict[int, dict[Mono, int | Fraction]] = {}
         for m, c in self._terms.items():
             parts.setdefault(mono_degree(m), {})[m] = c
-        return {d: Poly(t) for d, t in sorted(parts.items())}
+        return {d: _from_clean(t) for d, t in sorted(parts.items())}
 
     def max_exponent(self, v: GradedVar) -> int:
         best = 0
@@ -239,7 +256,7 @@ class Poly:
         return self._hash
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()})
+        return _from_clean({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: "Poly | int | Fraction") -> "Poly":
         other = _coerce(other)
@@ -266,10 +283,10 @@ class Poly:
 
     def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if not c:
                 return _POLY_ZERO
-            return Poly({m: k * c for m, k in self._terms.items()})
+            return _from_clean({m: _coeff(k * c) for m, k in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         if not self._terms or not other._terms:
@@ -278,7 +295,7 @@ class Poly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 _accumulate(out, mono_mul(m1, m2), c1 * c2)
@@ -315,8 +332,8 @@ class Poly:
         # of each distinct substituted part is built once, from cached
         # per-variable powers, then shifted by the kept part into ``out``.
         powers: dict[tuple[GradedVar, int], Poly] = {}
-        images: dict[Mono, Mapping[Mono, Fraction]] = {}
-        out: dict[Mono, Fraction] = {}
+        images: dict[Mono, Mapping[Mono, int | Fraction]] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m, c in self._terms.items():
             kept: list[tuple[GradedVar, int]] = []
             part: list[tuple[GradedVar, int]] = []
@@ -340,9 +357,10 @@ class Poly:
                 _accumulate(out, mono_mul(shift, mi), c * ci)
         return _from_clean(out)
 
-    def evaluate(self, point: Mapping[GradedVar, Fraction | int]) -> Fraction:
-        """Evaluate at a rational point; every variable must be assigned."""
-        total = _ZERO
+    def evaluate(self, point: Mapping[GradedVar, int | Fraction]) -> Fraction:
+        """Evaluate at a rational point; every variable must be assigned.
+        The value is a Fraction, also for a constant polynomial."""
+        total = Fraction(0)
         for m, c in self._terms.items():
             val = c
             for v, e in m:
@@ -351,7 +369,7 @@ class Poly:
         return total
 
     def differentiate(self, v: GradedVar) -> "Poly":
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m, c in self._terms.items():
             d = dict(m)
             e = d.get(v, 0)
@@ -361,22 +379,17 @@ class Poly:
                 del d[v]
             else:
                 d[v] = e - 1
-            mm = _mono_from_dict(d)
-            s = out.get(mm, _ZERO) + c * e
-            if s:
-                out[mm] = s
-            else:
-                del out[mm]
-        return Poly(out)
+            _accumulate(out, _mono_from_dict(d), c * e)
+        return _from_clean(out)
 
     def coefficients_in(self, v: GradedVar) -> dict[int, "Poly"]:
         """Write self as sum_k c_k * v^k; returns {k: c_k} with c_k free of v."""
-        buckets: dict[int, dict[Mono, Fraction]] = {}
+        buckets: dict[int, dict[Mono, int | Fraction]] = {}
         for m, c in self._terms.items():
             d = dict(m)
             k = d.pop(v, 0)
             buckets.setdefault(k, {})[_mono_from_dict(d)] = c
-        return {k: Poly(t) for k, t in sorted(buckets.items())}
+        return {k: _from_clean(t) for k, t in sorted(buckets.items())}
 
     # -- rendering -------------------------------------------------------
 
@@ -415,25 +428,26 @@ def _coerce(x: "Poly | int | Fraction") -> Poly:
     return NotImplemented  # type: ignore[return-value]
 
 
-def _from_clean(terms: dict[Mono, Fraction]) -> Poly:
-    """A Poly over terms already canonical: Fraction coefficients, no zeros."""
+def _from_clean(terms: dict[Mono, int | Fraction]) -> Poly:
+    """A Poly over terms already canonical (see ``_coeff``), no zeros."""
     p = Poly.__new__(Poly)
     p._terms = terms
     p._hash = None
     return p
 
 
-def _accumulate(out: dict[Mono, Fraction], m: Mono, c: Fraction) -> None:
-    """out[m] += c, dropping the monomial when it cancels."""
+def _accumulate(out: dict[Mono, int | Fraction], m: Mono, c: int | Fraction) -> None:
+    """out[m] += c, dropping the monomial when it cancels.  A Fraction c or
+    sum is brought to canonical form; int + int needs no check."""
     s = out.get(m)
-    if s is None:
-        out[m] = c
-    else:
-        s += c
-        if s:
-            out[m] = s
-        else:
+    if s is not None:
+        c += s
+        if not c:
             del out[m]
+            return
+    if type(c) is Fraction and c.denominator == 1:
+        c = c.numerator
+    out[m] = c
 
 
 _POLY_ZERO = Poly()
@@ -545,7 +559,7 @@ class QuotientRing:
             index = self._cache["index"] = _MonoIndex(self.vars)
         return index
 
-    def _pivots(self, d: int) -> dict[int, dict[int, Fraction]]:
+    def _pivots(self, d: int) -> dict[int, dict[int, int | Fraction]]:
         """Reduced rows of the degree-d Macaulay matrix, keyed by pivot.
 
         Rows are positional: a monomial gets its position in the ring's
@@ -585,14 +599,14 @@ class QuotientRing:
             return p
         if not self.ideal_gens:
             return p
-        parts: dict[int, list[tuple[Mono, Fraction]]] = {}
+        parts: dict[int, list[tuple[Mono, int | Fraction]]] = {}
         for m, c in p.terms.items():
             parts.setdefault(mono_degree(m), []).append((m, c))
         index = self._index()
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for d in sorted(parts):
             pivots = self._pivots(d)
-            row: dict[int, Fraction] = {}
+            row: dict[int, int | Fraction] = {}
             for m, c in parts[d]:
                 q = index.pos.get(m)
                 if q is None:
@@ -721,10 +735,10 @@ class _MonoIndex:
 
 
 def _eliminate(
-    row: dict[int, Fraction],
-    pivots: Mapping[int, Mapping[int, Fraction]],
+    row: dict[int, int | Fraction],
+    pivots: Mapping[int, Mapping[int, int | Fraction]],
     keys: Sequence,
-) -> dict[int, Fraction]:
+) -> dict[int, int | Fraction]:
     """Reduce a positional row in place against pivot tails; returns it.
 
     A heap holds the row's pivot positions, least key first (for Macaulay
@@ -757,15 +771,16 @@ def _eliminate(
 
 
 def insert_pivot_row(
-    row: dict[int, Fraction],
-    pivots: dict[int, dict[int, Fraction]],
+    row: dict[int, int | Fraction],
+    pivots: dict[int, dict[int, int | Fraction]],
     keys: Sequence,
 ) -> None:
     """Reduce a positional row against the pivots; a nonzero remainder
-    becomes the pivot at its least key, scaled to 1, stored as its tail."""
+    becomes the pivot at its least key, scaled to 1, stored as its tail
+    with canonical coefficients."""
     row = _eliminate(row, pivots, keys)
     if not row:
         return
     piv = min(row, key=keys.__getitem__)
-    inv = 1 / row.pop(piv)
-    pivots[piv] = {q: c * inv for q, c in row.items()}
+    inv = _inverse(row.pop(piv))
+    pivots[piv] = {q: _coeff(c * inv) for q, c in row.items()}

@@ -35,6 +35,7 @@ from .poly_core import (
     GradedVar,
     Poly,
     QuotientRing,
+    _inverse,
     mono_key,
     pure_power,
 )
@@ -84,14 +85,13 @@ class ConditionUnmet(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def scalar_twist(k: KoszulMF, row: int, c: Fraction | int) -> KoszulMF:
+def scalar_twist(k: KoszulMF, row: int, c: int | Fraction) -> KoszulMF:
     """Row becomes (c*a; b/c); the product, hence the potential, is fixed."""
-    c = Fraction(c)
     if not c:
         raise ZeroScalar("scalar twist requires a nonzero rational")
     a, b = k.rows[row]
     rows = list(k.rows)
-    rows[row] = (a * c, b * (1 / c))
+    rows[row] = (a * c, b * _inverse(c))
     return k.with_rows(rows)
 
 
@@ -254,7 +254,7 @@ class _Candidate:
     row: int
     var: GradedVar
     power: int
-    coeff: Fraction
+    coeff: int | Fraction
     # substitution candidates (power 1) are strictly preferred
     @property
     def priority(self) -> tuple[int, int]:
@@ -348,13 +348,13 @@ def _excluded(
     y, e, c = cand.var, cand.power, cand.coeff
     if e == 1:
         rest = b - Poly({((y, 1),): c})
-        sigma = {y: rest * (Fraction(-1) / c)}
+        sigma = {y: rest * -_inverse(c)}
         new_base = _substituted_ring(
             k.base, sigma, tuple(v for v in k.base.vars if v != y)
         )
     else:
         sigma = None
-        new_base = k.base.with_generator(b * (1 / c))
+        new_base = k.base.with_generator(b * _inverse(c))
     context = (
         f"after excluding {y.name}; "
         "the remaining data is not a regular presentation"
@@ -380,7 +380,7 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
             f"row {row} entry not verified regular; pass force to absorb anyway"
         )
     lead = gen.terms[max(gen.terms, key=mono_key)]
-    new_base = k.base.with_generator(gen * (1 / lead))
+    new_base = k.base.with_generator(gen * _inverse(lead))
     rows = _rebased_rows(k, new_base, row, None, f"while absorbing row {row}")
     z2 = k.z2_shift
     shift = k.global_grading_shift
@@ -471,7 +471,7 @@ class ReductionSession:
         self.log.append(LogEntry(op, params, "ok"))
         self.current = new
 
-    def scalar_twist(self, row: int, c: Fraction | int) -> None:
+    def scalar_twist(self, row: int, c: int | Fraction) -> None:
         self._step("scalar_twist", {"row": row, "c": str(c)}, scalar_twist(self.current, row, c))
 
     def row_op(self, i: int, j: int, lam: Poly, kind: str) -> None:

@@ -215,6 +215,10 @@ class TestEuler:
         with pytest.raises(NotClosed):
             euler_of_diagram(parse(LINE))
 
+    def test_negative_cutoff_rejected(self) -> None:
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            euler_of_diagram(parse(CIRCLE23), cutoff=-4)
+
     def test_cutoff_is_a_cap_not_the_work(self) -> None:
         # circle (3,6): top degree 18, so cutoff 24 already settles it;
         # at cutoff 144 the dimension series must stop at the zero degrees
@@ -304,6 +308,13 @@ class TestVerifyRelation:
         report = verify_relation("square_wide", (2, 3))
         assert report["parity_note"]["parity_match"] == "direct"
 
+    def test_negative_cutoff_rejected(self) -> None:
+        # every series truncated below degree 0 is empty, so the two sides
+        # would agree on nothing and PASS
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            verify_relation("bubble", (1, 1, 2, 3), cutoff=-4)
+        assert verify_relation("bubble", (1, 1, 2, 3), cutoff=0)["verdict"] == "PASS"
+
     def test_unknown_relation_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown relation"):
             verify_relation("pentagon", (1, 2))
@@ -372,3 +383,7 @@ class TestOracleCrosscheck:
         )
         report = oracle_crosscheck(parse(union))
         assert report["verdict"] == "PASS"
+
+    def test_negative_cutoff_rejected(self) -> None:
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            oracle_crosscheck(parse(THETA), cutoff=-1)

@@ -167,6 +167,13 @@ class TestVerifyCommand:
             main(["verify", "hexagon", "--params", "1", "2"])
         assert info.value.code == 2
 
+    def test_negative_cutoff_is_an_input_error(self, capsys) -> None:
+        code = main(["verify", "bubble", "--params", "1", "1", "2", "3", "--cutoff", "-4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cutoff must be >= 0, got -4\n"
+
     def test_json_format(self, capsys) -> None:
         assert main(
             ["verify", "cor_square", "--params", "2", "1", "--format", "json"]
@@ -244,6 +251,14 @@ class TestCutoffEnvironment:
         monkeypatch.setenv(cli.CUTOFF_ENV, "2")
         assert main(["euler", circle_file, "--n", "2", "--cutoff", "40"]) == 0
         assert capsys.readouterr().out == "q^-1 + q\n"
+
+    def test_negative_env_is_an_input_error(self, circle_file, capsys, monkeypatch) -> None:
+        monkeypatch.setenv(cli.CUTOFF_ENV, "-4")
+        assert main(["euler", circle_file]) == 2
+        assert main(["crosscheck", circle_file]) == 2
+        assert main(["verify", "bubble", "--params", "1", "1", "2", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: cutoff must be >= 0, got -4\n") == 3
 
     def test_non_integer_env_is_a_usage_error(self, circle_file, capsys, monkeypatch) -> None:
         monkeypatch.setenv(cli.CUTOFF_ENV, "soon")

@@ -22,6 +22,7 @@ from moymf import (
     divided_difference_values,
     poincare_regular_quotient,
 )
+from moymf.poly_core import insert_pivot_row
 
 X = GradedVar("x", 2)
 Y = GradedVar("y", 2)
@@ -29,7 +30,7 @@ Z = GradedVar("z", 4)
 VARS = (X, Y, Z)
 
 
-def _mono(exps: tuple[int, int, int], c: int) -> Poly:
+def _mono(exps: tuple[int, int, int], c: int | Fraction) -> Poly:
     term = Poly.const(c)
     for v, e in zip(VARS, exps):
         term = term * Poly.variable(v) ** e
@@ -151,6 +152,85 @@ class TestMonomialKernel:
     def test_monomials_stay_canonical(self, p: Poly, q: Poly, sigma: dict) -> None:
         _assert_canonical(p * q)
         _assert_canonical(p.substitute(sigma))
+
+
+@st.composite
+def rational_polys(draw) -> Poly:
+    """Like polys(), with coefficients n/d for d = 1..3, so integral and
+    non-integral coefficients mix and sums can turn integral."""
+    p = Poly.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in VARS)
+        p = p + _mono(exps, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+    return p
+
+
+def _assert_canonical_coefficients(p: Poly) -> None:
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+class TestCoefficients:
+    """A coefficient is an int when integral and a Fraction otherwise."""
+
+    # Q[x, y] modulo generators whose leading coefficients are not units,
+    # so normal forms divide
+    RING = QuotientRing(
+        (X, Y),
+        (
+            _mono((2, 0, 0), 2) + _mono((0, 2, 0), 3),
+            _mono((1, 1, 0), 3) + _mono((0, 2, 0), 1),
+        ),
+    )
+
+    @given(rational_polys(), rational_polys(), substitutions(), st.integers(0, 3))
+    def test_every_operation_keeps_coefficients_canonical(
+        self, p: Poly, q: Poly, sigma: dict, n: int
+    ) -> None:
+        halved = {v: img * Fraction(1, 2) for v, img in sigma.items()}
+        flat = p.substitute({Z: Poly.const(0)})
+        for r in (
+            p + q, p - q, -p, p * q, p**n, p * Fraction(3, 2), 2 * p,
+            p.substitute(halved), p.differentiate(X), self.RING.normal_form(flat),
+        ):
+            _assert_canonical_coefficients(r)
+
+    def test_integral_fractions_become_ints(self) -> None:
+        assert type(Poly.const(Fraction(6, 3)).coefficient(())) is int
+        p = _mono((1, 0, 0), Fraction(1, 2))
+        assert type((p + p).coefficient(((X, 1),))) is int
+        assert type((p * 2).coefficient(((X, 1),))) is int
+        assert type((p * p * 4).coefficient(((X, 2),))) is int
+
+    def test_floats_are_refused(self) -> None:
+        p = Poly.variable(X)
+        with pytest.raises(TypeError):
+            Poly({((X, 1),): 0.5})
+        with pytest.raises(TypeError):
+            Poly.const(0.5)
+        with pytest.raises(TypeError):
+            p * 0.5
+        with pytest.raises(TypeError):
+            0.5 * p
+
+    def test_int_and_fraction_forms_agree(self) -> None:
+        # one value, one rendering and one hash, whichever type stores it
+        three = Poly.const(3)
+        raw = Poly.__new__(Poly)
+        raw._terms, raw._hash = {(): Fraction(3)}, None
+        assert three == raw and hash(three) == hash(raw)
+        assert three.render() == raw.render() == "3"
+
+    def test_evaluate_returns_a_fraction(self) -> None:
+        assert type(Poly.const(3).evaluate({})) is Fraction
+        assert type(Poly.zero().evaluate({})) is Fraction
+        assert type(Poly.variable(X).evaluate({X: 2})) is Fraction
+
+    def test_pivot_row_is_divided_exactly(self) -> None:
+        pivots: dict = {}
+        insert_pivot_row({0: 3, 1: 1, 2: 6}, pivots, range(3))
+        assert pivots == {0: {1: Fraction(1, 3), 2: 2}}
+        assert type(pivots[0][2]) is int
 
 
 class TestDividedDifference:

@@ -4,9 +4,11 @@ relation table is the only source of relation names."""
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,27 @@ def test_relation_names_follow_the_table() -> None:
     for name, (arity, runner) in analysis.RELATIONS.items():
         assert isinstance(arity, int) and arity > 0, name
         assert callable(runner), name
+
+
+def _is_int_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_no_true_division_of_an_int_literal() -> None:
+    # coefficients are ints where integral, and 1 / c on an int is a float:
+    # an inverse must go through poly_core._inverse
+    hits = []
+    for path in sorted(Path(moymf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Div)
+                and _is_int_literal(node.left)
+            ):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
 
 
 def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:

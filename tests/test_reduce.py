@@ -70,6 +70,13 @@ class TestRowOps:
         assert twisted.potential() == k.potential()
         assert scalar_twist(twisted, 0, Fraction(1, 3)) == k
 
+    def test_scalar_twist_divides_exactly(self) -> None:
+        a, b = scalar_twist(_two_rows(), 0, 3).rows[0]
+        assert a == PX * PX * 3 and type(a.coefficient(((X, 2),))) is int
+        assert b.coefficient(((Y, 2),)) == Fraction(1, 3)
+        with pytest.raises(TypeError):
+            scalar_twist(_two_rows(), 0, 0.5)
+
     def test_scalar_twist_rejects_zero(self) -> None:
         with pytest.raises(ZeroScalar):
             scalar_twist(_two_rows(), 0, 0)
@@ -115,6 +122,28 @@ class TestExclusion:
         assert len(session.current.base.ideal_gens) == 1
         assert session.current.base.normal_form(PY * PY) == Poly.zero()
         assert session.log[-1].params["power"] == 2
+
+    def test_substitution_divides_by_the_coefficient(self) -> None:
+        # 3y - x = 0 gives y -> x/3, so the other row's a-side x^2*y
+        # becomes x^3/3
+        base = QuotientRing((X, Y))
+        k = KoszulMF(base, ((PX**3, 3 * PY - PX), (-(PX * PX * PY), 3 * PX)), 0, 0, 8)
+        session = ReductionSession(k, external=frozenset({X}))
+        session.exclude_variable(0)
+        assert session.current.rows == ((PX**3 * Fraction(-1, 3), 3 * PX),)
+
+    def test_power_exclusion_divides_by_the_coefficient(self) -> None:
+        # the b-side 2y^2 + xy joins the ideal as y^2 + xy/2
+        base = QuotientRing((X, Y))
+        b0 = 2 * PY * PY + PX * PY
+        k = KoszulMF(base, ((PX * PX, b0), (-(PX * PX), b0 + PX * PX)), 0, 0, 8)
+        session = ReductionSession(k, external=frozenset({X}))
+        session.exclude_variable(0)
+        (gen,) = session.current.base.ideal_gens
+        assert gen == PY * PY + PX * PY * Fraction(1, 2)
+        assert gen.coefficient(((X, 1), (Y, 1))) == Fraction(1, 2)
+        assert type(gen.coefficient(((Y, 2),))) is int
+        assert session.current.rows == ((-(PX * PX), PX * PX),)
 
     def test_internal_potential_blocks_exclusion(self) -> None:
         base = QuotientRing((X, Y))
@@ -178,6 +207,12 @@ class TestAbsorption:
         entry = session.log[-1]
         assert entry.op == "absorb"
         assert entry.params["side"] == "a"
+
+    def test_absorbed_generator_is_scaled_to_lead_one(self) -> None:
+        base = QuotientRing((X, Y))
+        k = KoszulMF(base, ((3 * PX * PX, Poly.zero()),), 0, 0, 8)
+        (gen,) = absorb_zero_row(k, 0).base.ideal_gens
+        assert gen == PX * PX and type(gen.coefficient(((X, 2),))) is int
 
     def test_zero_divisor_is_flagged(self) -> None:
         base = QuotientRing((X, Y), (PX * PY,))
