@@ -16,7 +16,13 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache, partial
 
-from .poly_core import CutoffExceeded, Poly, QuotientRing, insert_pivot_row
+from .poly_core import (
+    CutoffExceeded,
+    Poly,
+    QuotientRing,
+    _check_cutoff,
+    insert_pivot_row,
+)
 from .qseries import QLaurent, cor_square_sides, poly_factor, qbinomial, quantum_integer
 from .mf_core import MatrixFactorization, GradedFreeModule
 from .reduce import ReductionSession
@@ -136,13 +142,6 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
     for (d, _k), dim in sorted(table.items()):
         total = total + QLaurent.q_power(d) * dim
     return total
-
-
-def _check_cutoff(cutoff: int | None) -> None:
-    """A negative cutoff truncates every series to nothing, so a comparison
-    of two series would pass vacuously: ValueError."""
-    if cutoff is not None and cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
 
 
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .poly_core import GradedVar, Poly, QuotientRing
+from .poly_core import GradedVar, Poly, QuotientRing, _check_cutoff
 from .qseries import QLaurent, poly_factor
 
 __all__ = [
@@ -135,7 +135,9 @@ def _free_series(
 ) -> tuple[QLaurent, ...]:
     """Graded dimensions through degree cutoff of free modules over base,
     one per generator-shift polynomial.  The base series is computed once,
-    through the degree the lowest generator of any module needs."""
+    through the degree the lowest generator of any module needs.  A
+    negative cutoff raises ValueError."""
+    _check_cutoff(cutoff)
     low = min((s.min_exp() for s in shifts if s), default=0)
     series = base.dimension_series(max(cutoff - low, 0))
     return tuple((s * series).truncate(cutoff) for s in shifts)

@@ -18,19 +18,24 @@ monomial into a kept part and a substituted part, builds the image of each
 distinct substituted part once, and adds that image, shifted by the kept
 part and scaled by the coefficient, into a single accumulator.
 
-Quotient rings by homogeneous ideals are handled degree by degree: for each
-degree d the span of ``{m * g : g generator, m monomial, deg(m*g) = d}`` is
-row-reduced once (a Macaulay matrix over Q) and cached, after which normal
-forms in degree d are a single linear reduction.  No Groebner machinery is
-needed because every ideal here is homogeneous and every computation is
-degree-bounded.
+Quotient rings by homogeneous ideals serve normal forms and dimensions
+degree by degree: for each degree d the span of ``{m * g : g generator,
+m monomial, deg(m*g) = d}`` is row-reduced once (a Macaulay matrix over Q)
+and cached, after which normal forms in degree d are a single linear
+reduction.  Macaulay rows are positional: each ring numbers the monomials
+its rows mention, in the order it first meets them, and a row is
+{position: coeff}.  Rows are reduced with a heap of pivot positions,
+largest monomial first.
 
-Macaulay rows are positional: each ring numbers the monomials its rows
-mention, in the order it first meets them, and a row is {position: coeff}.
-Rows are reduced with a heap of pivot positions, largest monomial first.
-A dimension series stops at the first vmax consecutive zero degrees (vmax
-the largest variable degree), since the quotient is zero from there on;
-the requested cutoff is only a cap.
+A dimension series instead comes from a homogeneous Groebner basis, grown
+degree by degree by Buchberger's algorithm on exponent tuples in a
+weighted-degree reverse-lex order of its own, with exact coefficients.
+A quotient has the Hilbert series of its leading-monomial ideal (Cox,
+Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9 section 3),
+and the Bayer-Stillman recursion turns the leads into the numerator N(q)
+of N(q) / prod_v (1 - q^deg v).  The basis is grown only through the
+requested degree; once no S-pair is left it is complete and a higher
+cutoff costs nothing more than expanding the series further.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
+
+from .qseries import QLaurent
 
 __all__ = [
     "GradedVar",
@@ -98,6 +105,13 @@ def _coeff(c: object) -> int | Fraction:
 def _inverse(c: int | Fraction) -> int | Fraction:
     """The exact inverse 1/c of a nonzero coefficient, in canonical form."""
     return _coeff(Fraction(1, c))
+
+
+def _check_cutoff(cutoff: int | None) -> None:
+    """A negative cutoff truncates every series to nothing, so a comparison
+    of two series would pass vacuously: ValueError."""
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
 
 
 def mono_degree(m: Mono) -> int:
@@ -631,70 +645,36 @@ class QuotientRing:
     def dimension_series(self, cutoff: int):
         """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff.
 
-        Uses a closed-form product when the ideal visibly presents the ring
-        as a finite free module tower (each generator monic in its own
-        otherwise-untouched variable); general homogeneous ideals fall back
-        to the degreewise Macaulay computation.
-
-        The cutoff is a cap, not the amount of work: the Macaulay loop stops
-        once the quotient is zero in vmax consecutive degrees (vmax the
-        largest variable degree).  Every monomial of degree e >= D + vmax
-        is a variable times a monomial of degree in [D, e), so zeros in
-        [D, D + vmax) force zeros in every degree from D on.
+        The series is N(q) * prod_v 1/(1 - q^deg v), expanded to the cutoff,
+        where N is the Hilbert numerator of the leading monomials of a
+        Groebner basis of the ideal (see ``_Basis``): a quotient has the
+        Hilbert series of its leading-monomial ideal.  The basis is grown
+        only through min(cutoff, ring cutoff), which makes its leads exact
+        through that degree.  Once no S-pair that could add a lead is left
+        the basis is complete, and a higher cutoff costs only a longer
+        expansion, none at all past the top degree of a quotient that its
+        leads make finite.  A cutoff above the ring's cutoff with an
+        incomplete basis raises CutoffExceeded; a negative cutoff raises
+        ValueError.
         """
-        from .qseries import QLaurent, geometric_series, poly_factor
-
-        structured = self._monic_structure()
-        if structured is not None:
-            series = QLaurent.one()
-            used = {v for v, _ in structured}
-            for v, k in structured:
-                series = series * poly_factor([v.degree * j for j in range(k)])
-                series = series.truncate(cutoff)
-            for v in self.vars:
-                if v not in used:
-                    series = (series * geometric_series(v.degree, cutoff)).truncate(cutoff)
-            return series.truncate(cutoff)
-        window = max((v.degree for v in self.vars), default=1)
-        coeffs = {}
-        zeros = 0
-        for d in range(0, cutoff + 1):
-            n = self.dimension(d)
-            if n:
-                coeffs[d] = n
-                zeros = 0
-            else:
-                zeros += 1
-                if zeros == window:
-                    break
-        return QLaurent(coeffs)
-
-    def _monic_structure(self) -> list[tuple[GradedVar, int]] | None:
-        """Detect [(v, k)] with each generator = unit*v^k + (terms not
-        divisible by v^k), distinct v per generator, v in no other generator.
-        Then the quotient is a free module with basis {1..v^(k-1)} per v."""
-        if not self.ideal_gens:
-            return []
-        result: list[tuple[GradedVar, int]] = []
-        claimed: set[GradedVar] = set()
-        for idx, g in enumerate(self.ideal_gens):
-            found = None
-            for v in sorted(g.variables(), key=lambda w: w.name):
-                power = pure_power(g, v)
-                if power is None or v in claimed:
-                    continue
-                if all(
-                    v not in h.variables()
-                    for j, h in enumerate(self.ideal_gens)
-                    if j != idx
-                ):
-                    found = (v, power[0])
-                    break
-            if found is None:
-                return None
-            claimed.add(found[0])
-            result.append(found)
-        return result
+        _check_cutoff(cutoff)
+        basis = self._cache.get("basis")
+        if basis is None:
+            basis = self._cache["basis"] = _Basis(self)
+        basis.grow(min(cutoff, self.cutoff))
+        if cutoff > self.cutoff and not basis.complete():
+            raise CutoffExceeded(
+                f"Groebner basis not complete by ring cutoff {self.cutoff}"
+            )
+        top = min(cutoff, basis.top_degree())
+        coeffs = [0] * (top + 1)
+        for d, c in _hilbert_numerator(basis.leads, basis.weights).coeffs.items():
+            if d <= top:
+                coeffs[d] += c
+        for w in basis.weights:
+            for d in range(w, top + 1):
+                coeffs[d] += coeffs[d - w]
+        return QLaurent(dict(enumerate(coeffs)))
 
     def render(self) -> str:
         vs = ", ".join(f"{v.name}({v.degree})" for v in self.vars)
@@ -784,3 +764,169 @@ def insert_pivot_row(
     piv = min(row, key=keys.__getitem__)
     inv = _inverse(row.pop(piv))
     pivots[piv] = {q: _coeff(c * inv) for q, c in row.items()}
+
+
+# ---------------------------------------------------------------------------
+# Groebner basis leads and the Hilbert numerator
+# ---------------------------------------------------------------------------
+
+# A monomial as its exponents over a ring's variables, in ring order.
+Exps = tuple[int, ...]
+
+
+class _Basis:
+    """A homogeneous Groebner basis of a ring's ideal, grown degree by degree.
+
+    The term order is weighted degree, then reverse lexicographic over the
+    ring's variables: of two monomials of one degree, the one with the
+    smaller exponent in the last variable where they differ is larger, so
+    the larger monomial has the smaller reversed exponent tuple.  The order
+    is private to the basis.  ``mono_key`` is not a monomial order (y ranks
+    above x, yet x*x ranks above x*y), so it cannot choose leads.
+
+    Elements are monic: a lead and a tail {exps: coeff}.  Generators and
+    S-pairs wait in one heap by degree; ``grow(top)`` reduces everything of
+    degree <= top against the basis and adds each nonzero remainder, so the
+    leads then span the leading-monomial ideal through degree top.  Every
+    pair a new element makes has a higher degree than the element, because
+    its lead is divisible by no earlier lead; for the same reason the leads
+    stay minimal.  Pairs with coprime leads are never queued (Buchberger's
+    first criterion).
+    """
+
+    __slots__ = ("weights", "leads", "tails", "_todo", "_seq")
+
+    def __init__(self, ring: QuotientRing):
+        self.weights = tuple(v.degree for v in ring.vars)
+        self.leads: list[Exps] = []
+        self.tails: list[dict[Exps, int | Fraction]] = []
+        self._todo: list[tuple[int, int, object]] = []
+        self._seq = 0
+        at = {v: i for i, v in enumerate(ring.vars)}
+        for g in ring.ideal_gens:
+            terms: dict[Exps, int | Fraction] = {}
+            for m, c in g.terms.items():
+                e = [0] * len(at)
+                for v, k in m:
+                    e[at[v]] = k
+                terms[tuple(e)] = c
+            self._push(g.homogeneous_degree(), terms)
+
+    def _push(self, degree: int, item: object) -> None:
+        # the sequence number breaks degree ties, so items never compare
+        heapq.heappush(self._todo, (degree, self._seq, item))
+        self._seq += 1
+
+    def complete(self) -> bool:
+        """No waiting generator or pair can add a lead: the heap is empty,
+        or all of it lies above ``top_degree``, where every monomial is
+        divisible by a lead and so every remainder is zero."""
+        return not self._todo or self._todo[0][0] > self.top_degree()
+
+    def top_degree(self) -> int | float:
+        """A degree above which the quotient is zero: when the leads hold a
+        power x_i^a_i of every variable, no monomial of degree above
+        sum_i (a_i - 1) deg x_i is standard.  Infinite otherwise."""
+        powers: dict[int, int] = {}
+        for m in self.leads:
+            support = [i for i, e in enumerate(m) if e]
+            if len(support) == 1:
+                powers[support[0]] = m[support[0]]
+        if len(powers) < len(self.weights):
+            return float("inf")
+        return sum((powers[i] - 1) * w for i, w in enumerate(self.weights))
+
+    def grow(self, top: int) -> None:
+        todo = self._todo
+        while todo and todo[0][0] <= top:
+            item = heapq.heappop(todo)[2]
+            p = self._s_poly(*item) if isinstance(item, tuple) else item
+            rem = self._reduce(p)
+            if rem:
+                self._add(rem)
+
+    def _add(self, p: dict[Exps, int | Fraction]) -> None:
+        lead = min(p, key=lambda m: m[::-1])
+        inv = _inverse(p.pop(lead))
+        k = len(self.leads)
+        for i, other in enumerate(self.leads):
+            if any(a and b for a, b in zip(lead, other)):
+                lcm = tuple(map(max, lead, other))
+                self._push(_exps_degree(lcm, self.weights), (i, k))
+        self.leads.append(lead)
+        self.tails.append({m: _coeff(c * inv) for m, c in p.items()})
+
+    def _s_poly(self, i: int, j: int) -> dict[Exps, int | Fraction]:
+        """lcm/lead_i * g_i - lcm/lead_j * g_j; the leads cancel."""
+        li, lj = self.leads[i], self.leads[j]
+        lcm = tuple(map(max, li, lj))
+        out: dict[Exps, int | Fraction] = {}
+        for lead, tail, sign in ((li, self.tails[i], 1), (lj, self.tails[j], -1)):
+            shift = [a - b for a, b in zip(lcm, lead)]
+            for m, c in tail.items():
+                _accumulate(out, tuple(map(int.__add__, m, shift)), sign * c)
+        return out
+
+    def _reduce(self, p: dict[Exps, int | Fraction]) -> dict[Exps, int | Fraction]:
+        """The remainder of p (consumed) on division by the basis, largest
+        monomial first: every term left is divisible by no lead."""
+        heap = [(m[::-1], m) for m in p]
+        heapq.heapify(heap)
+        rem: dict[Exps, int | Fraction] = {}
+        basis = tuple(zip(self.leads, self.tails))
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = p.pop(m, None)
+            if c is None:
+                continue  # cancelled, or a second heap entry
+            for lead, tail in basis:
+                if all(map(int.__ge__, m, lead)):
+                    shift = tuple(map(int.__sub__, m, lead))
+                    for t, tc in tail.items():
+                        mt = tuple(map(int.__add__, shift, t))
+                        s = p.get(mt)
+                        if s is None:
+                            p[mt] = -c * tc
+                            heapq.heappush(heap, (mt[::-1], mt))
+                        else:
+                            s -= c * tc
+                            if s:
+                                p[mt] = s
+                            else:
+                                del p[mt]
+                    break
+            else:
+                rem[m] = c
+        return rem
+
+
+def _exps_degree(m: Exps, weights: Sequence[int]) -> int:
+    return sum(map(int.__mul__, m, weights))
+
+
+def _hilbert_numerator(gens: Sequence[Exps], weights: Sequence[int]) -> QLaurent:
+    """N(q) with Hilbert series N(q) / prod_i (1 - q^weights[i]) for the
+    quotient by the monomial ideal J = <gens>.
+
+    Bayer-Stillman recursion on a pure power p = x_i^e, with x_i the
+    variable in the most minimal generators and e its least positive
+    exponent there: N(J) = N(J + <p>) + q^deg p * N(J : p).  J + <p> drops
+    every generator containing x_i for p, and J : p lowers each exponent of
+    x_i by e, so both are smaller; pairwise coprime generators end it with
+    N = prod_g (1 - q^deg g).
+    """
+    gens = sorted(set(gens))
+    gens = [g for g in gens if not any(h != g and all(map(int.__le__, h, g)) for h in gens)]
+    counts = [sum(1 for g in gens if g[i]) for i in range(len(weights))]
+    if max(counts, default=0) <= 1:
+        out = QLaurent.one()
+        for g in gens:
+            out = out - out.shift(_exps_degree(g, weights))
+        return out
+    i = counts.index(max(counts))
+    e = min(g[i] for g in gens if g[i])
+    p = tuple(e if k == i else 0 for k in range(len(weights)))
+    colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+    return _hilbert_numerator([g for g in gens if not g[i]] + [p], weights) + (
+        _hilbert_numerator(colon, weights).shift(e * weights[i])
+    )

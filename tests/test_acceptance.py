@@ -118,6 +118,15 @@ def test_criterion_05_counter_bubble() -> None:
     _finish(5, "counter-bubble binomial factor", t0, 60.0)
 
 
+def test_criterion_05_counter_bubble_over_an_open_base() -> None:
+    # (1,2,5) reduces over a base that is not Artinian, so its series has
+    # a term in every even degree up to the cutoff
+    t0 = time.perf_counter()
+    report = verify_relation("counter_bubble", (1, 2, 5), cutoff=30)
+    assert report["verdict"] == "PASS", report
+    _finish(5, "counter-bubble (1,2,5) at cutoff 30", t0, 2.0)
+
+
 def test_criterion_06_merge_split_associativity() -> None:
     t0 = time.perf_counter()
     for name in ("assoc_merge", "assoc_split"):

@@ -221,7 +221,7 @@ class TestEuler:
 
     def test_cutoff_is_a_cap_not_the_work(self) -> None:
         # circle (3,6): top degree 18, so cutoff 24 already settles it;
-        # at cutoff 144 the dimension series must stop at the zero degrees
+        # at cutoff 144 the series costs no more, as the basis is complete
         src = "level n 6\nedge e1 color 3 from boundary:a to boundary:a\n"
         small = euler_of_diagram(parse(src), cutoff=24)
         t0 = time.perf_counter()

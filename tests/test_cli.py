@@ -124,6 +124,12 @@ class TestPoincareCommand:
         assert lines[0].startswith("z2_0: ")
         assert lines[1].startswith("z2_1: ")
 
+    def test_negative_cutoff_is_an_input_error(self, circle_file, capsys) -> None:
+        assert main(["poincare", circle_file, "--cutoff", "-4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cutoff must be >= 0, got -4\n"
+
 
 class TestReduceCommand:
     def test_reduces_circle_and_writes_log(self, circle_file, tmp_path, capsys) -> None:
@@ -257,8 +263,10 @@ class TestCutoffEnvironment:
         assert main(["euler", circle_file]) == 2
         assert main(["crosscheck", circle_file]) == 2
         assert main(["verify", "bubble", "--params", "1", "1", "2", "3"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("error: cutoff must be >= 0, got -4\n") == 3
+        assert main(["poincare", circle_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: cutoff must be >= 0, got -4\n") == 4
 
     def test_non_integer_env_is_a_usage_error(self, circle_file, capsys, monkeypatch) -> None:
         monkeypatch.setenv(cli.CUTOFF_ENV, "soon")

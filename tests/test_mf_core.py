@@ -13,6 +13,7 @@ from moymf import (
     GradedVar,
     KoszulMF,
     Poly,
+    QLaurent,
     QuotientRing,
     SparseMat,
     grade_shift,
@@ -117,6 +118,15 @@ class TestExpansion:
         for _ in range(10):
             k = corpus.random_koszul(rng)
             assert k.graded_series(CUTOFF) == koszul_expand(k).graded_series(CUTOFF)
+
+    def test_negative_cutoff_rejected(self) -> None:
+        # every series truncated below degree 0 is empty, so two of them
+        # would always agree
+        k = _simple_koszul()
+        for series in (k.graded_series, koszul_expand(k).graded_series, k.base.dimension_series):
+            with pytest.raises(ValueError, match="cutoff must be >= 0, got -4"):
+                series(-4)
+        assert k.graded_series(0) == (QLaurent.one(), QLaurent.zero())
 
     def test_expand_ranks(self) -> None:
         m = koszul_expand(_simple_koszul())

@@ -17,6 +17,7 @@ from moymf import (
     CutoffExceeded,
     GradedVar,
     Poly,
+    QLaurent,
     QuotientRing,
     divided_difference,
     divided_difference_values,
@@ -357,9 +358,91 @@ class TestQuotientRing:
             ring.normal_form(Poly.variable(X) ** 10)
 
 
+def _sym(p: Poly, syms: dict) -> sympy.Expr:
+    out = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in m:
+            term *= syms[v] ** e
+        out += term
+    return out
+
+
+class TestGroebnerSeries:
+    """The dimension series from the leads of a Groebner basis, against
+    sympy ranks and the ring's own Macaulay dimensions."""
+
+    def test_random_ideals_against_both_oracles(self) -> None:
+        rng = random.Random(2028)
+        syms = dict(zip(VARS, sympy.symbols("x y z")))
+        weights = [v.degree for v in VARS]
+        x, y, z = (Poly.variable(v) for v in VARS)
+        ideals = [
+            (x**2 + 3 * z, y**3 - 2 * y * z),  # a monic tower in x and y
+            (z**2 + x**2 * y**2 - x * y * z,),  # one generator, monic in z
+        ]
+        for _ in range(10):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                monos = oracles.weighted_monomials(weights, rng.choice((4, 6, 8)))
+                g = Poly.zero()
+                for exps in rng.sample(monos, min(len(monos), rng.randint(1, 4))):
+                    g = g + _mono(exps, rng.choice((-3, -1, Fraction(1, 2), 1, 2)))
+                gens.append(g)
+            ideals.append(tuple(gens))
+        for gens in ideals:
+            ring = QuotientRing(VARS, gens)
+            want = oracles.weighted_quotient_dims(
+                weights, [_sym(g, syms) for g in gens], list(syms.values()), 16
+            )
+            series = ring.dimension_series(16)
+            assert [series.coeff(d) for d in range(17)] == [want[d] for d in range(17)]
+            assert [ring.dimension(d) for d in range(17)] == [want[d] for d in range(17)]
+
+    def test_counter_bubble_ring_is_two_free_variables(self) -> None:
+        # the reduced counter_bubble (1,2,3) base: x2 and x1_i are both
+        # eliminated, which leaves Q[x1_bin, x1_bout]
+        bin_, bout = GradedVar("x1_bin", 2), GradedVar("x1_bout", 2)
+        x1, x2 = GradedVar("x1_i.zl", 2), GradedVar("x2_i.zl", 4)
+        pb, po, p1, p2 = (Poly.variable(v) for v in (bin_, bout, x1, x2))
+        half = Fraction(1, 2)
+        g = -3 * half * pb * p1 - pb**2 + half * po * p1 - p1**2 + p2
+        ring = QuotientRing((bin_, bout, x1, x2), (g, pb + p1))
+        assert ring.cutoff == 512
+        series = ring.dimension_series(200)
+        assert dict(series.coeffs) == {2 * k: k + 1 for k in range(101)}
+
+    def test_unit_ideal_is_the_zero_ring(self) -> None:
+        # a constant generator leaves nothing, with or without variables
+        for vars_ in ((), (X, Z)):
+            ring = QuotientRing(vars_, (Poly.const(2),))
+            assert not ring.dimension_series(12)
+            assert ring.dimension_series(600) == QLaurent.zero()
+
+    def test_incomplete_basis_refuses_a_cap_past_the_ring_cutoff(self) -> None:
+        # the pair of x^2*y and x*y^2 has degree 8, past the ring's cutoff
+        # of 6, so the basis stays incomplete and the series stops at 6
+        x, y = Poly.variable(X), Poly.variable(Y)
+        ring = QuotientRing((X, Y, GradedVar("w", 2)), (x**2 * y, x * y**2), cutoff=6)
+        sx, sy, sw = sympy.symbols("x y w")
+        want = oracles.weighted_quotient_dims(
+            [2, 2, 2], [sx**2 * sy, sx * sy**2], [sx, sy, sw], 6
+        )
+        assert dict(ring.dimension_series(6).coeffs) == {d: n for d, n in want.items() if n}
+        with pytest.raises(CutoffExceeded):
+            ring.dimension_series(7)
+        # one generator is a complete basis: any cap is exact
+        single = QuotientRing(ring.vars, (x**2 * y,), cutoff=6)
+        assert single.dimension_series(30) == poincare_regular_quotient([2, 2, 2], [6], 30)
+        # x^3 and y^3 leave no standard monomial past degree 8, so the
+        # pairs of x^2*y^2 (degree 10) cannot add a lead and are not needed
+        finite = QuotientRing((X, Y), (x**3, y**3, x**2 * y**2), cutoff=8)
+        assert dict(finite.dimension_series(20).coeffs) == {0: 1, 2: 2, 4: 3, 6: 2}
+
+
 class TestMacaulayKernel:
-    """The degreewise Macaulay path, on ideals the closed form does not
-    recognise, against sympy ranks of the Macaulay matrix."""
+    """The degreewise Macaulay path and the dimension series, against sympy
+    ranks of the Macaulay matrix."""
 
     def test_random_ideals_against_macaulay_rank(self) -> None:
         rng = random.Random(2027)
@@ -378,8 +461,6 @@ class TestMacaulayKernel:
                 gens.append(g)
                 gens_sym.append(g_sym)
             ring = QuotientRing(VARS, tuple(gens))
-            if ring._monic_structure() is not None:
-                continue
             checked += 1
             want = oracles.weighted_quotient_dims(weights, gens_sym, syms, 16)
             assert [ring.dimension(d) for d in range(17)] == [
@@ -393,7 +474,7 @@ class TestMacaulayKernel:
 
     def test_zero_run_shorter_than_vmax_does_not_stop(self) -> None:
         # Q[x(2), y(6)] / <x^2, x*y> is zero in degrees 3, 4 and 5, but y
-        # lives in degree 6: three zeros are not the six the stop needs
+        # lives in degree 6, so the series goes on past that zero run
         x, y = GradedVar("x", 2), GradedVar("y", 6)
         px, py = Poly.variable(x), Poly.variable(y)
         ring = QuotientRing((x, y), (px**2, px * py))
@@ -407,14 +488,13 @@ class TestMacaulayKernel:
     def test_artinian_series_stops_below_the_cap(self) -> None:
         # Jacobi ring of x^6 + x^2 y^2 + y^3 with x(2), y(4): top degree 12.
         # The ring refuses degrees past 24, so the series at cap 144 can
-        # only succeed by stopping once the quotient is zero.
+        # only succeed because the Groebner basis is complete by then.
         x, y = GradedVar("x", 2), GradedVar("y", 4)
         px, py = Poly.variable(x), Poly.variable(y)
         w = px**6 + px**2 * py**2 + py**3
         ring = QuotientRing(
             (x, y), (w.differentiate(x), w.differentiate(y)), cutoff=24
         )
-        assert ring._monic_structure() is None
         sx, sy = sympy.symbols("x y")
         sw = sx**6 + sx**2 * sy**2 + sy**3
         want = oracles.weighted_quotient_dims(
