@@ -80,7 +80,6 @@ def _map_rank(
     by_col: dict[int, list[tuple[int, Poly]]] = {}
     for (r, c), p in mat.entries.items():
         by_col.setdefault(c, []).append((r, p))
-    keys = range(len(cod))
     pivots: dict[int, dict[int, int | Fraction]] = {}
     for i, mono in dom:
         vec: dict[int, int | Fraction] = {}
@@ -90,7 +89,7 @@ def _map_rank(
             for mono2, coeff in img.terms.items():
                 pos = index[(r, mono2)]
                 vec[pos] = vec.get(pos, 0) + coeff
-        insert_pivot_row({k: v for k, v in vec.items() if v}, pivots, keys)
+        insert_pivot_row({k: v for k, v in vec.items() if v}, pivots)
     return len(pivots)
 
 

@@ -470,7 +470,10 @@ def compile_diagram(d: Diagram) -> KoszulMF:
                 )
             shift -= a.color * b.color
 
-    base = QuotientRing(tuple(sorted(vars_, key=lambda v: v.name)), ())
+    # boundary variables first: the ring's term order ranks them lowest, so
+    # normal forms rewrite internal variables in terms of boundary ones
+    ext = d.external_vars()
+    base = QuotientRing(tuple(sorted(vars_, key=lambda v: (v not in ext, v.name))), ())
     return KoszulMF(
         base,
         tuple(rows),

@@ -18,24 +18,18 @@ monomial into a kept part and a substituted part, builds the image of each
 distinct substituted part once, and adds that image, shifted by the kept
 part and scaled by the coefficient, into a single accumulator.
 
-Quotient rings by homogeneous ideals serve normal forms and dimensions
-degree by degree: for each degree d the span of ``{m * g : g generator,
-m monomial, deg(m*g) = d}`` is row-reduced once (a Macaulay matrix over Q)
-and cached, after which normal forms in degree d are a single linear
-reduction.  Macaulay rows are positional: each ring numbers the monomials
-its rows mention, in the order it first meets them, and a row is
-{position: coeff}.  Rows are reduced with a heap of pivot positions,
-largest monomial first.
-
-A dimension series instead comes from a homogeneous Groebner basis, grown
-degree by degree by Buchberger's algorithm on exponent tuples in a
-weighted-degree reverse-lex order of its own, with exact coefficients.
-A quotient has the Hilbert series of its leading-monomial ideal (Cox,
-Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9 section 3),
-and the Bayer-Stillman recursion turns the leads into the numerator N(q)
-of N(q) / prod_v (1 - q^deg v).  The basis is grown only through the
-requested degree; once no S-pair is left it is complete and a higher
-cutoff costs nothing more than expanding the series further.
+A quotient ring by a homogeneous ideal answers normal forms, dimensions,
+standard monomials and dimension series from one homogeneous Groebner
+basis, grown degree by degree by Buchberger's algorithm on exponent tuples
+with exact coefficients, and only through the degree a question asks.  The
+term order is the ring's: weighted degree, then reverse lexicographic with
+the ring's first variable the smallest, so a ring that lists boundary
+variables first rewrites internal variables in terms of boundary ones.  A
+quotient has the Hilbert series of its leading-monomial ideal (Cox, Little
+and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9 section 3), and the
+Bayer-Stillman recursion turns the leads into the numerator N(q) of
+N(q) / prod_v (1 - q^deg v).  Once no S-pair is left the basis is complete
+and a higher cutoff costs nothing more than expanding the series further.
 """
 
 from __future__ import annotations
@@ -180,7 +174,9 @@ def pure_power(p: Poly, v: GradedVar) -> tuple[int, int | Fraction] | None:
 
 
 def mono_key(m: Mono) -> tuple:
-    """Graded lexicographic sort key: total degree, then name-wise exponents."""
+    """Graded lexicographic sort key: total degree, then name-wise exponents.
+    It orders printed terms and ``QuotientRing.monomials``; it is not a
+    monomial order, and no normal form depends on it."""
     return (mono_degree(m), tuple((v.name, e) for v, e in m))
 
 
@@ -511,8 +507,10 @@ def divided_difference_values(f: Poly, z: GradedVar, a: Poly, b: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class QuotientRing:
-    """Q[vars] / <homogeneous ideal_gens>, reduced degree by degree.
+    """Q[vars] / <homogeneous ideal_gens>, reduced by a Groebner basis.
 
+    The order of ``vars`` is the term order: weighted degree, then reverse
+    lexicographic with ``vars[0]`` the smallest variable (see ``_Basis``).
     An empty ``ideal_gens`` is the free polynomial ring.  ``cutoff`` bounds
     the degrees this ring will ever compute in; normal forms past it raise
     CutoffExceeded rather than silently truncating.
@@ -565,82 +563,58 @@ class QuotientRing:
             yield from self._enumerate(d - e * v.degree, i + 1, acc)
             acc.pop(v, None)
 
-    # -- degreewise row reduction ------------------------------------------
+    # -- the Groebner basis kernel -------------------------------------------
 
-    def _index(self) -> "_MonoIndex":
-        index = self._cache.get("index")
-        if index is None:
-            index = self._cache["index"] = _MonoIndex(self.vars)
-        return index
-
-    def _pivots(self, d: int) -> dict[int, dict[int, int | Fraction]]:
-        """Reduced rows of the degree-d Macaulay matrix, keyed by pivot.
-
-        Rows are positional: a monomial gets its position in the ring's
-        ``_MonoIndex`` when a row first mentions it.  Each row is stored as
-        its tail {position: coeff}; the pivot, dropped from the tail, has
-        coefficient 1 and is the graded-lex-largest monomial of the row.
-        Tails may mention smaller pivots; ``_eliminate`` reduces them
-        largest first, which terminates because every elimination only adds
-        monomials below the one it removes.
-        """
-        cache = self._cache.setdefault("pivots", {})
-        pivots = cache.get(d)
-        if pivots is not None:
-            return pivots
-        index = self._index()
-        position, keys = index.position, index.keys
-        pivots = {}
-        for g in self.ideal_gens:
-            dg = g.homogeneous_degree()
-            if dg > d:
-                continue
-            terms = g.terms.items()
-            for m in self.monomials(d - dg):
-                insert_pivot_row(
-                    {position(mono_mul(m, mg)): c for mg, c in terms}, pivots, keys
-                )
-        cache[d] = pivots
-        return pivots
+    def _basis(self, top: int) -> "_Basis":
+        """The ring's Groebner basis, grown through degree top."""
+        basis = self._cache.get("basis")
+        if basis is None:
+            basis = self._cache["basis"] = _Basis(self)
+        basis.grow(top)
+        return basis
 
     def normal_form(self, p: Poly) -> Poly:
-        """Canonical representative of p modulo the ideal.
+        """Canonical representative of p modulo the ideal: its remainder on
+        division by the Groebner basis, grown through the top degree of p.
 
-        A monomial without a position appears in no Macaulay row of its
-        degree, so it passes through unchanged.
+        A monomial with a variable outside the ring passes through
+        unchanged.  A degree above the ring's cutoff raises CutoffExceeded.
         """
-        if not p:
+        if not p or not self.ideal_gens:
             return p
-        if not self.ideal_gens:
-            return p
-        parts: dict[int, list[tuple[Mono, int | Fraction]]] = {}
-        for m, c in p.terms.items():
-            parts.setdefault(mono_degree(m), []).append((m, c))
-        index = self._index()
+        top = max(map(mono_degree, p.terms))
+        if top > self.cutoff:
+            raise CutoffExceeded(f"degree {top} beyond ring cutoff {self.cutoff}")
+        basis = self._basis(top)
         out: dict[Mono, int | Fraction] = {}
-        for d in sorted(parts):
-            pivots = self._pivots(d)
-            row: dict[int, int | Fraction] = {}
-            for m, c in parts[d]:
-                q = index.pos.get(m)
-                if q is None:
-                    out[m] = c
-                else:
-                    row[q] = c
-            for q, c in _eliminate(row, pivots, index.keys).items():
-                out[index.monos[q]] = c
+        inside: dict[Exps, int | Fraction] = {}
+        for m, c in p.terms.items():
+            e = basis.exps(m)
+            if e is None:
+                out[m] = c
+            else:
+                inside[e] = c
+        for e, c in basis._reduce(inside).items():
+            out[basis.mono(e)] = c
         return Poly(out)
 
     def dimension(self, d: int) -> int:
         """dim_Q of the degree-d piece of the quotient."""
         if d < 0:
             return 0
-        return len(self.monomials(d)) - len(self._pivots(d))
+        return len(self.standard_monomials(d))
 
     def standard_monomials(self, d: int) -> tuple[Mono, ...]:
-        piv = self._pivots(d)
-        pos = self._index().pos
-        return tuple(m for m in self.monomials(d) if pos.get(m) not in piv)
+        """The degree-d monomials that no lead of the Groebner basis
+        divides, graded-lex ordered: a basis of the degree-d piece."""
+        monos = self.monomials(d)
+        if not self.ideal_gens:
+            return monos
+        cache = self._cache.setdefault("standard", {})
+        if d not in cache:
+            basis = self._basis(d)
+            cache[d] = tuple(m for m in monos if not basis.divides(basis.exps(m)))
+        return cache[d]
 
     def dimension_series(self, cutoff: int):
         """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff.
@@ -658,10 +632,7 @@ class QuotientRing:
         ValueError.
         """
         _check_cutoff(cutoff)
-        basis = self._cache.get("basis")
-        if basis is None:
-            basis = self._cache["basis"] = _Basis(self)
-        basis.grow(min(cutoff, self.cutoff))
+        basis = self._basis(min(cutoff, self.cutoff))
         if cutoff > self.cutoff and not basis.complete():
             raise CutoffExceeded(
                 f"Groebner basis not complete by ring cutoff {self.cutoff}"
@@ -684,54 +655,26 @@ class QuotientRing:
         return f"Q[{vs}] / <{gs}>"
 
 
-class _MonoIndex:
-    """Positions of the monomials a ring's Macaulay rows have met.
-
-    A monomial gets the next position when it is first met, with a heap key
-    beside it: its ``mono_key`` negated entry by entry (names replaced by
-    their rank in the ring), so a min-heap of keys pops the
-    graded-lex-largest monomial first.
-    """
-
-    __slots__ = ("pos", "monos", "keys", "_rank")
-
-    def __init__(self, vars: Sequence[GradedVar]):
-        names = sorted(v.name for v in vars)
-        self._rank = {name: r for r, name in enumerate(names)}
-        self.pos: dict[Mono, int] = {}
-        self.monos: list[Mono] = []
-        self.keys: list[tuple[int, ...]] = []
-
-    def position(self, m: Mono) -> int:
-        q = self.pos.get(m)
-        if q is None:
-            q = self.pos[m] = len(self.monos)
-            self.monos.append(m)
-            key = [-mono_degree(m)]
-            for v, e in m:
-                key += (-self._rank[v.name], -e)
-            self.keys.append(tuple(key))
-        return q
+# ---------------------------------------------------------------------------
+# Positional pivot rows: exact ranks for ``analysis.homology``
+# ---------------------------------------------------------------------------
 
 
 def _eliminate(
-    row: dict[int, int | Fraction],
-    pivots: Mapping[int, Mapping[int, int | Fraction]],
-    keys: Sequence,
+    row: dict[int, int | Fraction], pivots: Mapping[int, Mapping[int, int | Fraction]]
 ) -> dict[int, int | Fraction]:
     """Reduce a positional row in place against pivot tails; returns it.
 
-    A heap holds the row's pivot positions, least key first (for Macaulay
-    rows, the largest monomial).  Each elimination adds only positions of
-    larger key than the pivot it removes, so a popped position never
-    returns; a stale heap entry (already cancelled) is skipped.
+    A heap holds the row's pivot positions, least first.  A pivot's tail
+    holds only positions above it, so a popped position never returns; a
+    stale heap entry (already cancelled) is skipped.
     """
-    heap = [(keys[q], q) for q in row if q in pivots]
+    heap = [q for q in row if q in pivots]
     if not heap:
         return row
     heapq.heapify(heap)
     while heap:
-        p = heapq.heappop(heap)[1]
+        p = heapq.heappop(heap)
         c = row.pop(p, None)
         if c is None:
             continue
@@ -740,7 +683,7 @@ def _eliminate(
             if s is None:
                 row[q] = -c * t
                 if q in pivots:
-                    heapq.heappush(heap, (keys[q], q))
+                    heapq.heappush(heap, q)
             else:
                 s -= c * t
                 if s:
@@ -751,17 +694,15 @@ def _eliminate(
 
 
 def insert_pivot_row(
-    row: dict[int, int | Fraction],
-    pivots: dict[int, dict[int, int | Fraction]],
-    keys: Sequence,
+    row: dict[int, int | Fraction], pivots: dict[int, dict[int, int | Fraction]]
 ) -> None:
     """Reduce a positional row against the pivots; a nonzero remainder
-    becomes the pivot at its least key, scaled to 1, stored as its tail
-    with canonical coefficients."""
-    row = _eliminate(row, pivots, keys)
+    becomes the pivot at its least position, scaled to 1, stored as its
+    tail with canonical coefficients."""
+    row = _eliminate(row, pivots)
     if not row:
         return
-    piv = min(row, key=keys.__getitem__)
+    piv = min(row)
     inv = _inverse(row.pop(piv))
     pivots[piv] = {q: _coeff(c * inv) for q, c in row.items()}
 
@@ -777,40 +718,56 @@ Exps = tuple[int, ...]
 class _Basis:
     """A homogeneous Groebner basis of a ring's ideal, grown degree by degree.
 
-    The term order is weighted degree, then reverse lexicographic over the
-    ring's variables: of two monomials of one degree, the one with the
-    smaller exponent in the last variable where they differ is larger, so
-    the larger monomial has the smaller reversed exponent tuple.  The order
-    is private to the basis.  ``mono_key`` is not a monomial order (y ranks
-    above x, yet x*x ranks above x*y), so it cannot choose leads.
+    The term order is the ring's: weighted degree, then reverse
+    lexicographic with ``vars[0]`` the smallest variable.  Of two monomials
+    of one degree, the one with the smaller exponent in the first variable
+    where they differ is larger, so the larger monomial has the smaller
+    exponent tuple.  (``mono_key`` is not a monomial order: y ranks above
+    x, yet x*x ranks above x*y.)
 
     Elements are monic: a lead and a tail {exps: coeff}.  Generators and
     S-pairs wait in one heap by degree; ``grow(top)`` reduces everything of
     degree <= top against the basis and adds each nonzero remainder, so the
-    leads then span the leading-monomial ideal through degree top.  Every
-    pair a new element makes has a higher degree than the element, because
-    its lead is divisible by no earlier lead; for the same reason the leads
-    stay minimal.  Pairs with coprime leads are never queued (Buchberger's
-    first criterion).
+    leads then span the leading-monomial ideal through degree top, and a
+    remainder of degree <= top is the normal form.  Every pair a new
+    element makes has a higher degree than the element, because its lead
+    is divisible by no earlier lead; for the same reason the leads stay
+    minimal.  Pairs with coprime leads are never queued (Buchberger's first
+    criterion).
     """
 
-    __slots__ = ("weights", "leads", "tails", "_todo", "_seq")
+    __slots__ = ("vars", "weights", "leads", "tails", "_at", "_by_name", "_todo", "_seq")
 
     def __init__(self, ring: QuotientRing):
+        self.vars = ring.vars
         self.weights = tuple(v.degree for v in ring.vars)
         self.leads: list[Exps] = []
         self.tails: list[dict[Exps, int | Fraction]] = []
+        self._at = {v: i for i, v in enumerate(ring.vars)}
+        self._by_name = sorted(range(len(ring.vars)), key=lambda i: ring.vars[i].name)
         self._todo: list[tuple[int, int, object]] = []
         self._seq = 0
-        at = {v: i for i, v in enumerate(ring.vars)}
         for g in ring.ideal_gens:
-            terms: dict[Exps, int | Fraction] = {}
-            for m, c in g.terms.items():
-                e = [0] * len(at)
-                for v, k in m:
-                    e[at[v]] = k
-                terms[tuple(e)] = c
+            terms = {self.exps(m): c for m, c in g.terms.items()}
             self._push(g.homogeneous_degree(), terms)
+
+    def exps(self, m: Mono) -> Exps | None:
+        """The exponent tuple of m, or None when m has a foreign variable."""
+        e = [0] * len(self.weights)
+        at = self._at
+        for v, k in m:
+            i = at.get(v)
+            if i is None:
+                return None
+            e[i] = k
+        return tuple(e)
+
+    def mono(self, e: Exps) -> Mono:
+        return tuple((self.vars[i], e[i]) for i in self._by_name if e[i])
+
+    def divides(self, m: Exps) -> bool:
+        """Some lead divides m."""
+        return any(all(map(int.__ge__, m, lead)) for lead in self.leads)
 
     def _push(self, degree: int, item: object) -> None:
         # the sequence number breaks degree ties, so items never compare
@@ -846,7 +803,7 @@ class _Basis:
                 self._add(rem)
 
     def _add(self, p: dict[Exps, int | Fraction]) -> None:
-        lead = min(p, key=lambda m: m[::-1])
+        lead = min(p)
         inv = _inverse(p.pop(lead))
         k = len(self.leads)
         for i, other in enumerate(self.leads):
@@ -868,14 +825,17 @@ class _Basis:
         return out
 
     def _reduce(self, p: dict[Exps, int | Fraction]) -> dict[Exps, int | Fraction]:
-        """The remainder of p (consumed) on division by the basis, largest
-        monomial first: every term left is divisible by no lead."""
-        heap = [(m[::-1], m) for m in p]
+        """The remainder of p (consumed) on division by the basis: every
+        term left is divisible by no lead.  Exponent tuples pop least first,
+        which within one degree is the largest monomial first.  A step adds
+        only tuples larger than the one it removes, so a popped tuple never
+        returns, and p may mix degrees."""
+        heap = list(p)
         heapq.heapify(heap)
         rem: dict[Exps, int | Fraction] = {}
         basis = tuple(zip(self.leads, self.tails))
         while heap:
-            m = heapq.heappop(heap)[1]
+            m = heapq.heappop(heap)
             c = p.pop(m, None)
             if c is None:
                 continue  # cancelled, or a second heap entry
@@ -887,7 +847,7 @@ class _Basis:
                         s = p.get(mt)
                         if s is None:
                             p[mt] = -c * tc
-                            heapq.heappush(heap, (mt[::-1], mt))
+                            heapq.heappush(heap, mt)
                         else:
                             s -= c * tc
                             if s:

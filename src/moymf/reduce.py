@@ -154,8 +154,8 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
 
 def default_regularity_cutoff(base: QuotientRing, seq: Sequence[Poly]) -> int:
     """Two largest generator degrees plus twice the largest variable degree;
-    floors at 8.  Deep enough to catch every failure seen in practice while
-    keeping the degreewise computation quick."""
+    floors at 8.  Deep enough to catch every failure seen in practice; the
+    Groebner bases behind both series are grown only this far."""
     degs = sorted(
         (p.homogeneous_degree() for p in seq if p), reverse=True
     ) or [0]

@@ -1,5 +1,5 @@
 """Polynomial and quotient ring layer: ring axioms, divided differences,
-degree-wise normal forms, and graded dimension series against brute
+Groebner normal forms, and graded dimension series against brute
 monomial counting."""
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ class TestCoefficients:
 
     def test_pivot_row_is_divided_exactly(self) -> None:
         pivots: dict = {}
-        insert_pivot_row({0: 3, 1: 1, 2: 6}, pivots, range(3))
+        insert_pivot_row({0: 3, 1: 1, 2: 6}, pivots)
         assert pivots == {0: {1: Fraction(1, 3), 2: 2}}
         assert type(pivots[0][2]) is int
 
@@ -370,7 +370,7 @@ def _sym(p: Poly, syms: dict) -> sympy.Expr:
 
 class TestGroebnerSeries:
     """The dimension series from the leads of a Groebner basis, against
-    sympy ranks and the ring's own Macaulay dimensions."""
+    sympy ranks and the ring's count of standard monomials."""
 
     def test_random_ideals_against_both_oracles(self) -> None:
         rng = random.Random(2028)
@@ -440,8 +440,61 @@ class TestGroebnerSeries:
         assert dict(finite.dimension_series(20).coeffs) == {0: 1, 2: 2, 4: 3, 6: 2}
 
 
+class TestGroebnerNormalForms:
+    """Normal forms and standard monomials against sympy's grevlex Groebner
+    basis.  Every variable has degree 2, so the ring's weighted degree is
+    twice sympy's total degree; sympy ranks its first generator largest,
+    the ring ranks vars[0] smallest, so sympy gets the variables reversed.
+    The ring order (w, u, v) is not name order, so names cannot decide."""
+
+    VARS = (GradedVar("w", 2), GradedVar("u", 2), GradedVar("v", 2))
+
+    def test_random_ideals_against_sympy(self) -> None:
+        rng = random.Random(2029)
+        syms = {v: sympy.Symbol(v.name) for v in self.VARS}
+        gens_sym = [syms[v] for v in reversed(self.VARS)]
+        free = QuotientRing(self.VARS)
+
+        def random_poly(degrees: tuple[int, ...], terms: int) -> Poly:
+            p = Poly.zero()
+            for d in degrees:
+                for m in rng.sample(free.monomials(d), min(terms, len(free.monomials(d)))):
+                    p = p + Poly({m: rng.choice((-3, -1, Fraction(1, 2), 1, 2))})
+            return p
+
+        checked = 0
+        for _ in range(12):
+            gens = tuple(
+                random_poly((rng.choice((4, 6)),), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))
+            )
+            gens = tuple(g for g in gens if g)
+            ring = QuotientRing(self.VARS, gens)
+            basis = sympy.groebner([_sym(g, syms) for g in gens], *gens_sym, order="grevlex")
+            for _ in range(4):
+                f = random_poly((4, 6, 8), 3)
+                _, want = sympy.reduced(_sym(f, syms), list(basis.exprs), *gens_sym, order="grevlex")
+                assert sympy.expand(_sym(ring.normal_form(f), syms) - want) == 0, (gens, f)
+            leads = [sympy.Poly(g, *gens_sym).monoms(order="grevlex")[0] for g in basis.exprs]
+            for d in range(0, 11, 2):
+                want_std = {
+                    m for m in free.monomials(d)
+                    if not any(
+                        all(a >= b for a, b in zip(self._exps(m), lead)) for lead in leads
+                    )
+                }
+                assert set(ring.standard_monomials(d)) == want_std, (gens, d)
+                assert ring.dimension(d) == len(want_std)
+                checked += 1
+        assert checked == 72
+
+    def _exps(self, m) -> tuple[int, ...]:
+        got = dict(m)
+        return tuple(got.get(v, 0) for v in reversed(self.VARS))
+
+
 class TestMacaulayKernel:
-    """The degreewise Macaulay path and the dimension series, against sympy
+    """Dimensions, normal forms and the dimension series, against sympy
     ranks of the Macaulay matrix."""
 
     def test_random_ideals_against_macaulay_rank(self) -> None:

@@ -195,6 +195,36 @@ class TestExclusion:
         assert first.params["power"] == 1
         assert second.params["power"] == 2
 
+    # A color-2 strand split and merged twice (item open/3.1.4.3 of the
+    # benchmark's open_reduce corpus).  The second exclusion adjoins
+    # -x1_e0i*y + y^2 + x2_e0i with y = x1_i.e2 internal.  Under name order
+    # x2_e0i led it, normal forms rewrote that boundary variable in terms
+    # of y, and the next exclusion refused: the potential seemed to involve
+    # y.  The compiled ring lists boundary variables first, so y^2 leads.
+    DOUBLE_DIGON = (
+        "level n 3\n"
+        "edge e0 color 2 from boundary:e0i to v0\n"
+        "edge e1 color 1 from v0 to v1\n"
+        "edge e2 color 1 from v0 to v1\n"
+        "edge e3 color 2 from v1 to v2\n"
+        "edge e4 color 1 from v2 to v3\n"
+        "edge e5 color 1 from v2 to v3\n"
+        "edge e6 color 2 from v3 to boundary:e6o\n"
+        "vertex v0 split in e0 out e1 e2\n"
+        "vertex v1 merge in e1 e2 out e3\n"
+        "vertex v2 split in e3 out e4 e5\n"
+        "vertex v3 merge in e4 e5 out e6\n"
+    )
+
+    def test_internal_variables_lead_so_exclusion_completes(self) -> None:
+        d = parse(self.DOUBLE_DIGON)
+        session = ReductionSession(compile_diagram(d), external=d.external_vars())
+        session.exclude_all()
+        k = session.current
+        potential = k.potential()
+        assert potential.variables() <= d.external_vars()
+        assert not k.base.normal_form(potential - boundary_potential(d))
+
 
 class TestAbsorption:
     def test_regular_zero_row_is_absorbed(self) -> None:
