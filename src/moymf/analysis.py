@@ -12,6 +12,7 @@ unsigned: both parity components count positively.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache, partial
@@ -23,8 +24,10 @@ from .poly_core import (
     _check_cutoff,
     insert_pivot_row,
 )
-from .qseries import QLaurent, cor_square_sides, poly_factor, qbinomial, quantum_integer
-from .mf_core import MatrixFactorization, GradedFreeModule
+from .qseries import (
+    QLaurent, _expand, cor_square_sides, poly_factor, qbinomial, quantum_integer
+)
+from .mf_core import GradedFreeModule, KoszulMF, MatrixFactorization
 from .reduce import ReductionSession
 from .symfun import Alphabet, L_poly
 from .diagram import Diagram, compile_diagram, parse
@@ -322,45 +325,56 @@ def _find_backtrack(arcs, verts, n: int):
 # Relation verification
 # ---------------------------------------------------------------------------
 
-Table = tuple[QLaurent, QLaurent]
+# A relation side, exactly: even and odd numerators over prod_w (1 - q^w).
+Table = tuple[QLaurent, QLaurent, tuple[int, ...]]
+
+
+def _exact_table(k: KoszulMF) -> Table:
+    """k's exact series: generator degrees times the base's Hilbert series."""
+    num, weights = k.base.hilbert_series()
+    even, odd = k._generators()
+    return even * num, odd * num, weights
+
+
+def _polynomial_table(p: QLaurent) -> Table:
+    return p, QLaurent.zero(), ()
 
 
 def _swap(t: Table, times: int) -> Table:
-    return (t[1], t[0]) if times % 2 else t
+    return (t[1], t[0], t[2]) if times % 2 else t
 
 
-def _total(t: Table) -> QLaurent:
-    return t[0] + t[1]
-
-
-def _truncate(t: Table, hi: int) -> Table:
-    return (t[0].truncate(hi), t[1].truncate(hi))
-
-
-def _weighted_sum(cutoff: int, terms: Sequence[tuple[Table, QLaurent]]) -> tuple[Table, int]:
-    """Sum of table * factor over the terms, and the degree through which
-    that sum is exact when every table is exact through cutoff: a factor
-    whose top exponent e is positive lifts degree cutoff - e to cutoff."""
+def _weighted_sum(terms: Sequence[tuple[Table, QLaurent]]) -> Table:
+    """Sum of table * factor over the terms, over the least common
+    denominator of the tables."""
+    common = Counter()
+    for t, _ in terms:
+        common |= Counter(t[2])
     even = odd = QLaurent.zero()
-    slack = 0
-    for (t0, t1), factor in terms:
+    for (t0, t1, weights), factor in terms:
+        for w in (common - Counter(weights)).elements():
+            factor = factor - factor.shift(w)
         even, odd = even + t0 * factor, odd + t1 * factor
-        if factor:
-            slack = max(slack, factor.max_exp())
-    return (even, odd), cutoff - slack
+    return even, odd, tuple(sorted(common.elements()))
 
 
-def _render_table(t: Table) -> dict[str, str]:
-    return {"z2_0": t[0].render(), "z2_1": t[1].render()}
+def _render_table(t: Table, hi: int, signed: bool = True) -> dict[str, str]:
+    """The series expanded through exponent hi, per parity or in total."""
+    if signed:
+        return {f"z2_{k}": _expand(t[k], t[2], hi).render() for k in (0, 1)}
+    return {"total": _expand(t[0] + t[1], t[2], hi).render()}
 
 
 def _first_difference(lhs: Table, rhs: Table) -> dict | None:
+    """The lowest exponent where the exact series differ, parity 0 first,
+    or None: over a common denominator prod_w (1 - q^w) the difference of
+    the series starts where the difference of the numerators does."""
+    delta = _weighted_sum([(lhs, QLaurent.one()), (rhs, -QLaurent.one())])
     for k in (0, 1):
-        exps = sorted(set(lhs[k].coeffs) | set(rhs[k].coeffs))
-        for e in exps:
-            a, b = lhs[k].coeff(e), rhs[k].coeff(e)
-            if a != b:
-                return {"z2": k, "exponent": e, "lhs": a, "rhs": b}
+        if delta[k]:
+            e = delta[k].min_exp()
+            a, b = (_expand(t[k], t[2], e).coeff(e) for t in (lhs, rhs))
+            return {"z2": k, "exponent": e, "lhs": a, "rhs": b}
     return None
 
 
@@ -548,15 +562,14 @@ def _excluded_session(src: str) -> ReductionSession:
     return session
 
 
-def _diagram_table(src: str, cutoff: int) -> Table:
-    d = parse(src)
-    return compile_diagram(d).graded_series(cutoff)
+def _diagram_table(src: str) -> Table:
+    return _exact_table(compile_diagram(parse(src)))
 
 
 def _judge(report: dict, lhs: Table, rhs: Table, structural: Sequence[str] = ()) -> dict:
-    """Set the report's verdict, PASS only when the tables agree and nothing
-    structural differs, and append what failed.  A "verdict" key already in
-    the report keeps its place."""
+    """Set the report's verdict, PASS only when the series agree in every
+    degree and nothing structural differs, and append what failed.  A
+    "verdict" key already in the report keeps its place."""
     diff = _first_difference(lhs, rhs)
     report["verdict"] = "PASS" if diff is None and not structural else "FAIL"
     if diff is not None:
@@ -571,47 +584,42 @@ def _verify_series_pair(
     params: tuple[int, ...],
     lhs: Table,
     rhs: Table,
-    hi: int | None,
+    cutoff: int,
     log: list[dict],
     signed: bool = True,
     structural: Sequence[str] = (),
 ) -> dict:
-    """Compare two tables through degree hi (all degrees when hi is None);
-    unsigned comparisons use the total over both parities.  Structural
-    findings fail the report whatever the tables say."""
-    if hi is not None:
-        lhs, rhs = _truncate(lhs, hi), _truncate(rhs, hi)
-    if not signed:
-        lhs = (_total(lhs), QLaurent.zero())
-        rhs = (_total(rhs), QLaurent.zero())
+    """Compare two exact tables in every degree and render both through
+    the cutoff; unsigned comparisons use the total over both parities.
+    Structural findings fail the report whatever the tables say."""
     report = {
         "relation": relation,
         "params": list(params),
-        "lhs_series": _render_table(lhs) if signed else {"total": lhs[0].render()},
-        "rhs_series": _render_table(rhs) if signed else {"total": rhs[0].render()},
+        "lhs_series": _render_table(lhs, cutoff, signed),
+        "rhs_series": _render_table(rhs, cutoff, signed),
         "verdict": None,
         "reduction_log_ref": "inline:reduction_log",
         "reduction_log": log,
     }
+    if not signed:
+        lhs, rhs = ((t[0] + t[1], QLaurent.zero(), t[2]) for t in (lhs, rhs))
     return _judge(report, lhs, rhs, structural)
 
 
 def _verify_cor_square(j1: int, j2: int, cutoff: int) -> dict:
-    """Closed-form identity: exact, so the cutoff does not apply."""
+    """Closed-form identity: both sides are polynomials."""
     lhs, rhs = cor_square_sides(j1, j2)
-    zero = QLaurent.zero()
     return _verify_series_pair(
-        "cor_square", (j1, j2), (lhs, zero), (rhs, zero), None, [], signed=False
+        "cor_square", (j1, j2), _polynomial_table(lhs), _polynomial_table(rhs),
+        cutoff, [], signed=False,
     )
 
 
 def _verify_circle(i: int, n: int, cutoff: int) -> dict:
     session, lhs = _reduced_euler(parse(_circle_src(i, n)), cutoff)
-    rhs = qbinomial(n, i)
-    zero = QLaurent.zero()
-    log = session.log_dicts()
     return _verify_series_pair(
-        "circle_jacobi", (i, n), (lhs, zero), (rhs, zero), None, log, signed=False
+        "circle_jacobi", (i, n), _polynomial_table(lhs),
+        _polynomial_table(qbinomial(n, i)), cutoff, session.log_dicts(), signed=False,
     )
 
 
@@ -640,10 +648,9 @@ def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
         )
     if got.base.normal_form(got.potential() - direct.potential()):
         structural.append("potentials differ")
-    lhs = got.graded_series(cutoff)
-    rhs = direct.graded_series(cutoff)
     return _verify_series_pair(
-        "line_contract", (i, n), lhs, rhs, cutoff, log, structural=structural
+        "line_contract", (i, n), _exact_table(got), _exact_table(direct), cutoff,
+        log, structural=structural,
     )
 
 
@@ -651,12 +658,12 @@ def _verify_bubble(i1: int, i2: int, i3: int, n: int, cutoff: int) -> dict:
     if i1 + i2 != i3:
         raise ValueError("bubble needs thin colors summing to the thick one")
     session = _excluded_session(_bubble_src(i1, i2, i3, n))
-    lhs = session.current.graded_series(cutoff)
-    line = _diagram_table(_line_src(i3, n), cutoff)
+    lhs = _exact_table(session.current)
+    line = _diagram_table(_line_src(i3, n))
     # bubble = [i3 i1] * line
-    rhs, hi = _weighted_sum(cutoff, [(line, qbinomial(i3, i1))])
+    rhs = _weighted_sum([(line, qbinomial(i3, i1))])
     return _verify_series_pair(
-        "bubble", (i1, i2, i3, n), lhs, rhs, hi, session.log_dicts()
+        "bubble", (i1, i2, i3, n), lhs, rhs, cutoff, session.log_dicts()
     )
 
 
@@ -682,12 +689,12 @@ def _verify_counter_bubble(i1: int, i2: int, n: int, cutoff: int) -> dict:
         rows=list(range(i1)),
     )
     session.absorb_zero_rows()
-    lhs = session.current.graded_series(cutoff)
-    line = _diagram_table(_line_src(i1, n), cutoff)
+    lhs = _exact_table(session.current)
+    line = _diagram_table(_line_src(i1, n))
     # counter_bubble = [n-i1 i2] * line, translated i2 times
-    rhs, hi = _weighted_sum(cutoff, [(_swap(line, i2), qbinomial(n - i1, i2))])
+    rhs = _weighted_sum([(_swap(line, i2), qbinomial(n - i1, i2))])
     return _verify_series_pair(
-        "counter_bubble", (i1, i2, n), lhs, rhs, hi, session.log_dicts()
+        "counter_bubble", (i1, i2, n), lhs, rhs, cutoff, session.log_dicts()
     )
 
 
@@ -707,8 +714,8 @@ def _verify_assoc(
     pot = left.current.potential() - right.current.potential()
     if set(lb.vars) == set(rb.vars) and lb.normal_form(pot):
         structural.append("potentials differ")
-    lhs = left.current.graded_series(cutoff)
-    rhs = right.current.graded_series(cutoff)
+    lhs = _exact_table(left.current)
+    rhs = _exact_table(right.current)
     return _verify_series_pair(
         relation, (i1, i2, i3, n), lhs, rhs, cutoff, log, structural=structural
     )
@@ -724,15 +731,15 @@ def _check_ladder_color(j: int, n: int) -> None:
 def _verify_square_tall(j: int, n: int, cutoff: int) -> dict:
     _check_ladder_color(j, n)
     session = _excluded_session(_square_tall_src(j, n))
-    lhs = session.current.graded_series(cutoff)
+    lhs = _exact_table(session.current)
     join = _excluded_session(_join_src(j, n))
     # square_j = join + [j-1] * parallel
-    rhs, hi = _weighted_sum(cutoff, [
-        (join.current.graded_series(cutoff), QLaurent.one()),
-        (_diagram_table(_parallel_src(j, n), cutoff), quantum_integer(j - 1)),
+    rhs = _weighted_sum([
+        (_exact_table(join.current), QLaurent.one()),
+        (_diagram_table(_parallel_src(j, n)), quantum_integer(j - 1)),
     ])
     log = session.log_dicts() + join.log_dicts()
-    return _verify_series_pair("square_j", (j, n), lhs, rhs, hi, log)
+    return _verify_series_pair("square_j", (j, n), lhs, rhs, cutoff, log)
 
 
 def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
@@ -757,38 +764,35 @@ def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
     # side; swapping the row exposes it to exclusion
     session.transpose_row(j)
     session.exclude_variable(j)
-    lhs = session.current.graded_series(cutoff)
+    lhs = _exact_table(session.current)
     log = session.log_dicts()
     # square_wide = antiparallel + [n-j-1] * H; the split variant flips the
     # parity of each H copy
-    terms = [(_diagram_table(_antiparallel_src(j, n), cutoff), QLaurent.one())]
+    terms = [(_diagram_table(_antiparallel_src(j, n)), QLaurent.one())]
     split = list(terms)
     if n - j > 1:
         h = _excluded_session(_h_src(j, n))
         log += h.log_dicts()
-        ht = h.current.graded_series(cutoff)
+        ht = _exact_table(h.current)
         copies = quantum_integer(n - j - 1)
         terms.append((ht, copies))
         split.append((_swap(ht, 1), copies))
-    rhs, hi = _weighted_sum(cutoff, terms)
-    rhs_split, _ = _weighted_sum(cutoff, split)
+    rhs_split = _weighted_sum(split)
     # parity bookkeeping for the summands is an open question here, so the
     # verdict rests on total series only; the per-parity comparison is
     # still computed and recorded below
     report = _verify_series_pair(
-        "square_wide", (j, n), lhs, rhs, hi, log, signed=False
+        "square_wide", (j, n), lhs, _weighted_sum(terms), cutoff, log, signed=False
     )
-    lt = _truncate(lhs, hi)
-    rt = _truncate(rhs_split, hi)
-    if lt == rt:
+    if _first_difference(lhs, rhs_split) is None:
         parity = "direct"
-    elif lt == _swap(rt, 1):
+    elif _first_difference(lhs, _swap(rhs_split, 1)) is None:
         parity = "flipped"
     else:
         parity = "neither"
     report["parity_note"] = {
-        "lhs": _render_table(lt),
-        "rhs_flipped_summands": _render_table(rt),
+        "lhs": _render_table(lhs, cutoff),
+        "rhs_flipped_summands": _render_table(rhs_split, cutoff),
         "parity_match": parity,
     }
     return report
@@ -818,12 +822,13 @@ def verify_relation(
 ) -> dict:
     """Check one decomposition relation at the given colors and level.
 
-    Diagram sides are built, reduced by the calculus, and compared as
-    graded series; ``cor_square`` is a closed-form identity and needs no
-    reduction.  The report carries both series, a PASS/FAIL verdict, the
-    reduction log, and the first differing coefficient on failure.  An
-    unknown name, a parameter count other than the one ``RELATIONS``
-    lists, or a negative cutoff raises ValueError.
+    Diagram sides are built, reduced by the calculus, and compared as exact
+    rational graded series, so PASS holds in every degree; ``cor_square`` is
+    a closed-form identity and needs no reduction.  The report carries both
+    series expanded through the cutoff, a PASS/FAIL verdict, the reduction
+    log, and the lowest differing coefficient on failure.  An unknown name,
+    a parameter count other than the one ``RELATIONS`` lists, or a negative
+    cutoff raises ValueError.
     """
     if name not in RELATIONS:
         raise ValueError(f"unknown relation {name!r}; choose from {RELATION_NAMES}")
@@ -846,6 +851,5 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
     """
     engine = euler_of_diagram(d, cutoff=cutoff)
     oracle = moy_bracket(d)
-    zero = QLaurent.zero()
     report = {"engine_euler": engine.render(), "oracle_value": oracle.render()}
-    return _judge(report, (engine, zero), (oracle, zero))
+    return _judge(report, _polynomial_table(engine), _polynomial_table(oracle))

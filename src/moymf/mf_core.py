@@ -191,7 +191,8 @@ class MatrixFactorization:
 
 
 def merge_bases(b1: QuotientRing, b2: QuotientRing) -> QuotientRing:
-    """Union of variables and ideal generators; shared names must agree."""
+    """Union of variables and ideal generators; shared names must agree.
+    b1's variables come first in b1's order, then b2's new ones in theirs."""
     by_name: dict[str, GradedVar] = {v.name: v for v in b1.vars}
     for v in b2.vars:
         old = by_name.get(v.name)
@@ -199,8 +200,7 @@ def merge_bases(b1: QuotientRing, b2: QuotientRing) -> QuotientRing:
             raise IncompatibleBases(
                 f"variable {v.name} has degrees {old.degree} and {v.degree}"
             )
-        by_name.setdefault(v.name, v)
-    vars_ = tuple(sorted(by_name.values(), key=lambda v: v.name))
+    vars_ = b1.vars + tuple(v for v in b2.vars if v.name not in by_name)
     gens: list[Poly] = list(b1.ideal_gens)
     for g in b2.ideal_gens:
         if g not in gens:
@@ -458,12 +458,9 @@ class KoszulMF:
 
     # -- series and expansion ---------------------------------------------
 
-    def graded_series(self, cutoff: int) -> tuple[QLaurent, QLaurent]:
-        """(even, odd) graded dimension series without expanding matrices.
-
-        Generators correspond to row subsets; a subset S contributes parity
-        |S| and grading sum of row shifts over S.
-        """
+    def _generators(self) -> tuple[QLaurent, QLaurent]:
+        """(even, odd) generator degrees of the expansion as polynomials in q:
+        row subset S has parity |S| and the sum of its row shifts as degree."""
         even, odd = QLaurent.one(), QLaurent.zero()
         for m in range(self.row_count):
             h = QLaurent.q_power(self.row_shift(m))
@@ -471,7 +468,11 @@ class KoszulMF:
         if self.z2_shift:
             even, odd = odd, even
         g = self.global_grading_shift
-        return _free_series(self.base, (even.shift(g), odd.shift(g)), cutoff)
+        return even.shift(g), odd.shift(g)
+
+    def graded_series(self, cutoff: int) -> tuple[QLaurent, QLaurent]:
+        """(even, odd) graded dimension series without expanding matrices."""
+        return _free_series(self.base, self._generators(), cutoff)
 
     def expand(self) -> MatrixFactorization:
         return koszul_expand(self)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .qseries import QLaurent
+from .qseries import QLaurent, _expand
 
 __all__ = [
     "GradedVar",
@@ -102,8 +102,7 @@ def _inverse(c: int | Fraction) -> int | Fraction:
 
 
 def _check_cutoff(cutoff: int | None) -> None:
-    """A negative cutoff truncates every series to nothing, so a comparison
-    of two series would pass vacuously: ValueError."""
+    """A negative cutoff truncates every series to nothing: ValueError."""
     if cutoff is not None and cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
 
@@ -619,33 +618,39 @@ class QuotientRing:
     def dimension_series(self, cutoff: int):
         """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff.
 
-        The series is N(q) * prod_v 1/(1 - q^deg v), expanded to the cutoff,
-        where N is the Hilbert numerator of the leading monomials of a
-        Groebner basis of the ideal (see ``_Basis``): a quotient has the
-        Hilbert series of its leading-monomial ideal.  The basis is grown
-        only through min(cutoff, ring cutoff), which makes its leads exact
-        through that degree.  Once no S-pair that could add a lead is left
-        the basis is complete, and a higher cutoff costs only a longer
-        expansion, none at all past the top degree of a quotient that its
-        leads make finite.  A cutoff above the ring's cutoff with an
-        incomplete basis raises CutoffExceeded; a negative cutoff raises
-        ValueError.
+        The ``hilbert_series`` formula with the leads of a basis grown only
+        through min(cutoff, ring cutoff), which are exact through that
+        degree, expanded to the cutoff.  Once the basis is complete a higher
+        cutoff costs only a longer expansion, none past the top degree of a
+        quotient its leads make finite.  A cutoff above the ring's cutoff
+        with an incomplete basis raises CutoffExceeded; a negative cutoff
+        raises ValueError.
         """
         _check_cutoff(cutoff)
+        if cutoff > self.cutoff:
+            self.hilbert_series()  # CutoffExceeded unless the basis completes
         basis = self._basis(min(cutoff, self.cutoff))
-        if cutoff > self.cutoff and not basis.complete():
-            raise CutoffExceeded(
-                f"Groebner basis not complete by ring cutoff {self.cutoff}"
-            )
-        top = min(cutoff, basis.top_degree())
-        coeffs = [0] * (top + 1)
-        for d, c in _hilbert_numerator(basis.leads, basis.weights).coeffs.items():
-            if d <= top:
-                coeffs[d] += c
-        for w in basis.weights:
-            for d in range(w, top + 1):
-                coeffs[d] += coeffs[d - w]
-        return QLaurent(dict(enumerate(coeffs)))
+        numerator = _hilbert_numerator(basis.leads, basis.weights)
+        return _expand(numerator, basis.weights, min(cutoff, basis.top_degree()))
+
+    def hilbert_series(self) -> tuple[QLaurent, tuple[int, ...]]:
+        """(N, weights) with sum_d dim_Q(degree-d piece) q^d equal to
+        N(q) / prod_w (1 - q^w) in every degree.  The basis grows one
+        pending degree at a time until it is complete; CutoffExceeded when
+        it is not complete by the ring's cutoff."""
+        series = self._cache.get("hilbert")
+        if series is None:
+            basis = self._basis(0)
+            while not basis.complete():
+                d = basis._todo[0][0]
+                if d > self.cutoff:
+                    raise CutoffExceeded(
+                        f"Groebner basis not complete by ring cutoff {self.cutoff}"
+                    )
+                basis.grow(d)
+            numerator = _hilbert_numerator(basis.leads, basis.weights)
+            series = self._cache["hilbert"] = (numerator, basis.weights)
+        return series
 
     def render(self) -> str:
         vs = ", ".join(f"{v.name}({v.degree})" for v in self.vars)

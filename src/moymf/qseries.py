@@ -13,7 +13,6 @@ at q = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -140,13 +139,10 @@ class QLaurent:
         """Evaluation at q = 1 (sum of coefficients)."""
         return sum(self._c.values())
 
-    def divide_exact(self, other: "QLaurent", hi: int | None = None) -> "QLaurent":
-        """Exact division, ascending from the lowest exponent.
-
-        With hi=None both operands must be genuinely divisible (zero
-        remainder); with hi set, computes the series quotient through
-        exponent hi.  Raises ArithmeticError on a non-exact step.
-        """
+    def divide_exact(self, other: "QLaurent") -> "QLaurent":
+        """Exact division, ascending from the lowest exponent; both operands
+        must be genuinely divisible (zero remainder).  Raises
+        ArithmeticError on a non-exact step."""
         if not other:
             raise ZeroDivisionError("division by zero series")
         if not self:
@@ -155,21 +151,19 @@ class QLaurent:
         lead_c = other._c[lead]
         rem = dict(self._c)
         out: dict[int, int] = {}
-        bound = hi if hi is not None else self.max_exp() - lead
+        bound = self.max_exp() - lead
         while rem:
             lo = min(rem)
             k = lo - lead
             if k > bound:
-                if hi is not None:
-                    break
                 raise ArithmeticError("non-terminating exact division")
-            c = Fraction(rem[lo], lead_c)
-            if c.denominator != 1:
+            c, r = divmod(rem[lo], lead_c)
+            if r:
                 raise ArithmeticError("non-integer coefficient in exact division")
-            out[k] = int(c)
+            out[k] = c
             for e, v in other._c.items():
                 t = e + k
-                s = rem.get(t, 0) - int(c) * v
+                s = rem.get(t, 0) - c * v
                 if s:
                     rem[t] = s
                 else:
@@ -205,6 +199,20 @@ def poly_factor(exponents: Iterable[int]) -> QLaurent:
     for e in exponents:
         out[e] = out.get(e, 0) + 1
     return QLaurent(out)
+
+
+def _expand(num: QLaurent, weights: Iterable[int], hi: int) -> QLaurent:
+    """The rational series num / prod_w (1 - q^w), weights positive,
+    expanded through exponent hi."""
+    lo = num.min_exp() if num else 0
+    coeffs = [0] * max(hi - lo + 1, 0)
+    for e, c in num.coeffs.items():
+        if e <= hi:
+            coeffs[e - lo] += c
+    for w in weights:
+        for k in range(w, len(coeffs)):
+            coeffs[k] += coeffs[k - w]
+    return QLaurent({lo + k: c for k, c in enumerate(coeffs)})
 
 
 def geometric_series(d: int, cutoff: int) -> QLaurent:

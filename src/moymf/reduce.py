@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .poly_core import (
+    CutoffExceeded,
     DegreeMismatch,
     GradedVar,
     Poly,
@@ -39,7 +40,6 @@ from .poly_core import (
     mono_key,
     pure_power,
 )
-from .qseries import poincare_regular_quotient
 from .mf_core import KoszulMF
 from .symfun import Alphabet, ColorMismatch
 
@@ -58,7 +58,6 @@ __all__ = [
     "absorb_zero_row",
     "glue",
     "regularity_heuristic",
-    "default_regularity_cutoff",
     "LogEntry",
     "ReductionSession",
 ]
@@ -152,37 +151,25 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     )
 
 
-def default_regularity_cutoff(base: QuotientRing, seq: Sequence[Poly]) -> int:
-    """Two largest generator degrees plus twice the largest variable degree;
-    floors at 8.  Deep enough to catch every failure seen in practice; the
-    Groebner bases behind both series are grown only this far."""
-    degs = sorted(
-        (p.homogeneous_degree() for p in seq if p), reverse=True
-    ) or [0]
-    top_two = sum(degs[:2])
-    vmax = max((v.degree for v in base.vars), default=2)
-    return max(8, top_two + 2 * vmax)
+def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
+    """"verified" iff seq is a regular sequence in base, in all degrees.
 
-
-def regularity_heuristic(
-    base: QuotientRing, seq: Sequence[Poly], cutoff: int | None = None
-) -> str:
-    """"verified" iff the quotient by seq has the Poincare series a regular
-    sequence forces, degree by degree up to the cutoff; else "unverified"."""
+    Homogeneous f_i of degrees d_i > 0 are regular exactly when the quotient
+    by them has prod_i (1 - q^d_i) times the Hilbert series of base
+    (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1); both share one
+    denominator, so their numerators decide.  "unverified" for an entry
+    zero in base, or a basis not complete by the ring cutoff."""
     seq = [base.normal_form(p) for p in seq]
     if any(not p for p in seq):
         return "unverified"
-    if cutoff is None:
-        cutoff = default_regularity_cutoff(base, seq)
-    predicted = base.dimension_series(cutoff)
-    predicted = poincare_regular_quotient(
-        [], [p.homogeneous_degree() for p in seq], cutoff
-    ) * predicted
-    predicted = predicted.truncate(cutoff)
-    extended = QuotientRing(
-        base.vars, base.ideal_gens + tuple(seq), max(base.cutoff, cutoff)
-    )
-    actual = extended.dimension_series(cutoff)
+    extended = QuotientRing(base.vars, base.ideal_gens + tuple(seq), base.cutoff)
+    try:
+        predicted, _ = base.hilbert_series()
+        actual, _ = extended.hilbert_series()
+    except CutoffExceeded:
+        return "unverified"
+    for p in seq:
+        predicted = predicted - predicted.shift(p.homogeneous_degree())
     return "verified" if actual == predicted else "unverified"
 
 
@@ -419,12 +406,11 @@ def glue(
     for v in sigma:
         if v not in joined.base.vars:
             raise ValueError(f"glued variable {v.name} is not in the base ring")
+    # any kept variable the join lacks goes last, so each side keeps its order
     kept_vars = tuple(v for v in joined.base.vars if v not in sigma)
-    missing = [
-        v for pair in pairs for v in pair[0].vars if v not in kept_vars
-    ]
-    if missing:
-        kept_vars = tuple(sorted(set(kept_vars) | set(missing), key=lambda v: v.name))
+    kept_vars += tuple(
+        dict.fromkeys(v for keep, _ in pairs for v in keep.vars if v not in kept_vars)
+    )
     new_base = _substituted_ring(joined.base, sigma, kept_vars)
     rows = _rebased_rows(joined, new_base, None, sigma, "while gluing")
     return replace(joined, base=new_base, rows=rows)
@@ -491,24 +477,19 @@ class ReductionSession:
     def replace_second_sequence(
         self, target_b: Sequence[Poly], rows: Sequence[int] | None = None
     ) -> None:
-        new, verdict = replace_second_sequence(self.current, target_b, self.force, rows)
-        self._step(
-            "replace_second_sequence",
-            {"targets": [p.render() for p in target_b], "rows": rows,
-             "regularity": verdict},
-            new,
-        )
+        self._replace("replace_second_sequence", "b", target_b, rows)
 
     def replace_first_sequence(
         self, target_a: Sequence[Poly], rows: Sequence[int] | None = None
     ) -> None:
-        new, verdict = replace_first_sequence(self.current, target_a, self.force, rows)
-        self._step(
-            "replace_first_sequence",
-            {"targets": [p.render() for p in target_a], "rows": rows,
-             "regularity": verdict},
-            new,
-        )
+        self._replace("replace_first_sequence", "a", target_a, rows)
+
+    def _replace(
+        self, op: str, col: str, target: Sequence[Poly], rows: Sequence[int] | None
+    ) -> None:
+        new, verdict = _replace_column(self.current, col, target, rows, self.force)
+        targets = [p.render() for p in target]
+        self._step(op, {"targets": targets, "rows": rows, "regularity": verdict}, new)
 
     def exclude_variable(self, row: int) -> None:
         self._exclude(row, exclusion_candidate(self.current, row, self.external))

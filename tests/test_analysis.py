@@ -309,8 +309,8 @@ class TestVerifyRelation:
         assert report["parity_note"]["parity_match"] == "direct"
 
     def test_negative_cutoff_rejected(self) -> None:
-        # every series truncated below degree 0 is empty, so the two sides
-        # would agree on nothing and PASS
+        # every series truncated below degree 0 is empty; from cutoff 0 on
+        # the verdict is exact, whatever the cutoff
         with pytest.raises(ValueError, match="cutoff must be >= 0"):
             verify_relation("bubble", (1, 1, 2, 3), cutoff=-4)
         assert verify_relation("bubble", (1, 1, 2, 3), cutoff=0)["verdict"] == "PASS"
@@ -357,6 +357,21 @@ class TestVerifyRelation:
     def test_bubble_colors_must_sum(self) -> None:
         with pytest.raises(ValueError, match="summing"):
             verify_relation("bubble", (1, 2, 4, 4))
+
+    def test_exact_tables_differ_past_the_cutoff(self) -> None:
+        # 1/(1 - q^2) against (1 - q^2)(1 - q^42)/(1 - q^2)^2: equal through
+        # degree 40, so both render alike, yet the exact comparison fails
+        q = QLaurent.q_power
+        one = QLaurent.one()
+        lhs = (one, q(1), (2,))
+        rhs = ((one - q(2)) * (one - q(42)), q(1) - q(3), (2, 2))
+        report = analysis._verify_series_pair("exact", (), lhs, rhs, 40, [])
+        assert report["lhs_series"] == report["rhs_series"]
+        assert report["verdict"] == "FAIL"
+        assert report["first_difference"] == {
+            "z2": 0, "exponent": 42, "lhs": 1, "rhs": 0
+        }
+        assert analysis._first_difference(lhs, (one, q(1), (2,))) is None
 
     def test_failure_reports_the_first_difference(self, monkeypatch) -> None:
         # rig the closed form so the engine side no longer matches

@@ -285,6 +285,30 @@ class TestRegularityHeuristic:
         ring = QuotientRing((X, Y))
         assert regularity_heuristic(ring, [PX, Poly.zero()]) == "unverified"
 
+    # x^10*y = 0 makes y a zero divisor, yet the series of the quotient by
+    # y agrees with the one a regular y forces through degree 20, so a
+    # comparison that stops below degree 22 calls y regular
+    @pytest.mark.parametrize(
+        "gen, entry",
+        [(PX**10 * PY, PY), (PX * PX, PX * PY)],
+        ids=["y mod x^10*y", "x*y mod x^2"],
+    )
+    def test_zero_divisor_is_unverified_and_not_absorbed(
+        self, gen: Poly, entry: Poly
+    ) -> None:
+        ring = QuotientRing((X, Y), (gen,))
+        assert regularity_heuristic(ring, [entry]) == "unverified"
+        k = KoszulMF(ring, ((Poly.zero(), entry),), 0, 0, 8)
+        with pytest.raises(RegularityUnverified):
+            absorb_zero_row(k, 0)
+
+    def test_sequence_is_decided_in_every_degree(self) -> None:
+        # y is regular on Q[x,y]/(x^10), but x is then a zero divisor on
+        # Q[x]/(x^10); the two series first differ in degree 20
+        ring = QuotientRing((X, Y), (PX**10,))
+        assert regularity_heuristic(ring, [PY]) == "verified"
+        assert regularity_heuristic(ring, [PY, PX]) == "unverified"
+
 
 class TestReplacementGates:
     def _regular_k(self) -> KoszulMF:
@@ -353,6 +377,36 @@ class TestGlue:
         y = compile_diagram(parse(_line_src(2, 3, tail="r", head="s")))
         with pytest.raises(ColorMismatch):
             glue(x, y, [(Alphabet(1, "q"), Alphabet(2, "r"))])
+
+    @staticmethod
+    def _digon(tag: str, tail: str, head: str) -> str:
+        return (
+            "level n 3\n"
+            f"edge {tag}0 color 2 from boundary:{tail} to {tag}v0\n"
+            f"edge {tag}1 color 1 from {tag}v0 to {tag}v1\n"
+            f"edge {tag}2 color 1 from {tag}v0 to {tag}v1\n"
+            f"edge {tag}3 color 2 from {tag}v1 to boundary:{head}\n"
+            f"vertex {tag}v0 split in {tag}0 out {tag}1 {tag}2\n"
+            f"vertex {tag}v1 merge in {tag}1 {tag}2 out {tag}3\n"
+        )
+
+    def test_glued_session_keeps_boundary_first_order_and_excludes(self) -> None:
+        # two digons p -> m and mb -> s glued at m: each side keeps its
+        # boundary-first order, so every internal variable can be excluded
+        # and the potential is that of one line p -> s
+        x = compile_diagram(parse(self._digon("a", "p", "m")))
+        y = compile_diagram(parse(self._digon("b", "mb", "s")))
+        glued = glue(x, y, [(Alphabet(2, "m"), Alphabet(2, "mb"))])
+        dropped = set(Alphabet(2, "mb").vars)
+        assert glued.base.vars == x.base.vars + tuple(
+            v for v in y.base.vars if v not in dropped
+        )
+        line = parse("level n 3\nedge e color 2 from boundary:p to boundary:s\n")
+        session = ReductionSession(glued, external=line.external_vars())
+        session.exclude_all()
+        k = session.current
+        assert k.potential().variables() <= line.external_vars()
+        assert not k.base.normal_form(k.potential() - boundary_potential(line))
 
     def test_collapsed_row_is_refused(self) -> None:
         # identifying b with a sends the first row to (0; 0)
