@@ -99,27 +99,28 @@ def _map_rank(
 def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[int, int], int]:
     """Dimensions of homology per (grading, parity index).
 
-    Requires potential 0 and a base whose dimension series terminates
-    within the cutoff; per degree, dim H = dim ker - dim im computed from
-    exact ranks of the two differentials.
+    Requires potential 0 and a finite-dimensional base.  The cutoff bounds
+    the work, not the answer: the base's Groebner basis grows no further
+    than degree cutoff (at most the base's own cutoff, which is also the
+    default), and unless it is complete by then with the quotient's top
+    degree at most cutoff, CutoffExceeded is raised.  Per degree,
+    dim H = dim ker - dim im from exact ranks of the two differentials.
+    A negative cutoff raises ValueError.
     """
-    if cutoff is None:
-        cutoff = 2 * DEFAULT_CUTOFF
+    _check_cutoff(cutoff)
     base = mf.base
+    cutoff = base.cutoff if cutoff is None else min(cutoff, base.cutoff)
     if base.normal_form(mf.potential):
         raise NotClosed("homology requires potential 0")
+    basis = base._basis(0)
+    if not basis.settle(cutoff) or basis.top_degree() > cutoff:
+        raise CutoffExceeded(f"base Groebner basis not complete and finite by degree {cutoff}")
     series = base.dimension_series(cutoff)
-    vmax = max((v.degree for v in base.vars), default=0)
-    top = series.max_exp() if series else 0
-    if top + vmax > cutoff:
-        raise CutoffExceeded(
-            f"base dimension series not settled by degree {cutoff}"
-        )
 
     mods = (mf.m0, mf.m1)
     mats = (mf.d0, mf.d1)
-    # the base is settled, so these products are exact: dims[k] holds the
-    # graded dimension of mods[k] in every degree where it is nonzero
+    # the base is finite within the cutoff, so these products are exact:
+    # dims[k] holds the graded dimension of mods[k] in every degree
     dims = tuple(poly_factor(m.generator_shifts) * series for m in mods)
 
     @cache
@@ -148,7 +149,9 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
 
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     """Euler characteristic of a closed diagram through the engine pipeline.
-    A negative cutoff raises ValueError."""
+    The cutoff bounds the homology work (see ``homology``): CutoffExceeded
+    unless the reduced base is complete and finite by it.  A negative
+    cutoff raises ValueError."""
     _check_cutoff(cutoff)
     if not d.closed:
         raise NotClosed("Euler characteristic requires a closed diagram")
@@ -847,7 +850,8 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
 
     The engine side compiles, reduces, expands, and takes the unsigned
     Euler characteristic of the homology; the oracle side never touches a
-    matrix.  Closed diagrams only; a negative cutoff raises ValueError.
+    matrix.  Closed diagrams only.  The cutoff bounds the engine's work, as
+    in ``euler_of_diagram``; a negative cutoff raises ValueError.
     """
     engine = euler_of_diagram(d, cutoff=cutoff)
     oracle = moy_bracket(d)

@@ -44,6 +44,8 @@ from .reduce import ReductionSession, RegularityUnverified
 __all__ = ["CUTOFF_ENV", "main"]
 
 CUTOFF_ENV = "MOYMF_CUTOFF"
+# what --cutoff means to euler and crosscheck, which take homology
+_WORK_BOUND = "bound on the work: the base's Groebner basis must be complete and finite by it"
 
 _LEVEL_LINE = re.compile(r"^(\s*level\s+n\s+)(\d+)[ \t]*$", re.MULTILINE)
 
@@ -230,12 +232,12 @@ def _add_file_argument(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cutoff_argument(sub: argparse.ArgumentParser) -> None:
+def _add_cutoff_argument(sub: argparse.ArgumentParser, use: str) -> None:
     sub.add_argument(
         "--cutoff",
         type=int,
         default=None,
-        help=f"series truncation degree (default {DEFAULT_CUTOFF}, or ${CUTOFF_ENV})",
+        help=f"{use} (default {DEFAULT_CUTOFF}, or ${CUTOFF_ENV})",
     )
 
 
@@ -273,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
         "euler", help="print the graded Euler characteristic of a closed diagram"
     )
     _add_file_argument(sub)
-    _add_cutoff_argument(sub)
+    _add_cutoff_argument(sub, _WORK_BOUND)
     sub.set_defaults(func=_cmd_euler)
 
     sub = commands.add_parser(
         "poincare", help="print the graded series of the compiled factorization"
     )
     _add_file_argument(sub)
-    _add_cutoff_argument(sub)
+    _add_cutoff_argument(sub, "series truncation degree")
     sub.set_defaults(func=_cmd_poincare)
 
     sub = commands.add_parser(
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--params", type=int, nargs="+", default=None, help="raw parameter list"
     )
-    _add_cutoff_argument(sub)
+    _add_cutoff_argument(sub, "print series through this degree; a PASS holds in every degree")
     _add_format_argument(sub)
     sub.set_defaults(func=_cmd_verify)
 
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare engine Euler characteristic with the combinatorial evaluator",
     )
     _add_file_argument(sub)
-    _add_cutoff_argument(sub)
+    _add_cutoff_argument(sub, _WORK_BOUND)
     _add_format_argument(sub)
     sub.set_defaults(func=_cmd_crosscheck)
 

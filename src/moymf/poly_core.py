@@ -28,8 +28,9 @@ variables first rewrites internal variables in terms of boundary ones.  A
 quotient has the Hilbert series of its leading-monomial ideal (Cox, Little
 and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9 section 3), and the
 Bayer-Stillman recursion turns the leads into the numerator N(q) of
-N(q) / prod_v (1 - q^deg v).  Once no S-pair is left the basis is complete
-and a higher cutoff costs nothing more than expanding the series further.
+N(q) / prod_v (1 - q^deg v).  The basis is complete once no S-pair waits
+at or below the top degree that series gives, and a higher cutoff then
+costs nothing more than expanding the series further.
 """
 
 from __future__ import annotations
@@ -152,22 +153,14 @@ def _mono_from_dict(d: Mapping[GradedVar, int]) -> Mono:
     return items
 
 
-def mono_divides(m1: Mono, m2: Mono) -> bool:
-    """True when m1 | m2."""
-    need = dict(m1)
-    for v, e in m2:
-        if v in need:
-            need[v] -= min(need[v], e)
-    return all(e <= 0 for e in need.values())
-
-
 def pure_power(p: Poly, v: GradedVar) -> tuple[int, int | Fraction] | None:
     """(k, c) when p = c*v^k + rest, with k the top exponent of v in p and
-    no monomial of rest divisible by v^k; None otherwise."""
+    no monomial of rest divisible by v^k; None otherwise.  As k is the top
+    exponent, v^k divides a monomial exactly when it holds the pair (v, k)."""
     k = p.max_exponent(v)
     pure: Mono = ((v, k),)
     c = p.coefficient(pure)
-    if not c or any(m != pure and mono_divides(pure, m) for m in p.terms):
+    if not c or any(m != pure and pure[0] in m for m in p.terms):
         return None
     return k, c
 
@@ -630,27 +623,17 @@ class QuotientRing:
         if cutoff > self.cutoff:
             self.hilbert_series()  # CutoffExceeded unless the basis completes
         basis = self._basis(min(cutoff, self.cutoff))
-        numerator = _hilbert_numerator(basis.leads, basis.weights)
-        return _expand(numerator, basis.weights, min(cutoff, basis.top_degree()))
+        return _expand(basis.numerator(), basis.weights, min(cutoff, basis.top_degree()))
 
     def hilbert_series(self) -> tuple[QLaurent, tuple[int, ...]]:
         """(N, weights) with sum_d dim_Q(degree-d piece) q^d equal to
-        N(q) / prod_w (1 - q^w) in every degree.  The basis grows one
-        pending degree at a time until it is complete; CutoffExceeded when
-        it is not complete by the ring's cutoff."""
-        series = self._cache.get("hilbert")
-        if series is None:
-            basis = self._basis(0)
-            while not basis.complete():
-                d = basis._todo[0][0]
-                if d > self.cutoff:
-                    raise CutoffExceeded(
-                        f"Groebner basis not complete by ring cutoff {self.cutoff}"
-                    )
-                basis.grow(d)
-            numerator = _hilbert_numerator(basis.leads, basis.weights)
-            series = self._cache["hilbert"] = (numerator, basis.weights)
-        return series
+        N(q) / prod_w (1 - q^w) in every degree, from a basis grown until
+        it is complete; CutoffExceeded when it is not complete by the
+        ring's cutoff."""
+        basis = self._basis(0)
+        if not basis.settle(self.cutoff):
+            raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {self.cutoff}")
+        return basis.numerator(), basis.weights
 
     def render(self) -> str:
         vs = ", ".join(f"{v.name}({v.degree})" for v in self.vars)
@@ -665,46 +648,24 @@ class QuotientRing:
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(
-    row: dict[int, int | Fraction], pivots: Mapping[int, Mapping[int, int | Fraction]]
-) -> dict[int, int | Fraction]:
-    """Reduce a positional row in place against pivot tails; returns it.
-
-    A heap holds the row's pivot positions, least first.  A pivot's tail
-    holds only positions above it, so a popped position never returns; a
-    stale heap entry (already cancelled) is skipped.
-    """
-    heap = [q for q in row if q in pivots]
-    if not heap:
-        return row
-    heapq.heapify(heap)
-    while heap:
-        p = heapq.heappop(heap)
+def insert_pivot_row(
+    row: dict[int, int | Fraction], pivots: dict[int, dict[int, int | Fraction]]
+) -> None:
+    """Reduce a positional row (consumed) against the pivots in one
+    ascending pass: a pivot's tail holds only positions above it, so no
+    step fills a position already passed.  A nonzero remainder becomes the
+    pivot at its least position, scaled to 1, stored as its tail with
+    canonical coefficients."""
+    for p in sorted(pivots):
         c = row.pop(p, None)
         if c is None:
             continue
         for q, t in pivots[p].items():
-            s = row.get(q)
-            if s is None:
-                row[q] = -c * t
-                if q in pivots:
-                    heapq.heappush(heap, q)
+            s = row.get(q, 0) - c * t
+            if s:
+                row[q] = s
             else:
-                s -= c * t
-                if s:
-                    row[q] = s
-                else:
-                    del row[q]
-    return row
-
-
-def insert_pivot_row(
-    row: dict[int, int | Fraction], pivots: dict[int, dict[int, int | Fraction]]
-) -> None:
-    """Reduce a positional row against the pivots; a nonzero remainder
-    becomes the pivot at its least position, scaled to 1, stored as its
-    tail with canonical coefficients."""
-    row = _eliminate(row, pivots)
+                row.pop(q, None)
     if not row:
         return
     piv = min(row)
@@ -739,9 +700,15 @@ class _Basis:
     is divisible by no earlier lead; for the same reason the leads stay
     minimal.  Pairs with coprime leads are never queued (Buchberger's first
     criterion).
+
+    ``settle(cap)`` grows it until nothing waits at or below the exact
+    ``top_degree`` of the quotient by the leads, or until the next waiting
+    degree lies past cap.
     """
 
-    __slots__ = ("vars", "weights", "leads", "tails", "_at", "_by_name", "_todo", "_seq")
+    __slots__ = (
+        "vars", "weights", "leads", "tails", "_at", "_by_name", "_todo", "_seq", "_numerator"
+    )
 
     def __init__(self, ring: QuotientRing):
         self.vars = ring.vars
@@ -752,6 +719,7 @@ class _Basis:
         self._by_name = sorted(range(len(ring.vars)), key=lambda i: ring.vars[i].name)
         self._todo: list[tuple[int, int, object]] = []
         self._seq = 0
+        self._numerator: QLaurent | None = None
         for g in ring.ideal_gens:
             terms = {self.exps(m): c for m, c in g.terms.items()}
             self._push(g.homogeneous_degree(), terms)
@@ -781,22 +749,42 @@ class _Basis:
 
     def complete(self) -> bool:
         """No waiting generator or pair can add a lead: the heap is empty,
-        or all of it lies above ``top_degree``, where every monomial is
-        divisible by a lead and so every remainder is zero."""
+        or all of it lies above ``top_degree``.  The leads so far are
+        leading monomials of the ideal, so every monomial above that degree
+        is divisible by one and every remainder there is zero."""
         return not self._todo or self._todo[0][0] > self.top_degree()
 
+    def settle(self, cap: int) -> bool:
+        """Grow one pending degree at a time until the basis is complete or
+        the next pending degree lies past cap; True when complete."""
+        while not self.complete():
+            d = self._todo[0][0]
+            if d > cap:
+                return False
+            self.grow(d)
+        return True
+
+    def numerator(self) -> QLaurent:
+        """The Hilbert numerator of the leads, kept until a lead is added."""
+        if self._numerator is None:
+            self._numerator = _hilbert_numerator(self.leads, self.weights)
+        return self._numerator
+
     def top_degree(self) -> int | float:
-        """A degree above which the quotient is zero: when the leads hold a
-        power x_i^a_i of every variable, no monomial of degree above
-        sum_i (a_i - 1) deg x_i is standard.  Infinite otherwise."""
-        powers: dict[int, int] = {}
+        """The top degree of the quotient by the leads, exactly: when the
+        leads hold a pure power of every variable that quotient is finite,
+        its series N(q) / prod_w (1 - q^w) is a polynomial of degree
+        deg N - sum_w w, and the zero ring (N = 0) gives -1.  Infinite
+        otherwise.  Once the basis is complete this is the ring's top."""
+        pure: set[int] = set()
         for m in self.leads:
             support = [i for i, e in enumerate(m) if e]
-            if len(support) == 1:
-                powers[support[0]] = m[support[0]]
-        if len(powers) < len(self.weights):
+            if len(support) < 2:
+                pure.update(support or range(len(m)))
+        if len(pure) < len(self.weights):
             return float("inf")
-        return sum((powers[i] - 1) * w for i, w in enumerate(self.weights))
+        numerator = self.numerator()
+        return numerator.max_exp() - sum(self.weights) if numerator else -1
 
     def grow(self, top: int) -> None:
         todo = self._todo
@@ -817,6 +805,7 @@ class _Basis:
                 self._push(_exps_degree(lcm, self.weights), (i, k))
         self.leads.append(lead)
         self.tails.append({m: _coeff(c * inv) for m, c in p.items()})
+        self._numerator = None
 
     def _s_poly(self, i: int, j: int) -> dict[Exps, int | Fraction]:
         """lcm/lead_i * g_i - lcm/lead_j * g_j; the leads cancel."""

@@ -88,6 +88,13 @@ class TestHomology:
         with pytest.raises(NotClosed):
             homology(mf)
 
+    def test_zero_ring_has_no_homology(self) -> None:
+        # Q[x,y]/(1): the top degree is -1, so every cutoff covers it
+        base = QuotientRing((GradedVar("x", 2), GradedVar("y", 2)), (Poly.const(1),))
+        mf = KoszulMF(base, (), 0, 0, 4).expand()
+        for cutoff in (0, 1, 2, 40, None):
+            assert homology(mf, cutoff=cutoff) == {}
+
     def test_order_independence_on_closed_corpus(self) -> None:
         rng = random.Random(83)
         usable = 0
@@ -303,6 +310,12 @@ class TestVerifyRelation:
             assert self.REPORT_KEYS <= set(report)
             assert report["relation"] == name
             assert report["reduction_log_ref"] == "inline:reduction_log"
+
+    def test_circle_passes_when_its_exact_top_fits_the_cutoff(self) -> None:
+        # circle (4,7): the base's top degree is 24, so cutoff 30 suffices;
+        # a pure-power bound on the leads and a window of the largest
+        # variable degree above the top both ran past 30
+        assert verify_relation("circle_jacobi", (4, 7), cutoff=30)["verdict"] == "PASS"
 
     def test_wide_square_records_parity_agreement(self) -> None:
         report = verify_relation("square_wide", (2, 3))

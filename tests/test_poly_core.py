@@ -23,7 +23,8 @@ from moymf import (
     divided_difference_values,
     poincare_regular_quotient,
 )
-from moymf.poly_core import insert_pivot_row
+from moymf.poly_core import insert_pivot_row, pure_power
+from moymf.qseries import _expand
 
 X = GradedVar("x", 2)
 Y = GradedVar("y", 2)
@@ -148,6 +149,13 @@ class TestMonomialKernel:
         # the image of z (degree 4) brings in an x of degree 4 beside x
         with pytest.raises(ValueError, match="conflicting gradings"):
             (Poly.variable(X) * Poly.variable(Z)).substitute({Z: x4})
+
+    def test_pure_power(self) -> None:
+        v, w = Poly.variable(X), Poly.variable(Y)
+        # v^2 also divides v^2*w, so v^2 is no pure power of the sum
+        assert pure_power(3 * v**2 + v**2 * w, X) is None
+        assert pure_power(2 * v**3 + v * w, X) == (3, 2)
+        assert pure_power(w**2 + 5, X) is None
 
     @given(polys(), polys(), substitutions())
     def test_monomials_stay_canonical(self, p: Poly, q: Poly, sigma: dict) -> None:
@@ -438,6 +446,43 @@ class TestGroebnerSeries:
         # pairs of x^2*y^2 (degree 10) cannot add a lead and are not needed
         finite = QuotientRing((X, Y), (x**3, y**3, x**2 * y**2), cutoff=8)
         assert dict(finite.dimension_series(20).coeffs) == {0: 1, 2: 2, 4: 3, 6: 2}
+        # leads x*y, y^3 and x^4: the sum of (a_i - 1) deg x_i over the pure
+        # powers is 10, and the pair of x*y and x^4 waits at degree 10, past
+        # the cutoff, but the quotient stops at degree 6
+        finite = QuotientRing((X, Y), (x**3 - y**3, x * y), cutoff=8)
+        num, weights = finite.hilbert_series()
+        assert dict(_expand(num, weights, 40).coeffs) == {0: 1, 2: 2, 4: 2, 6: 1}
+
+    def test_top_degree_against_the_oracle(self) -> None:
+        # Artinian: pure powers of x, y and z plus random generators, which
+        # push the top below the pure-power estimate.  Not Artinian: every
+        # generator is a multiple of x, so no power of y is in the ideal.
+        rng = random.Random(2031)
+        syms = {v: sympy.Symbol(v.name) for v in VARS}
+        weights = [v.degree for v in VARS]
+        for trial in range(12):
+            artinian = trial < 8
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                monos = oracles.weighted_monomials(weights, rng.choice((4, 6)))
+                g = Poly.zero()
+                for exps in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
+                    g = g + _mono(exps, rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
+                gens.append(g if artinian else g * Poly.variable(X))
+            if artinian:
+                powers = (rng.randint(2, 3), rng.randint(2, 3), rng.randint(1, 2))
+                gens += [_mono(tuple(e if k == i else 0 for k in range(3)), 1)
+                         for i, e in enumerate(powers)]
+            ring = QuotientRing(VARS, tuple(g for g in gens if g))
+            ring.hilbert_series()
+            top = ring._basis(0).top_degree()
+            if not artinian:
+                assert top == float("inf"), gens
+                continue
+            want = oracles.weighted_quotient_dims(
+                weights, [_sym(g, syms) for g in ring.ideal_gens], list(syms.values()), 14
+            )
+            assert top == max(d for d, n in want.items() if n), gens
 
 
 class TestGroebnerNormalForms:
@@ -524,6 +569,33 @@ class TestMacaulayKernel:
             for g in gens:
                 for exps in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0)):
                     assert not ring.normal_form(_mono(exps, 1) * g)
+
+    def test_pivot_ranks_against_sympy(self) -> None:
+        # the rank kernel of ``homology``: random sparse Fraction rows, some
+        # of them combinations of earlier rows so that reductions cancel
+        rng = random.Random(2033)
+        for _ in range(40):
+            width = rng.randint(1, 9)
+            rows: list[list[Fraction]] = []
+            for _ in range(rng.randint(1, 10)):
+                if len(rows) > 1 and rng.random() < 0.3:
+                    a, b = rng.sample(rows, 2)
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    rows.append([p + c * q for p, q in zip(a, b)])
+                else:
+                    rows.append([
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                        if rng.random() < 0.35 else Fraction(0)
+                        for _ in range(width)
+                    ])
+            pivots: dict = {}
+            for row in rows:
+                insert_pivot_row({k: c for k, c in enumerate(row) if c}, pivots)
+            want = sympy.Matrix(
+                [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+            ).rank()
+            assert len(pivots) == want, rows
+            assert all(q > p for p, tail in pivots.items() for q in tail)
 
     def test_zero_run_shorter_than_vmax_does_not_stop(self) -> None:
         # Q[x(2), y(6)] / <x^2, x*y> is zero in degrees 3, 4 and 5, but y
