@@ -125,7 +125,7 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
 
     @cache
     def rank_at(k: int, d: int) -> int:
-        if not dims[k].coeff(d):
+        if not mats[k].entries or not dims[k].coeff(d):
             return 0
         return _map_rank(mf, mats[k], mods[k], mods[1 - k], d)
 

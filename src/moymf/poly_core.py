@@ -2,21 +2,20 @@
 
 Representation
 --------------
-A variable is a ``GradedVar`` (name, even degree >= 2).  A monomial is a
-tuple of ``(GradedVar, exponent)`` pairs, sorted by variable name, with all
-exponents positive; the empty tuple is the monomial 1.  A ``Poly`` maps
-monomials to nonzero ``int | Fraction`` coefficients in canonical form: an
-``int`` when the value is integral, a ``Fraction`` only when its
-denominator exceeds 1.  Integer arithmetic is far cheaper than
-``Fraction`` arithmetic, and most coefficients here are integers.  All
-arithmetic is exact; no floating point appears anywhere in this package,
-and a ``float`` coefficient raises TypeError.
-
-Two monomials multiply by one merge of their name-sorted pairs, so a
-product is canonical without re-sorting.  Substitution splits each
-monomial into a kept part and a substituted part, builds the image of each
-distinct substituted part once, and adds that image, shifted by the kept
-part and scaled by the coefficient, into a single accumulator.
+A variable is a ``GradedVar`` (name, even degree >= 2).  A ``Mono`` is a
+tuple of ``(GradedVar, exponent)`` pairs sorted by name, exponents
+positive, and () is 1.  A ``Poly`` keys each monomial by one packed int
+(Monagan and Pearce, CASC 2007; Bachmann and Schoenemann, ISSAC 1998): a
+process-wide registry gives each variable an index on first use, and the
+key holds 16-bit fields, field 0 the weighted degree and field i + 1 the
+exponent of variable i, each with its top bit a guard.  A product of
+monomials is the sum of their keys.  A degree, and so an exponent, above
+``_FIELD`` = 32767 raises OverflowError; no key wraps.  ``Poly({Mono: c})``
+and ``coefficient`` pack their input, ``Poly.terms`` is a view converted
+back on each access, and a pickled ``Poly`` carries ``Mono`` terms, as keys
+mean nothing in another process.  Coefficients are exact: an ``int`` when
+integral, a ``Fraction`` only when its denominator exceeds 1; a ``float``
+raises TypeError.
 
 A quotient ring by a homogeneous ideal answers normal forms, dimensions,
 standard monomials and dimension series from one homogeneous Groebner
@@ -38,7 +37,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import reduce
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .qseries import QLaurent, _expand
 
@@ -66,8 +66,9 @@ class CutoffExceeded(RuntimeError):
 class GradedVar:
     """A polynomial variable carrying a positive even Z-grading.
 
-    The hash is the one the dataclass would generate, computed once: every
-    monomial lookup hashes its variables.
+    The hash is the one the dataclass would generate, computed once.  A
+    string hash differs between processes, so pickling rebuilds the
+    variable rather than restoring that hash.
     """
 
     name: str
@@ -80,6 +81,9 @@ class GradedVar:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return GradedVar, (self.name, self.degree)
 
 
 # Monomial: ((var, exp), ...) sorted by var name, exps > 0.  () is 1.
@@ -108,59 +112,68 @@ def _check_cutoff(cutoff: int | None) -> None:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(v.degree * e for v, e in m)
+# -- packed monomial keys ------------------------------------------------------
+
+_BITS = 16  # bits per field
+_FIELD = (1 << (_BITS - 1)) - 1  # the largest degree; a field's top bit is a guard
+_degree = _FIELD.__and__  # the degree of a key
+_VARS: list[GradedVar] = []  # registered variables: index i holds field i + 1
+_UNITS: dict[GradedVar, int] = {}  # variable -> its own key
+_CONFLICTS: list[tuple[int, int, str]] = []  # field masks of two variables of one name
 
 
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Product of two monomials: one merge of their name-sorted pairs."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out: list[tuple[GradedVar, int]] = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        p1, p2 = m1[i], m2[j]
-        a, b = p1[0].name, p2[0].name
-        if a < b:
-            out.append(p1)
-            i += 1
-        elif b < a:
-            out.append(p2)
-            j += 1
-        else:
-            if p1[0].degree != p2[0].degree:
-                # same name with two different degrees would split a variable
-                raise ValueError(f"conflicting gradings for variable {a}")
-            out.append((p1[0], p1[1] + p2[1]))
-            i += 1
-            j += 1
-    if i < n1:
-        out.extend(m1[i:])
-    elif j < n2:
-        out.extend(m2[j:])
-    return tuple(out)
+def _unit(v: GradedVar) -> int:
+    """The key of v, registering v in the next field on first use."""
+    u = _UNITS.get(v)
+    if u is None:
+        shift = _BITS * (len(_VARS) + 1)
+        _CONFLICTS.extend((_FIELD << _BITS * (i + 1), _FIELD << shift, v.name)
+                          for i, w in enumerate(_VARS) if w.name == v.name)
+        _VARS.append(v)
+        u = _UNITS[v] = (1 << shift) + v.degree
+    return u
 
 
-def _mono_from_dict(d: Mapping[GradedVar, int]) -> Mono:
-    items = tuple(sorted(((v, e) for v, e in d.items() if e), key=lambda p: p[0].name))
-    # same name with two different degrees would silently split a variable
-    for (a, _), (b, _) in zip(items, items[1:]):
-        if a.name == b.name:
-            raise ValueError(f"conflicting gradings for variable {a.name}")
-    return items
+def _check_gradings(keys: Iterable[int]) -> None:
+    """ValueError when a key holds two variables of one name."""
+    for a, b, name in _CONFLICTS:
+        if any(k & a and k & b for k in keys):
+            raise ValueError(f"conflicting gradings for variable {name}")
+
+
+def _pack(m: Mono) -> int:
+    """The key of a Mono, registering its variables."""
+    if any(e < 0 for _, e in m):
+        raise ValueError(f"negative exponent in {m}")
+    if sum(v.degree * e for v, e in m) > _FIELD:
+        raise OverflowError(f"degree of {m} exceeds the packed limit {_FIELD}")
+    k = sum(e * _unit(v) for v, e in m)
+    if _CONFLICTS:
+        _check_gradings((k,))
+    return k
+
+
+def _unpack(k: int) -> Mono:
+    """The Mono of a key: its (variable, exponent) pairs in name order.
+    Each step takes the highest nonzero field, so zero fields cost nothing."""
+    pairs = []
+    while k > _FIELD:
+        i = (k.bit_length() - 1) // _BITS
+        e = k >> _BITS * i
+        pairs.append((_VARS[i - 1], e))
+        k -= e << _BITS * i
+    return tuple(sorted(pairs, key=lambda p: p[0].name))
 
 
 def pure_power(p: Poly, v: GradedVar) -> tuple[int, int | Fraction] | None:
     """(k, c) when p = c*v^k + rest, with k the top exponent of v in p and
     no monomial of rest divisible by v^k; None otherwise.  As k is the top
-    exponent, v^k divides a monomial exactly when it holds the pair (v, k)."""
+    exponent, v^k divides a monomial exactly when its exponent of v is k."""
     k = p.max_exponent(v)
-    pure: Mono = ((v, k),)
-    c = p.coefficient(pure)
-    if not c or any(m != pure and pure[0] in m for m in p.terms):
+    u = _UNITS[v]
+    s, pure = u.bit_length() - 1, k * u
+    c = p._terms.get(pure) if k else 0
+    if not c or any(m != pure and (m >> s) & _FIELD == k for m in p._terms):
         return None
     return k, c
 
@@ -169,7 +182,7 @@ def mono_key(m: Mono) -> tuple:
     """Graded lexicographic sort key: total degree, then name-wise exponents.
     It orders printed terms and ``QuotientRing.monomials``; it is not a
     monomial order, and no normal form depends on it."""
-    return (mono_degree(m), tuple((v.name, e) for v, e in m))
+    return (sum(v.degree * e for v, e in m), tuple((v.name, e) for v, e in m))
 
 
 class Poly:
@@ -178,14 +191,16 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
-        clean: dict[Mono, int | Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    clean[m] = c
-        self._terms: dict[Mono, int | Fraction] = clean
+        sums: dict[int, int | Fraction] = {}
+        for m, c in (terms or {}).items():
+            k = _pack(m)
+            sums[k] = sums.get(k, 0) + _coeff(c)
+        self._terms: dict[int, int | Fraction] = _canonical(sums)
         self._hash: int | None = None
+
+    def __reduce__(self):
+        # keys are indices into this process's registry: carry Mono terms
+        return Poly, (self.terms,)
 
     # -- constructors -------------------------------------------------
 
@@ -196,17 +211,18 @@ class Poly:
     @staticmethod
     def const(c: int | Fraction) -> "Poly":
         c = _coeff(c)
-        return _from_clean({(): c}) if c else _POLY_ZERO
+        return _from_clean({0: c}) if c else _POLY_ZERO
 
     @staticmethod
     def variable(v: GradedVar) -> "Poly":
-        return _from_clean({((v, 1),): 1})
+        return _from_clean({_unit(v): 1})
 
     # -- inspection ----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Mono, int | Fraction]:
-        return self._terms
+    def terms(self) -> dict[Mono, int | Fraction]:
+        """The terms with ``Mono`` keys, converted on each access."""
+        return {_unpack(m): c for m, c in self._terms.items()}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -215,35 +231,30 @@ class Poly:
         return len(self._terms)
 
     def coefficient(self, m: Mono) -> int | Fraction:
-        return self._terms.get(m, 0)
+        return self._terms.get(_pack(m), 0)
 
     def variables(self) -> frozenset[GradedVar]:
-        return frozenset(v for m in self._terms for v, _ in m)
+        return frozenset(v for v, _ in _unpack(reduce(int.__or__, self._terms, 0)))
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self._terms}
-        return len(degs) <= 1
+        return len(set(map(_degree, self._terms))) <= 1
 
     def homogeneous_degree(self) -> int:
         """Degree of a nonzero homogeneous polynomial; raises otherwise."""
-        degs = {mono_degree(m) for m in self._terms}
+        degs = set(map(_degree, self._terms))
         if len(degs) != 1:
             raise DegreeMismatch(f"not nonzero-homogeneous: {self}")
         return degs.pop()
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
-        parts: dict[int, dict[Mono, int | Fraction]] = {}
+        parts: dict[int, dict[int, int | Fraction]] = {}
         for m, c in self._terms.items():
-            parts.setdefault(mono_degree(m), {})[m] = c
+            parts.setdefault(_degree(m), {})[m] = c
         return {d: _from_clean(t) for d, t in sorted(parts.items())}
 
     def max_exponent(self, v: GradedVar) -> int:
-        best = 0
-        for m in self._terms:
-            for w, e in m:
-                if w == v and e > best:
-                    best = e
-        return best
+        s = _unit(v).bit_length() - 1
+        return max(((m >> s) & _FIELD for m in self._terms), default=0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -264,10 +275,14 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            _accumulate(out, m, c)
-        return _from_clean(out)
+        a, b = self._terms, other._terms
+        if len(a) < len(b):  # copy the larger operand, add the smaller into it
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for m, c in b.items():
+            out[m] = get(m, 0) + c
+        return _from_clean(_canonical(out))
 
     __radd__ = __add__
 
@@ -284,38 +299,51 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _coeff(other)
-            if not c:
-                return _POLY_ZERO
-            return _from_clean({m: _coeff(k * c) for m, k in self._terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not self._terms or not other._terms:
-            return _POLY_ZERO
+            return _from_clean({m: _coeff(k * c) for m, k in self._terms.items() if c})
         # keep the outer loop on the smaller operand
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Mono, int | Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                _accumulate(out, mono_mul(m1, m2), c1 * c2)
-        return _from_clean(out)
+        if not a:
+            return _POLY_ZERO
+        # the fields of valid keys never carry into their neighbours, and no
+        # exponent exceeds the degree, so only the degree field can overflow
+        if max(map(_degree, a)) + max(map(_degree, b)) > _FIELD:
+            raise OverflowError(f"product degree exceeds the packed limit {_FIELD}")
+        if len(a) == 1:
+            # a monomial times a polynomial: the keys stay distinct
+            [(m1, c1)] = a.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            b_items = b.items()
+            for m1, c1 in a.items():
+                for m2, c2 in b_items:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+        if _CONFLICTS:
+            _check_gradings(out)
+        return _from_clean(_canonical(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return _POLY_ONE if result is None else result
 
     # -- substitution and calculus --------------------------------------
 
@@ -330,34 +358,38 @@ class Poly:
                 )
             if not img.is_homogeneous():
                 raise DegreeMismatch(f"image of {v.name} is inhomogeneous")
-        # A monomial is its kept part times its substituted part.  The image
-        # of each distinct substituted part is built once, from cached
+        # A key is its kept part plus its substituted part.  The image of
+        # each distinct substituted part is built once, from cached
         # per-variable powers, then shifted by the kept part into ``out``.
-        powers: dict[tuple[GradedVar, int], Poly] = {}
-        images: dict[Mono, Mapping[Mono, int | Fraction]] = {}
-        out: dict[Mono, int | Fraction] = {}
+        subs = [(_unit(v), img) for v, img in sigma.items()]
+        mask = sum(_FIELD << (u.bit_length() - 1) for u, _ in subs)
+        powers: dict[tuple[int, int], Poly] = {}
+        # substituted part -> (its key with its degree, its image)
+        images: dict[int, tuple[int, dict[int, int | Fraction]]] = {0: (0, {0: 1})}
+        out: dict[int, int | Fraction] = {}
+        get = out.get
         for m, c in self._terms.items():
-            kept: list[tuple[GradedVar, int]] = []
-            part: list[tuple[GradedVar, int]] = []
-            for ve in m:
-                (part if ve[0] in sigma else kept).append(ve)
-            if not part:
-                _accumulate(out, m, c)
-                continue
-            part_key = tuple(part)
-            image = images.get(part_key)
-            if image is None:
-                prod = _POLY_ONE
-                for ve in part:
-                    got = powers.get(ve)
-                    if got is None:
-                        got = powers[ve] = sigma[ve[0]] ** ve[1]
-                    prod = prod * got
-                image = images[part_key] = prod.terms
-            shift = tuple(kept)
+            part = m & mask
+            got = images.get(part)
+            if got is None:
+                full, prod = 0, None
+                for u, img in subs:
+                    e = (part >> (u.bit_length() - 1)) & _FIELD
+                    if e:
+                        full += e * u
+                        power = powers.get((u, e))
+                        if power is None:
+                            power = powers[(u, e)] = img**e
+                        prod = power if prod is None else prod * power
+                got = images[part] = (full, prod._terms)
+            full, image = got
+            kept = m - full
             for mi, ci in image.items():
-                _accumulate(out, mono_mul(shift, mi), c * ci)
-        return _from_clean(out)
+                mi += kept
+                out[mi] = get(mi, 0) + c * ci
+        if _CONFLICTS:
+            _check_gradings(out)
+        return _from_clean(_canonical(out))
 
     def evaluate(self, point: Mapping[GradedVar, int | Fraction]) -> Fraction:
         """Evaluate at a rational point; every variable must be assigned.
@@ -365,32 +397,29 @@ class Poly:
         total = Fraction(0)
         for m, c in self._terms.items():
             val = c
-            for v, e in m:
+            for v, e in _unpack(m):
                 val *= Fraction(point[v]) ** e
             total += val
         return total
 
     def differentiate(self, v: GradedVar) -> "Poly":
-        out: dict[Mono, int | Fraction] = {}
+        u = _unit(v)
+        s = u.bit_length() - 1
+        out: dict[int, int | Fraction] = {}
         for m, c in self._terms.items():
-            d = dict(m)
-            e = d.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            _accumulate(out, _mono_from_dict(d), c * e)
+            e = (m >> s) & _FIELD
+            if e:
+                out[m - u] = _coeff(c * e)
         return _from_clean(out)
 
     def coefficients_in(self, v: GradedVar) -> dict[int, "Poly"]:
         """Write self as sum_k c_k * v^k; returns {k: c_k} with c_k free of v."""
-        buckets: dict[int, dict[Mono, int | Fraction]] = {}
+        u = _unit(v)
+        s = u.bit_length() - 1
+        buckets: dict[int, dict[int, int | Fraction]] = {}
         for m, c in self._terms.items():
-            d = dict(m)
-            k = d.pop(v, 0)
-            buckets.setdefault(k, {})[_mono_from_dict(d)] = c
+            k = (m >> s) & _FIELD
+            buckets.setdefault(k, {})[m - k * u] = c
         return {k: _from_clean(t) for k, t in sorted(buckets.items())}
 
     # -- rendering -------------------------------------------------------
@@ -400,8 +429,9 @@ class Poly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for m in sorted(self._terms, key=mono_key):
-            c = self._terms[m]
+        terms = self.terms
+        for m in sorted(terms, key=mono_key):
+            c = terms[m]
             body = "*".join(
                 v.name if e == 1 else f"{v.name}^{e}" for v, e in m
             )
@@ -430,7 +460,7 @@ def _coerce(x: "Poly | int | Fraction") -> Poly:
     return NotImplemented  # type: ignore[return-value]
 
 
-def _from_clean(terms: dict[Mono, int | Fraction]) -> Poly:
+def _from_clean(terms: dict[int, int | Fraction]) -> Poly:
     """A Poly over terms already canonical (see ``_coeff``), no zeros."""
     p = Poly.__new__(Poly)
     p._terms = terms
@@ -438,18 +468,14 @@ def _from_clean(terms: dict[Mono, int | Fraction]) -> Poly:
     return p
 
 
-def _accumulate(out: dict[Mono, int | Fraction], m: Mono, c: int | Fraction) -> None:
-    """out[m] += c, dropping the monomial when it cancels.  A Fraction c or
-    sum is brought to canonical form; int + int needs no check."""
-    s = out.get(m)
-    if s is not None:
-        c += s
-        if not c:
-            del out[m]
-            return
-    if type(c) is Fraction and c.denominator == 1:
-        c = c.numerator
-    out[m] = c
+def _canonical(sums: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    """Sums of canonical coefficients made canonical terms: zero sums
+    dropped, integral Fractions made ints."""
+    if Fraction in set(map(type, sums.values())):
+        return {m: _coeff(c) for m, c in sums.items() if c}
+    if 0 in sums.values():
+        return {m: c for m, c in sums.items() if c}
+    return sums
 
 
 _POLY_ZERO = Poly()
@@ -471,24 +497,20 @@ def divided_difference_values(f: Poly, z: GradedVar, a: Poly, b: Poly) -> Poly:
     """(f[z -> a] - f[z -> b]) / (a - b) for homogeneous a, b of deg z.
 
     Exact by construction: writing f = sum_k c_k z^k, the result is
-    sum_k c_k * sum_{p+q=k-1} a^p b^q.  Returns 0 when f is free of z.
+    sum_k c_k * h_(k-1)(a, b), with h_m = sum_{p+q=m} a^p b^q built by
+    h_m = a * h_(m-1) + b^m.  Returns 0 when f is free of z.
     """
     for img in (a, b):
         if img and img.homogeneous_degree() != z.degree:
             raise DegreeMismatch("slot image degree mismatch")
-    out = Poly.zero()
-    a_pows = [Poly.const(1)]
-    b_pows = [Poly.const(1)]
-    for k, c_k in f.coefficients_in(z).items():
-        if k == 0 or not c_k:
-            continue
-        while len(a_pows) < k:
-            a_pows.append(a_pows[-1] * a)
-            b_pows.append(b_pows[-1] * b)
-        geom = Poly.zero()
-        for p in range(k):
-            geom = geom + a_pows[p] * b_pows[k - 1 - p]
-        out = out + c_k * geom
+    coeffs = f.coefficients_in(z)
+    out = geom = _POLY_ZERO
+    b_pow = _POLY_ONE
+    for k in range(1, max(coeffs, default=0) + 1):
+        geom = geom * a + b_pow
+        if k in coeffs:
+            out = out + coeffs[k] * geom
+        b_pow = b_pow * b
     return out
 
 
@@ -526,6 +548,10 @@ class QuotientRing:
             if not g.variables() <= known:
                 raise ValueError("ideal generator uses a variable not in the ring")
 
+    def __reduce__(self):
+        # the cached basis holds packed keys of this process: leave it out
+        return QuotientRing, (self.vars, self.ideal_gens, self.cutoff)
+
     # -- construction helpers -------------------------------------------
 
     def with_generator(self, g: Poly) -> "QuotientRing":
@@ -544,7 +570,7 @@ class QuotientRing:
 
     def _enumerate(self, d: int, i: int, acc: dict[GradedVar, int]) -> Iterator[Mono]:
         if d == 0:
-            yield _mono_from_dict(acc)
+            yield tuple(sorted(acc.items(), key=lambda p: p[0].name))
             return
         if i >= len(self.vars):
             return
@@ -574,21 +600,21 @@ class QuotientRing:
         """
         if not p or not self.ideal_gens:
             return p
-        top = max(map(mono_degree, p.terms))
+        top = max(map(_degree, p._terms))
         if top > self.cutoff:
             raise CutoffExceeded(f"degree {top} beyond ring cutoff {self.cutoff}")
         basis = self._basis(top)
-        out: dict[Mono, int | Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         inside: dict[Exps, int | Fraction] = {}
-        for m, c in p.terms.items():
+        for m, c in p._terms.items():
             e = basis.exps(m)
             if e is None:
                 out[m] = c
             else:
                 inside[e] = c
         for e, c in basis._reduce(inside).items():
-            out[basis.mono(e)] = c
-        return Poly(out)
+            out[basis.mono(e)] = _coeff(c)
+        return _from_clean(out)
 
     def dimension(self, d: int) -> int:
         """dim_Q of the degree-d piece of the quotient."""
@@ -605,7 +631,7 @@ class QuotientRing:
         cache = self._cache.setdefault("standard", {})
         if d not in cache:
             basis = self._basis(d)
-            cache[d] = tuple(m for m in monos if not basis.divides(basis.exps(m)))
+            cache[d] = tuple(m for m in monos if not basis.divides(basis.exps(_pack(m))))
         return cache[d]
 
     def dimension_series(self, cutoff: int):
@@ -707,36 +733,34 @@ class _Basis:
     """
 
     __slots__ = (
-        "vars", "weights", "leads", "tails", "_at", "_by_name", "_todo", "_seq", "_numerator"
+        "weights", "leads", "tails", "_units", "_shifts", "_foreign", "_todo", "_seq",
+        "_numerator",
     )
 
     def __init__(self, ring: QuotientRing):
-        self.vars = ring.vars
         self.weights = tuple(v.degree for v in ring.vars)
         self.leads: list[Exps] = []
         self.tails: list[dict[Exps, int | Fraction]] = []
-        self._at = {v: i for i, v in enumerate(ring.vars)}
-        self._by_name = sorted(range(len(ring.vars)), key=lambda i: ring.vars[i].name)
+        self._units = tuple(map(_unit, ring.vars))
+        self._shifts = tuple(u.bit_length() - 1 for u in self._units)
+        # every bit of a key outside the degree and the ring's fields
+        self._foreign = ~sum(_FIELD << s for s in self._shifts) & ~_FIELD
         self._todo: list[tuple[int, int, object]] = []
         self._seq = 0
         self._numerator: QLaurent | None = None
         for g in ring.ideal_gens:
-            terms = {self.exps(m): c for m, c in g.terms.items()}
+            terms = {self.exps(m): c for m, c in g._terms.items()}
             self._push(g.homogeneous_degree(), terms)
 
-    def exps(self, m: Mono) -> Exps | None:
-        """The exponent tuple of m, or None when m has a foreign variable."""
-        e = [0] * len(self.weights)
-        at = self._at
-        for v, k in m:
-            i = at.get(v)
-            if i is None:
-                return None
-            e[i] = k
-        return tuple(e)
+    def exps(self, m: int) -> Exps | None:
+        """The exponent tuple of a packed key, or None when it has a
+        variable outside the ring; ``mono`` is the inverse."""
+        if m & self._foreign:
+            return None
+        return tuple([(m >> s) & _FIELD for s in self._shifts])
 
-    def mono(self, e: Exps) -> Mono:
-        return tuple((self.vars[i], e[i]) for i in self._by_name if e[i])
+    def mono(self, e: Exps) -> int:
+        return sum(map(int.__mul__, e, self._units))
 
     def divides(self, m: Exps) -> bool:
         """Some lead divides m."""
@@ -815,8 +839,9 @@ class _Basis:
         for lead, tail, sign in ((li, self.tails[i], 1), (lj, self.tails[j], -1)):
             shift = [a - b for a, b in zip(lcm, lead)]
             for m, c in tail.items():
-                _accumulate(out, tuple(map(int.__add__, m, shift)), sign * c)
-        return out
+                m = tuple(map(int.__add__, m, shift))
+                out[m] = out.get(m, 0) + sign * c
+        return {m: c for m, c in out.items() if c}
 
     def _reduce(self, p: dict[Exps, int | Fraction]) -> dict[Exps, int | Fraction]:
         """The remainder of p (consumed) on division by the basis: every

@@ -366,7 +366,7 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
         raise RegularityUnverified(
             f"row {row} entry not verified regular; pass force to absorb anyway"
         )
-    lead = gen.terms[max(gen.terms, key=mono_key)]
+    lead = max(gen.terms.items(), key=lambda t: mono_key(t[0]))[1]
     new_base = k.base.with_generator(gen * _inverse(lead))
     rows = _rebased_rows(k, new_base, row, None, f"while absorbing row {row}")
     z2 = k.z2_shift

@@ -10,6 +10,7 @@ replays the reduction with a seeded exclusion order.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from moymf import (
     Diagram,
@@ -74,6 +75,18 @@ def random_koszul(rng: random.Random, potential_degree: int = 8) -> KoszulMF:
         b = random_homogeneous(rng, variables, potential_degree - da)
         rows.append((a, b))
     return KoszulMF(base, tuple(rows), 0, 0, potential_degree)
+
+
+def pickle_samples() -> tuple[Poly, QuotientRing, KoszulMF]:
+    """A Poly, a QuotientRing whose Groebner basis has grown, and a compiled
+    KoszulMF whose potential is cached, built alike in every process."""
+    _, _, k = random_compiled(random.Random(17), closed=False)
+    k.potential()
+    x, y = (Poly.variable(v) for v in k.base.vars[:2])
+    ring = QuotientRing(k.base.vars[:2], (x**3 - 2 * y**3, x * y * y))
+    ring.dimension_series(12)
+    poly = k.potential() * Fraction(-3, 4) + x**4 * y - 5
+    return poly, ring, k
 
 
 class _Edge:

@@ -95,6 +95,22 @@ class TestHomology:
         for cutoff in (0, 1, 2, 40, None):
             assert homology(mf, cutoff=cutoff) == {}
 
+    def test_empty_differentials_are_not_ranked(self, monkeypatch) -> None:
+        # every row absorbed, or none at all: both differentials are empty,
+        # so their ranks are 0 without enumerating a degree
+        circles = [_reduced(src).current for src in (CIRCLE12, CIRCLE23)]
+        assert [k.row_count for k in circles] == [0, 0]
+        x = GradedVar("x", 2)
+        row_free = KoszulMF(QuotientRing((x,), (Poly.variable(x) ** 3,)), (), 0, 0, 6)
+
+        def refuse(*args):
+            raise AssertionError("an empty differential was ranked")
+
+        monkeypatch.setattr(analysis, "_map_rank", refuse)
+        assert homology(circles[0].expand()) == {(-1, 1): 1, (1, 1): 1}
+        assert homology(circles[1].expand()) == {(-2, 0): 1, (0, 0): 1, (2, 0): 1}
+        assert homology(row_free.expand()) == {(0, 0): 1, (2, 0): 1, (4, 0): 1}
+
     def test_order_independence_on_closed_corpus(self) -> None:
         rng = random.Random(83)
         usable = 0

@@ -4,14 +4,21 @@ monomial counting."""
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import oracles
 from moymf import (
     CutoffExceeded,
@@ -23,7 +30,8 @@ from moymf import (
     divided_difference_values,
     poincare_regular_quotient,
 )
-from moymf.poly_core import insert_pivot_row, pure_power
+from moymf import poly_core
+from moymf.poly_core import _pack, insert_pivot_row, pure_power
 from moymf.qseries import _expand
 
 X = GradedVar("x", 2)
@@ -226,7 +234,7 @@ class TestCoefficients:
         # one value, one rendering and one hash, whichever type stores it
         three = Poly.const(3)
         raw = Poly.__new__(Poly)
-        raw._terms, raw._hash = {(): Fraction(3)}, None
+        raw._terms, raw._hash = {_pack(()): Fraction(3)}, None
         assert three == raw and hash(three) == hash(raw)
         assert three.render() == raw.render() == "3"
 
@@ -641,3 +649,143 @@ class TestMacaulayKernel:
         got = ring.normal_form(inside + foreign)
         assert got == ring.normal_form(inside) + foreign
         assert ring.normal_form(inside) == _mono((2, 0, 0), -2) + _mono((1, 0, 0), 1)
+
+
+# Packed only after a run of fillers, so their exponents sit in high fields
+# of the key, far above those of X, Y and Z.
+LATE = (GradedVar("late_u", 2), GradedVar("late_w", 4))
+SYMS = {v: sympy.Symbol(v.name) for v in VARS + LATE}
+
+
+def _mixed_vars() -> tuple[GradedVar, ...]:
+    for i in range(120):
+        Poly.variable(GradedVar(f"filler{i}", 2))
+    return (X, Z) + LATE
+
+
+@st.composite
+def mixed_polys(draw) -> Poly:
+    p = Poly.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Poly.const(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+        for v in _mixed_vars():
+            term = term * Poly.variable(v) ** draw(st.integers(0, 3))
+        p = p + term
+    return p
+
+
+@st.composite
+def mixed_substitutions(draw) -> dict:
+    """Homogeneous images, of each replaced variable's degree, over the
+    mixed variables, for one to three of them at once."""
+    vs = _mixed_vars()
+    sigma = {}
+    for v in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3, unique=True)):
+        img = Poly.zero()
+        for m in QuotientRing(vs).monomials(v.degree):
+            img = img + Poly({m: draw(st.integers(-2, 2))})
+        sigma[v] = img
+    return sigma
+
+
+# Run in a fresh interpreter: register the variables of the samples in
+# another order, load the pickled samples, and compare them with samples
+# rebuilt there.
+_CHILD = """
+import pickle, sys
+import corpus
+from moymf import GradedVar, Poly, poly_core
+names, keys, blob = pickle.loads(sys.stdin.buffer.read())
+for i in range(7):
+    Poly.variable(GradedVar(f"filler{i}", 2))
+for name, degree in names:
+    Poly.variable(GradedVar(name, degree))
+assert any(poly_core._unit(GradedVar(*nd)) != keys[nd] for nd in names)
+poly, ring, mf = pickle.loads(blob)
+rebuilt = corpus.pickle_samples()
+assert (poly, ring, mf) == rebuilt
+assert hash(poly) == hash(rebuilt[0])
+assert ring.normal_form(poly) == rebuilt[1].normal_form(rebuilt[0])
+assert ring.dimension_series(12) == rebuilt[1].dimension_series(12)
+assert mf.potential() == rebuilt[2].potential()
+print("ok")
+"""
+
+
+class TestPackedKeys:
+    """Monomials packed into one int: overflow, copies across processes,
+    and arithmetic against sympy."""
+
+    def test_overflow_raises_and_never_wraps(self) -> None:
+        x, z = Poly.variable(X), Poly.variable(Z)
+        top = x**16383  # degree 32766: the largest even degree a key holds
+        assert top.terms == {((X, 16383),): 1}
+        assert (x**8000 * x**8383).terms == {((X, 16383),): 1}
+        with pytest.raises(OverflowError):
+            x**16384
+        with pytest.raises(OverflowError):
+            top * x
+        with pytest.raises(OverflowError):
+            top * (x + 1)
+        with pytest.raises(OverflowError):
+            z**4096 * z**4096
+        with pytest.raises(OverflowError):
+            Poly({((X, 16384),): 1})
+        with pytest.raises(ValueError):
+            Poly({((X, -1),): 1})
+
+    def test_pickle_loads_in_a_process_that_packs_in_another_order(self) -> None:
+        samples = corpus.pickle_samples()
+        poly, ring, mf = samples
+        found = poly.variables() | set(ring.vars) | set(mf.base.vars)
+        names = sorted(((v.name, v.degree) for v in found), reverse=True)
+        keys = {(v.name, v.degree): poly_core._unit(v) for v in found}
+        root = Path(__file__).resolve().parent
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="random",
+            PYTHONPATH=os.pathsep.join([str(root.parent / "src"), str(root)]),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD],
+            input=pickle.dumps((names, keys, pickle.dumps(samples))),
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout.decode().strip() == "ok"
+
+    def test_deepcopy_round_trips(self) -> None:
+        samples = corpus.pickle_samples()
+        poly, ring, mf = copied = copy.deepcopy(samples)
+        assert copied == samples
+        assert ring.normal_form(poly) == samples[1].normal_form(samples[0])
+        assert mf.potential() == samples[2].potential()
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_polys(), mixed_polys(), st.integers(0, 3), mixed_substitutions())
+    def test_arithmetic_against_sympy(self, p: Poly, q: Poly, n: int, sigma: dict) -> None:
+        assert all(poly_core._unit(v).bit_length() > 120 * 16 for v in LATE)
+        sp = _sym(p, SYMS)
+        product, power, moved = p * q, p**n, p.substitute(sigma)
+        assert sympy.expand(_sym(product, SYMS) - sp * _sym(q, SYMS)) == 0
+        assert sympy.expand(_sym(power, SYMS) - sp**n) == 0
+        images = {SYMS[v]: _sym(img, SYMS) for v, img in sigma.items()}
+        want = sp.subs(images, simultaneous=True)
+        assert sympy.expand(_sym(moved, SYMS) - want) == 0
+        results = [product, power, moved]
+        for v in _mixed_vars():
+            sv = SYMS[v]
+            derivative = p.differentiate(v)
+            assert sympy.expand(_sym(derivative, SYMS) - sympy.diff(sp, sv)) == 0
+            parts = p.coefficients_in(v)
+            results += [derivative, *parts.values()]
+            assert all(c and v not in c.variables() for c in parts.values())
+            got = {k: sympy.expand(_sym(c, SYMS)) for k, c in parts.items()}
+            flat = sympy.expand(sp)
+            degree = sympy.degree(flat, sv) if flat != 0 else -1
+            want_parts = {k: flat.coeff(sv, k) for k in range(degree + 1)}
+            assert got == {k: c for k, c in want_parts.items() if c != 0}
+        # every key, degree field included, is the one its terms pack to
+        assert all(Poly(r.terms) == r for r in results)
