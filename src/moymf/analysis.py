@@ -20,8 +20,9 @@ from functools import cache, partial
 from .poly_core import (
     CutoffExceeded,
     Poly,
-    QuotientRing,
+    _Basis,
     _check_cutoff,
+    _from_clean,
     insert_pivot_row,
 )
 from .qseries import (
@@ -62,12 +63,9 @@ class Irreducible(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _degree_basis(base: QuotientRing, module: GradedFreeModule, d: int):
-    out = []
-    for i, s in enumerate(module.generator_shifts):
-        for mono in base.standard_monomials(d - s):
-            out.append((i, mono))
-    return out
+def _degree_basis(basis: _Basis, module: GradedFreeModule, d: int) -> list[tuple[int, int]]:
+    """(generator, monomial key) pairs spanning internal degree d."""
+    return [(i, m) for i, s in enumerate(module.generator_shifts) for m in basis.standard(d - s)]
 
 
 def _map_rank(
@@ -75,22 +73,18 @@ def _map_rank(
 ) -> int:
     """Rank of a differential restricted to internal degree d of src."""
     base = mf.base
-    dom = _degree_basis(base, src, d)
-    if not dom:
-        return 0
-    cod = _degree_basis(base, dst, d + mf.map_degree)
-    index = {key: pos for pos, key in enumerate(cod)}
+    basis = base._basis(0)
+    index = {key: pos for pos, key in enumerate(_degree_basis(basis, dst, d + mf.map_degree))}
     by_col: dict[int, list[tuple[int, Poly]]] = {}
     for (r, c), p in mat.entries.items():
         by_col.setdefault(c, []).append((r, p))
     pivots: dict[int, dict[int, int | Fraction]] = {}
-    for i, mono in dom:
+    for i, m in _degree_basis(basis, src, d):
         vec: dict[int, int | Fraction] = {}
-        mp = Poly({mono: 1})
         for r, entry in by_col.get(i, ()):
-            img = base.normal_form(entry * mp)
-            for mono2, coeff in img.terms.items():
-                pos = index[(r, mono2)]
+            img = base.normal_form(entry * _from_clean({m: 1}))
+            for m2, coeff in img._terms.items():
+                pos = index[(r, m2)]
                 vec[pos] = vec.get(pos, 0) + coeff
         insert_pivot_row({k: v for k, v in vec.items() if v}, pivots)
     return len(pivots)
@@ -99,11 +93,12 @@ def _map_rank(
 def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[int, int], int]:
     """Dimensions of homology per (grading, parity index).
 
-    Requires potential 0 and a finite-dimensional base.  The cutoff bounds
-    the work, not the answer: the base's Groebner basis grows no further
-    than degree cutoff (at most the base's own cutoff, which is also the
-    default), and unless it is complete by then with the quotient's top
-    degree at most cutoff, CutoffExceeded is raised.  Per degree,
+    Requires potential 0 and a finite-dimensional base.  The cutoff (at
+    most the base's own cutoff, which is also the default) bounds the
+    answer: CutoffExceeded unless the base's Groebner basis completes
+    within ``QuotientRing.cutoff``, the only bound on the work, and the
+    quotient's top degree is at most the cutoff.  So the answer does not
+    depend on how far an earlier call grew the basis.  Per degree,
     dim H = dim ker - dim im from exact ranks of the two differentials.
     A negative cutoff raises ValueError.
     """
@@ -112,10 +107,11 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
     cutoff = base.cutoff if cutoff is None else min(cutoff, base.cutoff)
     if base.normal_form(mf.potential):
         raise NotClosed("homology requires potential 0")
-    basis = base._basis(0)
-    if not basis.settle(cutoff) or basis.top_degree() > cutoff:
-        raise CutoffExceeded(f"base Groebner basis not complete and finite by degree {cutoff}")
-    series = base.dimension_series(cutoff)
+    num, weights = base.hilbert_series()
+    top = base._basis(0).top_degree()
+    if top > cutoff:
+        raise CutoffExceeded(f"base quotient's top degree {top} exceeds the cutoff {cutoff}")
+    series = _expand(num, weights, top)
 
     mods = (mf.m0, mf.m1)
     mats = (mf.d0, mf.d1)
@@ -149,9 +145,10 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
 
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     """Euler characteristic of a closed diagram through the engine pipeline.
-    The cutoff bounds the homology work (see ``homology``): CutoffExceeded
-    unless the reduced base is complete and finite by it.  A negative
-    cutoff raises ValueError."""
+    The cutoff bounds the homology's top degree (see ``homology``):
+    CutoffExceeded unless the reduced base's basis is complete by the ring's
+    cutoff and its quotient finite with top degree at most the cutoff.  A
+    negative cutoff raises ValueError."""
     _check_cutoff(cutoff)
     if not d.closed:
         raise NotClosed("Euler characteristic requires a closed diagram")
@@ -684,7 +681,7 @@ def _verify_counter_bubble(i1: int, i2: int, n: int, cutoff: int) -> dict:
         for q in range(1, min(j - 1, i2) + 1):
             if not 1 <= j - q <= i1:
                 continue
-            session.row_op(j - 1, j - q - 1, Poly.variable(loop.var(q)), "first_col")
+            session.row_op(j - 1, j - q - 1, loop.poly(q), "first_col")
     bout = Alphabet(i1, "bout")
     bin_ = Alphabet(i1, "bin")
     session.replace_first_sequence(
@@ -850,8 +847,9 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
 
     The engine side compiles, reduces, expands, and takes the unsigned
     Euler characteristic of the homology; the oracle side never touches a
-    matrix.  Closed diagrams only.  The cutoff bounds the engine's work, as
-    in ``euler_of_diagram``; a negative cutoff raises ValueError.
+    matrix.  Closed diagrams only.  The cutoff bounds the top degree of
+    the engine's homology, as in ``euler_of_diagram``; a negative cutoff
+    raises ValueError.
     """
     engine = euler_of_diagram(d, cutoff=cutoff)
     oracle = moy_bracket(d)

@@ -45,7 +45,7 @@ __all__ = ["CUTOFF_ENV", "main"]
 
 CUTOFF_ENV = "MOYMF_CUTOFF"
 # what --cutoff means to euler and crosscheck, which take homology
-_WORK_BOUND = "bound on the work: the base's Groebner basis must be complete and finite by it"
+_WORK_BOUND = "bound on the answer: the homology's top degree must not exceed it"
 
 _LEVEL_LINE = re.compile(r"^(\s*level\s+n\s+)(\d+)[ \t]*$", re.MULTILINE)
 

@@ -66,7 +66,8 @@ class DiagramSyntaxError(SyntaxError):
 
 
 class ColorConstraintViolation(ValueError):
-    """A vertex whose edge colors do not satisfy i1 + i2 = i3 <= n."""
+    """A vertex whose edge colors do not satisfy i1 + i2 = i3.  (A color
+    above the level n is refused on its edge first.)"""
 
     def __init__(self, vertex: str, message: str):
         super().__init__(f"vertex {vertex}: {message}")
@@ -351,10 +352,6 @@ def _validate(
         if i1 + i2 != i3:
             raise ColorConstraintViolation(
                 v.id, f"colors {i1} + {i2} != {i3}"
-            )
-        if i3 > level and not allow_high_colors:
-            raise ColorConstraintViolation(
-                v.id, f"merged color {i3} exceeds level {level}"
             )
 
     # boundary labels: once = boundary, twice (head+tail) = glued

@@ -125,10 +125,6 @@ class GradedFreeModule:
     def shifted(self, n: int) -> "GradedFreeModule":
         return GradedFreeModule(self.base, tuple(s + n for s in self.generator_shifts))
 
-    def dimension_series(self, cutoff: int) -> QLaurent:
-        """Graded dimension over Q through degree cutoff."""
-        return _free_series(self.base, (poly_factor(self.generator_shifts),), cutoff)[0]
-
 
 def _free_series(
     base: QuotientRing, shifts: Sequence[QLaurent], cutoff: int
@@ -192,7 +188,10 @@ class MatrixFactorization:
 
 def merge_bases(b1: QuotientRing, b2: QuotientRing) -> QuotientRing:
     """Union of variables and ideal generators; shared names must agree.
-    b1's variables come first in b1's order, then b2's new ones in theirs."""
+    b1's variables come first in b1's order, then b2's new ones in theirs.
+    Equal rings merge to b1 itself, so its Groebner basis is shared."""
+    if b1 == b2:
+        return b1
     by_name: dict[str, GradedVar] = {v.name: v for v in b1.vars}
     for v in b2.vars:
         old = by_name.get(v.name)

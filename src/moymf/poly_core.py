@@ -38,7 +38,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .qseries import QLaurent, _expand
 
@@ -561,30 +561,15 @@ class QuotientRing:
 
     def monomials(self, d: int) -> tuple[Mono, ...]:
         """All monomials of total degree d, graded-lex ordered."""
-        if d > self.cutoff:
-            raise CutoffExceeded(f"degree {d} beyond ring cutoff {self.cutoff}")
-        cache = self._cache.setdefault("monos", {})
-        if d not in cache:
-            cache[d] = tuple(sorted(self._enumerate(d, 0, {}), key=mono_key))
-        return cache[d]
-
-    def _enumerate(self, d: int, i: int, acc: dict[GradedVar, int]) -> Iterator[Mono]:
-        if d == 0:
-            yield tuple(sorted(acc.items(), key=lambda p: p[0].name))
-            return
-        if i >= len(self.vars):
-            return
-        v = self.vars[i]
-        for e in range(d // v.degree, -1, -1):
-            if e:
-                acc[v] = e
-            yield from self._enumerate(d - e * v.degree, i + 1, acc)
-            acc.pop(v, None)
+        return tuple(sorted(map(_unpack, self._basis(d).keys(d, ())), key=mono_key))
 
     # -- the Groebner basis kernel -------------------------------------------
 
     def _basis(self, top: int) -> "_Basis":
-        """The ring's Groebner basis, grown through degree top."""
+        """The ring's Groebner basis, grown through degree top; a degree
+        above the ring's cutoff raises CutoffExceeded."""
+        if top > self.cutoff:
+            raise CutoffExceeded(f"degree {top} beyond ring cutoff {self.cutoff}")
         basis = self._cache.get("basis")
         if basis is None:
             basis = self._cache["basis"] = _Basis(self)
@@ -600,10 +585,7 @@ class QuotientRing:
         """
         if not p or not self.ideal_gens:
             return p
-        top = max(map(_degree, p._terms))
-        if top > self.cutoff:
-            raise CutoffExceeded(f"degree {top} beyond ring cutoff {self.cutoff}")
-        basis = self._basis(top)
+        basis = self._basis(max(map(_degree, p._terms)))
         out: dict[int, int | Fraction] = {}
         inside: dict[Exps, int | Fraction] = {}
         for m, c in p._terms.items():
@@ -618,21 +600,12 @@ class QuotientRing:
 
     def dimension(self, d: int) -> int:
         """dim_Q of the degree-d piece of the quotient."""
-        if d < 0:
-            return 0
-        return len(self.standard_monomials(d))
+        return len(self._basis(d).standard(d)) if d >= 0 else 0
 
     def standard_monomials(self, d: int) -> tuple[Mono, ...]:
         """The degree-d monomials that no lead of the Groebner basis
         divides, graded-lex ordered: a basis of the degree-d piece."""
-        monos = self.monomials(d)
-        if not self.ideal_gens:
-            return monos
-        cache = self._cache.setdefault("standard", {})
-        if d not in cache:
-            basis = self._basis(d)
-            cache[d] = tuple(m for m in monos if not basis.divides(basis.exps(_pack(m))))
-        return cache[d]
+        return tuple(sorted(map(_unpack, self._basis(d).standard(d)), key=mono_key))
 
     def dimension_series(self, cutoff: int):
         """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff.
@@ -653,12 +626,15 @@ class QuotientRing:
 
     def hilbert_series(self) -> tuple[QLaurent, tuple[int, ...]]:
         """(N, weights) with sum_d dim_Q(degree-d piece) q^d equal to
-        N(q) / prod_w (1 - q^w) in every degree, from a basis grown until
-        it is complete; CutoffExceeded when it is not complete by the
-        ring's cutoff."""
+        N(q) / prod_w (1 - q^w) in every degree, from a basis grown one
+        pending degree at a time until it is complete; CutoffExceeded when
+        the next pending degree lies past the ring's cutoff first."""
         basis = self._basis(0)
-        if not basis.settle(self.cutoff):
-            raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {self.cutoff}")
+        while not basis.complete():
+            d = basis._todo[0][0]
+            if d > self.cutoff:
+                raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {self.cutoff}")
+            basis.grow(d)
         return basis.numerator(), basis.weights
 
     def render(self) -> str:
@@ -727,14 +703,14 @@ class _Basis:
     minimal.  Pairs with coprime leads are never queued (Buchberger's first
     criterion).
 
-    ``settle(cap)`` grows it until nothing waits at or below the exact
-    ``top_degree`` of the quotient by the leads, or until the next waiting
-    degree lies past cap.
+    It is complete once nothing waits at or below the exact ``top_degree``
+    of the quotient by the leads.  ``standard(d)`` lists the degree-d
+    standard monomials as packed keys.
     """
 
     __slots__ = (
         "weights", "leads", "tails", "_units", "_shifts", "_foreign", "_todo", "_seq",
-        "_numerator",
+        "_numerator", "_standard",
     )
 
     def __init__(self, ring: QuotientRing):
@@ -748,6 +724,7 @@ class _Basis:
         self._todo: list[tuple[int, int, object]] = []
         self._seq = 0
         self._numerator: QLaurent | None = None
+        self._standard: dict[int, list[int]] = {}
         for g in ring.ideal_gens:
             terms = {self.exps(m): c for m, c in g._terms.items()}
             self._push(g.homogeneous_degree(), terms)
@@ -762,9 +739,37 @@ class _Basis:
     def mono(self, e: Exps) -> int:
         return sum(map(int.__mul__, e, self._units))
 
-    def divides(self, m: Exps) -> bool:
-        """Some lead divides m."""
-        return any(all(map(int.__ge__, m, lead)) for lead in self.leads)
+    def keys(self, d: int, leads: Sequence[Exps]) -> list[int]:
+        """The keys of the degree-d monomials that no one of leads divides.
+        Variables take their exponents in ring order, and a prefix that a
+        lead divides is cut, as every completion of it is divisible too."""
+        out: list[int] = []
+        acc = [0] * len(self.weights)
+
+        def walk(i: int, left: int) -> None:
+            if any(all(map(int.__ge__, acc, lead)) for lead in leads):
+                return
+            if i == len(acc):
+                if not left:
+                    out.append(self.mono(acc))
+                return
+            w = self.weights[i]
+            for e in range(left // w, -1, -1):
+                acc[i] = e
+                walk(i + 1, left - e * w)
+            acc[i] = 0
+
+        walk(0, d)
+        return out
+
+    def standard(self, d: int) -> list[int]:
+        """``keys`` of the degree-d standard monomials, kept: the basis
+        grows through d first, and every later lead has a higher degree."""
+        got = self._standard.get(d)
+        if got is None:
+            self.grow(d)
+            got = self._standard[d] = self.keys(d, self.leads)
+        return got
 
     def _push(self, degree: int, item: object) -> None:
         # the sequence number breaks degree ties, so items never compare
@@ -777,16 +782,6 @@ class _Basis:
         leading monomials of the ideal, so every monomial above that degree
         is divisible by one and every remainder there is zero."""
         return not self._todo or self._todo[0][0] > self.top_degree()
-
-    def settle(self, cap: int) -> bool:
-        """Grow one pending degree at a time until the basis is complete or
-        the next pending degree lies past cap; True when complete."""
-        while not self.complete():
-            d = self._todo[0][0]
-            if d > cap:
-                return False
-            self.grow(d)
-        return True
 
     def numerator(self) -> QLaurent:
         """The Hilbert numerator of the leads, kept until a lead is added."""

@@ -159,18 +159,24 @@ def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
     (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1); both share one
     denominator, so their numerators decide.  "unverified" for an entry
     zero in base, or a basis not complete by the ring cutoff."""
-    seq = [base.normal_form(p) for p in seq]
-    if any(not p for p in seq):
-        return "unverified"
-    extended = QuotientRing(base.vars, base.ideal_gens + tuple(seq), base.cutoff)
+    return _gate(base, seq)[0]
+
+
+def _gate(base: QuotientRing, seq: Sequence[Poly]) -> tuple[str, QuotientRing]:
+    """The ``regularity_heuristic`` verdict and the ring base + (seq) it
+    decides on, with the nonzero entries of seq as given for its new
+    generators; once verified, that ring's basis is complete."""
+    extended = QuotientRing(base.vars, base.ideal_gens + tuple(filter(None, seq)), base.cutoff)
+    if not all(base.normal_form(p) for p in seq):
+        return "unverified", extended
     try:
         predicted, _ = base.hilbert_series()
         actual, _ = extended.hilbert_series()
     except CutoffExceeded:
-        return "unverified"
+        return "unverified", extended
     for p in seq:
         predicted = predicted - predicted.shift(p.homogeneous_degree())
-    return "verified" if actual == predicted else "unverified"
+    return ("verified" if actual == predicted else "unverified"), extended
 
 
 def _replace_column(
@@ -362,12 +368,12 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
     if a and b:
         raise ConditionUnmet(f"row {row} has no zero side")
     gen = a if a else b
-    if regularity_heuristic(k.base, [gen]) != "verified" and not force:
+    lead = max(gen.terms.items(), key=lambda t: mono_key(t[0]))[1]
+    verdict, new_base = _gate(k.base, [gen * _inverse(lead)])
+    if verdict != "verified" and not force:
         raise RegularityUnverified(
             f"row {row} entry not verified regular; pass force to absorb anyway"
         )
-    lead = max(gen.terms.items(), key=lambda t: mono_key(t[0]))[1]
-    new_base = k.base.with_generator(gen * _inverse(lead))
     rows = _rebased_rows(k, new_base, row, None, f"while absorbing row {row}")
     z2 = k.z2_shift
     shift = k.global_grading_shift

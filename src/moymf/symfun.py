@@ -48,7 +48,9 @@ class IndexOutOfRange(IndexError):
 
 @dataclass(frozen=True, order=True)
 class Alphabet:
-    """i graded variables x_{1,k}..x_{i,k} with deg x_{j,k} = 2j."""
+    """i graded variables x_{1,k}..x_{i,k} with deg x_{j,k} = 2j, and
+    their polynomials, built once as attributes that are not fields: only
+    the color and the label are compared, hashed, printed and pickled."""
 
     color: int
     label: str
@@ -58,18 +60,20 @@ class Alphabet:
             raise ValueError(f"alphabet color must be >= 1: {self!r}")
         if not self.label or any(c.isspace() for c in self.label):
             raise ValueError(f"alphabet label must be nonempty, no spaces: {self!r}")
+        vs = tuple(GradedVar(f"x{j}_{self.label}", 2 * j) for j in range(1, self.color + 1))
+        object.__setattr__(self, "vars", vs)
+        object.__setattr__(self, "_polys", {v: Poly.variable(v) for v in vs})
+
+    def __reduce__(self):
+        return Alphabet, (self.color, self.label)
 
     def var(self, j: int) -> GradedVar:
         if not 1 <= j <= self.color:
             raise IndexOutOfRange(f"slot {j} outside 1..{self.color}")
-        return GradedVar(f"x{j}_{self.label}", 2 * j)
+        return self.vars[j - 1]
 
     def poly(self, j: int) -> Poly:
-        return Poly.variable(self.var(j))
-
-    @property
-    def vars(self) -> tuple[GradedVar, ...]:
-        return tuple(self.var(j) for j in range(1, self.color + 1))
+        return self._polys[self.var(j)]
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ the relation verifiers."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -110,6 +111,25 @@ class TestHomology:
         assert homology(circles[0].expand()) == {(-1, 1): 1, (1, 1): 1}
         assert homology(circles[1].expand()) == {(-2, 0): 1, (0, 0): 1, (2, 0): 1}
         assert homology(row_free.expand()) == {(0, 0): 1, (2, 0): 1, (4, 0): 1}
+
+    def test_answer_does_not_depend_on_a_settled_basis(self) -> None:
+        # the circle's top degree is 2: cutoff 1 refuses and cutoff 2
+        # answers, whether or not the base's basis was completed first
+        k = _reduced(CIRCLE12).current
+
+        def outcome(settle: bool, cutoff: int):
+            base = QuotientRing(k.base.vars, k.base.ideal_gens, k.base.cutoff)
+            if settle:
+                base.hilbert_series()
+            try:
+                return homology(dataclasses.replace(k, base=base).expand(), cutoff)
+            except CutoffExceeded:
+                return "refused"
+
+        for cutoff in (1, 2, 3):
+            assert outcome(False, cutoff) == outcome(True, cutoff), cutoff
+        assert outcome(False, 1) == "refused"
+        assert outcome(False, 2) == {(-1, 1): 1, (1, 1): 1}
 
     def test_order_independence_on_closed_corpus(self) -> None:
         rng = random.Random(83)
@@ -418,6 +438,22 @@ class TestOracleCrosscheck:
         report = oracle_crosscheck(parse(THETA))
         assert report["verdict"] == "PASS"
         assert report["engine_euler"] == report["oracle_value"]
+
+    def test_theta_through_a_glued_label_agrees(self) -> None:
+        # the color-2 edge runs v2 -> boundary:m -> v1, so the oracle's arc
+        # graph steps through the glued label
+        glued = (
+            "level n 3\n"
+            "edge e2 color 1 from v1 to v2\n"
+            "edge e3 color 1 from v1 to v2\n"
+            "edge e4 color 2 from v2 to boundary:m\n"
+            "edge e5 color 2 from boundary:m to v1\n"
+            "vertex v1 split in e5 out e2 e3\n"
+            "vertex v2 merge in e2 e3 out e4\n"
+        )
+        report = oracle_crosscheck(parse(glued))
+        assert report["verdict"] == "PASS"
+        assert report["engine_euler"] == report["oracle_value"] == "q^-3 + 2*q^-1 + 2*q + q^3"
 
     def test_disjoint_circles_agree(self) -> None:
         union = (

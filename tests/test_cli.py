@@ -249,7 +249,8 @@ class TestQbinomCommand:
 
 class TestCutoffEnvironment:
     def test_env_variable_is_honored(self, circle_file, capsys, monkeypatch) -> None:
-        monkeypatch.setenv(cli.CUTOFF_ENV, "2")
+        # the circle's top degree is 2, so cutoff 1 must refuse
+        monkeypatch.setenv(cli.CUTOFF_ENV, "1")
         assert main(["euler", circle_file, "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 

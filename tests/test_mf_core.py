@@ -16,9 +16,11 @@ from moymf import (
     QLaurent,
     QuotientRing,
     SparseMat,
+    compile_diagram,
     grade_shift,
     koszul_expand,
     merge_bases,
+    parse,
     tensor,
     translate,
     unit_object,
@@ -128,6 +130,13 @@ class TestExpansion:
                 series(-4)
         assert k.graded_series(0) == (QLaurent.one(), QLaurent.zero())
 
+    def test_expansion_keeps_the_base(self) -> None:
+        # the tensor fold merges the base with itself, so the expansion
+        # shares the base ring, and with it its Groebner basis
+        k = compile_diagram(parse("level n 3\nedge e1 color 2 from boundary:p to boundary:q\n"))
+        assert k.row_count == 2
+        assert koszul_expand(k).base is k.base
+
     def test_expand_ranks(self) -> None:
         m = koszul_expand(_simple_koszul())
         assert m.m0.rank == 2 and m.m1.rank == 2
@@ -228,6 +237,12 @@ class TestMergeBases:
         b2 = QuotientRing((GradedVar("x", 4),))
         with pytest.raises(IncompatibleBases):
             merge_bases(b1, b2)
+
+    def test_equal_rings_merge_to_the_first(self) -> None:
+        b1 = QuotientRing((X, Y), (Poly.variable(X) ** 2,))
+        b2 = QuotientRing((X, Y), (Poly.variable(X) ** 2,))
+        assert merge_bases(b1, b2) is b1
+        assert merge_bases(b1, b1) is b1
 
     def test_union_semantics(self) -> None:
         b1 = QuotientRing((X,), (Poly.variable(X) ** 2,))

@@ -34,6 +34,7 @@ from moymf import (
     scalar_twist,
     transpose_row,
 )
+from moymf import poly_core
 from moymf.analysis import _line_src
 
 X = GradedVar("x", 2)
@@ -243,6 +244,24 @@ class TestAbsorption:
         k = KoszulMF(base, ((3 * PX * PX, Poly.zero()),), 0, 0, 8)
         (gen,) = absorb_zero_row(k, 0).base.ideal_gens
         assert gen == PX * PX and type(gen.coefficient(((X, 2),))) is int
+
+    def test_absorption_adopts_the_gate_ring(self, monkeypatch) -> None:
+        # the gate completes the basis of base + (y^2); absorption keeps
+        # that ring, so neither the rebased row nor a later series builds
+        # another basis
+        base = QuotientRing((X, Y), (PX**3,))
+        base.hilbert_series()
+        k = KoszulMF(base, ((3 * PY * PY, Poly.zero()), (PX, PY**3)), 0, 0, 8)
+        built = []
+        init = poly_core._Basis.__init__
+        monkeypatch.setattr(
+            poly_core._Basis, "__init__", lambda b, ring: built.append(ring) or init(b, ring)
+        )
+        new = absorb_zero_row(k, 0)
+        new.base.hilbert_series()
+        assert len(built) == 1 and built[0] is new.base
+        assert new.base.render() == base.with_generator(PY * PY).render()
+        assert new.rows == ((PX, Poly.zero()),)
 
     def test_zero_divisor_is_flagged(self) -> None:
         base = QuotientRing((X, Y), (PX * PY,))

@@ -3,6 +3,8 @@ the row polynomials whose telescoping sums reproduce potentials."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -37,6 +39,20 @@ class TestAlphabet:
             a.var(3)
         with pytest.raises(IndexError):
             a.var(0)
+        with pytest.raises(IndexError):
+            a.poly(3)
+
+    def test_variables_are_built_once_and_stay_invisible(self) -> None:
+        a = Alphabet(3, "a")
+        assert a.var(2) is a.var(2) is a.vars[1]
+        assert a.poly(2) is a.poly(2) and a.poly(2) == Poly.variable(a.var(2))
+        assert repr(a) == "Alphabet(color=3, label='a')"
+        assert a == Alphabet(3, "a") and hash(a) == hash(Alphabet(3, "a"))
+        assert sorted([Alphabet(3, "b"), a, Alphabet(2, "z")]) == [
+            Alphabet(2, "z"), a, Alphabet(3, "b")
+        ]
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert twin == a and twin.vars == a.vars and twin.poly(3) == a.poly(3)
 
 
 class TestPowerSum:
