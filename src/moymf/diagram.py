@@ -108,11 +108,18 @@ class Diagram:
     glued_labels: frozenset[str] = frozenset()
     allow_high_colors: bool = False
 
-    def edge(self, eid: str) -> Edge:
+    def __post_init__(self) -> None:
+        # lookups kept beside the fields, so equality, hashing and repr do
+        # not see them: edges by id (the first of a repeated id) and each
+        # (color, label) alphabet, built on first use
+        by_id: dict[str, Edge] = {}
         for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
+            by_id.setdefault(e.id, e)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_alphabets", {})
+
+    def edge(self, eid: str) -> Edge:
+        return self._by_id[eid]
 
     @property
     def closed(self) -> bool:
@@ -120,16 +127,23 @@ class Diagram:
 
     # -- alphabets ---------------------------------------------------------
 
+    def _alphabet(self, color: int, label: str) -> Alphabet:
+        """The alphabet of a color and a label, one object per diagram."""
+        got = self._alphabets.get((color, label))
+        if got is None:
+            got = self._alphabets[(color, label)] = Alphabet(color, label)
+        return got
+
     def edge_alphabet(self, e: Edge) -> Alphabet:
         """The single alphabet of a vertex-incident edge."""
         for end in (e.tail, e.head):
             if end[0] == "boundary":
-                return Alphabet(e.color, end[1])
-        return Alphabet(e.color, f"i.{e.id}")
+                return self._alphabet(e.color, end[1])
+        return self._alphabet(e.color, f"i.{e.id}")
 
     def boundary_alphabets(self) -> list[tuple[BoundaryPoint, Alphabet]]:
         return [
-            (bp, Alphabet(self.edge(bp.edge).color, bp.label)) for bp in self.boundary
+            (bp, self._alphabet(self.edge(bp.edge).color, bp.label)) for bp in self.boundary
         ]
 
     def external_vars(self) -> frozenset[GradedVar]:
@@ -413,13 +427,6 @@ def _ep(end: tuple[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _line_piece_alphabets(e: Edge) -> tuple[Alphabet, Alphabet] | None:
-    """(head, tail) alphabets when the edge is a standalone line piece."""
-    if e.tail[0] == "boundary" and e.head[0] == "boundary":
-        return Alphabet(e.color, e.head[1]), Alphabet(e.color, e.tail[1])
-    return None
-
-
 def compile_diagram(d: Diagram) -> KoszulMF:
     """Koszul presentation of the diagram.
 
@@ -433,12 +440,11 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     rows: list[tuple[Poly, Poly]] = []
     shift = 0
     vars_: set[GradedVar] = set()
-    by_id = {e.id: e for e in d.edges}
 
     for e in d.edges:
-        pair = _line_piece_alphabets(e)
-        if pair is not None:
-            hd, tl = pair
+        if e.tail[0] == "boundary" and e.head[0] == "boundary":
+            # a standalone line piece: head slot against tail slot
+            hd, tl = d._alphabet(e.color, e.head[1]), d._alphabet(e.color, e.tail[1])
             vars_.update(hd.vars)
             vars_.update(tl.vars)
             for j in range(1, e.color + 1):
@@ -448,18 +454,14 @@ def compile_diagram(d: Diagram) -> KoszulMF:
 
     for v in d.vertices:
         if v.kind == "merge":
-            a = d.edge_alphabet(by_id[v.ins[0]])
-            b = d.edge_alphabet(by_id[v.ins[1]])
-            c = d.edge_alphabet(by_id[v.outs[0]])
+            a, b, c = (d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs)
             vars_.update(a.vars); vars_.update(b.vars); vars_.update(c.vars)
             for j in range(1, c.color + 1):
                 rows.append(
                     (Lambda_poly(j, a, b, c, n), c.poly(j) - product_term(j, a, b))
                 )
         else:
-            c = d.edge_alphabet(by_id[v.ins[0]])
-            a = d.edge_alphabet(by_id[v.outs[0]])
-            b = d.edge_alphabet(by_id[v.outs[1]])
+            c, a, b = (d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs)
             vars_.update(a.vars); vars_.update(b.vars); vars_.update(c.vars)
             for j in range(1, c.color + 1):
                 rows.append(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .poly_core import GradedVar, Poly, QuotientRing, _check_cutoff
+from .poly_core import GradedVar, Poly, QuotientRing, _check_cutoff, _sum
 from .qseries import QLaurent, poly_factor
 
 __all__ = [
@@ -360,7 +360,8 @@ class KoszulMF:
 
     The potential is computed once per instance, on the first
     ``potential()`` call; it is not a field, so equality, hashing, ``repr``
-    and ``as_dict`` do not see whether it has been computed.
+    and ``as_dict`` do not see whether it has been computed.  A row given
+    as a tuple pair is kept as that very tuple.
     """
 
     base: QuotientRing
@@ -372,7 +373,7 @@ class KoszulMF:
     def __post_init__(self) -> None:
         if self.z2_shift not in (0, 1):
             raise ValueError("z2_shift must be 0 or 1")
-        rows = tuple((a, b) for a, b in self.rows)
+        rows = tuple(r if type(r) is tuple else tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         pot_deg = self.potential_degree
         if pot_deg < 0 or pot_deg % 2:
@@ -416,16 +417,25 @@ class KoszulMF:
     def potential(self) -> Poly:
         """Sum of a_m * b_m over the rows, in normal form in the base.
 
-        Kept on the instance after the first call.  ``replace``,
-        ``with_rows`` and ``join`` build new instances, which compute their
-        own.
+        Kept on the instance after the first call, with each row's product
+        a_m * b_m.  ``with_rows`` hands those products to the instance it
+        builds, which reuses a product only for a row that is the very
+        tuple it was computed for and multiplies every other row; the sum
+        over all rows and its normal form are always computed afresh.
+        ``replace`` and ``join`` build instances that multiply every row.
         """
         pot = self.__dict__.get("_potential")
         if pot is None:
-            total = Poly.zero()
-            for a, b in self.rows:
-                total = total + a * b
-            pot = self.base.normal_form(total)
+            # ``rows`` keeps every old row alive through the loop, so a row
+            # of self.rows with an old row's id is that very tuple
+            rows, products = self.__dict__.pop("_handed", ((), ()))
+            kept = {id(row): p for row, p in zip(rows, products)}
+            products = []
+            for row in self.rows:
+                p = kept.get(id(row))
+                products.append(row[0] * row[1] if p is None else p)
+            pot = self.base.normal_form(_sum(products))
+            object.__setattr__(self, "_products", tuple(products))
             object.__setattr__(self, "_potential", pot)
         return pot
 
@@ -440,8 +450,15 @@ class KoszulMF:
     def with_rows(
         self, rows: Sequence[tuple[Poly, Poly]], base: QuotientRing | None = None
     ) -> "KoszulMF":
+        """The same presentation with new rows, and a new base when given.
+        Once this instance's potential is computed, its row products go to
+        the new instance (see ``potential``)."""
         base = self.base if base is None else base
-        return replace(self, rows=tuple(rows), base=base)
+        new = replace(self, rows=tuple(rows), base=base)
+        products = self.__dict__.get("_products")
+        if products is not None:
+            object.__setattr__(new, "_handed", (self.rows, products))
+        return new
 
     def join(self, other: "KoszulMF") -> "KoszulMF":
         """Tensor product in row form: concatenate rows, add shifts."""

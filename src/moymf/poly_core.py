@@ -348,21 +348,25 @@ class Poly:
     # -- substitution and calculus --------------------------------------
 
     def substitute(self, sigma: Mapping[GradedVar, "Poly"]) -> "Poly":
-        """Simultaneous substitution.  Images must be homogeneous of the
-        replaced variable's degree (DegreeMismatch otherwise)."""
+        """Simultaneous substitution.  Each image must be 0 or homogeneous
+        of the replaced variable's degree (DegreeMismatch naming the
+        variable otherwise).  A polynomial that no substituted variable
+        occurs in comes back as itself."""
         for v, img in sigma.items():
-            if img and img.homogeneous_degree() != v.degree:
-                raise DegreeMismatch(
-                    f"image of {v.name} (degree {v.degree}) has degree "
-                    f"{img.homogeneous_degree()}"
-                )
-            if not img.is_homogeneous():
+            degrees = set(map(_degree, img._terms))
+            if len(degrees) > 1:
                 raise DegreeMismatch(f"image of {v.name} is inhomogeneous")
+            if degrees and degrees != {v.degree}:
+                raise DegreeMismatch(
+                    f"image of {v.name} (degree {v.degree}) has degree {degrees.pop()}"
+                )
         # A key is its kept part plus its substituted part.  The image of
         # each distinct substituted part is built once, from cached
         # per-variable powers, then shifted by the kept part into ``out``.
         subs = [(_unit(v), img) for v, img in sigma.items()]
         mask = sum(_FIELD << (u.bit_length() - 1) for u, _ in subs)
+        if not any(m & mask for m in self._terms):
+            return self
         powers: dict[tuple[int, int], Poly] = {}
         # substituted part -> (its key with its degree, its image)
         images: dict[int, tuple[int, dict[int, int | Fraction]]] = {0: (0, {0: 1})}
@@ -478,6 +482,46 @@ def _canonical(sums: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
     return sums
 
 
+def _sum(polys: Iterable[Poly]) -> Poly:
+    """The sum of polys, accumulated in one dict."""
+    out: dict[int, int | Fraction] = {}
+    get = out.get
+    for p in polys:
+        for m, c in p._terms.items():
+            out[m] = get(m, 0) + c
+    return _from_clean(_canonical(out))
+
+
+def _rename(p: Poly, pairs: Mapping[GradedVar, GradedVar]) -> Poly:
+    """p with each variable v of pairs replaced by pairs[v], all at once, in
+    one pass over the terms: the exponent in v's field moves to the field
+    of pairs[v], so degrees must agree (DegreeMismatch otherwise).  Terms
+    whose keys meet are summed; p itself comes back when nothing moves."""
+    present = reduce(int.__or__, p._terms, 0)
+    moves = []
+    for v, w in pairs.items():
+        if v.degree != w.degree:
+            raise DegreeMismatch(
+                f"cannot rename {v.name} (degree {v.degree}) to {w.name} (degree {w.degree})"
+            )
+        s, t = _unit(v).bit_length() - 1, _unit(w).bit_length() - 1
+        if s != t and (present >> s) & _FIELD:
+            moves.append((s, t))
+    if not moves:
+        return p
+    keep = ~sum(_FIELD << s for s, _ in moves)
+    out: dict[int, int | Fraction] = {}
+    get = out.get
+    for m, c in p._terms.items():
+        k = m & keep
+        for s, t in moves:
+            k += ((m >> s) & _FIELD) << t
+        out[k] = get(k, 0) + c
+    if _CONFLICTS:
+        _check_gradings(out)
+    return _from_clean(_canonical(out))
+
+
 _POLY_ZERO = Poly()
 _POLY_ONE = Poly.const(1)
 
@@ -581,7 +625,8 @@ class QuotientRing:
         division by the Groebner basis, grown through the top degree of p.
 
         A monomial with a variable outside the ring passes through
-        unchanged.  A degree above the ring's cutoff raises CutoffExceeded.
+        unchanged, and p itself comes back when no lead divides a term.  A
+        degree above the ring's cutoff raises CutoffExceeded.
         """
         if not p or not self.ideal_gens:
             return p
@@ -594,7 +639,11 @@ class QuotientRing:
                 out[m] = c
             else:
                 inside[e] = c
-        for e, c in basis._reduce(inside).items():
+        # a term no lead divides stays as it is, and a divided one leaves
+        rem = basis._reduce(dict(inside))
+        if rem == inside:
+            return p
+        for e, c in rem.items():
             out[basis.mono(e)] = _coeff(c)
         return _from_clean(out)
 

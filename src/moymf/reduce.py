@@ -258,11 +258,22 @@ def exclusion_candidate(
     k: KoszulMF, row: int, external: frozenset[GradedVar]
 ) -> _Candidate | None:
     """Best admissible (variable, power) for excluding this row, or None."""
+    return _candidate(k, row, external, _generator_vars(k.base))
+
+
+def _generator_vars(base: QuotientRing) -> frozenset[GradedVar]:
+    """The variables of the base's ideal generators."""
+    return frozenset(v for g in base.ideal_gens for v in g.variables())
+
+
+def _candidate(
+    k: KoszulMF, row: int, external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
+) -> _Candidate | None:
+    """``exclusion_candidate`` with the generator variables given."""
     _, b = k.rows[row]
     internal = sorted(
         (v for v in b.variables() if v not in external), key=lambda v: v.name
     )
-    gen_vars = frozenset(v for g in k.base.ideal_gens for v in g.variables())
     best: _Candidate | None = None
     for y in internal:
         power = pure_power(b, y)
@@ -293,18 +304,21 @@ def _rebased_rows(
     context: str,
 ) -> tuple[tuple[Poly, Poly], ...]:
     """The rows of k other than row ``drop``, each substituted by ``sigma``
-    when given and reduced in ``new_base``.  A row that collapses to (0; 0)
-    has no degrees: ConditionUnmet, with ``context`` naming the step."""
+    when given and reduced in ``new_base``; a row whose entries both come
+    back as themselves stays the same tuple.  A row that collapses to
+    (0; 0) has no degrees: ConditionUnmet, with ``context`` naming the
+    step."""
     rows = []
-    for m, (a, b) in enumerate(k.rows):
+    for m, row in enumerate(k.rows):
         if m == drop:
             continue
+        a, b = row
         if sigma:
             a, b = a.substitute(sigma), b.substitute(sigma)
         a, b = new_base.normal_form(a), new_base.normal_form(b)
         if not a and not b:
             raise ConditionUnmet(f"row collapsed to (0; 0) {context}")
-        rows.append((a, b))
+        rows.append(row if a is row[0] and b is row[1] else (a, b))
     return tuple(rows)
 
 
@@ -514,8 +528,9 @@ class ReductionSession:
         removed = 0
         while True:
             best: _Candidate | None = None
+            gen_vars = _generator_vars(self.current.base)
             for m in range(self.current.row_count):
-                cand = exclusion_candidate(self.current, m, self.external)
+                cand = _candidate(self.current, m, self.external, gen_vars)
                 if cand is not None and (best is None or cand.priority < best.priority):
                     best = cand
             if best is None:

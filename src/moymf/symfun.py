@@ -15,6 +15,15 @@ Three families of divided differences populate Koszul rows downstream:
 Their defining property, exercised heavily by the tests, is telescoping:
 summing row-polynomial times slot-difference over all slots reproduces the
 difference of boundary power sums exactly.
+
+A row polynomial depends on its alphabets only through their variables, so
+each is computed once per shape, that is per (family, slot, colors,
+level), on template alphabets and kept (``_template``): the varying
+alphabet takes the anonymous slots x1..xi of ``generic_slots``, already
+registered by ``power_sum_F``, and the others two private template
+alphabets.  A call renames the template's variables onto its own
+alphabets' in one pass over the terms (``poly_core._rename``), which is
+exact for any alphabets, also ones that share variables with a template.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly_core import GradedVar, Poly, divided_difference_values
+from .poly_core import GradedVar, Poly, _rename, divided_difference_values
 
 __all__ = [
     "Alphabet",
@@ -160,6 +169,46 @@ def _mixed_divided_difference(
     return divided_difference_values(g, slots[j - 1], varying_hi, varying_lo)
 
 
+# labels of the two template alphabets besides the anonymous slots
+_TEMPLATE_LABELS = ("tmpl.a", "tmpl.b")
+
+
+@lru_cache(maxsize=None)
+def _template(
+    family: str, j: int, colors: tuple[int, ...], n: int
+) -> tuple[Poly, tuple[GradedVar, ...]]:
+    """The slot-j row polynomial of one shape on template alphabets, and
+    the template variables: the slots x1..xi of the varying alphabet, then
+    those of the template alphabets.
+
+    ``L``: colors (i,), src the slots and dst template alphabet 0.
+    ``Lambda`` and ``V``: colors (color a, color b), c the slots and a, b
+    template alphabets 0 and 1.
+    """
+    i = sum(colors)
+    slots = [Poly.variable(s) for s in generic_slots(i)]
+    alpha = [Alphabet(k, label) for k, label in zip(colors, _TEMPLATE_LABELS)]
+    tvars = generic_slots(i) + tuple(v for t in alpha for v in t.vars)
+    # what slot m of the varying alphabet meets: dst's x_m, or product term m
+    if family == "L":
+        other = [alpha[0].poly(m) for m in range(1, i + 1)]
+    else:
+        other = [product_term(m, *alpha) for m in range(1, i + 1)]
+    if family == "V":
+        below, hi, lo, above = slots[: j - 1], other[j - 1], slots[j - 1], other[j:]
+    else:
+        below, hi, lo, above = other[: j - 1], slots[j - 1], other[j - 1], slots[j:]
+    return _mixed_divided_difference(i, n, j, below, hi, lo, above), tvars
+
+
+def _from_template(family: str, j: int, n: int, *alphabets: Alphabet) -> Poly:
+    """The ``_template`` row renamed onto alphabets, the varying one first,
+    all at once."""
+    colors = alphabets[0:1] if family == "L" else alphabets[1:]
+    row, tvars = _template(family, j, tuple(a.color for a in colors), n)
+    return _rename(row, dict(zip(tvars, [v for a in alphabets for v in a.vars])))
+
+
 def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
     """Line row polynomial: slot j of F_i varying src against dst.
 
@@ -170,9 +219,7 @@ def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
         raise ColorMismatch(f"line needs both alphabets of color {i}")
     if not 1 <= j <= i:
         raise IndexOutOfRange(f"slot {j} outside 1..{i}")
-    below = [dst.poly(m) for m in range(1, j)]
-    above = [src.poly(m) for m in range(j + 1, i + 1)]
-    return _mixed_divided_difference(i, n, j, below, src.poly(j), dst.poly(j), above)
+    return _from_template("L", j, n, src, dst)
 
 
 def _check_vertex(a: Alphabet, b: Alphabet, c: Alphabet, j: int) -> None:
@@ -192,12 +239,7 @@ def Lambda_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     yields F(c) - F(a) - F(b).
     """
     _check_vertex(a, b, c, j)
-    i = c.color
-    below = [product_term(m, a, b) for m in range(1, j)]
-    above = [c.poly(m) for m in range(j + 1, i + 1)]
-    return _mixed_divided_difference(
-        i, n, j, below, c.poly(j), product_term(j, a, b), above
-    )
+    return _from_template("Lambda", j, n, c, a, b)
 
 
 def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
@@ -208,9 +250,4 @@ def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     F(a) + F(b) - F(c).
     """
     _check_vertex(a, b, c, j)
-    i = c.color
-    below = [c.poly(m) for m in range(1, j)]
-    above = [product_term(m, a, b) for m in range(j + 1, i + 1)]
-    return _mixed_divided_difference(
-        i, n, j, below, product_term(j, a, b), c.poly(j), above
-    )
+    return _from_template("V", j, n, c, a, b)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import corpus
+from moymf import diagram, symfun
 from moymf import (
     ColorConstraintViolation,
     DiagramSyntaxError,
@@ -16,6 +17,7 @@ from moymf import (
     parse,
     render,
 )
+from moymf.analysis import _square_wide_src
 
 CIRCLE = "level n 3\nedge e1 color 2 from boundary:a to boundary:a\n"
 LINE = "level n 3\nedge e1 color 2 from boundary:p to boundary:q\n"
@@ -215,6 +217,19 @@ class TestCompile:
         assert k.row_count == 4
         assert k.potential() == Poly.zero()
         assert k.global_grading_shift == -1  # one split of colors 1 and 1
+
+    def test_each_shape_and_alphabet_is_built_once(self, monkeypatch) -> None:
+        # two merges and two splits of colors 1 + 1 = 2: four shapes, eight rows
+        d = parse(_square_wide_src(1, 3))
+        built = []
+        alphabet = diagram.Alphabet
+        monkeypatch.setattr(diagram, "Alphabet", lambda *key: built.append(key) or alphabet(*key))
+        symfun._template.cache_clear()
+        k = compile_diagram(d)
+        assert compile_diagram(d) == k and k.row_count == 8
+        assert symfun._template.cache_info().misses == 4
+        assert len(built) == len(set(built)) == 8  # 4 boundary, 4 internal edges
+        assert d.edge_alphabet(d.edge("rhi")) is d.edge_alphabet(d.edge("rhi"))
 
     def test_potential_matches_the_boundary_on_corpus(self) -> None:
         rng = random.Random(73)

@@ -99,6 +99,31 @@ class TestPotentialMemo:
         # the derived potentials differ, so an inherited value would show
         assert moved >= 30
 
+    def test_with_rows_reuses_products_of_the_same_tuples_only(self, monkeypatch) -> None:
+        k = _simple_koszul()
+        (a, b), second = k.rows
+        assert KoszulMF(k.base, k.rows, 0, 0, 8).rows[1] is second
+        assert KoszulMF(k.base, [[a, b], list(second)], 0, 0, 8) == k
+        k.potential()
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+        # an equal tuple that is another object is multiplied afresh
+        first = k.with_rows(k.rows)
+        second_copy = k.with_rows([(a, b), (second[0], second[1])])
+        counts = []
+        for d in (first, second_copy):
+            d.potential()
+            counts.append(len(products))
+        # products pass on only once the potential is computed
+        third = second_copy.with_rows([(b, a), second_copy.rows[1]])
+        third.potential()
+        counts.append(len(products))
+        derived = (first, second_copy, third)
+        monkeypatch.undo()
+        assert counts == [0, 2, 3]
+        assert all(d.potential() == _row_sum(d) for d in derived)
+
     def test_memo_is_invisible(self) -> None:
         k, fresh = _simple_koszul(), _simple_koszul()
         before = (repr(k), hash(k))

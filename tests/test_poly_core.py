@@ -22,6 +22,7 @@ import corpus
 import oracles
 from moymf import (
     CutoffExceeded,
+    DegreeMismatch,
     GradedVar,
     Poly,
     QLaurent,
@@ -148,6 +149,24 @@ class TestMonomialKernel:
         # several substituted parts, one of them repeated across terms
         q = x * z + y * z + x * x * z
         assert q.substitute({X: y, Z: x * y}) == 2 * x * y * y + x * y**3
+        # a rename onto a variable already present merges, and may cancel
+        assert (x * y - y * y + z).substitute({X: y}) == z
+        # the packed-field rename agrees on a swap and on a merge
+        assert poly_core._rename(p, {X: Y, Y: X}) == p.substitute({X: y, Y: x})
+        assert poly_core._rename(x * y - y * y + z, {X: Y}) == z
+        # no substituted variable occurs: the very same polynomial
+        r = y * z
+        for sigma in ({}, {X: 3 * y}, {X: y}, {X: Poly.zero()}):
+            assert r.substitute(sigma) is r
+
+    def test_bad_images_name_their_variable(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        with pytest.raises(DegreeMismatch, match=r"^image of y is inhomogeneous$"):
+            x.substitute({X: y, Y: x + z})
+        with pytest.raises(DegreeMismatch, match=r"^image of z \(degree 4\) has degree 2$"):
+            z.substitute({Z: 2 * x})
+        with pytest.raises(DegreeMismatch, match="cannot rename x"):
+            poly_core._rename(x, {X: Z})
 
     def test_conflicting_gradings_raise(self) -> None:
         x2 = Poly({((GradedVar("x", 2), 1),): 1})
@@ -527,7 +546,10 @@ class TestGroebnerNormalForms:
             for _ in range(4):
                 f = random_poly((4, 6, 8), 3)
                 _, want = sympy.reduced(_sym(f, syms), list(basis.exprs), *gens_sym, order="grevlex")
-                assert sympy.expand(_sym(ring.normal_form(f), syms) - want) == 0, (gens, f)
+                nf = ring.normal_form(f)
+                assert sympy.expand(_sym(nf, syms) - want) == 0, (gens, f)
+                # no lead divides a term of a normal form: it comes back as itself
+                assert ring.normal_form(nf) is nf
             leads = [sympy.Poly(g, *gens_sym).monoms(order="grevlex")[0] for g in basis.exprs]
             for d in range(0, 11, 2):
                 want_std = {
@@ -688,6 +710,17 @@ def mixed_substitutions(draw) -> dict:
     return sigma
 
 
+@st.composite
+def mixed_renamings(draw) -> dict:
+    """Variable images of the replaced variable's degree, among the mixed
+    variables: onto a variable that stays, into a cycle, or a swap."""
+    vs = _mixed_vars()
+    sigma = {}
+    for v in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3, unique=True)):
+        sigma[v] = Poly.variable(draw(st.sampled_from([w for w in vs if w.degree == v.degree])))
+    return sigma
+
+
 # Run in a fresh interpreter: register the variables of the samples in
 # another order, load the pickled samples, and compare them with samples
 # rebuilt there.
@@ -789,3 +822,15 @@ class TestPackedKeys:
             assert got == {k: c for k, c in want_parts.items() if c != 0}
         # every key, degree field included, is the one its terms pack to
         assert all(Poly(r.terms) == r for r in results)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_polys(), mixed_renamings())
+    def test_renaming_against_sympy(self, p: Poly, sigma: dict) -> None:
+        """Variable-only images, through ``substitute`` and through the
+        packed-field ``_rename``: onto a variable present, cycles, swaps."""
+        pairs = {v: next(iter(img.variables())) for v, img in sigma.items()}
+        images = {SYMS[v]: SYMS[w] for v, w in pairs.items()}
+        want = _sym(p, SYMS).subs(images, simultaneous=True)
+        for moved in (p.substitute(sigma), poly_core._rename(p, pairs)):
+            assert sympy.expand(_sym(moved, SYMS) - want) == 0
+            assert Poly(moved.terms) == moved

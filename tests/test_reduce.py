@@ -35,7 +35,8 @@ from moymf import (
     transpose_row,
 )
 from moymf import poly_core
-from moymf.analysis import _line_src
+from moymf import reduce as reduce_module
+from moymf.analysis import _line_src, _square_wide_src
 
 X = GradedVar("x", 2)
 Y = GradedVar("y", 2)
@@ -472,6 +473,56 @@ class TestPotentialMemo:
         with pytest.raises(PotentialMismatch, match="rigged changed the potential"):
             session._step("rigged", {}, other)
         assert session.current is k and not session.log
+
+
+def _square_session() -> ReductionSession:
+    # its first exclusion (x1_i.lmid) keeps 4 of the 7 rows left
+    d = parse(_square_wide_src(1, 3))
+    return ReductionSession(compile_diagram(d), external=d.external_vars())
+
+
+class TestRowReuse:
+    """A step keeps the rows it does not touch as the same tuples and
+    multiplies only the others, yet still sums every row for its check."""
+
+    def test_untouched_rows_reach_the_next_step_as_themselves(self, monkeypatch) -> None:
+        session = _square_session()
+        old = session.current
+        old.potential()
+        cand = exclusion_candidate(old, 0, session.external)
+        new = exclude_variable(old, cand.row, session.external)
+        kept = [r for r in new.rows if any(r is o for o in old.rows)]
+        assert len(kept) == 4 and new.row_count == 7
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+        pot = new.potential()
+        monkeypatch.undo()
+        assert len(products) == new.row_count - len(kept)
+        fresh = Poly.zero()
+        for a, b in new.rows:
+            fresh = fresh + a * b
+        assert pot == new.base.normal_form(fresh)
+
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_a_corrupted_row_fails_the_check(self, monkeypatch, kept: bool) -> None:
+        session = _square_session()
+        rebased = reduce_module._rebased_rows
+        hit = []
+
+        def corrupt(k, new_base, drop, sigma, context):
+            rows = list(rebased(k, new_base, drop, sigma, context))
+            for m, (a, b) in enumerate(rows):
+                same = any(rows[m] is r for r in k.rows)
+                if not hit and same == kept and new_base.normal_form(a * b):
+                    rows[m] = (2 * a, b)
+                    hit.append(m)
+            return tuple(rows)
+
+        monkeypatch.setattr(reduce_module, "_rebased_rows", corrupt)
+        with pytest.raises(PotentialMismatch, match="exclude_variable changed the potential"):
+            session.exclude_all()
+        assert hit and not session.log
 
 
 class TestSessionContract:

@@ -22,7 +22,8 @@ from moymf import (
     power_sum_in,
     product_term,
 )
-from moymf.symfun import generic_slots
+from moymf import symfun
+from moymf.symfun import _mixed_divided_difference, generic_slots
 
 
 class TestAlphabet:
@@ -167,6 +168,65 @@ class TestTelescoping:
             assert L_poly(j, 2, n, src, dst).homogeneous_degree() == 2 * n + 2 - 2 * j
             assert Lambda_poly(j, a, b, c, n).homogeneous_degree() == 2 * n + 2 - 2 * j
             assert V_poly(j, a, b, c, n).homogeneous_degree() == 2 * n + 2 - 2 * j
+
+
+def _direct(family: str, j: int, n: int, alphabets: tuple[Alphabet, ...]) -> Poly:
+    """A row polynomial by the divided difference on its own alphabets,
+    with no template: ``L`` takes (src, dst), the others (c, a, b)."""
+    if family == "L":
+        src, dst = alphabets
+        i = src.color
+        below = [dst.poly(m) for m in range(1, j)]
+        above = [src.poly(m) for m in range(j + 1, i + 1)]
+        return _mixed_divided_difference(i, n, j, below, src.poly(j), dst.poly(j), above)
+    c, a, b = alphabets
+    i = c.color
+    products = [product_term(m, a, b) for m in range(1, i + 1)]
+    slots = [c.poly(m) for m in range(1, i + 1)]
+    if family == "Lambda":
+        below, hi, lo, above = products[: j - 1], slots[j - 1], products[j - 1], slots[j:]
+    else:
+        below, hi, lo, above = slots[: j - 1], products[j - 1], slots[j - 1], products[j:]
+    return _mixed_divided_difference(i, n, j, below, hi, lo, above)
+
+
+class TestTemplates:
+    """Rows renamed from one template per shape against the direct
+    divided differences, on alphabets that share labels with the
+    templates, swap them, or share one label between two alphabets."""
+
+    def test_every_shape_through_level_six_matches_the_direct_rows(self) -> None:
+        ta, tb = symfun._TEMPLATE_LABELS
+        line_labels = [("s", "d"), ("s", "s"), (ta, "d"), (tb, ta), (ta, ta)]
+        vertex_labels = [("c", "a", "b"), ("c", ta, tb), ("c", tb, ta), (ta, ta, tb)]
+        checked = 0
+        for n in range(1, 7):
+            for i in range(1, n + 1):
+                for src, dst in line_labels:
+                    pair = (Alphabet(i, src), Alphabet(i, dst))
+                    for j in range(1, i + 1):
+                        want = _direct("L", j, n, pair)
+                        assert L_poly(j, i, n, *pair) == want, (j, i, n, src, dst)
+                        checked += 1
+                for ia in range(1, i):
+                    for lc, la, lb in vertex_labels:
+                        c, a, b = Alphabet(i, lc), Alphabet(ia, la), Alphabet(i - ia, lb)
+                        for j in range(1, i + 1):
+                            shape = (j, ia, i - ia, n, lc, la, lb)
+                            merge = _direct("Lambda", j, n, (c, a, b))
+                            assert Lambda_poly(j, a, b, c, n) == merge, shape
+                            assert V_poly(j, a, b, c, n) == _direct("V", j, n, (c, a, b)), shape
+                            checked += 2
+        assert checked == 5 * 56 + 4 * 2 * 140
+
+    def test_a_shape_is_built_once(self) -> None:
+        symfun._template.cache_clear()
+        a, b, c = Alphabet(1, "a"), Alphabet(2, "b"), Alphabet(3, "c")
+        other = Alphabet(1, "z"), Alphabet(2, "y"), Alphabet(3, "x")
+        rows = [Lambda_poly(j, *abc, 4) for abc in ((a, b, c), other) for j in (1, 2, 3)]
+        info = symfun._template.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+        assert rows[:3] != rows[3:]
 
 
 class TestColorChecks:
