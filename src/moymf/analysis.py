@@ -1,4 +1,4 @@
-"""Homology of closed objects, a combinatorial bracket oracle, and replays
+"""Homology of closed objects, a combinatorial bracket oracle, and checks
 of the decomposition relations.
 
 The two pipelines here are deliberately independent: homology plus Euler
@@ -30,7 +30,7 @@ from .qseries import (
 )
 from .mf_core import GradedFreeModule, KoszulMF, MatrixFactorization
 from .reduce import ReductionSession
-from .symfun import Alphabet, L_poly
+from .symfun import L_poly  # noqa: F401 -- kept for bench/tracing.py, which rebinds it here
 from .diagram import Diagram, compile_diagram, parse
 
 __all__ = [
@@ -152,18 +152,20 @@ def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     _check_cutoff(cutoff)
     if not d.closed:
         raise NotClosed("Euler characteristic requires a closed diagram")
-    return _reduced_euler(d, cutoff)[1]
+    return _euler(_reduced(d).current, cutoff)
 
 
-def _session(d: Diagram) -> ReductionSession:
-    return ReductionSession(compile_diagram(d), external=d.external_vars())
-
-
-def _reduced_euler(d: Diagram, cutoff: int | None) -> tuple[ReductionSession, QLaurent]:
-    """Reduce, expand and take homology: the session and the Euler value."""
-    session = _session(d)
+def _reduced(d: Diagram | str) -> ReductionSession:
+    """The session that compiled the diagram (or its source) and reduced it
+    fully."""
+    d = parse(d) if isinstance(d, str) else d
+    session = ReductionSession(compile_diagram(d), external=d.external_vars())
     session.reduce_fully()
-    return session, euler_characteristic(homology(session.current.expand(), cutoff))
+    return session
+
+
+def _euler(k: KoszulMF, cutoff: int | None) -> QLaurent:
+    return euler_characteristic(homology(k.expand(), cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +409,6 @@ def _bubble_src(i1: int, i2: int, i3: int, n: int) -> str:
 
 
 def _counter_bubble_src(i1: int, i2: int, n: int) -> str:
-    # middle edge id sorts before the loop id so the targeted exclusions
-    # below always substitute the middle alphabet
     i3 = i1 + i2
     return (
         f"level n {n}\n"
@@ -556,12 +556,6 @@ def _h_src(j: int, n: int) -> str:
     )
 
 
-def _excluded_session(src: str) -> ReductionSession:
-    session = _session(parse(src))
-    session.exclude_all()
-    return session
-
-
 def _diagram_table(src: str) -> Table:
     return _exact_table(compile_diagram(parse(src)))
 
@@ -616,15 +610,15 @@ def _verify_cor_square(j1: int, j2: int, cutoff: int) -> dict:
 
 
 def _verify_circle(i: int, n: int, cutoff: int) -> dict:
-    session, lhs = _reduced_euler(parse(_circle_src(i, n)), cutoff)
+    session = _reduced(_circle_src(i, n))
     return _verify_series_pair(
-        "circle_jacobi", (i, n), _polynomial_table(lhs),
+        "circle_jacobi", (i, n), _polynomial_table(_euler(session.current, cutoff)),
         _polynomial_table(qbinomial(n, i)), cutoff, session.log_dicts(), signed=False,
     )
 
 
 def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
-    session = _excluded_session(_glued_pair_src(i, n))
+    session = _reduced(_glued_pair_src(i, n))
     direct = compile_diagram(parse(_line_src(i, n)))
     got = session.current
     log = session.log_dicts()
@@ -634,10 +628,9 @@ def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
             f"row count {got.row_count} != {direct.row_count}"
         )
     else:
-        for m in range(direct.row_count):
-            ga, gb = got.rows[m]
-            da, db = direct.rows[m]
-            if got.base.normal_form(ga - da) or got.base.normal_form(gb - db):
+        nf = got.base.normal_form
+        for m, (ga, gb) in enumerate(got.rows):  # in any row order
+            if all(nf(ga - da) or nf(gb - db) for da, db in direct.rows):
                 structural.append(f"row {m} differs after normalization")
     if got.z2_shift % 2 != direct.z2_shift % 2:
         structural.append("parity shift differs")
@@ -657,7 +650,7 @@ def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
 def _verify_bubble(i1: int, i2: int, i3: int, n: int, cutoff: int) -> dict:
     if i1 + i2 != i3:
         raise ValueError("bubble needs thin colors summing to the thick one")
-    session = _excluded_session(_bubble_src(i1, i2, i3, n))
+    session = _reduced(_bubble_src(i1, i2, i3, n))
     lhs = _exact_table(session.current)
     line = _diagram_table(_line_src(i3, n))
     # bubble = [i3 i1] * line
@@ -671,24 +664,7 @@ def _verify_counter_bubble(i1: int, i2: int, n: int, cutoff: int) -> dict:
     i3 = i1 + i2
     if i3 > n:
         raise ValueError("loop color pushed past the level")
-    session = _session(parse(_counter_bubble_src(i1, i2, n)))
-    # the merge rows sit first; each exclusion substitutes one middle
-    # variable and drops that row
-    for _ in range(i3):
-        session.exclude_variable(0)
-    loop = Alphabet(i2, "i.zl")
-    for j in range(2, i3 + 1):
-        for q in range(1, min(j - 1, i2) + 1):
-            if not 1 <= j - q <= i1:
-                continue
-            session.row_op(j - 1, j - q - 1, loop.poly(q), "first_col")
-    bout = Alphabet(i1, "bout")
-    bin_ = Alphabet(i1, "bin")
-    session.replace_first_sequence(
-        [L_poly(j, i1, n, bout, bin_) for j in range(1, i1 + 1)],
-        rows=list(range(i1)),
-    )
-    session.absorb_zero_rows()
+    session = _reduced(_counter_bubble_src(i1, i2, n))
     lhs = _exact_table(session.current)
     line = _diagram_table(_line_src(i1, n))
     # counter_bubble = [n-i1 i2] * line, translated i2 times
@@ -702,8 +678,8 @@ def _verify_assoc(
     relation: str, i1: int, i2: int, i3: int, n: int, cutoff: int
 ) -> dict:
     builder = _merge_tree_src if relation == "assoc_merge" else _split_tree_src
-    left = _excluded_session(builder(i1, i2, i3, n, left=True))
-    right = _excluded_session(builder(i1, i2, i3, n, left=False))
+    left = _reduced(builder(i1, i2, i3, n, left=True))
+    right = _reduced(builder(i1, i2, i3, n, left=False))
     log = left.log_dicts() + right.log_dicts()
     structural: list[str] = []
     lb, rb = left.current.base, right.current.base
@@ -730,9 +706,9 @@ def _check_ladder_color(j: int, n: int) -> None:
 
 def _verify_square_tall(j: int, n: int, cutoff: int) -> dict:
     _check_ladder_color(j, n)
-    session = _excluded_session(_square_tall_src(j, n))
+    session = _reduced(_square_tall_src(j, n))
     lhs = _exact_table(session.current)
-    join = _excluded_session(_join_src(j, n))
+    join = _reduced(_join_src(j, n))
     # square_j = join + [j-1] * parallel
     rhs = _weighted_sum([
         (_exact_table(join.current), QLaurent.one()),
@@ -744,26 +720,7 @@ def _verify_square_tall(j: int, n: int, cutoff: int) -> dict:
 
 def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
     _check_ladder_color(j, n)
-    session = _session(parse(_square_wide_src(j, n)))
-    # row blocks in compile order: ul 0..j, ur j+1..2j+1, lr 2j+2..3j+2,
-    # ll 3j+3..4j+3.  Greedy exclusion strands the thin middle variable, so
-    # the replay is guided: clear the right rung, the bottom rung, then the
-    # left middle, always at the head of the surviving block.
-    for _ in range(j + 1):
-        session.exclude_variable(j + 1)
-    for _ in range(j + 1):
-        session.exclude_variable(j + 1)
-    for _ in range(j):
-        session.exclude_variable(j + 1)
-    # now: top-merge rows 0..j plus the last bottom-split row at j+1.  The
-    # middle variable is linear in rows 1..j-1; sweep it downward.
-    mid = Alphabet(1, "i.rmid").poly(1)
-    for m in range(1, j):
-        session.row_op(m, m - 1, mid, "first_col")
-    # row j carries the only entry monic in the middle variable on its a
-    # side; swapping the row exposes it to exclusion
-    session.transpose_row(j)
-    session.exclude_variable(j)
+    session = _reduced(_square_wide_src(j, n))
     lhs = _exact_table(session.current)
     log = session.log_dicts()
     # square_wide = antiparallel + [n-j-1] * H; the split variant flips the
@@ -771,7 +728,7 @@ def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
     terms = [(_diagram_table(_antiparallel_src(j, n)), QLaurent.one())]
     split = list(terms)
     if n - j > 1:
-        h = _excluded_session(_h_src(j, n))
+        h = _reduced(_h_src(j, n))
         log += h.log_dicts()
         ht = _exact_table(h.current)
         copies = quantum_integer(n - j - 1)

@@ -453,8 +453,12 @@ class KoszulMF:
         """The same presentation with new rows, and a new base when given.
         Once this instance's potential is computed, its row products go to
         the new instance (see ``potential``)."""
-        base = self.base if base is None else base
-        new = replace(self, rows=tuple(rows), base=base)
+        return self._replaced(rows=tuple(rows), base=self.base if base is None else base)
+
+    def _replaced(self, **changes) -> "KoszulMF":
+        """``replace(self, **changes)`` handing over the row products as
+        ``with_rows`` does."""
+        new = replace(self, **changes)
         products = self.__dict__.get("_products")
         if products is not None:
             object.__setattr__(new, "_handed", (self.rows, products))

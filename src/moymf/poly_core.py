@@ -178,6 +178,51 @@ def pure_power(p: Poly, v: GradedVar) -> tuple[int, int | Fraction] | None:
     return k, c
 
 
+def _power_vars(p: Poly) -> list[GradedVar]:
+    """The variables of the terms c*v^e of p, the only ones ``pure_power``
+    can find: keys with one exponent field set."""
+    out = []
+    for k in p._terms:
+        f = k >> _BITS
+        i = (f.bit_length() - 1) // _BITS
+        if f and f == (f >> _BITS * i) << _BITS * i:
+            out.append(_VARS[i])
+    return out
+
+
+def _outside(vs: Iterable[GradedVar]) -> int:
+    """The mask of the exponent fields of a key but those of vs."""
+    return ~sum((_FIELD << (_unit(v).bit_length() - 1) for v in vs), _FIELD)
+
+
+def _part(p: Poly, mask: int) -> Poly:
+    """The terms of p whose keys meet mask."""
+    return _from_clean({m: c for m, c in p._terms.items() if m & mask})
+
+
+def _by_monomial(p: Poly, mask: int) -> list[tuple[Poly, Poly]]:
+    """p = sum of m * c_m as (m, c_m) pairs in the order of p's terms, m a
+    monic monomial in the fields of mask and c_m free of them."""
+    groups: dict[int, dict[int, int | Fraction]] = {}
+    for k, c in p._terms.items():
+        fields = k & mask
+        m = fields + sum(v.degree * e for v, e in _unpack(fields))
+        groups.setdefault(m, {})[k - m] = c
+    return [(_from_clean({m: 1}), _from_clean(t)) for m, t in groups.items()]
+
+
+def _lead_quotient(t: Poly, s: Poly) -> Poly | None:
+    """The term q with q * lead(s) = lead(t), leads the largest keys; None
+    when a field of lead(s) exceeds lead(t)'s, as a guard bit shows."""
+    if not t or not s:
+        return None
+    mt, ms = max(t._terms), max(s._terms)
+    guards = int("8000" * (mt.bit_length() // _BITS + 1), 16)
+    if ms > mt or ((mt | guards) - ms) & guards != guards:
+        return None
+    return _from_clean({mt - ms: _coeff(Fraction(t._terms[mt]) / s._terms[ms])})
+
+
 def mono_key(m: Mono) -> tuple:
     """Graded lexicographic sort key: total degree, then name-wise exponents.
     It orders printed terms and ``QuotientRing.monomials``; it is not a
@@ -188,7 +233,7 @@ def mono_key(m: Mono) -> tuple:
 class Poly:
     """Immutable exact polynomial.  Supports +, -, *, ** and scalar mixing."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_deg")  # _deg: see _homogeneous_degree
 
     def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
         sums: dict[int, int | Fraction] = {}
@@ -237,14 +282,24 @@ class Poly:
         return frozenset(v for v, _ in _unpack(reduce(int.__or__, self._terms, 0)))
 
     def is_homogeneous(self) -> bool:
-        return len(set(map(_degree, self._terms))) <= 1
+        return not self._terms or self._homogeneous_degree() >= 0
 
     def homogeneous_degree(self) -> int:
         """Degree of a nonzero homogeneous polynomial; raises otherwise."""
-        degs = set(map(_degree, self._terms))
-        if len(degs) != 1:
+        d = self._homogeneous_degree() if self._terms else -1
+        if d < 0:
             raise DegreeMismatch(f"not nonzero-homogeneous: {self}")
-        return degs.pop()
+        return d
+
+    def _homogeneous_degree(self) -> int:
+        """The degree of this nonzero polynomial when homogeneous, else -1;
+        kept, as every presentation that holds a row checks it again."""
+        try:
+            return self._deg
+        except AttributeError:
+            degs = set(map(_degree, self._terms))
+            self._deg = degs.pop() if len(degs) == 1 else -1
+            return self._deg
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
         parts: dict[int, dict[int, int | Fraction]] = {}

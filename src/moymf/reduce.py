@@ -16,12 +16,17 @@ that entry.  Two sound cases are distinguished:
   further power of y is no longer a free monomial and the splitting argument
   behind the exclusion breaks, so the gate refuses (ConditionUnmet).
 
-Rows with one zero side appear for closed diagrams only (potential 0).
-They are not exclusions but homology absorptions: (a; 0) contributes the
-quotient by a with a parity flip and a grading offset of
-potential_degree/2 - deg a, while (0; b) contributes the quotient by b
-on the spot.  Both require the zero-potential context and are logged as
+Rows with one zero side appear in closed diagrams, and in open ones once
+a row op clears one side of a row.  They are not exclusions but
+absorptions: (a; 0) contributes the quotient by a with a parity flip and a
+grading offset of potential_degree/2 - deg a, while (0; b) contributes the
+quotient by b on the spot.  Each is taken only when the regularity gate
+verifies its entry regular over the current base, and is logged as
 ``absorb``.
+
+When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
+clears internal variables from rows by row ops and transpositions
+(Khovanov-Rozansky 2008, section 2).
 """
 
 from __future__ import annotations
@@ -36,7 +41,12 @@ from .poly_core import (
     GradedVar,
     Poly,
     QuotientRing,
+    _by_monomial,
     _inverse,
+    _lead_quotient,
+    _outside,
+    _part,
+    _power_vars,
     mono_key,
     pure_power,
 )
@@ -143,8 +153,7 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     a, b = k.rows[row]
     rows = list(k.rows)
     rows[row] = (b, a)
-    return replace(
-        k,
+    return k._replaced(
         rows=tuple(rows),
         global_grading_shift=k.global_grading_shift + h,
         z2_shift=(k.z2_shift + 1) % 2,
@@ -248,17 +257,13 @@ class _Candidate:
     var: GradedVar
     power: int
     coeff: int | Fraction
-    # substitution candidates (power 1) are strictly preferred
-    @property
-    def priority(self) -> tuple[int, int]:
-        return (0 if self.power == 1 else 1, self.row)
 
 
 def exclusion_candidate(
     k: KoszulMF, row: int, external: frozenset[GradedVar]
 ) -> _Candidate | None:
     """Best admissible (variable, power) for excluding this row, or None."""
-    return _candidate(k, row, external, _generator_vars(k.base))
+    return _candidate(k.rows[row][1], row, external, _generator_vars(k.base))
 
 
 def _generator_vars(base: QuotientRing) -> frozenset[GradedVar]:
@@ -267,12 +272,12 @@ def _generator_vars(base: QuotientRing) -> frozenset[GradedVar]:
 
 
 def _candidate(
-    k: KoszulMF, row: int, external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
+    b: Poly, row: int, external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
 ) -> _Candidate | None:
-    """``exclusion_candidate`` with the generator variables given."""
-    _, b = k.rows[row]
+    """``exclusion_candidate`` for a row with second entry b, the generator
+    variables given."""
     internal = sorted(
-        (v for v in b.variables() if v not in external), key=lambda v: v.name
+        (v for v in _power_vars(b) if v not in external), key=lambda v: v.name
     )
     best: _Candidate | None = None
     for y in internal:
@@ -441,6 +446,41 @@ def glue(
 # ---------------------------------------------------------------------------
 
 
+# clearing row ops: (side of row i to clear, side of row j, kind, whether
+# the op runs on rows (j, i) with -lambda); side 0 is a, 1 is b
+_CLEARS = (
+    (1, 1, "first_col", False),  # b_i -= lam*b_j
+    (0, 0, "first_col", True),  # a_i -= lam*a_j
+    (0, 1, "second_col", False),  # a_i -= lam*b_j
+)
+
+
+def _internal_parts(
+    row: tuple[Poly, Poly], mask: int
+) -> tuple[tuple[Poly, Poly], list[tuple[Poly, Poly]]]:
+    """The part of each side of row in the fields of mask, and b's part
+    by monomial."""
+    a, b = (_part(p, mask) for p in row)
+    return (a, b), _by_monomial(b, mask)
+
+
+def _clearing(target: Poly, side: Poly, part: Poly, groups: list | None, mask: int) -> Poly | None:
+    """lambda = s*m (s rational, m a monomial) clearing target, the part of
+    a row side in the fields of mask, against side, whose part is part:
+    target = lambda*(part, or side when m meets mask); or, given target's
+    ``groups`` and an internal-free side, s*m for the first group whose
+    coefficient is s*side.  m*p has as many terms as p."""
+    if groups is not None and not part:
+        for m, c in groups:
+            q = len(c) == len(side) and _lead_quotient(c, side)
+            if q and not q.variables() and c == q * side:
+                return q * m
+        return None
+    q = len(target) in (len(part), len(side)) and _lead_quotient(target, part)
+    src = q and (side if _part(q, mask) else part)
+    return q if q and target == q * src else None
+
+
 @dataclass
 class LogEntry:
     op: str
@@ -467,6 +507,8 @@ class ReductionSession:
     external: frozenset[GradedVar] = frozenset()
     force: bool = False
     log: list[LogEntry] = field(default_factory=list)
+    # (row tuple identity, key) -> (row, value), see _memo
+    _seen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _step(self, op: str, params: dict, new: KoszulMF) -> None:
         # the previous step computed this as its new.potential(), and the
@@ -527,16 +569,28 @@ class ReductionSession:
         ties by row index.  Returns the number of rows removed."""
         removed = 0
         while True:
-            best: _Candidate | None = None
             gen_vars = _generator_vars(self.current.base)
-            for m in range(self.current.row_count):
-                cand = _candidate(self.current, m, self.external, gen_vars)
-                if cand is not None and (best is None or cand.priority < best.priority):
-                    best = cand
+            best = None
+            for m, row in enumerate(self.current.rows):
+                # a kept candidate still names the row index it was found at
+                cand = self._memo(
+                    row, (1, gen_vars), lambda: _candidate(row[1], m, self.external, gen_vars)
+                )
+                if cand and (best is None or (cand.power == 1 and best[1].power > 1)):
+                    best = (m, cand)
+                    if cand.power == 1:  # no later row comes first
+                        break
             if best is None:
                 return removed
-            self._exclude(best.row, best)
+            self._exclude(*best)
             removed += 1
+
+    def _memo(self, row: tuple[Poly, Poly], key: object, compute):
+        """compute(), once per row tuple (by identity) and key."""
+        hit = self._seen.get((id(row), key))
+        if hit is None or hit[0] is not row:
+            hit = self._seen[(id(row), key)] = (row, compute())
+        return hit[1]
 
     def absorb_zero_rows(self, skip_unverified: bool = False) -> int:
         """Absorb every zero-sided row whose entry passes the regularity
@@ -573,13 +627,52 @@ class ReductionSession:
             skipped = set()
 
     def reduce_fully(self) -> KoszulMF:
-        """Exclusions to a fixed point, then regular zero-sided absorptions;
-        alternates until neither makes progress."""
+        """Exclusions to a fixed point, then regular zero-sided absorptions,
+        then, if neither made progress, one clearing step, until none
+        applies.  Exclusion and absorption drop a row, a clearing row op
+        lowers a well-founded measure and a clearing transpose is followed
+        by an exclusion, so the loop ends."""
         while True:
             n = self.exclude_all()
             m = self.absorb_zero_rows(skip_unverified=True)
-            if n == 0 and m == 0:
+            if n == 0 and m == 0 and not self._clear_internal():
                 return self.current
+
+    def _clear_internal(self) -> bool:
+        """The first row op, in row order, that lowers (row sides holding an
+        internal variable, internal terms) and clears a side as
+        ``_clearing`` says; else a transpose of a row whose a-entry has a
+        pure power exclusion admits.  False when neither applies."""
+        k, mask = self.current, _outside(self.external)
+
+        def weight(parts: Sequence[Poly]) -> tuple[int, int]:
+            return sum(map(bool, parts)), sum(map(len, parts))
+
+        parts = [self._memo(r, None, lambda: _internal_parts(r, mask)) for r in k.rows]
+        for i, (sides, groups) in enumerate(parts):
+            for t, s, kind, flip in _CLEARS:
+                for j, row in enumerate(k.rows):
+                    lam = sides[t] and j != i and _clearing(
+                        sides[t], row[s], parts[j][0][s], groups if t == s == 1 else None, mask
+                    )
+                    if lam:
+                        i2, j2, lam = (j, i, -lam) if flip else (i, j, lam)
+                        new = row_op(k, i2, j2, lam, kind)
+                        after = [_part(p, mask) for m in (i2, j2) for p in new.rows[m]]
+                        if weight(after) < weight(parts[i2][0] + parts[j2][0]):
+                            params = {"i": i2, "j": j2, "lambda": lam.render(), "kind": kind}
+                            self._step("row_op", params, new)
+                            return True
+        if not k.potential().variables() <= self.external:
+            return False  # exclusion would refuse the transposed row
+        gen_vars = _generator_vars(k.base)
+        for m, row in enumerate(k.rows):
+            if any(parts[m][0]) and all(row) and self._memo(
+                row, (0, gen_vars), lambda: _candidate(row[0], m, self.external, gen_vars)
+            ):
+                self.transpose_row(m)
+                return True
+        return False
 
     def log_dicts(self) -> list[dict]:
         return [e.as_dict() for e in self.log]

@@ -252,3 +252,26 @@ def random_order_reduce(
             continue
         if session.absorb_zero_rows(skip_unverified=True) == 0:
             return session
+
+
+def bubble_chain(n: int) -> str:
+    """Three color-1 digons closed into a loop by color-2 edges, at level n:
+    exclusion and absorption alone leave a row with internal variables."""
+    return (
+        f"level n {n}\n"
+        "edge e0 color 2 from v5 to v0\n"
+        "edge e1 color 1 from v0 to v1\n"
+        "edge e2 color 1 from v0 to v1\n"
+        "edge e3 color 2 from v1 to v2\n"
+        "edge e4 color 1 from v2 to v3\n"
+        "edge e5 color 1 from v2 to v3\n"
+        "edge e6 color 2 from v3 to v4\n"
+        "edge e7 color 1 from v4 to v5\n"
+        "edge e8 color 1 from v4 to v5\n"
+        "vertex v0 split in e0 out e1 e2\n"
+        "vertex v1 merge in e1 e2 out e3\n"
+        "vertex v2 split in e3 out e4 e5\n"
+        "vertex v3 merge in e4 e5 out e6\n"
+        "vertex v4 split in e6 out e7 e8\n"
+        "vertex v5 merge in e7 e8 out e0\n"
+    )

@@ -95,7 +95,10 @@ def test_criterion_03_line_contraction() -> None:
 
 def test_criterion_04_bubble_decomposition() -> None:
     t0 = time.perf_counter()
-    cases = ((1, 1, 2, 3), (1, 1, 2, 4), (1, 2, 3, 4), (2, 1, 3, 4))
+    cases = (
+        (1, 1, 2, 3), (1, 1, 2, 4), (1, 2, 3, 4), (2, 1, 3, 4),
+        (2, 2, 4, 4), (2, 3, 5, 5), (2, 2, 4, 7),
+    )
     for params in cases:
         report = verify_relation("bubble", params)
         assert report["verdict"] == "PASS", (params, report)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import time
 
 import pytest
@@ -327,25 +328,72 @@ class TestVerifyRelation:
         "reduction_log",
     }
 
+    SMALL = {
+        "line_contract": (1, 2),
+        "circle_jacobi": (1, 2),
+        "assoc_merge": (1, 1, 1, 3),
+        "assoc_split": (1, 1, 1, 3),
+        "bubble": (1, 1, 2, 3),
+        "counter_bubble": (1, 1, 3),
+        "square_j": (2, 3),
+        "square_wide": (2, 3),
+        "cor_square": (2, 1),
+    }
+
     def test_each_relation_passes_at_a_small_instance(self) -> None:
-        cheap = {
-            "line_contract": (1, 2),
-            "circle_jacobi": (1, 2),
-            "assoc_merge": (1, 1, 1, 3),
-            "assoc_split": (1, 1, 1, 3),
-            "bubble": (1, 1, 2, 3),
-            "counter_bubble": (1, 1, 3),
-            "square_j": (2, 3),
-            "square_wide": (2, 3),
-            "cor_square": (2, 1),
-        }
-        assert set(cheap) == set(RELATION_NAMES)
+        assert set(self.SMALL) == set(RELATION_NAMES)
         for name in RELATION_NAMES:
-            report = verify_relation(name, cheap[name])
+            report = verify_relation(name, self.SMALL[name])
             assert report["verdict"] == "PASS", (name, report)
             assert self.REPORT_KEYS <= set(report)
             assert report["relation"] == name
             assert report["reduction_log_ref"] == "inline:reduction_log"
+
+    def test_no_step_runs_outside_reduce_fully(self, monkeypatch) -> None:
+        # every relation side reduces through reduce_fully alone: no
+        # verifier drives the calculus step by step
+        inside = ReductionSession.reduce_fully.__code__
+
+        def guarded(name):
+            step = getattr(ReductionSession, name)
+
+            def run(self, *args, **kwargs):
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code is not inside:
+                    frame = frame.f_back
+                assert frame is not None, f"{name} called outside reduce_fully"
+                return step(self, *args, **kwargs)
+
+            return run
+
+        steps = ("row_op", "transpose_row", "exclude_variable", "replace_first_sequence")
+        for name in steps:
+            monkeypatch.setattr(ReductionSession, name, guarded(name))
+        session = ReductionSession(compile_diagram(parse(LINE)))
+        with pytest.raises(AssertionError, match="transpose_row called outside"):
+            session.transpose_row(0)
+        for name in RELATION_NAMES:
+            assert verify_relation(name, self.SMALL[name])["verdict"] == "PASS", name
+
+    def test_every_bubble_through_level_6_passes(self) -> None:
+        # exclusion and absorption alone left (2,2,4,4), (2,3,5,5),
+        # (3,3,6,6) and the other tuples whose thin colors are both at
+        # least 2 with an internal variable; the clearing step closes them
+        cases = [
+            (i1, i3 - i1, i3, n)
+            for n in range(2, 7) for i3 in range(2, n + 1) for i1 in range(1, i3)
+        ]
+        assert len(cases) == 35
+        for params in cases:
+            assert verify_relation("bubble", params)["verdict"] == "PASS", params
+
+    def test_bubble_2247_takes_an_a_a_then_an_a_b_row_op(self) -> None:
+        # (2,2,4,7): an a-against-a op, then an a-against-b op leave a
+        # (0; b) row, which the gate absorbs
+        log = verify_relation("bubble", (2, 2, 4, 7))["reduction_log"]
+        steps = [(e["op"], e["params"].get("kind")) for e in log if e["op"] != "exclude_variable"]
+        assert steps == [("row_op", "first_col"), ("row_op", "second_col"), ("absorb", None)]
+        assert log[-1]["params"]["side"] == "b"
 
     def test_circle_passes_when_its_exact_top_fits_the_cutoff(self) -> None:
         # circle (4,7): the base's top degree is 24, so cutoff 30 suffices;
@@ -454,6 +502,15 @@ class TestOracleCrosscheck:
         report = oracle_crosscheck(parse(glued))
         assert report["verdict"] == "PASS"
         assert report["engine_euler"] == report["oracle_value"] == "q^-3 + 2*q^-1 + 2*q + q^3"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_closed_chain_of_three_bubbles_agrees(self, n: int) -> None:
+        # with a row holding internal variables left, homology has no
+        # finite top degree; the clearing step lets absorption finish
+        chain = parse(corpus.bubble_chain(n))
+        report = oracle_crosscheck(chain, cutoff=60)
+        assert report["verdict"] == "PASS", report
+        assert any(e["op"] == "row_op" for e in analysis._reduced(chain).log_dicts())
 
     def test_disjoint_circles_agree(self) -> None:
         union = (

@@ -745,6 +745,47 @@ print("ok")
 """
 
 
+class TestKeyHelpers:
+    """The key-level reads the reduction calculus makes of row entries."""
+
+    def test_lead_quotient_divides_field_by_field(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        lead = poly_core._lead_quotient
+        assert lead(6 * x * x * y * z, 2 * x * z) == 3 * x * y
+        assert lead((x + y) * 3 * x * z, x + y) == 3 * x * z
+        assert lead(x * z * z, y) is None
+        assert lead(x, z * z) is None
+        assert lead(x * y, y * y) is None
+        assert lead(Poly.zero(), x) is None and lead(x, Poly.zero()) is None
+
+    def test_by_monomial_groups_terms_by_their_part_in_the_mask(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        p = x * y * z + 2 * x * x * z + y * z + x * x + 5 * z * z
+        groups = dict(poly_core._by_monomial(p, poly_core._outside([X, Y])))
+        assert groups == {z: x * y + 2 * x * x + y, Poly.const(1): x * x, z * z: Poly.const(5)}
+
+    def test_power_vars_hold_every_pure_power(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        assert set(poly_core._power_vars(x * x + x * y + 3 * z)) == {X, Z}
+        assert poly_core._power_vars(x * y + Poly.const(2)) == []
+        for p in (x**3 + x * y * y + z * y, y * y + x * y, z * z + z * x * x):
+            found = poly_core._power_vars(p)
+            assert all(pure_power(p, v) is None or v in found for v in VARS)
+
+    def test_homogeneous_degree_is_kept_and_still_refuses(self) -> None:
+        x, z = Poly.variable(X), Poly.variable(Z)
+        p = x * x + z
+        assert p.is_homogeneous() and p.homogeneous_degree() == 4 == p.homogeneous_degree()
+        q = x + z
+        assert not q.is_homogeneous() and not q.is_homogeneous()
+        with pytest.raises(DegreeMismatch):
+            q.homogeneous_degree()
+        assert Poly.zero().is_homogeneous()
+        with pytest.raises(DegreeMismatch):
+            Poly.zero().homogeneous_degree()
+        assert pickle.loads(pickle.dumps(p)).homogeneous_degree() == 4
+
+
 class TestPackedKeys:
     """Monomials packed into one int: overflow, copies across processes,
     and arithmetic against sympy."""

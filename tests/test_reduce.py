@@ -36,7 +36,7 @@ from moymf import (
 )
 from moymf import poly_core
 from moymf import reduce as reduce_module
-from moymf.analysis import _line_src, _square_wide_src
+from moymf.analysis import _bubble_src, _counter_bubble_src, _line_src, _square_wide_src
 
 X = GradedVar("x", 2)
 Y = GradedVar("y", 2)
@@ -504,6 +504,18 @@ class TestRowReuse:
             fresh = fresh + a * b
         assert pot == new.base.normal_form(fresh)
 
+    def test_a_transpose_multiplies_only_the_swapped_row(self, monkeypatch) -> None:
+        k = _two_rows()
+        k.potential()
+        new = transpose_row(k, 0)
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+        pot = new.potential()
+        monkeypatch.undo()
+        assert len(products) == 1 and new.rows[1] is k.rows[1]
+        assert pot == k.potential()
+
     @pytest.mark.parametrize("kept", [True, False])
     def test_a_corrupted_row_fails_the_check(self, monkeypatch, kept: bool) -> None:
         session = _square_session()
@@ -523,6 +535,99 @@ class TestRowReuse:
         with pytest.raises(PotentialMismatch, match="exclude_variable changed the potential"):
             session.exclude_all()
         assert hit and not session.log
+
+
+def _session_of(src: str) -> ReductionSession:
+    d = parse(src)
+    return ReductionSession(compile_diagram(d), external=d.external_vars())
+
+
+class TestCandidateCache:
+    """exclude_all computes a row's candidate once per row tuple and
+    generator variables, and picks what a fresh scan would pick."""
+
+    def test_picks_match_a_fresh_scan(self, monkeypatch) -> None:
+        exclude = ReductionSession._exclude
+        picks = []
+
+        def checked(self, row, cand):
+            k = self.current
+            fresh = [
+                c for m in range(k.row_count)
+                if (c := exclusion_candidate(k, m, self.external)) is not None
+            ]
+            want = min(fresh, key=lambda c: (c.power > 1, c.row))
+            # a kept candidate may name the index it was found at
+            assert (row, cand.var, cand.power, cand.coeff) == (
+                want.row, want.var, want.power, want.coeff
+            )
+            picks.append(cand)
+            exclude(self, row, cand)
+
+        monkeypatch.setattr(ReductionSession, "_exclude", checked)
+        rng = random.Random(37)
+        for _ in range(12):
+            _, d, k = corpus.random_compiled(rng, closed=False, max_rows=24, max_pairs=4)
+            ReductionSession(k, external=d.external_vars()).exclude_all()
+        # the chain's absorptions add generators yet keep rows they leave alone
+        for n in (2, 3):
+            _session_of(corpus.bubble_chain(n)).reduce_fully()
+        assert len(picks) > 20
+
+    def test_unchanged_rows_are_not_scanned_again(self, monkeypatch) -> None:
+        session = _session_of(_square_wide_src(2, 4))
+        calls = []
+        candidate = reduce_module._candidate
+        monkeypatch.setattr(
+            reduce_module, "_candidate", lambda *args: calls.append(1) or candidate(*args)
+        )
+        scans = []
+        exclude = ReductionSession._exclude
+        monkeypatch.setattr(
+            ReductionSession, "_exclude",
+            lambda self, row, cand: scans.append(self.current.row_count) or exclude(self, row, cand),
+        )
+        assert session.exclude_all() == len(scans) > 0
+        assert len(calls) < sum(scans)
+
+
+class TestClearing:
+    """reduce_fully's last resort once exclusion and absorption stall: row
+    ops that cancel internal parts, and transpositions."""
+
+    @staticmethod
+    def _steps(session: ReductionSession) -> list[tuple[str, dict]]:
+        return [(e.op, e.params) for e in session.log if e.op != "exclude_variable"]
+
+    def test_b_against_b_leaves_a_zero_side_to_absorb(self) -> None:
+        session = _session_of(_bubble_src(2, 2, 4, 4))
+        session.reduce_fully()
+        (op, params), (absorb, _) = self._steps(session)
+        assert (op, params["lambda"], params["kind"], absorb) == ("row_op", "-1", "first_col", "absorb")
+        for a, b in session.current.rows:
+            assert a.variables() | b.variables() <= session.external
+
+    def test_an_internal_monomial_against_an_internal_free_b(self) -> None:
+        # b_1 = x1_i.zl * b_0 once the middle alphabet is excluded
+        session = _session_of(_counter_bubble_src(1, 1, 3))
+        session.reduce_fully()
+        (op, params), (absorb, absorbed) = self._steps(session)
+        assert op == "row_op" and params == {
+            "i": 1, "j": 0, "lambda": "x1_i.zl", "kind": "first_col",
+        }
+        assert absorb == "absorb" and absorbed["side"] == "a"
+
+    def test_a_transpose_hands_its_row_to_exclusion(self) -> None:
+        session = _session_of(_square_wide_src(2, 3))
+        session.reduce_fully()
+        ops = [e.op for e in session.log]
+        at = ops.index("transpose_row")
+        assert ops[at + 1] == "exclude_variable"
+        assert session.log[at + 1].params["row"] == session.log[at].params["row"]
+
+    def test_external_rows_need_no_step(self) -> None:
+        session = _session_of(_line_src(2, 4))
+        assert session.reduce_fully().row_count == 2 and not session.log
 
 
 class TestSessionContract:
