@@ -73,7 +73,7 @@ def _map_rank(
 ) -> int:
     """Rank of a differential restricted to internal degree d of src."""
     base = mf.base
-    basis = base._basis(0)
+    basis = base._basis()
     index = {key: pos for pos, key in enumerate(_degree_basis(basis, dst, d + mf.map_degree))}
     by_col: dict[int, list[tuple[int, Poly]]] = {}
     for (r, c), p in mat.entries.items():
@@ -97,8 +97,8 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
     most the base's own cutoff, which is also the default) bounds the
     answer: CutoffExceeded unless the base's Groebner basis completes
     within ``QuotientRing.cutoff``, the only bound on the work, and the
-    quotient's top degree is at most the cutoff.  So the answer does not
-    depend on how far an earlier call grew the basis.  Per degree,
+    quotient's top degree is at most the cutoff.  Every degree reads the
+    standard monomials of that one complete basis, and per degree
     dim H = dim ker - dim im from exact ranks of the two differentials.
     A negative cutoff raises ValueError.
     """
@@ -107,11 +107,11 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
     cutoff = base.cutoff if cutoff is None else min(cutoff, base.cutoff)
     if base.normal_form(mf.potential):
         raise NotClosed("homology requires potential 0")
-    num, weights = base.hilbert_series()
-    top = base._basis(0).top_degree()
+    basis = base._basis()
+    top = basis.top_degree()
     if top > cutoff:
         raise CutoffExceeded(f"base quotient's top degree {top} exceeds the cutoff {cutoff}")
-    series = _expand(num, weights, top)
+    series = _expand(basis.numerator(), basis.weights, top)
 
     mods = (mf.m0, mf.m1)
     mats = (mf.d0, mf.d1)

@@ -39,7 +39,7 @@ from .diagram import (
 )
 from .poly_core import CutoffExceeded, DegreeMismatch
 from .qseries import qbinomial
-from .reduce import ReductionSession, RegularityUnverified
+from .reduce import ReductionSession
 
 __all__ = ["CUTOFF_ENV", "main"]
 
@@ -331,10 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RegularityUnverified as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --force to apply the step anyway", file=sys.stderr)
-        return 2
     except (
         UsageError,
         DiagramSyntaxError,

@@ -19,17 +19,18 @@ raises TypeError.
 
 A quotient ring by a homogeneous ideal answers normal forms, dimensions,
 standard monomials and dimension series from one homogeneous Groebner
-basis, grown degree by degree by Buchberger's algorithm on exponent tuples
-with exact coefficients, and only through the degree a question asks.  The
-term order is the ring's: weighted degree, then reverse lexicographic with
-the ring's first variable the smallest, so a ring that lists boundary
-variables first rewrites internal variables in terms of boundary ones.  A
-quotient has the Hilbert series of its leading-monomial ideal (Cox, Little
-and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9 section 3), and the
-Bayer-Stillman recursion turns the leads into the numerator N(q) of
-N(q) / prod_v (1 - q^deg v).  The basis is complete once no S-pair waits
-at or below the top degree that series gives, and a higher cutoff then
-costs nothing more than expanding the series further.
+basis, built by Buchberger's algorithm on exponent tuples with exact
+coefficients.  The term order is the ring's: weighted degree, then
+reverse lexicographic with the ring's first variable the smallest, so a
+ring that lists boundary variables first rewrites internal variables in
+terms of boundary ones.  A quotient has the Hilbert series of its
+leading-monomial ideal (Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 9 section 3), and the Bayer-Stillman recursion turns the
+leads into the numerator N(q) of N(q) / prod_v (1 - q^deg v).  The basis
+is complete once no S-pair waits at or below the top degree that series
+gives.  A ring completes its basis once, on its first question, or
+refuses every question with CutoffExceeded when a pending degree passes
+its cutoff first; a complete ring answers in every degree.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class DegreeMismatch(ValueError):
 
 
 class CutoffExceeded(RuntimeError):
-    """A degree-bounded computation was asked past its configured cutoff."""
+    """A ring's Groebner basis does not complete within the ring's cutoff,
+    or an answer's degree lies past the cutoff its caller gave."""
 
 
 @dataclass(frozen=True, order=True)
@@ -625,8 +627,9 @@ class QuotientRing:
     The order of ``vars`` is the term order: weighted degree, then reverse
     lexicographic with ``vars[0]`` the smallest variable (see ``_Basis``).
     An empty ``ideal_gens`` is the free polynomial ring.  ``cutoff`` bounds
-    the degrees this ring will ever compute in; normal forms past it raise
-    CutoffExceeded rather than silently truncating.
+    the work, not the answers: the Groebner basis must complete without an
+    S-pair or generator past that degree, or every question to the ring
+    raises CutoffExceeded; a complete basis answers in every degree.
     """
 
     vars: tuple[GradedVar, ...]
@@ -660,32 +663,29 @@ class QuotientRing:
 
     def monomials(self, d: int) -> tuple[Mono, ...]:
         """All monomials of total degree d, graded-lex ordered."""
-        return tuple(sorted(map(_unpack, self._basis(d).keys(d, ())), key=mono_key))
+        return tuple(sorted(map(_unpack, self._basis().keys(d, ())), key=mono_key))
 
     # -- the Groebner basis kernel -------------------------------------------
 
-    def _basis(self, top: int) -> "_Basis":
-        """The ring's Groebner basis, grown through degree top; a degree
-        above the ring's cutoff raises CutoffExceeded."""
-        if top > self.cutoff:
-            raise CutoffExceeded(f"degree {top} beyond ring cutoff {self.cutoff}")
+    def _basis(self) -> "_Basis":
+        """The ring's complete Groebner basis, built on first use;
+        CutoffExceeded, on every call, when it does not complete within the
+        ring's cutoff."""
         basis = self._cache.get("basis")
         if basis is None:
             basis = self._cache["basis"] = _Basis(self)
-        basis.grow(top)
         return basis
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative of p modulo the ideal: its remainder on
-        division by the Groebner basis, grown through the top degree of p.
+        division by the complete Groebner basis, in every degree.
 
         A monomial with a variable outside the ring passes through
-        unchanged, and p itself comes back when no lead divides a term.  A
-        degree above the ring's cutoff raises CutoffExceeded.
+        unchanged, and p itself comes back when no lead divides a term.
         """
         if not p or not self.ideal_gens:
             return p
-        basis = self._basis(max(map(_degree, p._terms)))
+        basis = self._basis()
         out: dict[int, int | Fraction] = {}
         inside: dict[Exps, int | Fraction] = {}
         for m, c in p._terms.items():
@@ -704,41 +704,27 @@ class QuotientRing:
 
     def dimension(self, d: int) -> int:
         """dim_Q of the degree-d piece of the quotient."""
-        return len(self._basis(d).standard(d)) if d >= 0 else 0
+        return len(self._basis().standard(d)) if d >= 0 else 0
 
     def standard_monomials(self, d: int) -> tuple[Mono, ...]:
         """The degree-d monomials that no lead of the Groebner basis
         divides, graded-lex ordered: a basis of the degree-d piece."""
-        return tuple(sorted(map(_unpack, self._basis(d).standard(d)), key=mono_key))
+        return tuple(sorted(map(_unpack, self._basis().standard(d)), key=mono_key))
 
     def dimension_series(self, cutoff: int):
-        """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff.
-
-        The ``hilbert_series`` formula with the leads of a basis grown only
-        through min(cutoff, ring cutoff), which are exact through that
-        degree, expanded to the cutoff.  Once the basis is complete a higher
-        cutoff costs only a longer expansion, none past the top degree of a
-        quotient its leads make finite.  A cutoff above the ring's cutoff
-        with an incomplete basis raises CutoffExceeded; a negative cutoff
-        raises ValueError.
-        """
+        """Sum_d dim_Q(degree-d piece) q^d for 0 <= d <= cutoff: the
+        ``hilbert_series`` expanded to the cutoff, or to the top degree of
+        a finite quotient when that is lower.  A negative cutoff raises
+        ValueError."""
         _check_cutoff(cutoff)
-        if cutoff > self.cutoff:
-            self.hilbert_series()  # CutoffExceeded unless the basis completes
-        basis = self._basis(min(cutoff, self.cutoff))
+        basis = self._basis()
         return _expand(basis.numerator(), basis.weights, min(cutoff, basis.top_degree()))
 
     def hilbert_series(self) -> tuple[QLaurent, tuple[int, ...]]:
         """(N, weights) with sum_d dim_Q(degree-d piece) q^d equal to
-        N(q) / prod_w (1 - q^w) in every degree, from a basis grown one
-        pending degree at a time until it is complete; CutoffExceeded when
-        the next pending degree lies past the ring's cutoff first."""
-        basis = self._basis(0)
-        while not basis.complete():
-            d = basis._todo[0][0]
-            if d > self.cutoff:
-                raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {self.cutoff}")
-            basis.grow(d)
+        N(q) / prod_w (1 - q^w) in every degree, N the Hilbert numerator of
+        the complete basis's leads."""
+        basis = self._basis()
         return basis.numerator(), basis.weights
 
     def render(self) -> str:
@@ -788,7 +774,7 @@ Exps = tuple[int, ...]
 
 
 class _Basis:
-    """A homogeneous Groebner basis of a ring's ideal, grown degree by degree.
+    """The homogeneous Groebner basis of a ring's ideal, complete once built.
 
     The term order is the ring's: weighted degree, then reverse
     lexicographic with ``vars[0]`` the smallest variable.  Of two monomials
@@ -798,18 +784,16 @@ class _Basis:
     x, yet x*x ranks above x*y.)
 
     Elements are monic: a lead and a tail {exps: coeff}.  Generators and
-    S-pairs wait in one heap by degree; ``grow(top)`` reduces everything of
-    degree <= top against the basis and adds each nonzero remainder, so the
-    leads then span the leading-monomial ideal through degree top, and a
-    remainder of degree <= top is the normal form.  Every pair a new
-    element makes has a higher degree than the element, because its lead
-    is divisible by no earlier lead; for the same reason the leads stay
-    minimal.  Pairs with coprime leads are never queued (Buchberger's first
-    criterion).
-
-    It is complete once nothing waits at or below the exact ``top_degree``
-    of the quotient by the leads.  ``standard(d)`` lists the degree-d
-    standard monomials as packed keys.
+    S-pairs wait in one heap by degree, and construction reduces them one
+    pending degree at a time against the basis, adding each nonzero
+    remainder.  Every pair a new element makes has a higher degree than
+    the element, because its lead is divisible by no earlier lead; for the
+    same reason the leads stay minimal.  Pairs with coprime leads are never
+    queued (Buchberger's first criterion).  The basis is complete once
+    nothing waits at or below the exact ``top_degree`` of the quotient by
+    the leads; a pending degree past the ring's cutoff before then raises
+    CutoffExceeded.  ``standard(d)`` lists the degree-d standard monomials
+    as packed keys.
     """
 
     __slots__ = (
@@ -832,6 +816,18 @@ class _Basis:
         for g in ring.ideal_gens:
             terms = {self.exps(m): c for m, c in g._terms.items()}
             self._push(g.homogeneous_degree(), terms)
+        # a waiting item above the top degree reduces to zero: every
+        # monomial there is divisible by a lead
+        todo = self._todo
+        while todo and todo[0][0] <= self.top_degree():
+            d = todo[0][0]
+            if d > ring.cutoff:
+                raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {ring.cutoff}")
+            while todo and todo[0][0] == d:
+                item = heapq.heappop(todo)[2]
+                rem = self._reduce(self._s_poly(*item) if isinstance(item, tuple) else item)
+                if rem:
+                    self._add(rem)
 
     def exps(self, m: int) -> Exps | None:
         """The exponent tuple of a packed key, or None when it has a
@@ -867,11 +863,9 @@ class _Basis:
         return out
 
     def standard(self, d: int) -> list[int]:
-        """``keys`` of the degree-d standard monomials, kept: the basis
-        grows through d first, and every later lead has a higher degree."""
+        """``keys`` of the degree-d standard monomials, kept."""
         got = self._standard.get(d)
         if got is None:
-            self.grow(d)
             got = self._standard[d] = self.keys(d, self.leads)
         return got
 
@@ -879,13 +873,6 @@ class _Basis:
         # the sequence number breaks degree ties, so items never compare
         heapq.heappush(self._todo, (degree, self._seq, item))
         self._seq += 1
-
-    def complete(self) -> bool:
-        """No waiting generator or pair can add a lead: the heap is empty,
-        or all of it lies above ``top_degree``.  The leads so far are
-        leading monomials of the ideal, so every monomial above that degree
-        is divisible by one and every remainder there is zero."""
-        return not self._todo or self._todo[0][0] > self.top_degree()
 
     def numerator(self) -> QLaurent:
         """The Hilbert numerator of the leads, kept until a lead is added."""
@@ -908,15 +895,6 @@ class _Basis:
             return float("inf")
         numerator = self.numerator()
         return numerator.max_exp() - sum(self.weights) if numerator else -1
-
-    def grow(self, top: int) -> None:
-        todo = self._todo
-        while todo and todo[0][0] <= top:
-            item = heapq.heappop(todo)[2]
-            p = self._s_poly(*item) if isinstance(item, tuple) else item
-            rem = self._reduce(p)
-            if rem:
-                self._add(rem)
 
     def _add(self, p: dict[Exps, int | Fraction]) -> None:
         lead = min(p)

@@ -176,9 +176,9 @@ def _gate(base: QuotientRing, seq: Sequence[Poly]) -> tuple[str, QuotientRing]:
     decides on, with the nonzero entries of seq as given for its new
     generators; once verified, that ring's basis is complete."""
     extended = QuotientRing(base.vars, base.ideal_gens + tuple(filter(None, seq)), base.cutoff)
-    if not all(base.normal_form(p) for p in seq):
-        return "unverified", extended
     try:
+        if not all(base.normal_form(p) for p in seq):
+            return "unverified", extended
         predicted, _ = base.hilbert_series()
         actual, _ = extended.hilbert_series()
     except CutoffExceeded:
@@ -383,6 +383,11 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
     into the base ring.  (a; 0) flips the parity and shifts the grading by
     potential_degree/2 - deg a; (0; b) changes neither.
     """
+    return _absorbed(k, row, force)[0]
+
+
+def _absorbed(k: KoszulMF, row: int, force: bool) -> tuple[KoszulMF, str]:
+    """absorb_zero_row, with the gate's verdict on the absorbed entry."""
     a, b = k.rows[row]
     if a and b:
         raise ConditionUnmet(f"row {row} has no zero side")
@@ -401,7 +406,7 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
         shift += k.potential_degree // 2 - a.homogeneous_degree()
     return replace(
         k, base=new_base, rows=rows, global_grading_shift=shift, z2_shift=z2
-    )
+    ), verdict
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +505,8 @@ class ReductionSession:
     """Mutable working copy plus the reduction log.
 
     ``external`` lists the boundary variables exclusion must preserve;
-    ``force`` downgrades RegularityUnverified to a logged warning.
+    with ``force``, a step whose entries the regularity gate does not
+    verify is taken anyway, and its log entry says "unverified".
     """
 
     current: KoszulMF
@@ -611,7 +617,7 @@ class ReductionSession:
                 return absorbed
             a, b = self.current.rows[hit]
             try:
-                new = absorb_zero_row(self.current, hit, self.force)
+                new, verdict = _absorbed(self.current, hit, self.force)
             except RegularityUnverified:
                 if not skip_unverified:
                     raise
@@ -620,7 +626,7 @@ class ReductionSession:
             self._step(
                 "absorb",
                 {"row": hit, "side": "a" if a else "b",
-                 "generator": (a if a else b).render()},
+                 "generator": (a if a else b).render(), "regularity": verdict},
                 new,
             )
             absorbed += 1

@@ -143,6 +143,12 @@ class TestReduceCommand:
         assert entries[0]["op"] == "absorb"
         assert entries[0]["potential_check"] == "ok"
 
+    def test_the_log_carries_each_absorption_verdict(self, theta_file, tmp_path) -> None:
+        log_path = tmp_path / "log.json"
+        assert main(["reduce", theta_file, "--log", str(log_path)]) == 0
+        absorbed = [e for e in json.loads(log_path.read_text()) if e["op"] == "absorb"]
+        assert [e["params"]["regularity"] for e in absorbed] == ["verified", "verified"]
+
 
 class TestVerifyCommand:
     def test_cor_square_passes(self, capsys) -> None:

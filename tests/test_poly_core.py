@@ -388,9 +388,39 @@ class TestQuotientRing:
             QuotientRing((X,), (Poly.variable(Y),))
 
     def test_cutoff_enforced(self) -> None:
-        ring = QuotientRing((X,), (Poly.variable(X) ** 2,), cutoff=6)
-        with pytest.raises(CutoffExceeded):
-            ring.normal_form(Poly.variable(X) ** 10)
+        # the cutoff bounds the basis's work: the pair of x^2*y and x*y^2
+        # waits at degree 8, past the cutoff of 6, so the basis cannot
+        # complete and the ring refuses every question, in every degree
+        x, y = Poly.variable(X), Poly.variable(Y)
+        gens = (x**2 * y, x * y**2)
+        questions = [
+            *(lambda r, d=d: r.normal_form(x**d) for d in (1, 2, 5, 10)),
+            *(lambda r, d=d: r.dimension(d) for d in (0, 2, 6, 7)),
+            *(lambda r, d=d: r.dimension_series(d) for d in (0, 4, 6, 7, 30)),
+            lambda r: r.standard_monomials(2),
+            lambda r: r.hilbert_series(),
+        ]
+        for ask in questions:
+            ring = QuotientRing((X, Y, GradedVar("w", 2)), gens, cutoff=6)
+            for _ in range(2):  # on first use, and after a refused call
+                with pytest.raises(CutoffExceeded):
+                    ask(ring)
+        ring = QuotientRing((X, Y, GradedVar("w", 2)), gens, cutoff=6)
+        for ask in questions * 2:  # after refusals of other questions
+            with pytest.raises(CutoffExceeded):
+                ask(ring)
+
+    def test_a_complete_ring_answers_above_its_cutoff(self) -> None:
+        x = Poly.variable(X)
+        ring = QuotientRing((X,), (x**2,), cutoff=6)
+        assert ring.normal_form(x**10) == Poly.zero()
+        assert ring.normal_form(x) == x
+        assert ring.dimension(10) == 0
+        assert dict(ring.dimension_series(20).coeffs) == {0: 1, 2: 1}
+        # a free ring is complete at once, whatever its cutoff
+        free = QuotientRing((X, Y), cutoff=2)
+        assert free.dimension(8) == 5
+        assert free.normal_form(x**7) == x**7
 
 
 def _sym(p: Poly, syms: dict) -> sympy.Expr:
@@ -456,16 +486,19 @@ class TestGroebnerSeries:
 
     def test_incomplete_basis_refuses_a_cap_past_the_ring_cutoff(self) -> None:
         # the pair of x^2*y and x*y^2 has degree 8, past the ring's cutoff
-        # of 6, so the basis stays incomplete and the series stops at 6
+        # of 6, so the basis cannot complete and every cap is refused; at
+        # cutoff 8 that pair reduces to zero and the series is exact
         x, y = Poly.variable(X), Poly.variable(Y)
         ring = QuotientRing((X, Y, GradedVar("w", 2)), (x**2 * y, x * y**2), cutoff=6)
+        for cap in (6, 7):
+            with pytest.raises(CutoffExceeded):
+                ring.dimension_series(cap)
         sx, sy, sw = sympy.symbols("x y w")
         want = oracles.weighted_quotient_dims(
-            [2, 2, 2], [sx**2 * sy, sx * sy**2], [sx, sy, sw], 6
+            [2, 2, 2], [sx**2 * sy, sx * sy**2], [sx, sy, sw], 12
         )
-        assert dict(ring.dimension_series(6).coeffs) == {d: n for d, n in want.items() if n}
-        with pytest.raises(CutoffExceeded):
-            ring.dimension_series(7)
+        ring = QuotientRing(ring.vars, ring.ideal_gens, cutoff=8)
+        assert dict(ring.dimension_series(12).coeffs) == {d: n for d, n in want.items() if n}
         # one generator is a complete basis: any cap is exact
         single = QuotientRing(ring.vars, (x**2 * y,), cutoff=6)
         assert single.dimension_series(30) == poincare_regular_quotient([2, 2, 2], [6], 30)
@@ -501,8 +534,7 @@ class TestGroebnerSeries:
                 gens += [_mono(tuple(e if k == i else 0 for k in range(3)), 1)
                          for i, e in enumerate(powers)]
             ring = QuotientRing(VARS, tuple(g for g in gens if g))
-            ring.hilbert_series()
-            top = ring._basis(0).top_degree()
+            top = ring._basis().top_degree()
             if not artinian:
                 assert top == float("inf"), gens
                 continue

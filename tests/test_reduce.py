@@ -280,6 +280,20 @@ class TestAbsorption:
         assert session.absorb_zero_rows() == 1
         assert session.current.row_count == 0
 
+    def test_the_log_records_the_gate_verdict(self) -> None:
+        k = KoszulMF(QuotientRing((X, Y)), ((PX * PX, Poly.zero()),), 0, 0, 8)
+        session = ReductionSession(k)
+        assert session.absorb_zero_rows() == 1
+        assert session.log[-1].params["regularity"] == "verified"
+        # x^2 is a zero divisor over Q[x,y]/(xy): forced, and logged so
+        base = QuotientRing((X, Y), (PX * PY,))
+        k = KoszulMF(base, ((PX * PX, Poly.zero()),), 0, 0, 8)
+        session = ReductionSession(k, force=True)
+        assert session.absorb_zero_rows() == 1
+        [entry] = session.log_dicts()
+        assert entry["op"] == "absorb"
+        assert entry["params"]["regularity"] == "unverified"
+
     def test_collapsed_row_is_refused(self) -> None:
         # absorbing x kills both entries of (x; x^3)
         base = QuotientRing((X,))
@@ -321,6 +335,20 @@ class TestRegularityHeuristic:
         k = KoszulMF(ring, ((Poly.zero(), entry),), 0, 0, 8)
         with pytest.raises(RegularityUnverified):
             absorb_zero_row(k, 0)
+
+    def test_a_base_that_cannot_complete_is_unverified(self) -> None:
+        # the pair of x^2*y and x*y^2 waits at degree 8, past the base's
+        # cutoff of 6, so not even the entry's normal form is known
+        w = GradedVar("w", 2)
+        pw = Poly.variable(w)
+        base = QuotientRing((X, Y, w), (PX * PX * PY, PX * PY * PY), cutoff=6)
+        assert regularity_heuristic(base, [pw]) == "unverified"
+        k = KoszulMF(base, ((pw, Poly.zero()),), 0, 0, 8)
+        session = ReductionSession(k)
+        assert session.absorb_zero_rows(skip_unverified=True) == 0
+        assert session.current.rows == k.rows and not session.log
+        with pytest.raises(RegularityUnverified):
+            session.absorb_zero_rows()
 
     def test_sequence_is_decided_in_every_degree(self) -> None:
         # y is regular on Q[x,y]/(x^10), but x is then a zero divisor on
