@@ -16,6 +16,7 @@ still carry a definite homogeneous map degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .poly_core import GradedVar, Poly, QuotientRing, _check_cutoff, _sum
@@ -354,14 +355,35 @@ def validate(x: MatrixFactorization) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+class Row(tuple):
+    """A Koszul row (a, b), a tuple in every way, that keeps its ``product``
+    a * b and what ``memo`` computes for as long as it lives."""
+
+    @cached_property
+    def product(self) -> Poly:
+        return self[0] * self[1]
+
+    def memo(self, key: object, compute):
+        """compute(), once per key; the key names every other input."""
+        kept = self.__dict__.setdefault("memos", {})
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
+
+    def __reduce__(self):
+        # a copy keeps nothing: memo keys may hold this process's field masks
+        return Row, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class KoszulMF:
     """Row presentation K(a; b) with global shifts applied after expansion.
 
-    The potential is computed once per instance, on the first
-    ``potential()`` call; it is not a field, so equality, hashing, ``repr``
-    and ``as_dict`` do not see whether it has been computed.  A row given
-    as a tuple pair is kept as that very tuple.
+    Each row is a ``Row``; one given is kept as that very object, so an
+    instance built by ``with_rows``, ``replace`` or ``join`` reuses what
+    the rows it shares have kept.  The potential is computed once per
+    instance, on the first ``potential()`` call.  Neither is a field, so
+    equality, hashing, ``repr`` and ``as_dict`` do not see them.
     """
 
     base: QuotientRing
@@ -373,7 +395,7 @@ class KoszulMF:
     def __post_init__(self) -> None:
         if self.z2_shift not in (0, 1):
             raise ValueError("z2_shift must be 0 or 1")
-        rows = tuple(r if type(r) is tuple else tuple(r) for r in self.rows)
+        rows = tuple(r if type(r) is Row else Row(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         pot_deg = self.potential_degree
         if pot_deg < 0 or pot_deg % 2:
@@ -417,25 +439,12 @@ class KoszulMF:
     def potential(self) -> Poly:
         """Sum of a_m * b_m over the rows, in normal form in the base.
 
-        Kept on the instance after the first call, with each row's product
-        a_m * b_m.  ``with_rows`` hands those products to the instance it
-        builds, which reuses a product only for a row that is the very
-        tuple it was computed for and multiplies every other row; the sum
-        over all rows and its normal form are always computed afresh.
-        ``replace`` and ``join`` build instances that multiply every row.
+        Kept on the instance after the first call.  Each row's product is
+        computed once (see ``Row``); the sum and its normal form are not.
         """
         pot = self.__dict__.get("_potential")
         if pot is None:
-            # ``rows`` keeps every old row alive through the loop, so a row
-            # of self.rows with an old row's id is that very tuple
-            rows, products = self.__dict__.pop("_handed", ((), ()))
-            kept = {id(row): p for row, p in zip(rows, products)}
-            products = []
-            for row in self.rows:
-                p = kept.get(id(row))
-                products.append(row[0] * row[1] if p is None else p)
-            pot = self.base.normal_form(_sum(products))
-            object.__setattr__(self, "_products", tuple(products))
+            pot = self.base.normal_form(_sum(row.product for row in self.rows))
             object.__setattr__(self, "_potential", pot)
         return pot
 
@@ -450,19 +459,9 @@ class KoszulMF:
     def with_rows(
         self, rows: Sequence[tuple[Poly, Poly]], base: QuotientRing | None = None
     ) -> "KoszulMF":
-        """The same presentation with new rows, and a new base when given.
-        Once this instance's potential is computed, its row products go to
-        the new instance (see ``potential``)."""
-        return self._replaced(rows=tuple(rows), base=self.base if base is None else base)
-
-    def _replaced(self, **changes) -> "KoszulMF":
-        """``replace(self, **changes)`` handing over the row products as
-        ``with_rows`` does."""
-        new = replace(self, **changes)
-        products = self.__dict__.get("_products")
-        if products is not None:
-            object.__setattr__(new, "_handed", (self.rows, products))
-        return new
+        """The same presentation with new rows, and a new base when given;
+        a ``Row`` passed on keeps its product."""
+        return replace(self, rows=tuple(rows), base=self.base if base is None else base)
 
     def join(self, other: "KoszulMF") -> "KoszulMF":
         """Tensor product in row form: concatenate rows, add shifts."""
@@ -516,14 +515,14 @@ def koszul_expand(k: KoszulMF) -> MatrixFactorization:
     tensor accumulates those shifts on subset generators.
     """
     mf = unit_object(k.base, k.potential_degree)
-    for m, (a, b) in enumerate(k.rows):
+    for m, row in enumerate(k.rows):
         h = k.row_shift(m)
         piece = MatrixFactorization(
             GradedFreeModule(k.base, (0,)),
             GradedFreeModule(k.base, (h,)),
-            SparseMat(1, 1, {(0, 0): a}),
-            SparseMat(1, 1, {(0, 0): b}),
-            k.base.normal_form(a * b),
+            SparseMat(1, 1, {(0, 0): row[0]}),
+            SparseMat(1, 1, {(0, 0): row[1]}),
+            k.base.normal_form(row.product),
             k.potential_degree,
         )
         mf = tensor(mf, piece)

@@ -670,10 +670,17 @@ class QuotientRing:
     def _basis(self) -> "_Basis":
         """The ring's complete Groebner basis, built on first use;
         CutoffExceeded, on every call, when it does not complete within the
-        ring's cutoff."""
+        ring's cutoff.  A refusal is kept as its message, so it is decided
+        once too."""
         basis = self._cache.get("basis")
         if basis is None:
-            basis = self._cache["basis"] = _Basis(self)
+            try:
+                basis = _Basis(self)
+            except CutoffExceeded as exc:
+                basis = str(exc)
+            self._cache["basis"] = basis
+        if isinstance(basis, str):
+            raise CutoffExceeded(basis)
         return basis
 
     def normal_form(self, p: Poly) -> Poly:

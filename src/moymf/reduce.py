@@ -153,7 +153,8 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     a, b = k.rows[row]
     rows = list(k.rows)
     rows[row] = (b, a)
-    return k._replaced(
+    return replace(
+        k,
         rows=tuple(rows),
         global_grading_shift=k.global_grading_shift + h,
         z2_shift=(k.z2_shift + 1) % 2,
@@ -310,7 +311,7 @@ def _rebased_rows(
 ) -> tuple[tuple[Poly, Poly], ...]:
     """The rows of k other than row ``drop``, each substituted by ``sigma``
     when given and reduced in ``new_base``; a row whose entries both come
-    back as themselves stays the same tuple.  A row that collapses to
+    back as themselves stays the same row.  A row that collapses to
     (0; 0) has no degrees: ConditionUnmet, with ``context`` naming the
     step."""
     rows = []
@@ -513,8 +514,6 @@ class ReductionSession:
     external: frozenset[GradedVar] = frozenset()
     force: bool = False
     log: list[LogEntry] = field(default_factory=list)
-    # (row tuple identity, key) -> (row, value), see _memo
-    _seen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _step(self, op: str, params: dict, new: KoszulMF) -> None:
         # the previous step computed this as its new.potential(), and the
@@ -576,12 +575,11 @@ class ReductionSession:
         removed = 0
         while True:
             gen_vars = _generator_vars(self.current.base)
+            key = (1, self.external, gen_vars)
             best = None
             for m, row in enumerate(self.current.rows):
                 # a kept candidate still names the row index it was found at
-                cand = self._memo(
-                    row, (1, gen_vars), lambda: _candidate(row[1], m, self.external, gen_vars)
-                )
+                cand = row.memo(key, lambda: _candidate(row[1], m, self.external, gen_vars))
                 if cand and (best is None or (cand.power == 1 and best[1].power > 1)):
                     best = (m, cand)
                     if cand.power == 1:  # no later row comes first
@@ -590,13 +588,6 @@ class ReductionSession:
                 return removed
             self._exclude(*best)
             removed += 1
-
-    def _memo(self, row: tuple[Poly, Poly], key: object, compute):
-        """compute(), once per row tuple (by identity) and key."""
-        hit = self._seen.get((id(row), key))
-        if hit is None or hit[0] is not row:
-            hit = self._seen[(id(row), key)] = (row, compute())
-        return hit[1]
 
     def absorb_zero_rows(self, skip_unverified: bool = False) -> int:
         """Absorb every zero-sided row whose entry passes the regularity
@@ -654,7 +645,7 @@ class ReductionSession:
         def weight(parts: Sequence[Poly]) -> tuple[int, int]:
             return sum(map(bool, parts)), sum(map(len, parts))
 
-        parts = [self._memo(r, None, lambda: _internal_parts(r, mask)) for r in k.rows]
+        parts = [r.memo(mask, lambda: _internal_parts(r, mask)) for r in k.rows]
         for i, (sides, groups) in enumerate(parts):
             for t, s, kind, flip in _CLEARS:
                 for j, row in enumerate(k.rows):
@@ -672,9 +663,10 @@ class ReductionSession:
         if not k.potential().variables() <= self.external:
             return False  # exclusion would refuse the transposed row
         gen_vars = _generator_vars(k.base)
+        key = (0, self.external, gen_vars)
         for m, row in enumerate(k.rows):
-            if any(parts[m][0]) and all(row) and self._memo(
-                row, (0, gen_vars), lambda: _candidate(row[0], m, self.external, gen_vars)
+            if any(parts[m][0]) and all(row) and row.memo(
+                key, lambda: _candidate(row[0], m, self.external, gen_vars)
             ):
                 self.transpose_row(m)
                 return True

@@ -4,6 +4,7 @@ tensor products, shifts, and the defining-identity validator."""
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -78,6 +79,9 @@ def _row_sum(k: KoszulMF) -> Poly:
 
 
 class TestPotentialMemo:
+    """A presentation sums its potential once, from row products each row
+    keeps once per row and key; none of it is visible or copied."""
+
     def test_derived_objects_compute_their_own(self) -> None:
         rng = random.Random(11)
         moved = 0
@@ -115,7 +119,7 @@ class TestPotentialMemo:
         for d in (first, second_copy):
             d.potential()
             counts.append(len(products))
-        # products pass on only once the potential is computed
+        # a row passed on keeps the product its first potential computed
         third = second_copy.with_rows([(b, a), second_copy.rows[1]])
         third.potential()
         counts.append(len(products))
@@ -132,6 +136,10 @@ class TestPotentialMemo:
         assert k == fresh and hash(k) == hash(fresh)
         assert k.as_dict() == fresh.as_dict()
         assert k.potential() is k.potential()
+        # a copy keeps the potential's value, and its rows keep nothing
+        loaded = pickle.loads(pickle.dumps(k))
+        assert loaded == k and all(vars(row) == {} for row in loaded.rows)
+        assert loaded.potential() == k.potential()
 
 
 class TestExpansion:

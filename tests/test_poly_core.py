@@ -410,6 +410,29 @@ class TestQuotientRing:
             with pytest.raises(CutoffExceeded):
                 ask(ring)
 
+    def test_a_refusal_is_decided_once(self, monkeypatch) -> None:
+        x, y = Poly.variable(X), Poly.variable(Y)
+        ring = QuotientRing((X, Y, GradedVar("w", 2)), (x**2 * y, x * y**2), cutoff=6)
+        built = []
+        init = poly_core._Basis.__init__
+        monkeypatch.setattr(
+            poly_core._Basis, "__init__", lambda b, r: built.append(r) or init(b, r)
+        )
+        refusals = []
+        for _ in range(10):
+            with pytest.raises(CutoffExceeded) as refused:
+                ring.dimension(2)
+            refusals.append(refused.value)
+        assert len(built) == 1
+        assert len({id(e) for e in refusals}) == 10
+        assert {str(e) for e in refusals} == {"Groebner basis not complete by ring cutoff 6"}
+        # a copy leaves the refusal behind, and refuses again on its own
+        copied = pickle.loads(pickle.dumps(ring))
+        assert copied == ring and copied._cache == {}
+        with pytest.raises(CutoffExceeded):
+            copied.dimension(2)
+        assert len(built) == 2
+
     def test_a_complete_ring_answers_above_its_cutoff(self) -> None:
         x = Poly.variable(X)
         ring = QuotientRing((X,), (x**2,), cutoff=6)

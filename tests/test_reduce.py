@@ -466,6 +466,15 @@ class TestGlue:
         with pytest.raises(ConditionUnmet, match=r"collapsed to \(0; 0\)"):
             glue(k, k, [(alpha, beta)])
 
+
+def _fresh_potential(k: KoszulMF) -> Poly:
+    """The potential summed afresh from the rows, in normal form."""
+    fresh = Poly.zero()
+    for a, b in k.rows:
+        fresh = fresh + a * b
+    return k.base.normal_form(fresh)
+
+
 class TestPotentialMemo:
     def test_exclusion_results_compute_their_own(self) -> None:
         rng = random.Random(29)
@@ -485,10 +494,7 @@ class TestPotentialMemo:
                     k = exclude_variable(k, cands[0].row, external)
                 except ConditionUnmet:
                     break
-                fresh = Poly.zero()
-                for a, b in k.rows:
-                    fresh = fresh + a * b
-                assert k.potential() == k.base.normal_form(fresh)
+                assert k.potential() == _fresh_potential(k)
                 steps += 1
         assert steps > 0
 
@@ -510,8 +516,9 @@ def _square_session() -> ReductionSession:
 
 
 class TestRowReuse:
-    """A step keeps the rows it does not touch as the same tuples and
-    multiplies only the others, yet still sums every row for its check."""
+    """A step keeps the rows it does not touch as the same rows, which keep
+    what they computed once per row and key, so it multiplies only the
+    others, yet still sums every row for its check."""
 
     def test_untouched_rows_reach_the_next_step_as_themselves(self, monkeypatch) -> None:
         session = _square_session()
@@ -527,10 +534,7 @@ class TestRowReuse:
         pot = new.potential()
         monkeypatch.undo()
         assert len(products) == new.row_count - len(kept)
-        fresh = Poly.zero()
-        for a, b in new.rows:
-            fresh = fresh + a * b
-        assert pot == new.base.normal_form(fresh)
+        assert pot == _fresh_potential(new)
 
     def test_a_transpose_multiplies_only_the_swapped_row(self, monkeypatch) -> None:
         k = _two_rows()
@@ -543,6 +547,23 @@ class TestRowReuse:
         monkeypatch.undo()
         assert len(products) == 1 and new.rows[1] is k.rows[1]
         assert pot == k.potential()
+
+    def test_an_absorption_multiplies_only_the_rows_it_changed(self, monkeypatch) -> None:
+        session = _session_of(corpus.bubble_chain(2))
+        session.exclude_all()
+        k = session.current
+        zero = [m for m, (a, b) in enumerate(k.rows) if not a or not b]
+        k.potential()
+        absorbed = absorb_zero_row(k, zero[0])
+        joined = k.join(k)
+        assert sum(any(r is o for o in k.rows) for r in absorbed.rows) == 2
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+        pots = [d.potential() for d in (absorbed, joined)]
+        monkeypatch.undo()
+        assert not products
+        assert pots == [_fresh_potential(d) for d in (absorbed, joined)]
 
     @pytest.mark.parametrize("kept", [True, False])
     def test_a_corrupted_row_fails_the_check(self, monkeypatch, kept: bool) -> None:
@@ -571,8 +592,9 @@ def _session_of(src: str) -> ReductionSession:
 
 
 class TestCandidateCache:
-    """exclude_all computes a row's candidate once per row tuple and
-    generator variables, and picks what a fresh scan would pick."""
+    """exclude_all computes a row's candidate once per row and key (the
+    external and generator variables), and picks what a fresh scan would
+    pick."""
 
     def test_picks_match_a_fresh_scan(self, monkeypatch) -> None:
         exclude = ReductionSession._exclude
@@ -617,6 +639,14 @@ class TestCandidateCache:
         )
         assert session.exclude_all() == len(scans) > 0
         assert len(calls) < sum(scans)
+
+    @pytest.mark.parametrize("boundary_first", [True, False])
+    def test_sessions_with_other_externals_share_no_candidate(self, boundary_first: bool) -> None:
+        d = parse(_square_wide_src(2, 4))
+        k = compile_diagram(d)
+        runs = [(d.external_vars(), 8), (frozenset(k.base.vars), 0)]
+        for external, removed in runs if boundary_first else runs[::-1]:
+            assert ReductionSession(k, external=external).exclude_all() == removed
 
 
 class TestClearing:
