@@ -28,16 +28,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .poly_core import GradedVar, Poly, QuotientRing
-from .symfun import (
-    Alphabet,
-    L_poly,
-    Lambda_poly,
-    V_poly,
-    power_sum_in,
-    product_term,
-)
+from .symfun import Alphabet, _rows, power_sum_in
+# unused here, kept because bench/tracing.py rebinds these names in this module
+from .symfun import L_poly, Lambda_poly, V_poly, product_term  # noqa: F401
 from .mf_core import KoszulMF
 
 __all__ = [
@@ -110,13 +106,12 @@ class Diagram:
 
     def __post_init__(self) -> None:
         # lookups kept beside the fields, so equality, hashing and repr do
-        # not see them: edges by id (the first of a repeated id) and each
-        # (color, label) alphabet, built on first use
+        # not see them: edges by id (the first of a repeated id), and the
+        # external variables once ``external_vars`` has found them
         by_id: dict[str, Edge] = {}
         for e in self.edges:
             by_id.setdefault(e.id, e)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_alphabets", {})
 
     def edge(self, eid: str) -> Edge:
         return self._by_id[eid]
@@ -127,12 +122,11 @@ class Diagram:
 
     # -- alphabets ---------------------------------------------------------
 
-    def _alphabet(self, color: int, label: str) -> Alphabet:
-        """The alphabet of a color and a label, one object per diagram."""
-        got = self._alphabets.get((color, label))
-        if got is None:
-            got = self._alphabets[(color, label)] = Alphabet(color, label)
-        return got
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _alphabet(color: int, label: str) -> Alphabet:
+        """The alphabet of a color and a label, one object per process."""
+        return Alphabet(color, label)
 
     def edge_alphabet(self, e: Edge) -> Alphabet:
         """The single alphabet of a vertex-incident edge."""
@@ -147,10 +141,12 @@ class Diagram:
         ]
 
     def external_vars(self) -> frozenset[GradedVar]:
-        vs: set[GradedVar] = set()
-        for _, alpha in self.boundary_alphabets():
-            vs.update(alpha.vars)
-        return frozenset(vs)
+        """The boundary alphabets' variables, found once per diagram."""
+        vs = self.__dict__.get("_external")
+        if vs is None:
+            vs = frozenset(v for _, alpha in self.boundary_alphabets() for v in alpha.vars)
+            object.__setattr__(self, "_external", vs)
+        return vs
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +297,7 @@ def _validate(
     allow_high_colors: bool,
 ) -> tuple[tuple[BoundaryPoint, ...], frozenset[str]]:
     by_id = {e.id: e for e in edges}
+    vertex_by_id = {v.id: v for v in vertices}  # ids are unique: parse checks
 
     for e in edges:
         if e.color > level and not allow_high_colors:
@@ -328,7 +325,7 @@ def _validate(
             if end[0] != "vertex":
                 continue
             vid = end[1]
-            v = next((w for w in vertices if w.id == vid), None)
+            v = vertex_by_id.get(vid)
             if v is None:
                 raise DiagramSyntaxError(
                     f"edge {e.id} references unknown vertex {vid}", e.line
@@ -440,6 +437,7 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     rows: list[tuple[Poly, Poly]] = []
     shift = 0
     vars_: set[GradedVar] = set()
+    alphabets: dict[str, Alphabet] = {}  # of the vertex-incident edges
 
     for e in d.edges:
         if e.tail[0] == "boundary" and e.head[0] == "boundary":
@@ -447,26 +445,18 @@ def compile_diagram(d: Diagram) -> KoszulMF:
             hd, tl = d._alphabet(e.color, e.head[1]), d._alphabet(e.color, e.tail[1])
             vars_.update(hd.vars)
             vars_.update(tl.vars)
-            for j in range(1, e.color + 1):
-                rows.append((L_poly(j, e.color, n, hd, tl), hd.poly(j) - tl.poly(j)))
+            rows += _rows("L", n, hd, tl)
         else:
-            vars_.update(d.edge_alphabet(e).vars)
+            alphabets[e.id] = alpha = d.edge_alphabet(e)
+            vars_.update(alpha.vars)
 
     for v in d.vertices:
         if v.kind == "merge":
-            a, b, c = (d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs)
-            vars_.update(a.vars); vars_.update(b.vars); vars_.update(c.vars)
-            for j in range(1, c.color + 1):
-                rows.append(
-                    (Lambda_poly(j, a, b, c, n), c.poly(j) - product_term(j, a, b))
-                )
+            a, b, c = (alphabets[eid] for eid in v.ins + v.outs)
+            rows += _rows("Lambda", n, c, a, b)
         else:
-            c, a, b = (d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs)
-            vars_.update(a.vars); vars_.update(b.vars); vars_.update(c.vars)
-            for j in range(1, c.color + 1):
-                rows.append(
-                    (V_poly(j, a, b, c, n), product_term(j, a, b) - c.poly(j))
-                )
+            c, a, b = (alphabets[eid] for eid in v.ins + v.outs)
+            rows += _rows("V", n, c, a, b)
             shift -= a.color * b.color
 
     # boundary variables first: the ring's term order ranks them lowest, so

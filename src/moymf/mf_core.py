@@ -401,16 +401,17 @@ class KoszulMF:
         if pot_deg < 0 or pot_deg % 2:
             raise ValueError(f"bad potential degree {pot_deg}")
         for m, (a, b) in enumerate(rows):
-            for side, p in (("a", a), ("b", b)):
-                if p and not p.is_homogeneous():
+            # a nonzero side's degree, -1 when inhomogeneous; kept by the Poly
+            da = a._homogeneous_degree() if a else None
+            db = b._homogeneous_degree() if b else None
+            for side, d in (("a", da), ("b", db)):
+                if d is not None and d < 0:
                     raise InhomogeneousRow(f"row {m} side {side} inhomogeneous")
-            if not a and not b:
+            if da is None and db is None:
                 raise InhomogeneousRow(f"row {m} is (0; 0): degrees undefined")
-            if a and b and a.homogeneous_degree() + b.homogeneous_degree() != pot_deg:
+            if da is not None and db is not None and da + db != pot_deg:
                 raise InhomogeneousRow(
-                    f"row {m} has potential degree "
-                    f"{a.homogeneous_degree() + b.homogeneous_degree()}, "
-                    f"expected {pot_deg}"
+                    f"row {m} has potential degree {da + db}, expected {pot_deg}"
                 )
 
     # -- degrees ---------------------------------------------------------

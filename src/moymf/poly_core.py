@@ -549,34 +549,53 @@ def _sum(polys: Iterable[Poly]) -> Poly:
     return _from_clean(_canonical(out))
 
 
-def _rename(p: Poly, pairs: Mapping[GradedVar, GradedVar]) -> Poly:
-    """p with each variable v of pairs replaced by pairs[v], all at once, in
-    one pass over the terms: the exponent in v's field moves to the field
-    of pairs[v], so degrees must agree (DegreeMismatch otherwise).  Terms
-    whose keys meet are summed; p itself comes back when nothing moves."""
-    present = reduce(int.__or__, p._terms, 0)
-    moves = []
-    for v, w in pairs.items():
-        if v.degree != w.degree:
-            raise DegreeMismatch(
-                f"cannot rename {v.name} (degree {v.degree}) to {w.name} (degree {w.degree})"
-            )
-        s, t = _unit(v).bit_length() - 1, _unit(w).bit_length() - 1
-        if s != t and (present >> s) & _FIELD:
-            moves.append((s, t))
-    if not moves:
-        return p
-    keep = ~sum(_FIELD << s for s, _ in moves)
+# A plan is a nonzero homogeneous polynomial over a list of template
+# variables, kept apart from the registry: its degree, and for each term
+# its coefficient and the (template index, exponent) pairs of its
+# variables.  Applied onto targets, given by their ``_fields``, it is the
+# polynomial with template variable i replaced by target i.
+_Plan = tuple[int, tuple[tuple[int | Fraction, tuple[tuple[int, int], ...]], ...]]
+
+
+def _fields(vs: Iterable[GradedVar]) -> tuple[int, ...]:
+    """The exponent field of each variable's key: its key less its degree."""
+    return tuple(_unit(v) - v.degree for v in vs)
+
+
+def _to_plan(p: Poly, tvars: Sequence[GradedVar]) -> _Plan:
+    """p as a plan over tvars, which must hold every variable of p."""
+    index = {v: i for i, v in enumerate(tvars)}
+    terms = tuple(
+        (c, tuple((index[v], e) for v, e in _unpack(m))) for m, c in p._terms.items()
+    )
+    return p.homogeneous_degree(), terms
+
+
+def _apply_plan(plan: _Plan, fields: Sequence[int]) -> Poly:
+    """The plan on the targets whose fields are given: each key is the
+    degree plus e * field for each (index, e) pair.  Keys that meet, as
+    when two targets are one variable, are summed.  The result keeps the
+    plan's degree, so checking it again costs a lookup."""
+    deg, terms = plan
     out: dict[int, int | Fraction] = {}
-    get = out.get
-    for m, c in p._terms.items():
-        k = m & keep
-        for s, t in moves:
-            k += ((m >> s) & _FIELD) << t
-        out[k] = get(k, 0) + c
+    for c, pairs in terms:
+        k = deg
+        for i, e in pairs:
+            k += e * fields[i]
+        out[k] = c
+    if len(out) < len(terms):
+        out = {}
+        get = out.get
+        for c, pairs in terms:
+            k = deg + sum(e * fields[i] for i, e in pairs)
+            out[k] = get(k, 0) + c
+        out = _canonical(out)
     if _CONFLICTS:
         _check_gradings(out)
-    return _from_clean(_canonical(out))
+    p = _from_clean(out)
+    if out:
+        p._deg = deg
+    return p
 
 
 _POLY_ZERO = Poly()

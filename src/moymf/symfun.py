@@ -16,14 +16,17 @@ Their defining property, exercised heavily by the tests, is telescoping:
 summing row-polynomial times slot-difference over all slots reproduces the
 difference of boundary power sums exactly.
 
-A row polynomial depends on its alphabets only through their variables, so
-each is computed once per shape, that is per (family, slot, colors,
-level), on template alphabets and kept (``_template``): the varying
-alphabet takes the anonymous slots x1..xi of ``generic_slots``, already
-registered by ``power_sum_F``, and the others two private template
-alphabets.  A call renames the template's variables onto its own
-alphabets' in one pass over the terms (``poly_core._rename``), which is
-exact for any alphabets, also ones that share variables with a template.
+The rows of a line piece or a vertex depend on their alphabets only
+through their variables, so each shape, that is (family, colors, level),
+is compiled once on template alphabets and kept as a plan (``_plan``):
+for every slot j the a-entry, the divided difference above, and the
+b-entry, the slot difference it telescopes against, each with its degree
+and, per term, its coefficient and the template variables it holds.  The
+varying alphabet takes the anonymous slots x1..xi of ``generic_slots``,
+the others two private template alphabets.  A call applies the plan onto
+its own alphabets' variables, packing each key straight from their
+fields (``poly_core._apply_plan``), with no polynomial arithmetic; this
+is exact for any alphabets, also two that share variables.
 """
 
 from __future__ import annotations
@@ -31,7 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly_core import GradedVar, Poly, _rename, divided_difference_values
+from .poly_core import (
+    GradedVar,
+    Poly,
+    _apply_plan,
+    _fields,
+    _Plan,
+    _to_plan,
+    divided_difference_values,
+)
 
 __all__ = [
     "Alphabet",
@@ -58,8 +69,10 @@ class IndexOutOfRange(IndexError):
 @dataclass(frozen=True, order=True)
 class Alphabet:
     """i graded variables x_{1,k}..x_{i,k} with deg x_{j,k} = 2j, and
-    their polynomials, built once as attributes that are not fields: only
-    the color and the label are compared, hashed, printed and pickled."""
+    their polynomials and packed-key fields, built once as attributes that
+    are not fields: only the color and the label are compared, hashed,
+    printed and pickled.  ``diagram`` shares one alphabet per (color,
+    label) across the process, so these are built once there too."""
 
     color: int
     label: str
@@ -72,6 +85,7 @@ class Alphabet:
         vs = tuple(GradedVar(f"x{j}_{self.label}", 2 * j) for j in range(1, self.color + 1))
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "_polys", {v: Poly.variable(v) for v in vs})
+        object.__setattr__(self, "_fields", _fields(vs))
 
     def __reduce__(self):
         return Alphabet, (self.color, self.label)
@@ -174,16 +188,15 @@ _TEMPLATE_LABELS = ("tmpl.a", "tmpl.b")
 
 
 @lru_cache(maxsize=None)
-def _template(
-    family: str, j: int, colors: tuple[int, ...], n: int
-) -> tuple[Poly, tuple[GradedVar, ...]]:
-    """The slot-j row polynomial of one shape on template alphabets, and
-    the template variables: the slots x1..xi of the varying alphabet, then
+def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _Plan], ...]:
+    """Every slot's (a-entry, b-entry) of one shape, each a plan over the
+    template variables: the slots x1..xi of the varying alphabet, then
     those of the template alphabets.
 
-    ``L``: colors (i,), src the slots and dst template alphabet 0.
-    ``Lambda`` and ``V``: colors (color a, color b), c the slots and a, b
-    template alphabets 0 and 1.
+    ``L``: colors (i,), src the slots and dst template alphabet 0; b is
+    x_j(src) - x_j(dst).  ``Lambda`` and ``V``: colors (color a, color b),
+    c the slots and a, b template alphabets 0 and 1; b is x_j(c) -
+    product_term_j(a, b) for ``Lambda`` and its negative for ``V``.
     """
     i = sum(colors)
     slots = [Poly.variable(s) for s in generic_slots(i)]
@@ -194,19 +207,25 @@ def _template(
         other = [alpha[0].poly(m) for m in range(1, i + 1)]
     else:
         other = [product_term(m, *alpha) for m in range(1, i + 1)]
-    if family == "V":
-        below, hi, lo, above = slots[: j - 1], other[j - 1], slots[j - 1], other[j:]
-    else:
-        below, hi, lo, above = other[: j - 1], slots[j - 1], other[j - 1], slots[j:]
-    return _mixed_divided_difference(i, n, j, below, hi, lo, above), tvars
+    plans = []
+    for j in range(1, i + 1):
+        if family == "V":
+            below, hi, lo, above = slots[: j - 1], other[j - 1], slots[j - 1], other[j:]
+        else:
+            below, hi, lo, above = other[: j - 1], slots[j - 1], other[j - 1], slots[j:]
+        row = _mixed_divided_difference(i, n, j, below, hi, lo, above)
+        plans.append((_to_plan(row, tvars), _to_plan(hi - lo, tvars)))
+    return tuple(plans)
 
 
-def _from_template(family: str, j: int, n: int, *alphabets: Alphabet) -> Poly:
-    """The ``_template`` row renamed onto alphabets, the varying one first,
-    all at once."""
-    colors = alphabets[0:1] if family == "L" else alphabets[1:]
-    row, tvars = _template(family, j, tuple(a.color for a in colors), n)
-    return _rename(row, dict(zip(tvars, [v for a in alphabets for v in a.vars])))
+def _rows(family: str, n: int, *alphabets: Alphabet) -> list[tuple[Poly, Poly]]:
+    """Every (a, b) row of one line piece or vertex, slot by slot, from its
+    shape's plan: ``L`` takes (src, dst), ``Lambda`` and ``V`` (c, a, b)."""
+    colors = tuple(a.color for a in (alphabets[:1] if family == "L" else alphabets[1:]))
+    fields = sum((a._fields for a in alphabets), ())
+    return [
+        (_apply_plan(pa, fields), _apply_plan(pb, fields)) for pa, pb in _plan(family, colors, n)
+    ]
 
 
 def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
@@ -219,7 +238,7 @@ def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
         raise ColorMismatch(f"line needs both alphabets of color {i}")
     if not 1 <= j <= i:
         raise IndexOutOfRange(f"slot {j} outside 1..{i}")
-    return _from_template("L", j, n, src, dst)
+    return _rows("L", n, src, dst)[j - 1][0]
 
 
 def _check_vertex(a: Alphabet, b: Alphabet, c: Alphabet, j: int) -> None:
@@ -239,7 +258,7 @@ def Lambda_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     yields F(c) - F(a) - F(b).
     """
     _check_vertex(a, b, c, j)
-    return _from_template("Lambda", j, n, c, a, b)
+    return _rows("Lambda", n, c, a, b)[j - 1][0]
 
 
 def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
@@ -250,4 +269,4 @@ def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     F(a) + F(b) - F(c).
     """
     _check_vertex(a, b, c, j)
-    return _from_template("V", j, n, c, a, b)
+    return _rows("V", n, c, a, b)[j - 1][0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -153,6 +154,12 @@ class TestDiagramShape:
         assert theta.external_vars() == frozenset()
         assert len(line.external_vars()) == 4  # two color-2 alphabets
 
+    def test_external_variables_are_found_once(self) -> None:
+        line = parse(LINE)
+        assert line.external_vars() is line.external_vars()
+        copied = pickle.loads(pickle.dumps(line))
+        assert copied == line and copied.external_vars() == line.external_vars()
+
 
 # (source, exception type, message fragment, line): malformed inputs, one
 # for each raise site of the parser and validator
@@ -219,17 +226,21 @@ class TestCompile:
         assert k.global_grading_shift == -1  # one split of colors 1 and 1
 
     def test_each_shape_and_alphabet_is_built_once(self, monkeypatch) -> None:
-        # two merges and two splits of colors 1 + 1 = 2: four shapes, eight rows
-        d = parse(_square_wide_src(1, 3))
+        # two merges and two splits of colors 1 + 1 = 2: two shapes, eight rows
+        src = _square_wide_src(1, 3)
+        d = parse(src)
         built = []
         alphabet = diagram.Alphabet
         monkeypatch.setattr(diagram, "Alphabet", lambda *key: built.append(key) or alphabet(*key))
-        symfun._template.cache_clear()
+        symfun._plan.cache_clear()
+        diagram.Diagram._alphabet.cache_clear()
         k = compile_diagram(d)
-        assert compile_diagram(d) == k and k.row_count == 8
-        assert symfun._template.cache_info().misses == 4
+        again = parse(src)
+        assert compile_diagram(d) == compile_diagram(again) == k and k.row_count == 8
+        assert symfun._plan.cache_info().misses == 2
         assert len(built) == len(set(built)) == 8  # 4 boundary, 4 internal edges
-        assert d.edge_alphabet(d.edge("rhi")) is d.edge_alphabet(d.edge("rhi"))
+        # one alphabet per (color, label) in the process, across diagrams
+        assert d.edge_alphabet(d.edge("rhi")) is again.edge_alphabet(again.edge("rhi"))
 
     def test_potential_matches_the_boundary_on_corpus(self) -> None:
         rng = random.Random(73)

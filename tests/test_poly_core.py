@@ -32,7 +32,14 @@ from moymf import (
     poincare_regular_quotient,
 )
 from moymf import poly_core
-from moymf.poly_core import _pack, insert_pivot_row, pure_power
+from moymf.poly_core import (
+    _apply_plan,
+    _fields,
+    _pack,
+    _to_plan,
+    insert_pivot_row,
+    pure_power,
+)
 from moymf.qseries import _expand
 
 X = GradedVar("x", 2)
@@ -151,9 +158,6 @@ class TestMonomialKernel:
         assert q.substitute({X: y, Z: x * y}) == 2 * x * y * y + x * y**3
         # a rename onto a variable already present merges, and may cancel
         assert (x * y - y * y + z).substitute({X: y}) == z
-        # the packed-field rename agrees on a swap and on a merge
-        assert poly_core._rename(p, {X: Y, Y: X}) == p.substitute({X: y, Y: x})
-        assert poly_core._rename(x * y - y * y + z, {X: Y}) == z
         # no substituted variable occurs: the very same polynomial
         r = y * z
         for sigma in ({}, {X: 3 * y}, {X: y}, {X: Poly.zero()}):
@@ -165,8 +169,27 @@ class TestMonomialKernel:
             x.substitute({X: y, Y: x + z})
         with pytest.raises(DegreeMismatch, match=r"^image of z \(degree 4\) has degree 2$"):
             z.substitute({Z: 2 * x})
-        with pytest.raises(DegreeMismatch, match="cannot rename x"):
-            poly_core._rename(x, {X: Z})
+
+    def test_plans_apply_onto_other_variables(self) -> None:
+        """A plan applied onto the fields of other variables renames its
+        template variables all at once."""
+        x, y, z = (Poly.variable(v) for v in VARS)
+        p = x * x * y + 3 * x * y * y - 2 * z * x
+        plan = _to_plan(p, VARS)
+        assert plan[0] == 6 and len(plan[1]) == 3
+        # onto the template itself, and onto a swap of x and y
+        assert _apply_plan(plan, _fields(VARS)) == p
+        swapped = _apply_plan(plan, _fields((Y, X, Z)))
+        assert swapped == p.substitute({X: y, Y: x})
+        assert swapped.homogeneous_degree() == 6 and Poly(swapped.terms) == swapped
+        # two targets one variable: the keys that meet are summed, and cancel
+        q = x * y - y * y + z
+        merged = _apply_plan(_to_plan(q, VARS), _fields((Y, Y, Z)))
+        assert merged == z == q.substitute({X: y})
+        assert not _apply_plan(_to_plan(x - y, VARS), _fields((Y, Y, Z)))
+        # a plan holds a nonzero homogeneous polynomial
+        with pytest.raises(DegreeMismatch):
+            _to_plan(x + z, VARS)
 
     def test_conflicting_gradings_raise(self) -> None:
         x2 = Poly({((GradedVar("x", 2), 1),): 1})
@@ -176,6 +199,10 @@ class TestMonomialKernel:
         # the image of z (degree 4) brings in an x of degree 4 beside x
         with pytest.raises(ValueError, match="conflicting gradings"):
             (Poly.variable(X) * Poly.variable(Z)).substitute({Z: x4})
+        # a plan applied onto x and another x, of degree 4
+        plan = _to_plan(Poly.variable(X) * Poly.variable(Z), (X, Z))
+        with pytest.raises(ValueError, match="conflicting gradings"):
+            _apply_plan(plan, _fields((X, GradedVar("x", 4))))
 
     def test_pure_power(self) -> None:
         v, w = Poly.variable(X), Poly.variable(Y)
@@ -922,11 +949,18 @@ class TestPackedKeys:
     @settings(max_examples=40, deadline=None)
     @given(mixed_polys(), mixed_renamings())
     def test_renaming_against_sympy(self, p: Poly, sigma: dict) -> None:
-        """Variable-only images, through ``substitute`` and through the
-        packed-field ``_rename``: onto a variable present, cycles, swaps."""
+        """Variable-only images, through ``substitute`` and through a plan
+        of each homogeneous component applied onto the renamed variables:
+        onto a variable present, cycles, swaps."""
         pairs = {v: next(iter(img.variables())) for v, img in sigma.items()}
         images = {SYMS[v]: SYMS[w] for v, w in pairs.items()}
         want = _sym(p, SYMS).subs(images, simultaneous=True)
-        for moved in (p.substitute(sigma), poly_core._rename(p, pairs)):
+        vs = _mixed_vars()
+        targets = _fields(pairs.get(v, v) for v in vs)
+        planned = sum(
+            (_apply_plan(_to_plan(c, vs), targets) for c in p.homogeneous_components().values()),
+            Poly.zero(),
+        )
+        for moved in (p.substitute(sigma), planned):
             assert sympy.expand(_sym(moved, SYMS) - want) == 0
             assert Poly(moved.terms) == moved

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import corpus
 import oracles
 from moymf import (
     Alphabet,
@@ -22,7 +23,7 @@ from moymf import (
     power_sum_in,
     product_term,
 )
-from moymf import symfun
+from moymf import compile_diagram, parse, render, symfun
 from moymf.symfun import _mixed_divided_difference, generic_slots
 
 
@@ -54,6 +55,7 @@ class TestAlphabet:
         ]
         for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
             assert twin == a and twin.vars == a.vars and twin.poly(3) == a.poly(3)
+            assert twin._fields == a._fields
 
 
 class TestPowerSum:
@@ -191,9 +193,10 @@ def _direct(family: str, j: int, n: int, alphabets: tuple[Alphabet, ...]) -> Pol
 
 
 class TestTemplates:
-    """Rows renamed from one template per shape against the direct
-    divided differences, on alphabets that share labels with the
-    templates, swap them, or share one label between two alphabets."""
+    """Rows applied from one plan per shape, built on template alphabets,
+    against the direct divided differences, on alphabets that share labels
+    with the templates, swap them, or share one label between two
+    alphabets."""
 
     def test_every_shape_through_level_six_matches_the_direct_rows(self) -> None:
         ta, tb = symfun._TEMPLATE_LABELS
@@ -220,13 +223,46 @@ class TestTemplates:
         assert checked == 5 * 56 + 4 * 2 * 140
 
     def test_a_shape_is_built_once(self) -> None:
-        symfun._template.cache_clear()
+        # one plan holds every slot of a shape, for any alphabets
+        symfun._plan.cache_clear()
         a, b, c = Alphabet(1, "a"), Alphabet(2, "b"), Alphabet(3, "c")
         other = Alphabet(1, "z"), Alphabet(2, "y"), Alphabet(3, "x")
         rows = [Lambda_poly(j, *abc, 4) for abc in ((a, b, c), other) for j in (1, 2, 3)]
-        info = symfun._template.cache_info()
-        assert (info.misses, info.hits) == (3, 3)
+        info = symfun._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
         assert rows[:3] != rows[3:]
+
+    def test_every_compiled_row_equals_its_direct_construction(self) -> None:
+        """Both entries of every row ``compile_diagram`` builds from plans,
+        against the divided difference and the slot difference built by
+        Poly arithmetic on the row's own alphabets."""
+        rng = random.Random(2024)
+        seen = {"L": 0, "L one label": 0, "Lambda": 0, "V": 0}
+        for _ in range(50):
+            d = parse(corpus.random_diagram_source(rng, closed=rng.random() < 0.5))
+            n, want = d.level, []
+            for e in d.edges:
+                if e.tail[0] == e.head[0] == "boundary":
+                    hd, tl = Alphabet(e.color, e.head[1]), Alphabet(e.color, e.tail[1])
+                    seen["L one label" if hd == tl else "L"] += 1
+                    want += [
+                        (_direct("L", j, n, (hd, tl)), hd.poly(j) - tl.poly(j))
+                        for j in range(1, e.color + 1)
+                    ]
+            for v in d.vertices:
+                family, sign = ("Lambda", 1) if v.kind == "merge" else ("V", -1)
+                seen[family] += 1
+                edges = [d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs]
+                a, b, c = edges if v.kind == "merge" else edges[1:] + edges[:1]
+                want += [
+                    (
+                        _direct(family, j, n, (c, a, b)),
+                        sign * (c.poly(j) - product_term(j, a, b)),
+                    )
+                    for j in range(1, c.color + 1)
+                ]
+            assert list(compile_diagram(d).rows) == want, render(d)
+        assert min(seen.values()) >= 5, seen
 
 
 class TestColorChecks:
