@@ -549,11 +549,12 @@ def _sum(polys: Iterable[Poly]) -> Poly:
     return _from_clean(_canonical(out))
 
 
-# A plan is a nonzero homogeneous polynomial over a list of template
-# variables, kept apart from the registry: its degree, and for each term
-# its coefficient and the (template index, exponent) pairs of its
-# variables.  Applied onto targets, given by their ``_fields``, it is the
-# polynomial with template variable i replaced by target i.
+# A plan is a homogeneous polynomial over a list of template variables,
+# kept apart from the registry: its degree (0 for zero, which has no
+# terms), and for each term its coefficient and the (template index,
+# exponent) pairs of its variables.  Applied onto targets, given by their
+# ``_fields``, it is the polynomial with template variable i replaced by
+# target i.
 _Plan = tuple[int, tuple[tuple[int | Fraction, tuple[tuple[int, int], ...]], ...]]
 
 
@@ -568,7 +569,7 @@ def _to_plan(p: Poly, tvars: Sequence[GradedVar]) -> _Plan:
     terms = tuple(
         (c, tuple((index[v], e) for v, e in _unpack(m))) for m, c in p._terms.items()
     )
-    return p.homogeneous_degree(), terms
+    return (p.homogeneous_degree() if p else 0), terms
 
 
 def _apply_plan(plan: _Plan, fields: Sequence[int]) -> Poly:
@@ -578,17 +579,14 @@ def _apply_plan(plan: _Plan, fields: Sequence[int]) -> Poly:
     plan's degree, so checking it again costs a lookup."""
     deg, terms = plan
     out: dict[int, int | Fraction] = {}
+    get = out.get
     for c, pairs in terms:
         k = deg
         for i, e in pairs:
             k += e * fields[i]
-        out[k] = c
+        out[k] = get(k, 0) + c
     if len(out) < len(terms):
-        out = {}
-        get = out.get
-        for c, pairs in terms:
-            k = deg + sum(e * fields[i] for i, e in pairs)
-            out[k] = get(k, 0) + c
+        # only keys that met can sum to zero or to an integral Fraction
         out = _canonical(out)
     if _CONFLICTS:
         _check_gradings(out)

@@ -238,7 +238,7 @@ def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
         raise ColorMismatch(f"line needs both alphabets of color {i}")
     if not 1 <= j <= i:
         raise IndexOutOfRange(f"slot {j} outside 1..{i}")
-    return _rows("L", n, src, dst)[j - 1][0]
+    return _apply_plan(_plan("L", (i,), n)[j - 1][0], src._fields + dst._fields)
 
 
 def _check_vertex(a: Alphabet, b: Alphabet, c: Alphabet, j: int) -> None:
@@ -258,7 +258,8 @@ def Lambda_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     yields F(c) - F(a) - F(b).
     """
     _check_vertex(a, b, c, j)
-    return _rows("Lambda", n, c, a, b)[j - 1][0]
+    plan = _plan("Lambda", (a.color, b.color), n)[j - 1][0]
+    return _apply_plan(plan, c._fields + a._fields + b._fields)
 
 
 def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
@@ -269,4 +270,5 @@ def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     F(a) + F(b) - F(c).
     """
     _check_vertex(a, b, c, j)
-    return _rows("V", n, c, a, b)[j - 1][0]
+    plan = _plan("V", (a.color, b.color), n)[j - 1][0]
+    return _apply_plan(plan, c._fields + a._fields + b._fields)

@@ -23,7 +23,7 @@ from moymf import (
     power_sum_in,
     product_term,
 )
-from moymf import compile_diagram, parse, render, symfun
+from moymf import boundary_potential, compile_diagram, parse, render, symfun
 from moymf.symfun import _mixed_divided_difference, generic_slots
 
 
@@ -240,29 +240,61 @@ class TestTemplates:
         seen = {"L": 0, "L one label": 0, "Lambda": 0, "V": 0}
         for _ in range(50):
             d = parse(corpus.random_diagram_source(rng, closed=rng.random() < 0.5))
-            n, want = d.level, []
             for e in d.edges:
                 if e.tail[0] == e.head[0] == "boundary":
-                    hd, tl = Alphabet(e.color, e.head[1]), Alphabet(e.color, e.tail[1])
-                    seen["L one label" if hd == tl else "L"] += 1
-                    want += [
-                        (_direct("L", j, n, (hd, tl)), hd.poly(j) - tl.poly(j))
-                        for j in range(1, e.color + 1)
-                    ]
+                    seen["L one label" if e.head[1] == e.tail[1] else "L"] += 1
             for v in d.vertices:
-                family, sign = ("Lambda", 1) if v.kind == "merge" else ("V", -1)
-                seen[family] += 1
-                edges = [d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs]
-                a, b, c = edges if v.kind == "merge" else edges[1:] + edges[:1]
-                want += [
-                    (
-                        _direct(family, j, n, (c, a, b)),
-                        sign * (c.poly(j) - product_term(j, a, b)),
-                    )
-                    for j in range(1, c.color + 1)
-                ]
-            assert list(compile_diagram(d).rows) == want, render(d)
+                seen["Lambda" if v.kind == "merge" else "V"] += 1
+            assert list(compile_diagram(d).rows) == _direct_rows(d), render(d)
         assert min(seen.values()) >= 5, seen
+
+    def test_colors_above_the_level_compile(self) -> None:
+        # slots j > n + 1 of a color above the level have a-entry 0, as
+        # F_i has no term there; their rows are (0; slot difference)
+        d = parse(
+            "level n 1\n"
+            "edge e0 color 3 from boundary:p to boundary:q\n"
+            "edge e1 color 1 from boundary:a to v0\n"
+            "edge e2 color 2 from boundary:b to v0\n"
+            "edge e3 color 3 from v0 to v1\n"
+            "edge e4 color 2 from v1 to boundary:c\n"
+            "edge e5 color 1 from v1 to boundary:d\n"
+            "vertex v0 merge in e1 e2 out e3\n"
+            "vertex v1 split in e3 out e4 e5\n",
+            allow_high_colors=True,
+        )
+        k = compile_diagram(d)
+        assert list(k.rows) == _direct_rows(d)
+        assert sum(not a for a, _ in k.rows) == 3
+        assert k.potential() == boundary_potential(d)
+        src, dst, a, b = Alphabet(3, "p"), Alphabet(3, "q"), Alphabet(1, "a"), Alphabet(2, "b")
+        for j in (1, 2, 3):
+            assert L_poly(j, 3, 1, src, dst) == _direct("L", j, 1, (src, dst))
+            assert Lambda_poly(j, a, b, src, 1) == _direct("Lambda", j, 1, (src, a, b))
+            assert V_poly(j, a, b, src, 1) == _direct("V", j, 1, (src, a, b))
+
+
+def _direct_rows(d) -> list[tuple[Poly, Poly]]:
+    """Every row of the diagram in ``compile_diagram``'s order, each entry
+    built on the row's own alphabets: the divided difference by ``_direct``
+    and the slot difference by Poly arithmetic."""
+    n, rows = d.level, []
+    for e in d.edges:
+        if e.tail[0] == e.head[0] == "boundary":
+            hd, tl = Alphabet(e.color, e.head[1]), Alphabet(e.color, e.tail[1])
+            rows += [
+                (_direct("L", j, n, (hd, tl)), hd.poly(j) - tl.poly(j))
+                for j in range(1, e.color + 1)
+            ]
+    for v in d.vertices:
+        family, sign = ("Lambda", 1) if v.kind == "merge" else ("V", -1)
+        edges = [d.edge_alphabet(d.edge(eid)) for eid in v.ins + v.outs]
+        a, b, c = edges if v.kind == "merge" else edges[1:] + edges[:1]
+        rows += [
+            (_direct(family, j, n, (c, a, b)), sign * (c.poly(j) - product_term(j, a, b)))
+            for j in range(1, c.color + 1)
+        ]
+    return rows
 
 
 class TestColorChecks:
