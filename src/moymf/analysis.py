@@ -6,16 +6,19 @@ characteristic run exact linear algebra over the matrix-factorization data,
 while moy_bracket evaluates a closed diagram purely by graph rewriting
 (circle, bubble, counter-bubble, disjoint union) with q-binomial weights.
 oracle_crosscheck asserts the two agree.  Euler characteristics here are
-unsigned: both parity components count positively.
+unsigned: both parity components count positively.  Each relation is one
+entry of RELATIONS, two sides of q-weighted diagram terms (some translated
+in Z/2), and one verifier reduces the terms and compares the sides.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from .poly_core import (
     CutoffExceeded,
@@ -155,10 +158,8 @@ def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     return _euler(_reduced(d).current, cutoff)
 
 
-def _reduced(d: Diagram | str) -> ReductionSession:
-    """The session that compiled the diagram (or its source) and reduced it
-    fully."""
-    d = parse(d) if isinstance(d, str) else d
+def _reduced(d: Diagram) -> ReductionSession:
+    """The session that compiled the diagram and reduced it fully."""
     session = ReductionSession(compile_diagram(d), external=d.external_vars())
     session.reduce_fully()
     return session
@@ -556,10 +557,6 @@ def _h_src(j: int, n: int) -> str:
     )
 
 
-def _diagram_table(src: str) -> Table:
-    return _exact_table(compile_diagram(parse(src)))
-
-
 def _judge(report: dict, lhs: Table, rhs: Table, structural: Sequence[str] = ()) -> dict:
     """Set the report's verdict, PASS only when the series agree in every
     degree and nothing structural differs, and append what failed.  A
@@ -573,60 +570,12 @@ def _judge(report: dict, lhs: Table, rhs: Table, structural: Sequence[str] = ())
     return report
 
 
-def _verify_series_pair(
-    relation: str,
-    params: tuple[int, ...],
-    lhs: Table,
-    rhs: Table,
-    cutoff: int,
-    log: list[dict],
-    signed: bool = True,
-    structural: Sequence[str] = (),
-) -> dict:
-    """Compare two exact tables in every degree and render both through
-    the cutoff; unsigned comparisons use the total over both parities.
-    Structural findings fail the report whatever the tables say."""
-    report = {
-        "relation": relation,
-        "params": list(params),
-        "lhs_series": _render_table(lhs, cutoff, signed),
-        "rhs_series": _render_table(rhs, cutoff, signed),
-        "verdict": None,
-        "reduction_log_ref": "inline:reduction_log",
-        "reduction_log": log,
-    }
-    if not signed:
-        lhs, rhs = ((t[0] + t[1], QLaurent.zero(), t[2]) for t in (lhs, rhs))
-    return _judge(report, lhs, rhs, structural)
-
-
-def _verify_cor_square(j1: int, j2: int, cutoff: int) -> dict:
-    """Closed-form identity: both sides are polynomials."""
-    lhs, rhs = cor_square_sides(j1, j2)
-    return _verify_series_pair(
-        "cor_square", (j1, j2), _polynomial_table(lhs), _polynomial_table(rhs),
-        cutoff, [], signed=False,
-    )
-
-
-def _verify_circle(i: int, n: int, cutoff: int) -> dict:
-    session = _reduced(_circle_src(i, n))
-    return _verify_series_pair(
-        "circle_jacobi", (i, n), _polynomial_table(_euler(session.current, cutoff)),
-        _polynomial_table(qbinomial(n, i)), cutoff, session.log_dicts(), signed=False,
-    )
-
-
-def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
-    session = _reduced(_glued_pair_src(i, n))
-    direct = compile_diagram(parse(_line_src(i, n)))
-    got = session.current
-    log = session.log_dicts()
+def _same_rows(got: KoszulMF, direct: KoszulMF) -> list[str]:
+    """What differs between the contracted pair and the line: rows (in any
+    row order), parity, grading shift and potential."""
     structural: list[str] = []
     if got.row_count != direct.row_count:
-        structural.append(
-            f"row count {got.row_count} != {direct.row_count}"
-        )
+        structural.append(f"row count {got.row_count} != {direct.row_count}")
     else:
         nf = got.base.normal_form
         for m, (ga, gb) in enumerate(got.rows):  # in any row order
@@ -636,65 +585,39 @@ def _verify_line_contract(i: int, n: int, cutoff: int) -> dict:
         structural.append("parity shift differs")
     if got.global_grading_shift != direct.global_grading_shift:
         structural.append(
-            f"grading shift {got.global_grading_shift}"
-            f" != {direct.global_grading_shift}"
+            f"grading shift {got.global_grading_shift} != {direct.global_grading_shift}"
         )
     if got.base.normal_form(got.potential() - direct.potential()):
         structural.append("potentials differ")
-    return _verify_series_pair(
-        "line_contract", (i, n), _exact_table(got), _exact_table(direct), cutoff,
-        log, structural=structural,
-    )
+    return structural
 
 
-def _verify_bubble(i1: int, i2: int, i3: int, n: int, cutoff: int) -> dict:
-    if i1 + i2 != i3:
-        raise ValueError("bubble needs thin colors summing to the thick one")
-    session = _reduced(_bubble_src(i1, i2, i3, n))
-    lhs = _exact_table(session.current)
-    line = _diagram_table(_line_src(i3, n))
-    # bubble = [i3 i1] * line
-    rhs = _weighted_sum([(line, qbinomial(i3, i1))])
-    return _verify_series_pair(
-        "bubble", (i1, i2, i3, n), lhs, rhs, cutoff, session.log_dicts()
-    )
-
-
-def _verify_counter_bubble(i1: int, i2: int, n: int, cutoff: int) -> dict:
-    i3 = i1 + i2
-    if i3 > n:
-        raise ValueError("loop color pushed past the level")
-    session = _reduced(_counter_bubble_src(i1, i2, n))
-    lhs = _exact_table(session.current)
-    line = _diagram_table(_line_src(i1, n))
-    # counter_bubble = [n-i1 i2] * line, translated i2 times
-    rhs = _weighted_sum([(_swap(line, i2), qbinomial(n - i1, i2))])
-    return _verify_series_pair(
-        "counter_bubble", (i1, i2, n), lhs, rhs, cutoff, session.log_dicts()
-    )
-
-
-def _verify_assoc(
-    relation: str, i1: int, i2: int, i3: int, n: int, cutoff: int
-) -> dict:
-    builder = _merge_tree_src if relation == "assoc_merge" else _split_tree_src
-    left = _reduced(builder(i1, i2, i3, n, left=True))
-    right = _reduced(builder(i1, i2, i3, n, left=False))
-    log = left.log_dicts() + right.log_dicts()
+def _same_ring(left: KoszulMF, right: KoszulMF) -> list[str]:
+    """What differs between the two trees' base rings and potentials."""
     structural: list[str] = []
-    lb, rb = left.current.base, right.current.base
+    lb, rb = left.base, right.base
     if set(lb.vars) != set(rb.vars):
         structural.append("base variables differ")
     if len(lb.ideal_gens) != len(rb.ideal_gens):
         structural.append("base ideal sizes differ")
-    pot = left.current.potential() - right.current.potential()
+    pot = left.potential() - right.potential()
     if set(lb.vars) == set(rb.vars) and lb.normal_form(pot):
         structural.append("potentials differ")
-    lhs = _exact_table(left.current)
-    rhs = _exact_table(right.current)
-    return _verify_series_pair(
-        relation, (i1, i2, i3, n), lhs, rhs, cutoff, log, structural=structural
-    )
+    return structural
+
+
+def _single(src: str) -> list[Term]:
+    return [(src, QLaurent.one(), 0)]
+
+
+def _trees(builder: Callable[..., str], *params: int) -> Sides:
+    return _single(builder(*params, left=True)), _single(builder(*params, left=False))
+
+
+def _bubble_sides(i1: int, i2: int, i3: int, n: int) -> Sides:
+    if i1 + i2 != i3:
+        raise ValueError("bubble needs thin colors summing to the thick one")
+    return _single(_bubble_src(i1, i2, i3, n)), [(_line_src(i3, n), qbinomial(i3, i1), 0)]
 
 
 def _check_ladder_color(j: int, n: int) -> None:
@@ -704,70 +627,105 @@ def _check_ladder_color(j: int, n: int) -> None:
         raise ValueError("ladder color must lie between 2 and level-1")
 
 
-def _verify_square_tall(j: int, n: int, cutoff: int) -> dict:
+def _square_j_sides(j: int, n: int) -> Sides:
     _check_ladder_color(j, n)
-    session = _reduced(_square_tall_src(j, n))
-    lhs = _exact_table(session.current)
-    join = _reduced(_join_src(j, n))
-    # square_j = join + [j-1] * parallel
-    rhs = _weighted_sum([
-        (_exact_table(join.current), QLaurent.one()),
-        (_diagram_table(_parallel_src(j, n)), quantum_integer(j - 1)),
-    ])
-    log = session.log_dicts() + join.log_dicts()
-    return _verify_series_pair("square_j", (j, n), lhs, rhs, cutoff, log)
+    rhs = _single(_join_src(j, n)) + [(_parallel_src(j, n), quantum_integer(j - 1), 0)]
+    return _single(_square_tall_src(j, n)), rhs
 
 
-def _verify_square_wide(j: int, n: int, cutoff: int) -> dict:
+def _square_wide_sides(j: int, n: int) -> Sides:
+    # each H copy translated once; which parity the summands carry is open
+    # here, so the table compares totals and parity_note records the rest
     _check_ladder_color(j, n)
-    session = _reduced(_square_wide_src(j, n))
-    lhs = _exact_table(session.current)
-    log = session.log_dicts()
-    # square_wide = antiparallel + [n-j-1] * H; the split variant flips the
-    # parity of each H copy
-    terms = [(_diagram_table(_antiparallel_src(j, n)), QLaurent.one())]
-    split = list(terms)
-    if n - j > 1:
-        h = _reduced(_h_src(j, n))
-        log += h.log_dicts()
-        ht = _exact_table(h.current)
-        copies = quantum_integer(n - j - 1)
-        terms.append((ht, copies))
-        split.append((_swap(ht, 1), copies))
-    rhs_split = _weighted_sum(split)
-    # parity bookkeeping for the summands is an open question here, so the
-    # verdict rests on total series only; the per-parity comparison is
-    # still computed and recorded below
-    report = _verify_series_pair(
-        "square_wide", (j, n), lhs, _weighted_sum(terms), cutoff, log, signed=False
-    )
-    if _first_difference(lhs, rhs_split) is None:
-        parity = "direct"
-    elif _first_difference(lhs, _swap(rhs_split, 1)) is None:
-        parity = "flipped"
-    else:
-        parity = "neither"
-    report["parity_note"] = {
-        "lhs": _render_table(lhs, cutoff),
-        "rhs_flipped_summands": _render_table(rhs_split, cutoff),
-        "parity_match": parity,
+    rhs = _single(_antiparallel_src(j, n)) + [(_h_src(j, n), quantum_integer(n - j - 1), 1)]
+    return _single(_square_wide_src(j, n)), rhs
+
+
+# name -> (parameter count, sides, signed, structural).  sides(*params)
+# checks the parameters and returns the two sides, each the weighted sum
+# of its terms: (diagram source, or None for the unit; weight; how many
+# times its parity is swapped).  signed compares per parity, else the
+# total over both; structural, for one-term sides, lists what differs
+# between the reduced sides.  The order is the one the CLI lists.
+Term = tuple[str | None, QLaurent, int]
+Sides = tuple[list[Term], list[Term]]
+RELATIONS: dict[str, tuple[int, Callable[..., Sides], bool, Callable | None]] = {
+    "line_contract": (
+        2, lambda i, n: (_single(_glued_pair_src(i, n)), _single(_line_src(i, n))),
+        True, _same_rows,
+    ),
+    "circle_jacobi": (
+        2, lambda i, n: (_single(_circle_src(i, n)), [(None, qbinomial(n, i), 0)]),
+        False, None,
+    ),
+    "assoc_merge": (4, lambda *p: _trees(_merge_tree_src, *p), True, _same_ring),
+    "assoc_split": (4, lambda *p: _trees(_split_tree_src, *p), True, _same_ring),
+    "bubble": (4, _bubble_sides, True, None),
+    "counter_bubble": (
+        3, lambda i1, i2, n: (
+            _single(_counter_bubble_src(i1, i2, n)),
+            [(_line_src(i1, n), qbinomial(n - i1, i2), i2)],
+        ),
+        True, None,
+    ),
+    "square_j": (2, _square_j_sides, True, None),
+    "square_wide": (2, _square_wide_sides, False, None),
+    "cor_square": (2, lambda *p: tuple([(None, s, 0)] for s in cor_square_sides(*p)), False, None),
+}
+
+
+def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
+    """Reduce every term of nonzero weight, count a closed diagram by the
+    Euler characteristic of its homology and an open one by its exact
+    table, sum each side and judge.  An unsigned comparison of open sides
+    also notes whether they agree per parity."""
+    _, sides, signed, structural = RELATIONS[name]
+    terms = sides(*params)
+    n = params[-1]  # every diagram's level
+    for src, _, _ in terms[0] + terms[1]:
+        for color in map(int, re.findall(r"color (-?\d+)", src or "")):
+            if not 1 <= color <= n:
+                raise ValueError(f"relation {name} {list(params)}: color {color} not in 1..{n}")
+    log: list[dict] = []
+    tables, reduced, opened = [], ([], []), False
+    for side, kept in zip(terms, reduced):
+        summands = []
+        for src, weight, swaps in side:
+            if not weight:
+                continue
+            table = _polynomial_table(QLaurent.one())
+            if src is not None:
+                d = parse(src)
+                session = _reduced(d)
+                log += session.log_dicts()
+                k = session.current
+                kept.append(k)
+                opened |= not d.closed
+                table = _polynomial_table(_euler(k, cutoff)) if d.closed else _exact_table(k)
+            summands.append((_swap(table, swaps), weight))
+        tables.append(_weighted_sum(summands))
+    lhs, rhs = tables
+    report = {
+        "relation": name,
+        "params": list(params),
+        "lhs_series": _render_table(lhs, cutoff, signed),
+        "rhs_series": _render_table(rhs, cutoff, signed),
+        "verdict": None,
+        "reduction_log_ref": "inline:reduction_log",
+        "reduction_log": log,
     }
+    if signed:
+        return _judge(report, lhs, rhs, structural(*(k[0] for k in reduced)) if structural else ())
+    _judge(report, *((t[0] + t[1], QLaurent.zero(), t[2]) for t in (lhs, rhs)))
+    if opened:
+        direct, flipped = (_first_difference(lhs, t) is None for t in (rhs, _swap(rhs, 1)))
+        report["parity_note"] = {
+            "lhs": _render_table(lhs, cutoff),
+            "rhs_flipped_summands": _render_table(rhs, cutoff),
+            "parity_match": "direct" if direct else "flipped" if flipped else "neither",
+        }
     return report
 
-
-# name -> (parameter count, runner); a runner takes the parameters, then the
-# cutoff, and returns the report.  The order is the one the CLI lists.
-RELATIONS: dict[str, tuple[int, Callable[..., dict]]] = {
-    "line_contract": (2, _verify_line_contract),
-    "circle_jacobi": (2, _verify_circle),
-    "assoc_merge": (4, partial(_verify_assoc, "assoc_merge")),
-    "assoc_split": (4, partial(_verify_assoc, "assoc_split")),
-    "bubble": (4, _verify_bubble),
-    "counter_bubble": (3, _verify_counter_bubble),
-    "square_j": (2, _verify_square_tall),
-    "square_wide": (2, _verify_square_wide),
-    "cor_square": (2, _verify_cor_square),
-}
 
 RELATION_NAMES = tuple(RELATIONS)
 
@@ -784,19 +742,18 @@ def verify_relation(
     a closed-form identity and needs no reduction.  The report carries both
     series expanded through the cutoff, a PASS/FAIL verdict, the reduction
     log, and the lowest differing coefficient on failure.  An unknown name,
-    a parameter count other than the one ``RELATIONS`` lists, or a negative
-    cutoff raises ValueError.
+    a parameter count other than the one ``RELATIONS`` lists, a parameter
+    outside the relation's domain (a color below 1 or above the level
+    among them), or a negative cutoff raises ValueError.
     """
     if name not in RELATIONS:
         raise ValueError(f"unknown relation {name!r}; choose from {RELATION_NAMES}")
-    arity, runner = RELATIONS[name]
+    arity = RELATIONS[name][0]
     params = tuple(int(p) for p in params)
     if len(params) != arity:
-        raise ValueError(
-            f"relation {name} expects {arity} parameters, got {len(params)}"
-        )
+        raise ValueError(f"relation {name} expects {arity} parameters, got {len(params)}")
     _check_cutoff(cutoff)
-    return runner(*params, DEFAULT_CUTOFF if cutoff is None else cutoff)
+    return _verify(name, params, DEFAULT_CUTOFF if cutoff is None else cutoff)
 
 
 def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:

@@ -646,6 +646,8 @@ class ReductionSession:
             return sum(map(bool, parts)), sum(map(len, parts))
 
         parts = [r.memo(mask, lambda: _internal_parts(r, mask)) for r in k.rows]
+        if not any(any(sides) for sides, _ in parts):
+            return False  # no row holds an internal variable
         for i, (sides, groups) in enumerate(parts):
             for t, s, kind, flip in _CLEARS:
                 for j, row in enumerate(k.rows):

@@ -7,6 +7,7 @@ import dataclasses
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 import sympy
@@ -375,17 +376,78 @@ class TestVerifyRelation:
         for name in RELATION_NAMES:
             assert verify_relation(name, self.SMALL[name])["verdict"] == "PASS", name
 
-    def test_every_bubble_through_level_6_passes(self) -> None:
+    def test_every_relation_tuple_through_level_6_passes(self) -> None:
         # exclusion and absorption alone left (2,2,4,4), (2,3,5,5),
-        # (3,3,6,6) and the other tuples whose thin colors are both at
-        # least 2 with an internal variable; the clearing step closes them
-        cases = [
-            (i1, i3 - i1, i3, n)
-            for n in range(2, 7) for i3 in range(2, n + 1) for i1 in range(1, i3)
+        # (3,3,6,6) and the other bubbles whose thin colors are both at
+        # least 2 with an internal variable; the clearing step closes them.
+        # A wrong weight, swap or source in the table fails here.
+        levels = range(1, 7)
+        cases = [(name, (i, n)) for name in ("line_contract", "circle_jacobi")
+                 for n in levels for i in range(1, n + 1)]
+        cases += [
+            (name, (i1, i2, i3, n)) for name in ("assoc_merge", "assoc_split") for n in levels
+            for i1 in range(1, n) for i2 in range(1, n - i1) for i3 in range(1, n - i1 - i2 + 1)
         ]
-        assert len(cases) == 35
-        for params in cases:
-            assert verify_relation("bubble", params)["verdict"] == "PASS", params
+        cases += [("bubble", (i1, i3 - i1, i3, n))
+                  for n in levels for i3 in range(2, n + 1) for i1 in range(1, i3)]
+        cases += [("counter_bubble", (i1, i2, n))
+                  for n in levels for i1 in range(1, n) for i2 in range(1, n - i1 + 1)]
+        cases += [(name, (j, n)) for name in ("square_j", "square_wide")
+                  for n in levels for j in range(2, n)]
+        cases += [("cor_square", (j1, j2)) for j1 in levels for j2 in levels]
+        counts = Counter(name for name, _ in cases)
+        assert counts == {
+            "line_contract": 21, "circle_jacobi": 21, "assoc_merge": 35, "assoc_split": 35,
+            "bubble": 35, "counter_bubble": 35, "square_j": 10, "square_wide": 10,
+            "cor_square": 36,
+        }
+        for name, params in cases:
+            assert verify_relation(name, params)["verdict"] == "PASS", (name, params)
+
+    OUT_OF_DOMAIN = [
+        ("line_contract", (0, 2), "color 0 not in 1..2"),
+        ("line_contract", (3, 2), "color 3 not in 1..2"),
+        ("circle_jacobi", (0, 2), "color 0 not in 1..2"),
+        ("circle_jacobi", (3, 2), "color 3 not in 1..2"),
+        ("assoc_merge", (1, 0, 1, 3), "color 0 not in 1..3"),
+        ("assoc_merge", (1, 1, 1, 2), "color 3 not in 1..2"),
+        ("assoc_split", (1, 0, 1, 3), "color 0 not in 1..3"),
+        ("assoc_split", (1, 1, 1, 2), "color 3 not in 1..2"),
+        ("bubble", (0, 1, 1, 2), "color 0 not in 1..2"),
+        ("bubble", (2, 2, 4, 3), "color 4 not in 1..3"),
+        ("counter_bubble", (0, 1, 3), "color 0 not in 1..3"),
+        ("counter_bubble", (2, 2, 3), "color 4 not in 1..3"),
+        # the ladder check of the squares comes first
+        ("square_j", (0, 3), "between 2 and level-1"),
+        ("square_j", (4, 3), "between 2 and level-1"),
+        ("square_wide", (0, 3), "between 2 and level-1"),
+        ("square_wide", (4, 3), "between 2 and level-1"),
+    ]
+
+    @pytest.mark.parametrize("name, params, message", OUT_OF_DOMAIN)
+    def test_a_color_outside_the_level_is_a_value_error(self, name, params, message) -> None:
+        # a ValueError that names the relation, never a syntax error in a
+        # generated diagram source
+        assert {case[0] for case in self.OUT_OF_DOMAIN} == set(RELATION_NAMES) - {"cor_square"}
+        with pytest.raises(ValueError, match=message) as info:
+            verify_relation(name, params)
+        if "color" in message:
+            assert str(info.value).startswith(f"relation {name} {list(params)}: ")
+
+    def test_the_verifier_reduces_weighted_terms_in_table_order(self) -> None:
+        # square_wide (2, 3): H's weight [0] leaves it unreduced, so the log
+        # is the square's; at (2, 4) H's one step follows the square's 11
+        square = analysis._reduced(parse(analysis._square_wide_src(2, 3))).log_dicts()
+        assert len(square) == 13
+        assert verify_relation("square_wide", (2, 3))["reduction_log"] == square
+        square = analysis._reduced(parse(analysis._square_wide_src(2, 4))).log_dicts()
+        h = analysis._reduced(parse(analysis._h_src(2, 4))).log_dicts()
+        assert (len(square), len(h)) == (11, 1)
+        assert verify_relation("square_wide", (2, 4))["reduction_log"] == square + h
+        # only an unsigned comparison of open sides notes its parity
+        notes = {name: "parity_note" in verify_relation(name, self.SMALL[name])
+                 for name in RELATION_NAMES}
+        assert [name for name, noted in notes.items() if noted] == ["square_wide"]
 
     def test_bubble_2247_takes_an_a_a_then_an_a_b_row_op(self) -> None:
         # (2,2,4,7): an a-against-a op, then an a-against-b op leave a
@@ -462,7 +524,11 @@ class TestVerifyRelation:
         one = QLaurent.one()
         lhs = (one, q(1), (2,))
         rhs = ((one - q(2)) * (one - q(42)), q(1) - q(3), (2, 2))
-        report = analysis._verify_series_pair("exact", (), lhs, rhs, 40, [])
+        report = analysis._judge(
+            {"lhs_series": analysis._render_table(lhs, 40),
+             "rhs_series": analysis._render_table(rhs, 40)},
+            lhs, rhs,
+        )
         assert report["lhs_series"] == report["rhs_series"]
         assert report["verdict"] == "FAIL"
         assert report["first_difference"] == {

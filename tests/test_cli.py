@@ -174,6 +174,12 @@ class TestVerifyCommand:
         assert main(["verify", "cor_square", "--params", "1", "2", "3"]) == 2
         assert "expects 2 parameters" in capsys.readouterr().err
 
+    def test_a_color_above_the_level_is_an_input_error(self, capsys) -> None:
+        assert main(["verify", "assoc_merge", "--params", "1", "1", "1", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: relation assoc_merge [1, 1, 1, 2]: color 3 not in 1..2\n"
+        )
+
     def test_unknown_relation_is_an_argparse_error(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["verify", "hexagon", "--params", "1", "2"])

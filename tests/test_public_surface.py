@@ -47,9 +47,11 @@ def test_package_all_lists_its_public_names() -> None:
 
 def test_relation_names_follow_the_table() -> None:
     assert analysis.RELATION_NAMES == tuple(analysis.RELATIONS)
-    for name, (arity, runner) in analysis.RELATIONS.items():
+    for name, (arity, sides, signed, structural) in analysis.RELATIONS.items():
         assert isinstance(arity, int) and arity > 0, name
-        assert callable(runner), name
+        assert callable(sides), name
+        assert isinstance(signed, bool), name
+        assert structural is None or callable(structural), name
 
 
 def _is_int_literal(node: ast.expr) -> bool:
