@@ -357,7 +357,8 @@ def validate(x: MatrixFactorization) -> list[str]:
 
 class Row(tuple):
     """A Koszul row (a, b), a tuple in every way, that keeps its ``product``
-    a * b and what ``memo`` computes for as long as it lives."""
+    a * b, what ``memo`` computes, and the potential degree ``KoszulMF``
+    last checked it against, for as long as it lives."""
 
     @cached_property
     def product(self) -> Poly:
@@ -383,7 +384,9 @@ class KoszulMF:
     instance built by ``with_rows``, ``replace`` or ``join`` reuses what
     the rows it shares have kept.  The potential is computed once per
     instance, on the first ``potential()`` call.  Neither is a field, so
-    equality, hashing, ``repr`` and ``as_dict`` do not see them.
+    equality, hashing, ``repr`` and ``as_dict`` do not see them.  A row is
+    checked once per potential degree: one carried over from an instance
+    of the same degree is not checked again.
     """
 
     base: QuotientRing
@@ -400,7 +403,11 @@ class KoszulMF:
         pot_deg = self.potential_degree
         if pot_deg < 0 or pot_deg % 2:
             raise ValueError(f"bad potential degree {pot_deg}")
-        for m, (a, b) in enumerate(rows):
+        for m, row in enumerate(rows):
+            kept = row.__dict__
+            if kept.get("checked") == pot_deg:
+                continue
+            a, b = row
             # a nonzero side's degree, -1 when inhomogeneous; kept by the Poly
             da = a._homogeneous_degree() if a else None
             db = b._homogeneous_degree() if b else None
@@ -413,6 +420,7 @@ class KoszulMF:
                 raise InhomogeneousRow(
                     f"row {m} has potential degree {da + db}, expected {pot_deg}"
                 )
+            kept["checked"] = pot_deg
 
     # -- degrees ---------------------------------------------------------
 

@@ -39,7 +39,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .qseries import QLaurent, _expand
 
@@ -405,52 +405,10 @@ class Poly:
     # -- substitution and calculus --------------------------------------
 
     def substitute(self, sigma: Mapping[GradedVar, "Poly"]) -> "Poly":
-        """Simultaneous substitution.  Each image must be 0 or homogeneous
-        of the replaced variable's degree (DegreeMismatch naming the
-        variable otherwise).  A polynomial that no substituted variable
-        occurs in comes back as itself."""
-        for v, img in sigma.items():
-            degrees = set(map(_degree, img._terms))
-            if len(degrees) > 1:
-                raise DegreeMismatch(f"image of {v.name} is inhomogeneous")
-            if degrees and degrees != {v.degree}:
-                raise DegreeMismatch(
-                    f"image of {v.name} (degree {v.degree}) has degree {degrees.pop()}"
-                )
-        # A key is its kept part plus its substituted part.  The image of
-        # each distinct substituted part is built once, from cached
-        # per-variable powers, then shifted by the kept part into ``out``.
-        subs = [(_unit(v), img) for v, img in sigma.items()]
-        mask = sum(_FIELD << (u.bit_length() - 1) for u, _ in subs)
-        if not any(m & mask for m in self._terms):
-            return self
-        powers: dict[tuple[int, int], Poly] = {}
-        # substituted part -> (its key with its degree, its image)
-        images: dict[int, tuple[int, dict[int, int | Fraction]]] = {0: (0, {0: 1})}
-        out: dict[int, int | Fraction] = {}
-        get = out.get
-        for m, c in self._terms.items():
-            part = m & mask
-            got = images.get(part)
-            if got is None:
-                full, prod = 0, None
-                for u, img in subs:
-                    e = (part >> (u.bit_length() - 1)) & _FIELD
-                    if e:
-                        full += e * u
-                        power = powers.get((u, e))
-                        if power is None:
-                            power = powers[(u, e)] = img**e
-                        prod = power if prod is None else prod * power
-                got = images[part] = (full, prod._terms)
-            full, image = got
-            kept = m - full
-            for mi, ci in image.items():
-                mi += kept
-                out[mi] = get(mi, 0) + c * ci
-        if _CONFLICTS:
-            _check_gradings(out)
-        return _from_clean(_canonical(out))
+        """Simultaneous substitution: ``_substitution(sigma)`` applied to
+        self, so images are checked as there.  A polynomial that no
+        substituted variable occurs in comes back as itself."""
+        return _substitution(sigma)(self)
 
     def evaluate(self, point: Mapping[GradedVar, int | Fraction]) -> Fraction:
         """Evaluate at a rational point; every variable must be assigned.
@@ -533,7 +491,8 @@ def _canonical(sums: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
     """Sums of canonical coefficients made canonical terms: zero sums
     dropped, integral Fractions made ints."""
     if Fraction in set(map(type, sums.values())):
-        return {m: _coeff(c) for m, c in sums.items() if c}
+        # an int is its own numerator, of denominator 1
+        return {m: c.numerator if c.denominator == 1 else c for m, c in sums.items() if c}
     if 0 in sums.values():
         return {m: c for m, c in sums.items() if c}
     return sums
@@ -547,6 +506,60 @@ def _sum(polys: Iterable[Poly]) -> Poly:
         for m, c in p._terms.items():
             out[m] = get(m, 0) + c
     return _from_clean(_canonical(out))
+
+
+def _substitution(sigma: Mapping[GradedVar, Poly]) -> Callable[[Poly], Poly]:
+    """p -> p[sigma], simultaneous.  Each image must be 0 or homogeneous
+    of the replaced variable's degree (DegreeMismatch naming the variable
+    otherwise), checked here, once.  A polynomial that no substituted
+    variable occurs in comes back as itself.  The images of powers and of
+    substituted parts are kept for as long as the function lives."""
+    for v, img in sigma.items():
+        degrees = set(map(_degree, img._terms))
+        if len(degrees) > 1:
+            raise DegreeMismatch(f"image of {v.name} is inhomogeneous")
+        if degrees and degrees != {v.degree}:
+            raise DegreeMismatch(
+                f"image of {v.name} (degree {v.degree}) has degree {degrees.pop()}"
+            )
+    # A key is its kept part plus its substituted part.  The image of each
+    # distinct substituted part is built once, from kept per-variable
+    # powers, then shifted by the kept part into ``out``.
+    subs = [(_unit(v), _unit(v).bit_length() - 1, img) for v, img in sigma.items()]
+    mask = sum(_FIELD << s for _, s, _ in subs)
+    powers: dict[tuple[int, int], Poly] = {}
+    # substituted part -> (its key with its degree, its image)
+    images: dict[int, tuple[int, dict[int, int | Fraction]]] = {0: (0, {0: 1})}
+
+    def apply(p: Poly) -> Poly:
+        if not any(m & mask for m in p._terms):
+            return p
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        for m, c in p._terms.items():
+            part = m & mask
+            got = images.get(part)
+            if got is None:
+                full, prod = 0, None
+                for u, s, img in subs:
+                    e = (part >> s) & _FIELD
+                    if e:
+                        full += e * u
+                        power = powers.get((u, e))
+                        if power is None:
+                            power = powers[(u, e)] = img**e
+                        prod = power if prod is None else prod * power
+                got = images[part] = (full, prod._terms)
+            full, image = got
+            kept = m - full
+            for mi, ci in image.items():
+                mi += kept
+                out[mi] = get(mi, 0) + c * ci
+        if _CONFLICTS:
+            _check_gradings(out)
+        return _from_clean(_canonical(out))
+
+    return apply
 
 
 # A plan is a homogeneous polynomial over a list of template variables,
@@ -564,12 +577,22 @@ def _fields(vs: Iterable[GradedVar]) -> tuple[int, ...]:
 
 
 def _to_plan(p: Poly, tvars: Sequence[GradedVar]) -> _Plan:
-    """p as a plan over tvars, which must hold every variable of p."""
-    index = {v: i for i, v in enumerate(tvars)}
-    terms = tuple(
-        (c, tuple((index[v], e) for v, e in _unpack(m))) for m, c in p._terms.items()
-    )
-    return (p.homogeneous_degree() if p else 0), terms
+    """p as a plan over tvars, which must hold every variable of p
+    (KeyError naming one otherwise).  Each exponent is read from its field."""
+    deg = p.homogeneous_degree() if p else 0
+    shifts = [(i, _unit(v).bit_length() - 1) for i, v in enumerate(tvars)]
+    terms = []
+    for m, c in p._terms.items():
+        rest, pairs = m - deg, []
+        for i, s in shifts:
+            e = (rest >> s) & _FIELD
+            if e:
+                pairs.append((i, e))
+                rest -= e << s
+        if rest:
+            raise KeyError(_unpack(rest)[0][0])
+        terms.append((c, tuple(pairs)))
+    return deg, tuple(terms)
 
 
 def _apply_plan(plan: _Plan, fields: Sequence[int]) -> Poly:
@@ -706,10 +729,16 @@ class QuotientRing:
 
         A monomial with a variable outside the ring passes through
         unchanged, and p itself comes back when no lead divides a term.
+        That is tested first, on packed keys: lead L divides key m exactly
+        when m - L leaves every guard bit of the basis clear, as a field of
+        m that falls short of L's borrows into its own guard bit.
         """
         if not p or not self.ideal_gens:
             return p
         basis = self._basis()
+        leads, guards = basis.lead_keys, basis.guards
+        if not any(not (m - lead) & guards for m in p._terms for lead in leads):
+            return p
         out: dict[int, int | Fraction] = {}
         inside: dict[Exps, int | Fraction] = {}
         for m, c in p._terms.items():
@@ -817,12 +846,14 @@ class _Basis:
     nothing waits at or below the exact ``top_degree`` of the quotient by
     the leads; a pending degree past the ring's cutoff before then raises
     CutoffExceeded.  ``standard(d)`` lists the degree-d standard monomials
-    as packed keys.
+    as packed keys.  A complete basis keeps its leads as packed keys too,
+    ``lead_keys``, with ``guards``, the guard bits of the degree field and
+    the ring's fields, for the lead test of ``QuotientRing.normal_form``.
     """
 
     __slots__ = (
         "weights", "leads", "tails", "_units", "_shifts", "_foreign", "_todo", "_seq",
-        "_numerator", "_standard",
+        "_numerator", "_standard", "lead_keys", "guards",
     )
 
     def __init__(self, ring: QuotientRing):
@@ -852,6 +883,8 @@ class _Basis:
                 rem = self._reduce(self._s_poly(*item) if isinstance(item, tuple) else item)
                 if rem:
                     self._add(rem)
+        self.lead_keys = tuple(map(self.mono, self.leads))
+        self.guards = sum(1 << s + _BITS - 1 for s in (0, *self._shifts))
 
     def exps(self, m: int) -> Exps | None:
         """The exponent tuple of a packed key, or None when it has a

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .poly_core import (
     CutoffExceeded,
@@ -47,6 +47,7 @@ from .poly_core import (
     _outside,
     _part,
     _power_vars,
+    _substitution,
     mono_key,
     pure_power,
 )
@@ -296,9 +297,9 @@ def _candidate(
 
 
 def _substituted_ring(
-    base: QuotientRing, sigma: Mapping[GradedVar, Poly], keep: tuple[GradedVar, ...]
+    base: QuotientRing, sub: Callable[[Poly], Poly], keep: tuple[GradedVar, ...]
 ) -> QuotientRing:
-    gens = (g.substitute(sigma) for g in base.ideal_gens)
+    gens = map(sub, base.ideal_gens)
     return QuotientRing(keep, tuple(g for g in gens if g), base.cutoff)
 
 
@@ -306,21 +307,21 @@ def _rebased_rows(
     k: KoszulMF,
     new_base: QuotientRing,
     drop: int | None,
-    sigma: Mapping[GradedVar, Poly] | None,
+    sub: Callable[[Poly], Poly] | None,
     context: str,
 ) -> tuple[tuple[Poly, Poly], ...]:
-    """The rows of k other than row ``drop``, each substituted by ``sigma``
-    when given and reduced in ``new_base``; a row whose entries both come
-    back as themselves stays the same row.  A row that collapses to
-    (0; 0) has no degrees: ConditionUnmet, with ``context`` naming the
-    step."""
+    """The rows of k other than row ``drop``, each moved by ``sub`` (a
+    ``_substitution``, built once per step) when given and reduced in
+    ``new_base``; a row whose entries both come back as themselves stays
+    the same row.  A row that collapses to (0; 0) has no degrees:
+    ConditionUnmet, with ``context`` naming the step."""
     rows = []
     for m, row in enumerate(k.rows):
         if m == drop:
             continue
         a, b = row
-        if sigma:
-            a, b = a.substitute(sigma), b.substitute(sigma)
+        if sub:
+            a, b = sub(a), sub(b)
         a, b = new_base.normal_form(a), new_base.normal_form(b)
         if not a and not b:
             raise ConditionUnmet(f"row collapsed to (0; 0) {context}")
@@ -361,18 +362,16 @@ def _excluded(
     y, e, c = cand.var, cand.power, cand.coeff
     if e == 1:
         rest = b - Poly({((y, 1),): c})
-        sigma = {y: rest * -_inverse(c)}
-        new_base = _substituted_ring(
-            k.base, sigma, tuple(v for v in k.base.vars if v != y)
-        )
+        sub = _substitution({y: rest * -_inverse(c)})
+        new_base = _substituted_ring(k.base, sub, tuple(v for v in k.base.vars if v != y))
     else:
-        sigma = None
+        sub = None
         new_base = k.base.with_generator(b * _inverse(c))
     context = (
         f"after excluding {y.name}; "
         "the remaining data is not a regular presentation"
     )
-    return k.with_rows(_rebased_rows(k, new_base, row, sigma, context), new_base)
+    return k.with_rows(_rebased_rows(k, new_base, row, sub, context), new_base)
 
 
 def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
@@ -442,8 +441,9 @@ def glue(
     kept_vars += tuple(
         dict.fromkeys(v for keep, _ in pairs for v in keep.vars if v not in kept_vars)
     )
-    new_base = _substituted_ring(joined.base, sigma, kept_vars)
-    rows = _rebased_rows(joined, new_base, None, sigma, "while gluing")
+    sub = _substitution(sigma)
+    new_base = _substituted_ring(joined.base, sub, kept_vars)
+    rows = _rebased_rows(joined, new_base, None, sub, "while gluing")
     return replace(joined, base=new_base, rows=rows)
 
 

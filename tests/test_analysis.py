@@ -404,6 +404,18 @@ class TestVerifyRelation:
         for name, params in cases:
             assert verify_relation(name, params)["verdict"] == "PASS", (name, params)
 
+    @pytest.mark.parametrize("name, kind", [("assoc_merge", "merge"), ("assoc_split", "split")])
+    def test_associativity_compares_the_two_trees_of_its_kind(self, name: str, kind: str) -> None:
+        # the other kind's trees make a valid relation too, so a verdict
+        # cannot tell them apart: pin the diagrams each side names
+        lhs, rhs = analysis.RELATIONS[name][1](1, 1, 2, 4)
+        for terms, inner in ((lhs, 2), (rhs, 3)):
+            [(src, weight, parity)] = terms
+            d = parse(src)
+            assert weight == QLaurent.one() and parity == 0
+            assert [v.kind for v in d.vertices] == [kind, kind]
+            assert d.edge("am").color == inner
+
     OUT_OF_DOMAIN = [
         ("line_contract", (0, 2), "color 0 not in 1..2"),
         ("line_contract", (3, 2), "color 3 not in 1..2"),

@@ -964,3 +964,106 @@ class TestPackedKeys:
         for moved in (p.substitute(sigma), planned):
             assert sympy.expand(_sym(moved, SYMS) - want) == 0
             assert Poly(moved.terms) == moved
+
+
+@st.composite
+def mixed_rings(draw) -> QuotientRing:
+    """A ring over some of the mixed variables, the others foreign to it,
+    by one to three homogeneous generators of degree 2 to 6."""
+    vs = draw(st.lists(st.sampled_from(_mixed_vars()), min_size=1, max_size=4, unique=True))
+    free = QuotientRing(tuple(vs))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = Poly.zero()
+        for m in free.monomials(draw(st.sampled_from((2, 4, 6)))):
+            g = g + Poly({m: draw(st.sampled_from((0, 0, 1, -2, Fraction(1, 3))))})
+        if g:
+            gens.append(g)
+    return QuotientRing(tuple(vs), tuple(gens))
+
+
+def _full_normal_form(ring: QuotientRing, p: Poly) -> Poly:
+    """normal_form with no lead test first: every term inside the ring
+    through ``_Basis._reduce``, the others as they are."""
+    basis = ring._basis()
+    out, inside = {}, {}
+    for m, c in p._terms.items():
+        e = basis.exps(m)
+        if e is None:
+            out[m] = c
+        else:
+            inside[e] = c
+    for e, c in basis._reduce(inside).items():
+        out[basis.mono(e)] = poly_core._coeff(c)
+    return poly_core._from_clean(out)
+
+
+class TestStepSetUp:
+    """A substitution built once for many polynomials, and the packed-key
+    lead test before a normal form, answer as the unshared paths do."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(mixed_polys(), max_size=5), mixed_substitutions())
+    def test_one_substitution_equals_a_fresh_one_per_polynomial(
+        self, ps: list[Poly], sigma: dict
+    ) -> None:
+        sub = poly_core._substitution(sigma)
+        # the second round reads the images the first one kept
+        for p in ps + ps:
+            moved = sub(p)
+            assert moved == p.substitute(sigma)
+            assert Poly(moved.terms) == moved
+
+    def test_a_polynomial_without_substituted_variables_comes_back_as_itself(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        sub = poly_core._substitution({Z: x * y, X: y})
+        for p in (y * y + 3, Poly.zero(), Poly.const(2), y**5):
+            assert sub(p) is p
+        # simultaneous: the x in the image of z stays
+        assert sub(z + x * x) == x * y + y * y
+
+    def test_a_bad_image_raises_when_the_substitution_is_built(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        with pytest.raises(DegreeMismatch, match=r"^image of z \(degree 4\) has degree 2$"):
+            poly_core._substitution({X: y, Z: 2 * x})
+        with pytest.raises(DegreeMismatch, match=r"^image of x is inhomogeneous$"):
+            poly_core._substitution({X: y + z})
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_rings(), st.lists(mixed_polys(), min_size=1, max_size=4))
+    def test_normal_form_equals_a_full_reduction(self, ring: QuotientRing, ps: list[Poly]) -> None:
+        assert all(poly_core._unit(v).bit_length() > 120 * 16 for v in LATE)
+        for p in ps:
+            nf = ring.normal_form(p)
+            assert nf == _full_normal_form(ring, p)
+            assert ring.normal_form(nf) is nf
+
+    def test_no_lead_dividing_a_term_skips_the_reduction(self, monkeypatch) -> None:
+        u, w = (Poly.variable(v) for v in LATE)
+        x, z = Poly.variable(X), Poly.variable(Z)
+        _mixed_vars()
+        ring = QuotientRing((X,) + LATE, (u * u - x * u, w * x))
+        ring.normal_form(u)  # builds the basis
+        calls = []
+        reduce_ = poly_core._Basis._reduce
+        monkeypatch.setattr(
+            poly_core._Basis, "_reduce", lambda b, p: calls.append(1) or reduce_(b, p)
+        )
+        # u*x and w are standard; z is foreign to the ring
+        p = 3 * u * x + w + x**3 + z * w
+        assert ring.normal_form(p) is p
+        assert not calls
+        assert ring.normal_form(p + u * u) == p + u * x
+        assert calls
+
+    def test_a_plan_refuses_a_variable_outside_its_templates(self) -> None:
+        x, y, z = (Poly.variable(v) for v in VARS)
+        u = Poly.variable(_mixed_vars()[2])
+        p = x * y + 2 * z + u * x
+        for outside, tvars in ((Y, (X, Z) + LATE), (LATE[0], VARS)):
+            with pytest.raises(KeyError) as info:
+                _to_plan(p, tvars)
+            assert info.value.args == (outside,)
+        # in any order of the templates, every exponent is read
+        tvars = (LATE[0], Z, Y, X)
+        assert _apply_plan(_to_plan(p, tvars), _fields(tvars)) == p
