@@ -620,15 +620,7 @@ def _bubble_sides(i1: int, i2: int, i3: int, n: int) -> Sides:
     return _single(_bubble_src(i1, i2, i3, n)), [(_line_src(i3, n), qbinomial(i3, i1), 0)]
 
 
-def _check_ladder_color(j: int, n: int) -> None:
-    # j = 1 would need a zero-colored strand inside a comparison diagram,
-    # and j = n a rung of color n + 1
-    if not 2 <= j <= n - 1:
-        raise ValueError("ladder color must lie between 2 and level-1")
-
-
 def _square_j_sides(j: int, n: int) -> Sides:
-    _check_ladder_color(j, n)
     rhs = _single(_join_src(j, n)) + [(_parallel_src(j, n), quantum_integer(j - 1), 0)]
     return _single(_square_tall_src(j, n)), rhs
 
@@ -636,7 +628,6 @@ def _square_j_sides(j: int, n: int) -> Sides:
 def _square_wide_sides(j: int, n: int) -> Sides:
     # each H copy translated once; which parity the summands carry is open
     # here, so the table compares totals and parity_note records the rest
-    _check_ladder_color(j, n)
     rhs = _single(_antiparallel_src(j, n)) + [(_h_src(j, n), quantum_integer(n - j - 1), 1)]
     return _single(_square_wide_src(j, n)), rhs
 

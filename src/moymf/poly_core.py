@@ -19,8 +19,9 @@ raises TypeError.
 
 A quotient ring by a homogeneous ideal answers normal forms, dimensions,
 standard monomials and dimension series from one homogeneous Groebner
-basis, built by Buchberger's algorithm on exponent tuples with exact
-coefficients.  The term order is the ring's: weighted degree, then
+basis, built by Buchberger's algorithm on the same packed keys with exact
+coefficients; a lead divides a key when their difference leaves every
+guard bit clear.  The term order is the ring's: weighted degree, then
 reverse lexicographic with the ring's first variable the smallest, so a
 ring that lists boundary variables first rewrites internal variables in
 terms of boundary ones.  A quotient has the Hilbert series of its
@@ -728,31 +729,25 @@ class QuotientRing:
         division by the complete Groebner basis, in every degree.
 
         A monomial with a variable outside the ring passes through
-        unchanged, and p itself comes back when no lead divides a term.
-        That is tested first, on packed keys: lead L divides key m exactly
-        when m - L leaves every guard bit of the basis clear, as a field of
-        m that falls short of L's borrows into its own guard bit.
+        unchanged, and p itself comes back when no lead divides a term,
+        tested first with the basis's lead test on packed keys.  The other
+        terms go to the division as they are.
         """
         if not p or not self.ideal_gens:
             return p
         basis = self._basis()
-        leads, guards = basis.lead_keys, basis.guards
+        leads, guards = basis.leads, basis.guards
         if not any(not (m - lead) & guards for m in p._terms for lead in leads):
             return p
-        out: dict[int, int | Fraction] = {}
-        inside: dict[Exps, int | Fraction] = {}
-        for m, c in p._terms.items():
-            e = basis.exps(m)
-            if e is None:
-                out[m] = c
-            else:
-                inside[e] = c
+        foreign = basis.foreign
+        out = {m: c for m, c in p._terms.items() if m & foreign}
+        inside = {m: c for m, c in p._terms.items() if not m & foreign}
         # a term no lead divides stays as it is, and a divided one leaves
         rem = basis._reduce(dict(inside))
         if rem == inside:
             return p
-        for e, c in rem.items():
-            out[basis.mono(e)] = _coeff(c)
+        for m, c in rem.items():
+            out[m] = _coeff(c)
         return _from_clean(out)
 
     def dimension(self, d: int) -> int:
@@ -822,21 +817,23 @@ def insert_pivot_row(
 # Groebner basis leads and the Hilbert numerator
 # ---------------------------------------------------------------------------
 
-# A monomial as its exponents over a ring's variables, in ring order.
-Exps = tuple[int, ...]
-
 
 class _Basis:
     """The homogeneous Groebner basis of a ring's ideal, complete once built.
 
-    The term order is the ring's: weighted degree, then reverse
-    lexicographic with ``vars[0]`` the smallest variable.  Of two monomials
-    of one degree, the one with the smaller exponent in the first variable
-    where they differ is larger, so the larger monomial has the smaller
-    exponent tuple.  (``mono_key`` is not a monomial order: y ranks above
-    x, yet x*x ranks above x*y.)
+    Monomials are packed keys throughout.  The term order is the ring's:
+    weighted degree, then reverse lexicographic with ``vars[0]`` the
+    smallest variable.  ``order(m)`` is m's exponents in ring order, and of
+    two monomials of one degree the larger has the smaller ``order``, as
+    it has the smaller exponent in the first variable where they differ.
+    (``mono_key`` is not a monomial order: y ranks above x, yet x*x ranks
+    above x*y.)  Lead L divides key m exactly when m - L leaves every bit
+    of ``guards``, those of the degree field and the ring's fields, clear:
+    a field of m that falls short of L's borrows into its own guard bit.
+    The multiple of a tail term t by m / L is then m - L + t.  ``foreign``
+    masks the fields of variables outside the ring.
 
-    Elements are monic: a lead and a tail {exps: coeff}.  Generators and
+    Elements are monic: a lead and a tail {key: coeff}.  Generators and
     S-pairs wait in one heap by degree, and construction reduces them one
     pending degree at a time against the basis, adding each nonzero
     remainder.  Every pair a new element makes has a higher degree than
@@ -845,32 +842,29 @@ class _Basis:
     queued (Buchberger's first criterion).  The basis is complete once
     nothing waits at or below the exact ``top_degree`` of the quotient by
     the leads; a pending degree past the ring's cutoff before then raises
-    CutoffExceeded.  ``standard(d)`` lists the degree-d standard monomials
-    as packed keys.  A complete basis keeps its leads as packed keys too,
-    ``lead_keys``, with ``guards``, the guard bits of the degree field and
-    the ring's fields, for the lead test of ``QuotientRing.normal_form``.
+    CutoffExceeded.  ``standard(d)`` lists the degree-d standard monomials.
     """
 
     __slots__ = (
-        "weights", "leads", "tails", "_units", "_shifts", "_foreign", "_todo", "_seq",
-        "_numerator", "_standard", "lead_keys", "guards",
+        "weights", "leads", "tails", "_units", "_shifts", "foreign", "guards", "_todo", "_seq",
+        "_numerator", "_standard",
     )
 
     def __init__(self, ring: QuotientRing):
         self.weights = tuple(v.degree for v in ring.vars)
-        self.leads: list[Exps] = []
-        self.tails: list[dict[Exps, int | Fraction]] = []
+        self.leads: list[int] = []
+        self.tails: list[dict[int, int | Fraction]] = []
         self._units = tuple(map(_unit, ring.vars))
         self._shifts = tuple(u.bit_length() - 1 for u in self._units)
         # every bit of a key outside the degree and the ring's fields
-        self._foreign = ~sum(_FIELD << s for s in self._shifts) & ~_FIELD
+        self.foreign = ~sum(_FIELD << s for s in self._shifts) & ~_FIELD
+        self.guards = sum(1 << s + _BITS - 1 for s in (0, *self._shifts))
         self._todo: list[tuple[int, int, object]] = []
         self._seq = 0
         self._numerator: QLaurent | None = None
         self._standard: dict[int, list[int]] = {}
         for g in ring.ideal_gens:
-            terms = {self.exps(m): c for m, c in g._terms.items()}
-            self._push(g.homogeneous_degree(), terms)
+            self._push(g.homogeneous_degree(), dict(g._terms))
         # a waiting item above the top degree reduces to zero: every
         # monomial there is divisible by a lead
         todo = self._todo
@@ -878,45 +872,44 @@ class _Basis:
             d = todo[0][0]
             if d > ring.cutoff:
                 raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {ring.cutoff}")
+            if d > _FIELD:
+                raise OverflowError(f"S-pair degree {d} exceeds the packed limit {_FIELD}")
             while todo and todo[0][0] == d:
                 item = heapq.heappop(todo)[2]
                 rem = self._reduce(self._s_poly(*item) if isinstance(item, tuple) else item)
                 if rem:
                     self._add(rem)
-        self.lead_keys = tuple(map(self.mono, self.leads))
-        self.guards = sum(1 << s + _BITS - 1 for s in (0, *self._shifts))
 
-    def exps(self, m: int) -> Exps | None:
-        """The exponent tuple of a packed key, or None when it has a
-        variable outside the ring; ``mono`` is the inverse."""
-        if m & self._foreign:
-            return None
+    def order(self, m: int) -> tuple[int, ...]:
+        """The exponents of an in-ring key in ring order: the sort key of
+        the term order within one degree, the least first."""
         return tuple([(m >> s) & _FIELD for s in self._shifts])
 
-    def mono(self, e: Exps) -> int:
-        return sum(map(int.__mul__, e, self._units))
+    def _lcm(self, a: int, b: int) -> int:
+        """The key of lcm(a, b).  Its degree field may pass ``_FIELD`` into
+        its guard bit, never further, so the low ``_BITS`` bits hold it."""
+        return sum(max((a >> s) & _FIELD, (b >> s) & _FIELD) * u
+                   for s, u in zip(self._shifts, self._units))
 
-    def keys(self, d: int, leads: Sequence[Exps]) -> list[int]:
+    def keys(self, d: int, leads: Sequence[int]) -> list[int]:
         """The keys of the degree-d monomials that no one of leads divides.
         Variables take their exponents in ring order, and a prefix that a
         lead divides is cut, as every completion of it is divisible too."""
         out: list[int] = []
-        acc = [0] * len(self.weights)
+        guards, steps = self.guards, tuple(zip(self.weights, self._units))
 
-        def walk(i: int, left: int) -> None:
-            if any(all(map(int.__ge__, acc, lead)) for lead in leads):
+        def walk(i: int, left: int, acc: int) -> None:
+            if any(not (acc - lead) & guards for lead in leads):
                 return
-            if i == len(acc):
+            if i == len(steps):
                 if not left:
-                    out.append(self.mono(acc))
+                    out.append(acc)
                 return
-            w = self.weights[i]
+            w, u = steps[i]
             for e in range(left // w, -1, -1):
-                acc[i] = e
-                walk(i + 1, left - e * w)
-            acc[i] = 0
+                walk(i + 1, left - e * w, acc + e * u)
 
-        walk(0, d)
+        walk(0, d, 0)
         return out
 
     def standard(self, d: int) -> list[int]:
@@ -934,7 +927,7 @@ class _Basis:
     def numerator(self) -> QLaurent:
         """The Hilbert numerator of the leads, kept until a lead is added."""
         if self._numerator is None:
-            self._numerator = _hilbert_numerator(self.leads, self.weights)
+            self._numerator = _hilbert_numerator(list(map(self.order, self.leads)), self.weights)
         return self._numerator
 
     def top_degree(self) -> int | float:
@@ -944,7 +937,7 @@ class _Basis:
         deg N - sum_w w, and the zero ring (N = 0) gives -1.  Infinite
         otherwise.  Once the basis is complete this is the ring's top."""
         pure: set[int] = set()
-        for m in self.leads:
+        for m in map(self.order, self.leads):
             support = [i for i, e in enumerate(m) if e]
             if len(support) < 2:
                 pure.update(support or range(len(m)))
@@ -953,73 +946,71 @@ class _Basis:
         numerator = self.numerator()
         return numerator.max_exp() - sum(self.weights) if numerator else -1
 
-    def _add(self, p: dict[Exps, int | Fraction]) -> None:
-        lead = min(p)
+    def _add(self, p: dict[int, int | Fraction]) -> None:
+        lead = min(p, key=self.order)
         inv = _inverse(p.pop(lead))
         k = len(self.leads)
         for i, other in enumerate(self.leads):
-            if any(a and b for a, b in zip(lead, other)):
-                lcm = tuple(map(max, lead, other))
-                self._push(_exps_degree(lcm, self.weights), (i, k))
+            lcm = self._lcm(lead, other)
+            if lcm != lead + other:
+                self._push(lcm & (1 << _BITS) - 1, (i, k))
         self.leads.append(lead)
         self.tails.append({m: _coeff(c * inv) for m, c in p.items()})
         self._numerator = None
 
-    def _s_poly(self, i: int, j: int) -> dict[Exps, int | Fraction]:
+    def _s_poly(self, i: int, j: int) -> dict[int, int | Fraction]:
         """lcm/lead_i * g_i - lcm/lead_j * g_j; the leads cancel."""
         li, lj = self.leads[i], self.leads[j]
-        lcm = tuple(map(max, li, lj))
-        out: dict[Exps, int | Fraction] = {}
+        lcm = self._lcm(li, lj)
+        out: dict[int, int | Fraction] = {}
         for lead, tail, sign in ((li, self.tails[i], 1), (lj, self.tails[j], -1)):
-            shift = [a - b for a, b in zip(lcm, lead)]
+            shift = lcm - lead
             for m, c in tail.items():
-                m = tuple(map(int.__add__, m, shift))
+                m += shift
                 out[m] = out.get(m, 0) + sign * c
         return {m: c for m, c in out.items() if c}
 
-    def _reduce(self, p: dict[Exps, int | Fraction]) -> dict[Exps, int | Fraction]:
+    def _reduce(self, p: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
         """The remainder of p (consumed) on division by the basis: every
-        term left is divisible by no lead.  Exponent tuples pop least first,
+        term left is divisible by no lead.  Keys pop least ``order`` first,
         which within one degree is the largest monomial first.  A step adds
-        only tuples larger than the one it removes, so a popped tuple never
-        returns, and p may mix degrees."""
-        heap = list(p)
+        only keys of larger order than the one it removes, so a popped key
+        never returns, and p may mix degrees."""
+        order, guards = self.order, self.guards
+        heap = [(order(m), m) for m in p]
         heapq.heapify(heap)
-        rem: dict[Exps, int | Fraction] = {}
+        rem: dict[int, int | Fraction] = {}
         basis = tuple(zip(self.leads, self.tails))
         while heap:
-            m = heapq.heappop(heap)
+            m = heapq.heappop(heap)[1]
             c = p.pop(m, None)
             if c is None:
                 continue  # cancelled, or a second heap entry
             for lead, tail in basis:
-                if all(map(int.__ge__, m, lead)):
-                    shift = tuple(map(int.__sub__, m, lead))
+                shift = m - lead
+                if not shift & guards:
                     for t, tc in tail.items():
-                        mt = tuple(map(int.__add__, shift, t))
-                        s = p.get(mt)
+                        t += shift
+                        s = p.get(t)
                         if s is None:
-                            p[mt] = -c * tc
-                            heapq.heappush(heap, mt)
+                            p[t] = -c * tc
+                            heapq.heappush(heap, (order(t), t))
                         else:
                             s -= c * tc
                             if s:
-                                p[mt] = s
+                                p[t] = s
                             else:
-                                del p[mt]
+                                del p[t]
                     break
             else:
                 rem[m] = c
         return rem
 
 
-def _exps_degree(m: Exps, weights: Sequence[int]) -> int:
-    return sum(map(int.__mul__, m, weights))
-
-
-def _hilbert_numerator(gens: Sequence[Exps], weights: Sequence[int]) -> QLaurent:
+def _hilbert_numerator(gens: Sequence[tuple[int, ...]], weights: Sequence[int]) -> QLaurent:
     """N(q) with Hilbert series N(q) / prod_i (1 - q^weights[i]) for the
-    quotient by the monomial ideal J = <gens>.
+    quotient by the monomial ideal J = <gens>, each generator its
+    exponents in ring order.
 
     Bayer-Stillman recursion on a pure power p = x_i^e, with x_i the
     variable in the most minimal generators and e its least positive
@@ -1034,7 +1025,7 @@ def _hilbert_numerator(gens: Sequence[Exps], weights: Sequence[int]) -> QLaurent
     if max(counts, default=0) <= 1:
         out = QLaurent.one()
         for g in gens:
-            out = out - out.shift(_exps_degree(g, weights))
+            out = out - out.shift(sum(map(int.__mul__, g, weights)))
         return out
     i = counts.index(max(counts))
     e = min(g[i] for g in gens if g[i])

@@ -49,6 +49,12 @@ class TestEulerCommand:
         assert main(["euler", circle_file, "--n", "2"]) == 0
         assert capsys.readouterr().out == "q^-1 + q\n"
 
+    def test_a_level_line_ending_in_a_comment_is_overridden(self, tmp_path, capsys) -> None:
+        path = tmp_path / "circle1.moy"
+        path.write_text(CIRCLE.replace("level n 3", "level n 3  # circle"))
+        assert main(["euler", str(path), "--n", "2"]) == 0
+        assert capsys.readouterr().out == "q^-1 + q\n"
+
     def test_level_override_is_textual(self, circle_file, capsys) -> None:
         # the file says level 3; without an override that level is used
         assert main(["euler", circle_file]) == 0

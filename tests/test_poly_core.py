@@ -889,6 +889,11 @@ class TestPackedKeys:
             Poly({((X, 16384),): 1})
         with pytest.raises(ValueError):
             Poly({((X, -1),): 1})
+        # a Groebner basis whose S-pair would reach degree 40000
+        y = Poly.variable(Y)
+        ring = QuotientRing((X, Y), (x**10000 * y**100, x**100 * y**10000), cutoff=40000)
+        with pytest.raises(OverflowError, match="S-pair degree 40000"):
+            ring.dimension(4)
 
     def test_pickle_loads_in_a_process_that_packs_in_another_order(self) -> None:
         samples = corpus.pickle_samples()
@@ -986,21 +991,17 @@ def _full_normal_form(ring: QuotientRing, p: Poly) -> Poly:
     """normal_form with no lead test first: every term inside the ring
     through ``_Basis._reduce``, the others as they are."""
     basis = ring._basis()
-    out, inside = {}, {}
-    for m, c in p._terms.items():
-        e = basis.exps(m)
-        if e is None:
-            out[m] = c
-        else:
-            inside[e] = c
-    for e, c in basis._reduce(inside).items():
-        out[basis.mono(e)] = poly_core._coeff(c)
+    out = {m: c for m, c in p._terms.items() if m & basis.foreign}
+    inside = {m: c for m, c in p._terms.items() if not m & basis.foreign}
+    for m, c in basis._reduce(inside).items():
+        out[m] = poly_core._coeff(c)
     return poly_core._from_clean(out)
 
 
 class TestStepSetUp:
     """A substitution built once for many polynomials, and the packed-key
-    lead test before a normal form, answer as the unshared paths do."""
+    lead test before a normal form, answer as the unshared paths do; a
+    basis kept on packed keys is a Groebner basis."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(mixed_polys(), max_size=5), mixed_substitutions())
@@ -1037,6 +1038,22 @@ class TestStepSetUp:
             nf = ring.normal_form(p)
             assert nf == _full_normal_form(ring, p)
             assert ring.normal_form(nf) is nf
+
+    # many drawn rings have one generator or none, so more examples than
+    # elsewhere: at 40, a basis that queued no S-pair could still pass
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_rings())
+    def test_a_complete_basis_meets_buchbergers_criterion(self, ring: QuotientRing) -> None:
+        basis = ring._basis()
+        order = basis.order
+        exps = list(map(order, basis.leads))
+        for lead, tail in zip(basis.leads, basis.tails):
+            assert min([lead, *tail], key=order) == lead
+        for i, a in enumerate(exps):
+            assert not any(j != i and all(map(int.__le__, a, b)) for j, b in enumerate(exps))
+        for j in range(len(exps)):
+            for i in range(j):
+                assert basis._reduce(basis._s_poly(i, j)) == {}
 
     def test_no_lead_dividing_a_term_skips_the_reduction(self, monkeypatch) -> None:
         u, w = (Poly.variable(v) for v in LATE)
