@@ -148,7 +148,7 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
 
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     """Euler characteristic of a closed diagram through the engine pipeline.
-    The cutoff bounds the homology's top degree (see ``homology``):
+    The cutoff bounds the base quotient's top degree (see ``homology``):
     CutoffExceeded unless the reduced base's basis is complete by the ring's
     cutoff and its quotient finite with top degree at most the cutoff.  A
     negative cutoff raises ValueError."""
@@ -692,7 +692,7 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
                 k = session.current
                 kept.append(k)
                 opened |= not d.closed
-                table = _polynomial_table(_euler(k, cutoff)) if d.closed else _exact_table(k)
+                table = _polynomial_table(_euler(k, None)) if d.closed else _exact_table(k)
             summands.append((_swap(table, swaps), weight))
         tables.append(_weighted_sum(summands))
     lhs, rhs = tables
@@ -731,8 +731,9 @@ def verify_relation(
     Diagram sides are built, reduced by the calculus, and compared as exact
     rational graded series, so PASS holds in every degree; ``cor_square`` is
     a closed-form identity and needs no reduction.  The report carries both
-    series expanded through the cutoff, a PASS/FAIL verdict, the reduction
-    log, and the lowest differing coefficient on failure.  An unknown name,
+    series expanded through the cutoff, which bounds nothing else, a
+    PASS/FAIL verdict, the reduction log, and the lowest differing
+    coefficient on failure.  An unknown name,
     a parameter count other than the one ``RELATIONS`` lists, a parameter
     outside the relation's domain (a color below 1 or above the level
     among them), or a negative cutoff raises ValueError.
@@ -752,8 +753,8 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
 
     The engine side compiles, reduces, expands, and takes the unsigned
     Euler characteristic of the homology; the oracle side never touches a
-    matrix.  Closed diagrams only.  The cutoff bounds the top degree of
-    the engine's homology, as in ``euler_of_diagram``; a negative cutoff
+    matrix.  Closed diagrams only.  The cutoff bounds the engine's base
+    quotient's top degree, as in ``euler_of_diagram``; a negative cutoff
     raises ValueError.
     """
     engine = euler_of_diagram(d, cutoff=cutoff)

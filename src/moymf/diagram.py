@@ -401,7 +401,7 @@ def _validate(
 
 
 def render(d: Diagram) -> str:
-    """Canonical DSL text; parse(render(d)) equals d."""
+    """Canonical DSL text; parse(render(d), d.allow_high_colors) equals d."""
     out = [f"level n {d.level}"]
     for e in d.edges:
         out.append(

@@ -30,7 +30,8 @@ __all__ = [
 
 
 class QLaurent:
-    """Finite Z-linear combination of integer powers of q."""
+    """Finite Z-linear combination of integer powers of q; an exponent or
+    coefficient that is not an ``int`` raises TypeError."""
 
     __slots__ = ("_c",)
 
@@ -38,6 +39,8 @@ class QLaurent:
         self._c: dict[int, int] = {}
         if coeffs:
             for k, v in coeffs.items():
+                if not (isinstance(k, int) and isinstance(v, int)):
+                    raise TypeError(f"QLaurent needs int exponents and coefficients: {k!r}: {v!r}")
                 if v:
                     self._c[int(k)] = int(v)
 

@@ -452,15 +452,6 @@ def glue(
 # ---------------------------------------------------------------------------
 
 
-# clearing row ops: (side of row i to clear, side of row j, kind, whether
-# the op runs on rows (j, i) with -lambda); side 0 is a, 1 is b
-_CLEARS = (
-    (1, 1, "first_col", False),  # b_i -= lam*b_j
-    (0, 0, "first_col", True),  # a_i -= lam*a_j
-    (0, 1, "second_col", False),  # a_i -= lam*b_j
-)
-
-
 def _internal_parts(
     row: tuple[Poly, Poly], mask: int
 ) -> tuple[tuple[Poly, Poly], list[tuple[Poly, Poly]]]:
@@ -470,21 +461,21 @@ def _internal_parts(
     return (a, b), _by_monomial(b, mask)
 
 
-def _clearing(target: Poly, side: Poly, part: Poly, groups: list | None, mask: int) -> Poly | None:
-    """lambda = s*m (s rational, m a monomial) clearing target, the part of
-    a row side in the fields of mask, against side, whose part is part:
-    target = lambda*(part, or side when m meets mask); or, given target's
-    ``groups`` and an internal-free side, s*m for the first group whose
-    coefficient is s*side.  m*p has as many terms as p."""
-    if groups is not None and not part:
-        for m, c in groups:
-            q = len(c) == len(side) and _lead_quotient(c, side)
-            if q and not q.variables() and c == q * side:
-                return q * m
-        return None
-    q = len(target) in (len(part), len(side)) and _lead_quotient(target, part)
-    src = q and (side if _part(q, mask) else part)
-    return q if q and target == q * src else None
+def _clearing(target: Poly, b: Poly, part: Poly, groups: list | None, mask: int) -> Poly | None:
+    """lambda clearing target, the part of a row side in the fields of
+    mask, against a b-entry b whose part there is part.  Lead quotient:
+    target = q*part for a term q free of the fields, and lambda = q.
+    Monomial group, when b is free of the fields and target's b-side
+    ``groups`` are given: the first group m*c with c = s*b (m a monomial
+    in the fields, s rational), and lambda = s*m."""
+    if part:
+        q = len(target) == len(part) and _lead_quotient(target, part)
+        return q if q and not _part(q, mask) and target == q * part else None
+    for m, c in groups or ():
+        q = len(c) == len(b) and _lead_quotient(c, b)
+        if q and not q.variables() and c == q * b:
+            return q * m
+    return None
 
 
 @dataclass
@@ -637,9 +628,9 @@ class ReductionSession:
 
     def _clear_internal(self) -> bool:
         """The first row op, in row order, that lowers (row sides holding an
-        internal variable, internal terms) and clears a side as
-        ``_clearing`` says; else a transpose of a row whose a-entry has a
-        pure power exclusion admits.  False when neither applies."""
+        internal variable, internal terms) and clears b_i, then a_i, against
+        a b_j as ``_clearing`` says; else a transpose of a row whose a-entry
+        has a pure power exclusion admits.  False when neither applies."""
         k, mask = self.current, _outside(self.external)
 
         def weight(parts: Sequence[Poly]) -> tuple[int, int]:
@@ -649,17 +640,16 @@ class ReductionSession:
         if not any(any(sides) for sides, _ in parts):
             return False  # no row holds an internal variable
         for i, (sides, groups) in enumerate(parts):
-            for t, s, kind, flip in _CLEARS:
+            for t, kind in ((1, "first_col"), (0, "second_col")):  # b_i, a_i -= lam*b_j
                 for j, row in enumerate(k.rows):
                     lam = sides[t] and j != i and _clearing(
-                        sides[t], row[s], parts[j][0][s], groups if t == s == 1 else None, mask
+                        sides[t], row[1], parts[j][0][1], groups if t else None, mask
                     )
                     if lam:
-                        i2, j2, lam = (j, i, -lam) if flip else (i, j, lam)
-                        new = row_op(k, i2, j2, lam, kind)
-                        after = [_part(p, mask) for m in (i2, j2) for p in new.rows[m]]
-                        if weight(after) < weight(parts[i2][0] + parts[j2][0]):
-                            params = {"i": i2, "j": j2, "lambda": lam.render(), "kind": kind}
+                        new = row_op(k, i, j, lam, kind)
+                        after = [_part(p, mask) for m in (i, j) for p in new.rows[m]]
+                        if weight(after) < weight(sides + parts[j][0]):
+                            params = {"i": i, "j": j, "lambda": lam.render(), "kind": kind}
                             self._step("row_op", params, new)
                             return True
         if not k.potential().variables() <= self.external:

@@ -446,9 +446,9 @@ class TestVerifyRelation:
 
     def test_the_verifier_reduces_weighted_terms_in_table_order(self) -> None:
         # square_wide (2, 3): H's weight [0] leaves it unreduced, so the log
-        # is the square's; at (2, 4) H's one step follows the square's 11
+        # is the square's 11; at (2, 4) H's one step follows the square's 11
         square = analysis._reduced(parse(analysis._square_wide_src(2, 3))).log_dicts()
-        assert len(square) == 13
+        assert len(square) == 11
         assert verify_relation("square_wide", (2, 3))["reduction_log"] == square
         square = analysis._reduced(parse(analysis._square_wide_src(2, 4))).log_dicts()
         h = analysis._reduced(parse(analysis._h_src(2, 4))).log_dicts()
@@ -459,8 +459,8 @@ class TestVerifyRelation:
                  for name in RELATION_NAMES}
         assert [name for name, noted in notes.items() if noted] == ["square_wide"]
 
-    def test_bubble_2247_takes_an_a_a_then_an_a_b_row_op(self) -> None:
-        # (2,2,4,7): an a-against-a op, then an a-against-b op leave a
+    def test_bubble_2247_takes_a_b_b_then_an_a_b_row_op(self) -> None:
+        # (2,2,4,7): a b-against-b op, then an a-against-b op leave a
         # (0; b) row, which the gate absorbs
         log = verify_relation("bubble", (2, 2, 4, 7))["reduction_log"]
         steps = [(e["op"], e["params"].get("kind")) for e in log if e["op"] != "exclude_variable"]
@@ -468,10 +468,20 @@ class TestVerifyRelation:
         assert log[-1]["params"]["side"] == "b"
 
     def test_circle_passes_when_its_exact_top_fits_the_cutoff(self) -> None:
-        # circle (4,7): the base's top degree is 24, so cutoff 30 suffices;
-        # a pure-power bound on the leads and a window of the largest
-        # variable degree above the top both ran past 30
+        # circle (4,7): the base's top degree is 24, so cutoff 30 suffices
+        # for euler; a pure-power bound on the leads and a window of the
+        # largest variable degree above the top both ran past 30
+        circle = parse(analysis._circle_src(4, 7))
+        assert euler_of_diagram(circle, cutoff=30) == qbinomial(7, 4)
         assert verify_relation("circle_jacobi", (4, 7), cutoff=30)["verdict"] == "PASS"
+
+    def test_the_cutoff_bounds_the_rendering_not_a_closed_side(self) -> None:
+        # circle (2,3) has top degree 2 and (3,10) 42: both are counted at
+        # the ring's own cutoff, and only the series stop at the given one
+        report = verify_relation("circle_jacobi", (2, 3), cutoff=1)
+        assert report["verdict"] == "PASS"
+        assert report["lhs_series"] == report["rhs_series"] == {"total": "q^-2 + 1"}
+        assert verify_relation("circle_jacobi", (3, 10))["verdict"] == "PASS"
 
     def test_wide_square_records_parity_agreement(self) -> None:
         report = verify_relation("square_wide", (2, 3))
@@ -522,6 +532,22 @@ class TestVerifyRelation:
             "reduction_log",
             "structural_mismatch",
         ]
+
+    def test_base_variable_mismatch_fails_matching_series(self, monkeypatch) -> None:
+        # the right tree ends at another boundary point: same series, but
+        # the reduced trees no longer share a base ring
+        tree_src = analysis._merge_tree_src
+
+        def right_ends_elsewhere(*params: int, left: bool) -> str:
+            src = tree_src(*params, left=left)
+            return src if left else src.replace("boundary:d", "boundary:z")
+
+        monkeypatch.setattr(analysis, "_merge_tree_src", right_ends_elsewhere)
+        report = verify_relation("assoc_merge", (1, 1, 1, 3))
+        assert report["lhs_series"] == report["rhs_series"]
+        assert report["verdict"] == "FAIL"
+        assert "first_difference" not in report
+        assert report["structural_mismatch"] == ["base variables differ"]
 
     def test_bubble_colors_must_sum(self) -> None:
         with pytest.raises(ValueError, match="summing"):

@@ -191,6 +191,11 @@ class TestVerifyCommand:
             main(["verify", "hexagon", "--params", "1", "2"])
         assert info.value.code == 2
 
+    def test_a_cutoff_below_a_closed_sides_top_degree_passes(self, capsys) -> None:
+        # the circle's top degree is 2; the cutoff only stops the series
+        assert main(["verify", "circle_jacobi", "--params", "2", "3", "--cutoff", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
     def test_negative_cutoff_is_an_input_error(self, capsys) -> None:
         code = main(["verify", "bubble", "--params", "1", "1", "2", "3", "--cutoff", "-4"])
         assert code == 2

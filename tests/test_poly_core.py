@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -974,16 +974,18 @@ class TestPackedKeys:
 @st.composite
 def mixed_rings(draw) -> QuotientRing:
     """A ring over some of the mixed variables, the others foreign to it,
-    by one to three homogeneous generators of degree 2 to 6."""
+    by two or three homogeneous generators of degree 2 to 6, at least two
+    of them nonzero, so that S-pairs arise."""
     vs = draw(st.lists(st.sampled_from(_mixed_vars()), min_size=1, max_size=4, unique=True))
     free = QuotientRing(tuple(vs))
     gens = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(2, 3))):
         g = Poly.zero()
         for m in free.monomials(draw(st.sampled_from((2, 4, 6)))):
             g = g + Poly({m: draw(st.sampled_from((0, 0, 1, -2, Fraction(1, 3))))})
         if g:
             gens.append(g)
+    assume(len(gens) >= 2)
     return QuotientRing(tuple(vs), tuple(gens))
 
 
@@ -1039,8 +1041,7 @@ class TestStepSetUp:
             assert nf == _full_normal_form(ring, p)
             assert ring.normal_form(nf) is nf
 
-    # many drawn rings have one generator or none, so more examples than
-    # elsewhere: at 40, a basis that queued no S-pair could still pass
+    # more examples than elsewhere, so that many S-pairs are checked
     @settings(max_examples=200, deadline=None)
     @given(mixed_rings())
     def test_a_complete_basis_meets_buchbergers_criterion(self, ring: QuotientRing) -> None:

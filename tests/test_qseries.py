@@ -71,6 +71,18 @@ class TestQLaurent:
         assert QLaurent({0: 7}).render() == "7"
         assert QLaurent({2: -1, 0: 1}).render() == "1 - q^2"
 
+    @pytest.mark.parametrize("coeffs", [
+        {0: 1.5}, {0.5: 2}, {1: "3"}, {0: Fraction(1, 2)}, {0: Fraction(2)},
+    ])
+    def test_inexact_exponents_and_coefficients_raise(self, coeffs) -> None:
+        with pytest.raises(TypeError, match="int exponents and coefficients"):
+            QLaurent(coeffs)
+
+    def test_q_power_takes_an_int_coefficient_only(self) -> None:
+        with pytest.raises(TypeError):
+            QLaurent.q_power(2, 2.7)
+        assert QLaurent.q_power(2, 3) == QLaurent({2: 3})
+
     def test_extremes_fail_on_zero(self) -> None:
         with pytest.raises(ValueError):
             QLaurent.zero().min_exp()
