@@ -161,54 +161,54 @@ class TestDiagramShape:
         assert copied == line and copied.external_vars() == line.external_vars()
 
 
-# (source, exception type, message fragment, line): malformed inputs, one
-# for each raise site of the parser and validator
+# (source, exception type, message fragment, line, column): malformed
+# inputs, one for each raise site of the parser and validator
 L3 = "level n 3\n"
 EDGE = "edge e1 color 1 from boundary:a to boundary:b\n"
 BAD_INPUTS = {
     "bad edge id": (L3 + "edge e-1 color 1 from boundary:a to boundary:b\n",
-                    DiagramSyntaxError, "bad edge id", 2),
+                    DiagramSyntaxError, "bad edge id", 2, 6),
     "bad boundary label": (L3 + "edge e1 color 1 from boundary:a-b to boundary:b\n",
-                           DiagramSyntaxError, "bad boundary label", 2),
+                           DiagramSyntaxError, "bad boundary label", 2, 22),
     "bad endpoint": (L3 + "edge e1 color 1 from v-1 to boundary:b\n",
-                     DiagramSyntaxError, "bad endpoint", 2),
+                     DiagramSyntaxError, "bad endpoint", 2, 22),
     "keyword mismatch": (L3 + "edge e1 colour 1 from boundary:a to boundary:b\n",
-                         DiagramSyntaxError, "expected 'color'", 2),
+                         DiagramSyntaxError, "expected 'color'", 2, 9),
     "duplicate level": (L3 + EDGE + "level n 4\n",
-                        DiagramSyntaxError, "duplicate level", 3),
-    "malformed level": ("level n\n" + EDGE, DiagramSyntaxError, "expected: level n", 1),
-    "level below 1": ("level n 0\n" + EDGE, DiagramSyntaxError, "level must be >= 1", 1),
+                        DiagramSyntaxError, "duplicate level", 3, 1),
+    "malformed level": ("level n\n" + EDGE, DiagramSyntaxError, "expected: level n", 1, 1),
+    "level below 1": ("level n 0\n" + EDGE, DiagramSyntaxError, "level must be >= 1", 1, 9),
     "color below 1": (L3 + "edge e1 color 0 from boundary:a to boundary:b\n",
-                      DiagramSyntaxError, "color must be >= 1", 2),
+                      DiagramSyntaxError, "color must be >= 1", 2, 15),
     "edge arity": (L3 + "edge e1 color 1 from boundary:a\n",
-                   DiagramSyntaxError, "expected: edge", 2),
+                   DiagramSyntaxError, "expected: edge", 2, 1),
     "vertex arity": (L3 + EDGE + "vertex v1 merge in e1 out e2\n",
-                     DiagramSyntaxError, "expected: vertex", 3),
+                     DiagramSyntaxError, "expected: vertex", 3, 1),
     "duplicate vertex id": (
         L3 + EDGE + "vertex v1 merge in e1 e2 out e3\nvertex v1 merge in e1 e2 out e3\n",
-        DiagramSyntaxError, "duplicate vertex id", 4,
+        DiagramSyntaxError, "duplicate vertex id", 4, 8,
     ),
     "unknown vertex kind": (L3 + EDGE + "vertex v1 blend in e1 e2 out e3\n",
-                            DiagramSyntaxError, "unknown vertex kind", 3),
-    "no edges": (L3 + "# nothing else\n", DiagramSyntaxError, "no edges", 1),
+                            DiagramSyntaxError, "unknown vertex kind", 3, 11),
+    "no edges": (L3 + "# nothing else\n", DiagramSyntaxError, "no edges", 1, 1),
     "unknown vertex": (L3 + "edge e1 color 1 from v9 to boundary:b\n",
-                       DiagramSyntaxError, "unknown vertex v9", 2),
+                       DiagramSyntaxError, "unknown vertex v9", 2, 1),
     "slot not terminated": (
         L3 + EDGE
         + "edge e2 color 1 from boundary:c to v1\n"
         + "edge e3 color 2 from v1 to boundary:d\n"
         + "vertex v1 merge in e1 e2 out e3\n",
-        DiagramSyntaxError, "edge e1 is listed in vertex slots", 2,
+        DiagramSyntaxError, "edge e1 is listed in vertex slots", 2, 1,
     ),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_malformed_input_names_its_line(case: str) -> None:
-    src, exc, fragment, line = BAD_INPUTS[case]
+    src, exc, fragment, line, col = BAD_INPUTS[case]
     with pytest.raises(exc, match=fragment) as info:
         parse(src)
-    assert info.value.line == line
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 class TestCompile:
