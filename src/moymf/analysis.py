@@ -99,10 +99,11 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
     Requires potential 0 and a finite-dimensional base.  The cutoff (at
     most the base's own cutoff, which is also the default) bounds the
     answer: CutoffExceeded unless the base's Groebner basis completes
-    within ``QuotientRing.cutoff``, the only bound on the work, and the
-    quotient's top degree is at most the cutoff.  Every degree reads the
-    standard monomials of that one complete basis, and per degree
-    dim H = dim ker - dim im from exact ranks of the two differentials.
+    within ``QuotientRing.cutoff``, the only bound on the work, the
+    quotient is finite, and no degree of the returned table lies above
+    the cutoff.  Every degree reads the standard monomials of that one
+    complete basis, and per degree dim H = dim ker - dim im from exact
+    ranks of the two differentials.
     A negative cutoff raises ValueError.
     """
     _check_cutoff(cutoff)
@@ -112,13 +113,13 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
         raise NotClosed("homology requires potential 0")
     basis = base._basis()
     top = basis.top_degree()
-    if top > cutoff:
-        raise CutoffExceeded(f"base quotient's top degree {top} exceeds the cutoff {cutoff}")
+    if top == float("inf"):
+        raise CutoffExceeded("base quotient is infinite")
     series = _expand(basis.numerator(), basis.weights, top)
 
     mods = (mf.m0, mf.m1)
     mats = (mf.d0, mf.d1)
-    # the base is finite within the cutoff, so these products are exact:
+    # the base is finite, so these products are exact:
     # dims[k] holds the graded dimension of mods[k] in every degree
     dims = tuple(poly_factor(m.generator_shifts) * series for m in mods)
 
@@ -135,6 +136,9 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
             h = dim - rank_at(k, d) - rank_at(1 - k, d - delta)
             if h:
                 table[(d, k)] = h
+    highest = max((d for d, _ in table), default=cutoff)
+    if highest > cutoff:
+        raise CutoffExceeded(f"homology degree {highest} exceeds the cutoff {cutoff}")
     return table
 
 
@@ -148,10 +152,10 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
 
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     """Euler characteristic of a closed diagram through the engine pipeline.
-    The cutoff bounds the base quotient's top degree (see ``homology``):
+    The cutoff bounds the degrees of the answer (see ``homology``):
     CutoffExceeded unless the reduced base's basis is complete by the ring's
-    cutoff and its quotient finite with top degree at most the cutoff.  A
-    negative cutoff raises ValueError."""
+    cutoff, its quotient is finite and no degree of the homology lies above
+    the cutoff.  A negative cutoff raises ValueError."""
     _check_cutoff(cutoff)
     if not d.closed:
         raise NotClosed("Euler characteristic requires a closed diagram")
@@ -753,9 +757,9 @@ def oracle_crosscheck(d: Diagram, cutoff: int | None = None) -> dict:
 
     The engine side compiles, reduces, expands, and takes the unsigned
     Euler characteristic of the homology; the oracle side never touches a
-    matrix.  Closed diagrams only.  The cutoff bounds the engine's base
-    quotient's top degree, as in ``euler_of_diagram``; a negative cutoff
-    raises ValueError.
+    matrix.  Closed diagrams only.  The cutoff bounds the degrees of the
+    engine's answer, as in ``euler_of_diagram``; a negative cutoff raises
+    ValueError.
     """
     engine = euler_of_diagram(d, cutoff=cutoff)
     oracle = moy_bracket(d)

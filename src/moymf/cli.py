@@ -45,7 +45,7 @@ __all__ = ["CUTOFF_ENV", "main"]
 
 CUTOFF_ENV = "MOYMF_CUTOFF"
 # what --cutoff means to euler and crosscheck, which take homology
-_WORK_BOUND = "bound on the answer: the base quotient's top degree must not exceed it"
+_WORK_BOUND = "bound on the answer: no degree of the homology may exceed it"
 
 # the digits of a level line, which may end in a comment
 _LEVEL_LINE = re.compile(r"^(\s*level\s+n\s+)\d+(?=[ \t]*(?:#.*)?$)", re.MULTILINE)

@@ -1,15 +1,19 @@
 """Colored planar diagrams: data model, DSL parser, compiler to Koszul form.
 
-The DSL is line-oriented UTF-8 with ``#`` comments, one diagram per file:
+The DSL is line-oriented UTF-8 with ``#`` comments, one diagram per file.
+Its grammar is the table ``_FORMS``, one form a line:
 
     level n <int>
     edge <id> color <int> from <endpoint> to <endpoint>
     vertex <id> merge in <eid> <eid> out <eid>
     vertex <id> split in <eid> out <eid> <eid>
 
-An endpoint is a vertex id or ``boundary:<label>``.  Every edge is oriented
-tail (from) to head (to); a boundary at the head is an out-boundary and
-contributes its power sum positively to the potential.
+An ``<int>`` is an optional ``-`` and ASCII digits; an id is ASCII letters,
+digits and ``_``.  An endpoint is a vertex id or ``boundary:<label>``.
+Every edge is oriented tail (from) to head (to); a boundary at the head is
+an out-boundary and contributes its power sum positively to the potential.
+A refused line reports the column of its first bad token; the checks
+across lines report column 1.
 
 A boundary label used exactly once is a true boundary.  A label used exactly
 twice, once at a head and once at a tail, glues those two edge ends together
@@ -49,7 +53,7 @@ __all__ = [
     "boundary_potential",
 ]
 
-_NAME = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 class DiagramSyntaxError(SyntaxError):
@@ -154,150 +158,124 @@ class Diagram:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    toks = []
-    col = 1
-    for part in line.split():
-        start = line.index(part, col - 1) + 1
-        toks.append((part, start))
-        col = start + len(part)
-    return toks
+# The grammar: one form a line, keyed by the word that names it.  ``parse``
+# matches a line's tokens against its form, ``render`` fills the same forms,
+# and a line of the wrong length is told the forms of its directive.
+_FORMS = {
+    "level": "level n <int>",
+    "edge": "edge <id> color <int> from <endpoint> to <endpoint>",
+    "merge": "vertex <id> merge in <eid> <eid> out <eid>",
+    "split": "vertex <id> split in <eid> out <eid> <eid>",
+}
+# by directive: the position of the word that names a form, the directive's
+# first form (all of them have its length), and the forms by that word
+_GRAMMAR: dict[str, tuple[int, tuple[str, ...], dict[str, tuple[str, ...]]]] = {}
+for _name, _form in _FORMS.items():
+    _toks = tuple(_form.split())
+    _GRAMMAR.setdefault(_toks[0], (_toks.index(_name), _toks, {}))[2][_name] = _toks
 
 
-def _int_tok(tok: tuple[str, int], lineno: int) -> int:
-    s, col = tok
-    try:
-        return int(s)
-    except ValueError:
-        raise DiagramSyntaxError(f"expected integer, got {s!r}", lineno, col) from None
+class _Refused(Exception):
+    """A line's token does not fit its form; args are (message, token index)."""
 
 
-def _name_tok(tok: tuple[str, int], lineno: int, what: str) -> str:
-    s, col = tok
-    if not _NAME.match(s):
-        raise DiagramSyntaxError(f"bad {what} {s!r}", lineno, col)
-    return s
-
-
-def _endpoint_tok(tok: tuple[str, int], lineno: int) -> tuple[str, str]:
-    s, col = tok
-    if s.startswith("boundary:"):
-        label = s[len("boundary:") :]
-        if not _NAME.match(label):
-            raise DiagramSyntaxError(f"bad boundary label {label!r}", lineno, col)
-        return ("boundary", label)
-    if not _NAME.match(s):
-        raise DiagramSyntaxError(f"bad endpoint {s!r}", lineno, col)
-    return ("vertex", s)
-
-
-def _kw(tok: tuple[str, int], word: str, lineno: int) -> None:
-    if tok[0] != word:
-        raise DiagramSyntaxError(f"expected {word!r}, got {tok[0]!r}", lineno, tok[1])
+def _match(toks: list[str], ids: dict[str, set[str]]) -> tuple[tuple[str, ...], list]:
+    """The form a line's tokens follow, and the values of its placeholders.
+    ``ids`` holds the ids each directive has used on earlier lines."""
+    head = toks[0]
+    if head not in _GRAMMAR:
+        raise _Refused(f"unknown directive {head!r}", 0)
+    at, first, forms = _GRAMMAR[head]
+    if len(toks) != len(first):
+        raise _Refused("expected: " + " or ".join(" ".join(f) for f in forms.values()), 0)
+    form = forms.get(toks[at])
+    values: list = []
+    # a line naming no form is matched up to the naming word, then refused
+    wants = form or first[:at]
+    for i in range(len(wants)):
+        want, tok = wants[i], toks[i]
+        if want[0] != "<":
+            if tok != want:
+                raise _Refused(f"expected {want!r}, got {tok!r}", i)
+        elif want == "<int>":
+            # an optional '-' and ASCII digits: int() alone takes '1_0', '+3' and '\u0663'
+            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+                raise _Refused(f"expected integer, got {tok!r}", i)
+            values.append(int(tok))
+        elif want == "<endpoint>":
+            if tok.startswith("boundary:"):
+                label = tok[len("boundary:") :]
+                if not _NAME.fullmatch(label):
+                    raise _Refused(f"bad boundary label {label!r}", i)
+                values.append(("boundary", label))
+            elif _NAME.fullmatch(tok):
+                values.append(("vertex", tok))
+            else:
+                raise _Refused(f"bad endpoint {tok!r}", i)
+        else:
+            if not _NAME.fullmatch(tok):
+                raise _Refused(f"bad {'edge' if want == '<eid>' else head} id {tok!r}", i)
+            if want == "<id>":
+                if tok in ids[head]:
+                    raise _Refused(f"duplicate {head} id {tok}", i)
+                ids[head].add(tok)
+            values.append(tok)
+    if form is None:
+        raise _Refused(f"unknown {head} kind {toks[at]!r}", at)
+    return form, values
 
 
 def parse(text: str, allow_high_colors: bool = False) -> Diagram:
-    """Parse and validate one diagram document."""
+    """Parse and validate one diagram document; each line follows one of
+    the forms of ``_FORMS``."""
     level: int | None = None
     edges: list[Edge] = []
     vertices: list[Vertex] = []
-    edge_lines: dict[str, int] = {}
-    vertex_lines: dict[str, int] = {}
+    ids: dict[str, set[str]] = {head: set() for head in _GRAMMAR}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0]
+        toks = line.split()
+        if not toks:
             continue
-        toks = _tokenize(line)
-        head, col0 = toks[0]
-        if head == "level":
-            if level is not None:
-                raise DiagramSyntaxError("duplicate level directive", lineno, col0)
-            if len(toks) != 3:
-                raise DiagramSyntaxError("expected: level n <int>", lineno, col0)
-            _kw(toks[1], "n", lineno)
-            level = _int_tok(toks[2], lineno)
-            if level < 1:
-                raise DiagramSyntaxError("level must be >= 1", lineno, toks[2][1])
-        elif head == "edge":
-            if len(toks) != 8:
-                raise DiagramSyntaxError(
-                    "expected: edge <id> color <int> from <endpoint> to <endpoint>",
-                    lineno,
-                    col0,
-                )
-            eid = _name_tok(toks[1], lineno, "edge id")
-            _kw(toks[2], "color", lineno)
-            color = _int_tok(toks[3], lineno)
-            _kw(toks[4], "from", lineno)
-            tail = _endpoint_tok(toks[5], lineno)
-            _kw(toks[6], "to", lineno)
-            head_ep = _endpoint_tok(toks[7], lineno)
-            if eid in edge_lines:
-                raise DiagramSyntaxError(f"duplicate edge id {eid}", lineno, toks[1][1])
-            if color < 1:
-                raise DiagramSyntaxError("color must be >= 1", lineno, toks[3][1])
-            edge_lines[eid] = lineno
-            edges.append(Edge(eid, color, tail, head_ep, lineno))
-        elif head == "vertex":
-            if len(toks) != 8:
-                raise DiagramSyntaxError(
-                    "expected: vertex <id> merge in <eid> <eid> out <eid> "
-                    "or vertex <id> split in <eid> out <eid> <eid>",
-                    lineno,
-                    col0,
-                )
-            vid = _name_tok(toks[1], lineno, "vertex id")
-            if vid in vertex_lines:
-                raise DiagramSyntaxError(
-                    f"duplicate vertex id {vid}", lineno, toks[1][1]
-                )
-            kind = toks[2][0]
-            if kind == "merge":
-                _kw(toks[3], "in", lineno)
-                ins = (
-                    _name_tok(toks[4], lineno, "edge id"),
-                    _name_tok(toks[5], lineno, "edge id"),
-                )
-                _kw(toks[6], "out", lineno)
-                outs = (_name_tok(toks[7], lineno, "edge id"),)
-            elif kind == "split":
-                _kw(toks[3], "in", lineno)
-                ins = (_name_tok(toks[4], lineno, "edge id"),)
-                _kw(toks[5], "out", lineno)
-                outs = (
-                    _name_tok(toks[6], lineno, "edge id"),
-                    _name_tok(toks[7], lineno, "edge id"),
-                )
-            else:
-                raise DiagramSyntaxError(
-                    f"unknown vertex kind {kind!r}", lineno, toks[2][1]
-                )
-            vertex_lines[vid] = lineno
-            vertices.append(Vertex(vid, kind, ins, outs, lineno))
-        else:
-            raise DiagramSyntaxError(f"unknown directive {head!r}", lineno, col0)
+        try:
+            if toks[0] == "level" and level is not None:
+                raise _Refused("duplicate level directive", 0)
+            form, values = _match(toks, ids)
+            if form[0] == "level":
+                (level,) = values
+                if level < 1:
+                    raise _Refused("level must be >= 1", form.index("<int>"))
+            elif form[0] == "edge":
+                eid, color, tail, head = values
+                if color < 1:
+                    raise _Refused("color must be >= 1", form.index("<int>"))
+                edges.append(Edge(eid, color, tail, head, lineno))
+            else:  # a vertex's id, its in-slots (two or one by kind), its out-slots
+                kind = form[2]
+                k = 3 if kind == "merge" else 2
+                ins, outs = tuple(values[1:k]), tuple(values[k:])
+                vertices.append(Vertex(values[0], kind, ins, outs, lineno))
+        except _Refused as refused:
+            message, i = refused.args  # only a refused line needs token columns
+            col = [m.start() + 1 for m in re.finditer(r"\S+", line)][i]
+            raise DiagramSyntaxError(message, lineno, col) from None
 
     if level is None:
         raise DiagramSyntaxError("missing level directive", 1)
     if not edges:
         raise DiagramSyntaxError("diagram has no edges", 1)
 
-    boundary, glued = _validate(level, edges, vertices, edge_lines, allow_high_colors)
+    boundary, glued = _validate(level, edges, vertices, allow_high_colors)
     return Diagram(
         level, tuple(edges), tuple(vertices), boundary, glued, allow_high_colors
     )
 
 
 def _validate(
-    level: int,
-    edges: list[Edge],
-    vertices: list[Vertex],
-    edge_lines: dict[str, int],
-    allow_high_colors: bool,
+    level: int, edges: list[Edge], vertices: list[Vertex], allow_high_colors: bool
 ) -> tuple[tuple[BoundaryPoint, ...], frozenset[str]]:
     by_id = {e.id: e for e in edges}
-    vertex_by_id = {v.id: v for v in vertices}  # ids are unique: parse checks
 
     for e in edges:
         if e.color > level and not allow_high_colors:
@@ -307,50 +285,36 @@ def _validate(
                 e.line,
             )
 
-    # vertex slots vs edge endpoints must agree both ways
-    slot_refs: dict[str, list[tuple[str, str]]] = {}  # edge id -> (vertex, role)
+    # every edge end at a vertex is one of that vertex's slots (a head an
+    # in-slot, a tail an out-slot), and there are as many slots as such ends
+    slots: list[tuple[str, str, str]] = []
     for v in vertices:
         for eid in v.ins + v.outs:
             if eid not in by_id:
-                raise DiagramSyntaxError(
-                    f"vertex {v.id} references unknown edge {eid}", v.line
-                )
-        for eid in v.ins:
-            slot_refs.setdefault(eid, []).append((v.id, "in"))
-        for eid in v.outs:
-            slot_refs.setdefault(eid, []).append((v.id, "out"))
-
+                raise DiagramSyntaxError(f"vertex {v.id} references unknown edge {eid}", v.line)
+        slots += [(v.id, "in", eid) for eid in v.ins] + [(v.id, "out", eid) for eid in v.outs]
+    listed = set(slots)
+    vertex_ids = {v.id for v in vertices}
+    ends: set[tuple[str, str, str]] = set()
     for e in edges:
-        for end, role in ((e.tail, "tail"), (e.head, "head")):
-            if end[0] != "vertex":
+        for (kind, vid), side, role in ((e.tail, "tail", "out"), (e.head, "head", "in")):
+            if kind != "vertex":
                 continue
-            vid = end[1]
-            v = vertex_by_id.get(vid)
-            if v is None:
+            if vid not in vertex_ids:
+                raise DiagramSyntaxError(f"edge {e.id} references unknown vertex {vid}", e.line)
+            slot = (vid, role, e.id)
+            if slot not in listed:
                 raise DiagramSyntaxError(
-                    f"edge {e.id} references unknown vertex {vid}", e.line
-                )
-            # head at v <=> e is an in-edge of v; tail at v <=> an out-edge
-            expected = v.ins if role == "head" else v.outs
-            if e.id not in expected:
-                raise DiagramSyntaxError(
-                    f"edge {e.id} {role} is at vertex {vid} but the vertex "
-                    f"does not list it as an {'in' if role == 'head' else 'out'} edge",
+                    f"edge {e.id} {side} is at vertex {vid} but the vertex "
+                    f"does not list it as an {role} edge",
                     e.line,
                 )
-
-    for eid, refs in slot_refs.items():
-        e = by_id[eid]
-        ends_here = sum(
-            1
-            for end, role in ((e.tail, "out"), (e.head, "in"))
-            if end[0] == "vertex" and (end[1], role) in refs
+            ends.add(slot)
+    if len(ends) != len(slots):  # a slot that no end fills, or one listed twice
+        eid = next(s[2] for i, s in enumerate(slots) if s not in ends or s in slots[:i])
+        raise DiagramSyntaxError(
+            f"edge {eid} is listed in vertex slots it does not terminate at", by_id[eid].line
         )
-        if ends_here != len(refs):
-            raise DiagramSyntaxError(
-                f"edge {eid} is listed in vertex slots it does not terminate at",
-                edge_lines[eid],
-            )
 
     # color conservation at vertices
     for v in vertices:
@@ -401,18 +365,18 @@ def _validate(
 
 
 def render(d: Diagram) -> str:
-    """Canonical DSL text; parse(render(d), d.allow_high_colors) equals d."""
-    out = [f"level n {d.level}"]
-    for e in d.edges:
-        out.append(
-            f"edge {e.id} color {e.color} from {_ep(e.tail)} to {_ep(e.head)}"
-        )
-    for v in d.vertices:
-        if v.kind == "merge":
-            out.append(f"vertex {v.id} merge in {v.ins[0]} {v.ins[1]} out {v.outs[0]}")
-        else:
-            out.append(f"vertex {v.id} split in {v.ins[0]} out {v.outs[0]} {v.outs[1]}")
+    """Canonical DSL text in the forms of ``_FORMS``; parse(render(d),
+    d.allow_high_colors) equals d."""
+    out = [_fill("level", d.level)]
+    out += [_fill("edge", e.id, e.color, _ep(e.tail), _ep(e.head)) for e in d.edges]
+    out += [_fill(v.kind, v.id, *v.ins, *v.outs) for v in d.vertices]
     return "\n".join(out) + "\n"
+
+
+def _fill(name: str, *values: object) -> str:
+    """The form ``name`` with its placeholders replaced by values, in order."""
+    it = iter(values)
+    return " ".join(str(next(it)) if w[0] == "<" else w for w in _FORMS[name].split())
 
 
 def _ep(end: tuple[str, str]) -> str:

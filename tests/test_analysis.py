@@ -115,8 +115,9 @@ class TestHomology:
         assert homology(row_free.expand()) == {(0, 0): 1, (2, 0): 1, (4, 0): 1}
 
     def test_answer_does_not_depend_on_a_settled_basis(self) -> None:
-        # the circle's top degree is 2: cutoff 1 refuses and cutoff 2
-        # answers, whether or not the base's basis was completed first
+        # the circle's answer q^-1 + q reaches degree 1: cutoff 0 refuses
+        # and cutoff 2 answers, whether or not the base's basis was
+        # completed first
         k = _reduced(CIRCLE12).current
 
         def outcome(settle: bool, cutoff: int):
@@ -128,9 +129,9 @@ class TestHomology:
             except CutoffExceeded:
                 return "refused"
 
-        for cutoff in (1, 2, 3):
+        for cutoff in (0, 2, 3):
             assert outcome(False, cutoff) == outcome(True, cutoff), cutoff
-        assert outcome(False, 1) == "refused"
+        assert outcome(False, 0) == "refused"
         assert outcome(False, 2) == {(-1, 1): 1, (1, 1): 1}
 
     def test_order_independence_on_closed_corpus(self) -> None:

@@ -60,6 +60,17 @@ class TestEulerCommand:
         assert main(["euler", circle_file]) == 0
         assert capsys.readouterr().out == "q^-2 + 1 + q^2\n"
 
+    def test_the_cutoff_bounds_the_answer(self, tmp_path, capsys, monkeypatch) -> None:
+        # a color-5 circle at level 10: its base quotient reaches degree 50,
+        # but its answer lies in q^-25..q^25, within the default cutoff 40
+        monkeypatch.delenv(cli.CUTOFF_ENV, raising=False)
+        path = tmp_path / "circle5.moy"
+        path.write_text("level n 10\nedge e1 color 5 from boundary:a to boundary:a\n")
+        assert main(["euler", str(path)]) == 0
+        assert capsys.readouterr().out == qbinomial(10, 5).render() + "\n"
+        assert main(["euler", str(path), "--cutoff", "24"]) == 2
+        assert capsys.readouterr().err == "error: homology degree 25 exceeds the cutoff 24\n"
+
     def test_open_diagram_fails_cleanly(self, line_file, capsys) -> None:
         assert main(["euler", line_file]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -272,8 +283,8 @@ class TestQbinomCommand:
 
 class TestCutoffEnvironment:
     def test_env_variable_is_honored(self, circle_file, capsys, monkeypatch) -> None:
-        # the circle's top degree is 2, so cutoff 1 must refuse
-        monkeypatch.setenv(cli.CUTOFF_ENV, "1")
+        # the circle's answer q^-1 + q reaches degree 1, so cutoff 0 must refuse
+        monkeypatch.setenv(cli.CUTOFF_ENV, "0")
         assert main(["euler", circle_file, "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,22 @@ class TestSyntaxErrors:
             parse(src)
 
 
+def test_negative_integer_reaches_the_bound() -> None:
+    with pytest.raises(DiagramSyntaxError, match="level must be >= 1") as info:
+        parse("level n -3\n" + EDGE)
+    assert (info.value.line, info.value.col) == (1, 9)
+
+
+def test_grammar_forms_are_documented() -> None:
+    # README's diagram-language section and the module docstring quote
+    # every form of the grammar verbatim
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("## The diagram language", 1)[1].split("\n## ", 1)[0]
+    for form in diagram._FORMS.values():
+        assert form in section, form
+        assert form in diagram.__doc__, form
+
+
 class TestColorConstraint:
     def test_violation_names_the_vertex(self) -> None:
         src = THETA.replace("edge e4 color 2", "edge e4 color 3")
@@ -200,6 +217,15 @@ BAD_INPUTS = {
         + "vertex v1 merge in e1 e2 out e3\n",
         DiagramSyntaxError, "edge e1 is listed in vertex slots", 2, 1,
     ),
+    # an integer is an optional '-' and ASCII digits, not any spelling int() takes
+    "underscored level": ("level n 1_0\n" + EDGE,
+                          DiagramSyntaxError, "expected integer, got '1_0'", 1, 9),
+    "signed level": ("level n +3\n" + EDGE,
+                     DiagramSyntaxError, r"expected integer, got '\+3'", 1, 9),
+    "non-ASCII digit level": ("level n \u0663\n" + EDGE,
+                              DiagramSyntaxError, "expected integer, got '\u0663'", 1, 9),
+    "underscored color": (L3 + "edge e1 color 1_0 from boundary:a to boundary:b\n",
+                          DiagramSyntaxError, "expected integer, got '1_0'", 2, 15),
 }
 
 
