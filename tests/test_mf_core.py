@@ -4,6 +4,7 @@ tensor products, shifts, and the defining-identity validator."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -170,6 +171,37 @@ class TestExpansion:
         for _ in range(10):
             k = corpus.random_koszul(rng)
             assert k.graded_series(CUTOFF) == koszul_expand(k).graded_series(CUTOFF)
+
+    def test_series_expand_the_generators_times_the_base_series(self) -> None:
+        # the graded rank of K(a; b) over R is its generator polynomial
+        # times the Hilbert series of R: in degree d, the sum over the
+        # generators q^e of dim R_(d - e)
+        rng = random.Random(29)
+        for _ in range(8):
+            k = corpus.random_koszul(rng)
+            if rng.random() < 0.5:
+                k = k.with_rows(k.rows, QuotientRing(k.base.vars, (Poly.variable(X) ** 3,)))
+            k = dataclasses.replace(
+                k, global_grading_shift=rng.randint(-6, 6), z2_shift=rng.randint(0, 1)
+            )
+            gens = [QLaurent.zero(), QLaurent.zero()]
+            for subset in itertools.product((0, 1), repeat=k.row_count):
+                e = k.global_grading_shift + sum(
+                    k.row_shift(m) for m in range(k.row_count) if subset[m]
+                )
+                gens[(sum(subset) + k.z2_shift) % 2] += QLaurent.q_power(e)
+            low = min(g.min_exp() for g in gens if g)
+            mf = koszul_expand(k)
+            for cutoff in range(31):
+                want = tuple(
+                    QLaurent({
+                        d: sum(c * k.base.dimension(d - e) for e, c in g.coeffs.items())
+                        for d in range(low, cutoff + 1)
+                    })
+                    for g in gens
+                )
+                assert k.graded_series(cutoff) == want
+                assert mf.graded_series(cutoff) == want
 
     def test_negative_cutoff_rejected(self) -> None:
         # every series truncated below degree 0 is empty, so two of them

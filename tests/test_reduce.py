@@ -301,6 +301,34 @@ class TestAbsorption:
         with pytest.raises(ConditionUnmet, match=r"collapsed to \(0; 0\)"):
             absorb_zero_row(k, 0)
 
+    def test_an_a_side_row_absorbs_as_its_transpose(self, monkeypatch) -> None:
+        # (a; 0) is (0; a) after a parity flip and a grading shift, so
+        # absorbing either gives the same presentation
+        seen = []
+        step = ReductionSession._step
+        monkeypatch.setattr(
+            ReductionSession, "_step", lambda s, op, p, new: step(s, op, p, new) or seen.append(new)
+        )
+        rng = random.Random(71)
+        for _ in range(24):
+            _, d, k = corpus.random_compiled(rng, closed=rng.random() < 0.5)
+            ReductionSession(k, external=d.external_vars()).reduce_fully()
+
+        def absorbed(k: KoszulMF, m: int) -> tuple:
+            try:
+                new = absorb_zero_row(k, m, force=True)
+            except ConditionUnmet as exc:
+                return (str(exc),)
+            return new.rows, new.base.render(), new.global_grading_shift, new.z2_shift
+
+        checked = 0
+        for k in seen:
+            for m, (a, b) in enumerate(k.rows):
+                if a and not b:
+                    assert absorbed(k, m) == absorbed(transpose_row(k, m), m)
+                    checked += 1
+        assert checked >= 20
+
 class TestRegularityHeuristic:
     def test_product_expansion_sequence_verifies(self) -> None:
         # homogeneous pieces of (1 + x1 + x2)(1 + y1) - 1: a known regular
