@@ -115,7 +115,7 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
     top = basis.top_degree()
     if top == float("inf"):
         raise CutoffExceeded("base quotient is infinite")
-    series = _expand(basis.numerator(), basis.weights, top)
+    series = base.dimension_series(max(top, 0))
 
     mods = (mf.m0, mf.m1)
     mats = (mf.d0, mf.d1)
@@ -334,13 +334,6 @@ def _find_backtrack(arcs, verts, n: int):
 
 # A relation side, exactly: even and odd numerators over prod_w (1 - q^w).
 Table = tuple[QLaurent, QLaurent, tuple[int, ...]]
-
-
-def _exact_table(k: KoszulMF) -> Table:
-    """k's exact series: generator degrees times the base's Hilbert series."""
-    num, weights = k.base.hilbert_series()
-    even, odd = k._generators()
-    return even * num, odd * num, weights
 
 
 def _polynomial_table(p: QLaurent) -> Table:
@@ -696,7 +689,7 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
                 k = session.current
                 kept.append(k)
                 opened |= not d.closed
-                table = _polynomial_table(_euler(k, None)) if d.closed else _exact_table(k)
+                table = _polynomial_table(_euler(k, None)) if d.closed else k._series()
             summands.append((_swap(table, swaps), weight))
         tables.append(_weighted_sum(summands))
     lhs, rhs = tables

@@ -47,9 +47,6 @@ CUTOFF_ENV = "MOYMF_CUTOFF"
 # what --cutoff means to euler and crosscheck, which take homology
 _WORK_BOUND = "bound on the answer: no degree of the homology may exceed it"
 
-# the digits of a level line, which may end in a comment
-_LEVEL_LINE = re.compile(r"^(\s*level\s+n\s+)\d+(?=[ \t]*(?:#.*)?$)", re.MULTILINE)
-
 
 class UsageError(ValueError):
     """Bad command input that argparse cannot catch on its own."""
@@ -76,11 +73,23 @@ def _load_diagram(path: str, level: int | None) -> Diagram:
     if level is not None:
         if level < 1:
             raise UsageError("--n must be a positive integer")
-        if _LEVEL_LINE.search(text):
-            text = _LEVEL_LINE.sub(rf"\g<1>{level}", text, count=1)
-        else:
-            text = f"level n {level}\n{text}"
+        text = _with_level(text, level)
     return parse(text)
+
+
+def _with_level(text: str, level: int) -> str:
+    """text with the value token of its first level line, whatever it
+    spells, replaced by level, or with ``level n <level>`` appended when
+    it has no level line.  Every line keeps its number, so a refusal
+    points at the file's own line."""
+    lines = text.splitlines(keepends=True)
+    for i, raw in enumerate(lines):
+        toks = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if toks and toks[0].group() == "level":
+            if len(toks) > 2:
+                lines[i] = f"{raw[:toks[2].start()]}{level}{raw[toks[2].end():]}"
+            return "".join(lines)
+    return f"{text}\nlevel n {level}\n"
 
 
 def _emit(doc: str, out: str | None) -> None:
@@ -229,7 +238,8 @@ def _add_file_argument(sub: argparse.ArgumentParser) -> None:
         "--n",
         type=int,
         default=None,
-        help="override the level declared in the file",
+        help="override the level: replaces the value of the file's level line, "
+        "or adds one after its last line; refusals keep the file's line numbers",
     )
 
 

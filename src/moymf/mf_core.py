@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .poly_core import GradedVar, Poly, QuotientRing, _check_cutoff, _sum
-from .qseries import QLaurent, poly_factor
+from .qseries import QLaurent, _expand, poly_factor
 
 __all__ = [
     "SparseMat",
@@ -127,19 +127,6 @@ class GradedFreeModule:
         return GradedFreeModule(self.base, tuple(s + n for s in self.generator_shifts))
 
 
-def _free_series(
-    base: QuotientRing, shifts: Sequence[QLaurent], cutoff: int
-) -> tuple[QLaurent, ...]:
-    """Graded dimensions through degree cutoff of free modules over base,
-    one per generator-shift polynomial.  The base series is computed once,
-    through the degree the lowest generator of any module needs.  A
-    negative cutoff raises ValueError."""
-    _check_cutoff(cutoff)
-    low = min((s.min_exp() for s in shifts if s), default=0)
-    series = base.dimension_series(max(cutoff - low, 0))
-    return tuple((s * series).truncate(cutoff) for s in shifts)
-
-
 @dataclass(frozen=True)
 class MatrixFactorization:
     """(m0, m1, d0: m0->m1, d1: m1->m0) with d1 d0 = d0 d1 = potential*Id."""
@@ -170,8 +157,13 @@ class MatrixFactorization:
         return self.potential_degree // 2
 
     def graded_series(self, cutoff: int) -> tuple[QLaurent, QLaurent]:
-        shifts = (self.m0.generator_shifts, self.m1.generator_shifts)
-        return _free_series(self.base, tuple(map(poly_factor, shifts)), cutoff)
+        """(even, odd) graded dimensions through degree cutoff: each
+        module's generator degrees times the base's Hilbert series.  A
+        negative cutoff raises ValueError."""
+        _check_cutoff(cutoff)
+        num, weights = self.base.hilbert_series()
+        even, odd = (poly_factor(m.generator_shifts) * num for m in (self.m0, self.m1))
+        return _expand(even, weights, cutoff), _expand(odd, weights, cutoff)
 
     def as_dict(self) -> dict:
         return {
@@ -436,9 +428,9 @@ class KoszulMF:
         return self.potential_degree - db, db
 
     def row_shift(self, m: int) -> int:
+        """(deg b_m - deg a_m)/2, an integer: the two degrees sum to the
+        even potential degree."""
         da, db = self.row_degrees(m)
-        if (db - da) % 2:
-            raise InhomogeneousRow(f"row {m} has odd degree gap")
         return (db - da) // 2
 
     @property
@@ -498,9 +490,20 @@ class KoszulMF:
         g = self.global_grading_shift
         return even.shift(g), odd.shift(g)
 
+    def _series(self) -> tuple[QLaurent, QLaurent, tuple[int, ...]]:
+        """(even, odd, weights): the exact series of the expansion, the
+        generator degrees times the base's Hilbert numerator, each over
+        prod_w (1 - q^w)."""
+        num, weights = self.base.hilbert_series()
+        even, odd = self._generators()
+        return even * num, odd * num, weights
+
     def graded_series(self, cutoff: int) -> tuple[QLaurent, QLaurent]:
-        """(even, odd) graded dimension series without expanding matrices."""
-        return _free_series(self.base, self._generators(), cutoff)
+        """(even, odd) graded dimensions through degree cutoff, without
+        expanding matrices.  A negative cutoff raises ValueError."""
+        _check_cutoff(cutoff)
+        even, odd, weights = self._series()
+        return _expand(even, weights, cutoff), _expand(odd, weights, cutoff)
 
     def expand(self) -> MatrixFactorization:
         return koszul_expand(self)

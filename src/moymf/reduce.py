@@ -18,11 +18,10 @@ that entry.  Two sound cases are distinguished:
 
 Rows with one zero side appear in closed diagrams, and in open ones once
 a row op clears one side of a row.  They are not exclusions but
-absorptions: (a; 0) contributes the quotient by a with a parity flip and a
-grading offset of potential_degree/2 - deg a, while (0; b) contributes the
-quotient by b on the spot.  Each is taken only when the regularity gate
-verifies its entry regular over the current base, and is logged as
-``absorb``.
+absorptions: (0; b) contributes the quotient by b on the spot, and (a; 0)
+is absorbed as (0; a) after a transposition.  Each is taken only when the
+regularity gate verifies its entry regular over the current base, and is
+logged as ``absorb``.
 
 When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
 clears internal variables from rows by row ops and transpositions
@@ -31,7 +30,7 @@ clears internal variables from rows by row ops and transpositions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -150,16 +149,10 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     grading shift by (deg b - deg a)/2, so the swap is compensated globally;
     the underlying graded module and the potential are both unchanged.
     """
-    h = k.row_shift(row)
     a, b = k.rows[row]
     rows = list(k.rows)
     rows[row] = (b, a)
-    return replace(
-        k,
-        rows=tuple(rows),
-        global_grading_shift=k.global_grading_shift + h,
-        z2_shift=(k.z2_shift + 1) % 2,
-    )
+    return k.with_rows(rows).grade_shifted(k.row_shift(row)).translated()
 
 
 def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
@@ -377,11 +370,12 @@ def _excluded(
 def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
     """Collapse one zero-sided row to the quotient by its other entry.
 
-    A row (a; 0) or (0; b) contributes nothing to the potential; when its
-    nonzero entry is regular over the current base, the factor it spans is
-    homotopy equivalent to the quotient module, so the row can be absorbed
-    into the base ring.  (a; 0) flips the parity and shifts the grading by
-    potential_degree/2 - deg a; (0; b) changes neither.
+    A row (0; b) contributes nothing to the potential; when b is regular
+    over the current base, the factor it spans is homotopy equivalent to
+    the quotient module, so the row can be absorbed into the base ring
+    with no change of parity or grading.  A row (a; 0) is absorbed as
+    (0; a) after ``transpose_row``, which flips the parity and shifts the
+    grading by potential_degree/2 - deg a.
     """
     return _absorbed(k, row, force)[0]
 
@@ -391,22 +385,16 @@ def _absorbed(k: KoszulMF, row: int, force: bool) -> tuple[KoszulMF, str]:
     a, b = k.rows[row]
     if a and b:
         raise ConditionUnmet(f"row {row} has no zero side")
-    gen = a if a else b
-    lead = max(gen.terms.items(), key=lambda t: mono_key(t[0]))[1]
-    verdict, new_base = _gate(k.base, [gen * _inverse(lead)])
+    if a:
+        k, b = transpose_row(k, row), a
+    lead = max(b.terms.items(), key=lambda t: mono_key(t[0]))[1]
+    verdict, new_base = _gate(k.base, [b * _inverse(lead)])
     if verdict != "verified" and not force:
         raise RegularityUnverified(
             f"row {row} entry not verified regular; pass force to absorb anyway"
         )
     rows = _rebased_rows(k, new_base, row, None, f"while absorbing row {row}")
-    z2 = k.z2_shift
-    shift = k.global_grading_shift
-    if a:
-        z2 = (z2 + 1) % 2
-        shift += k.potential_degree // 2 - a.homogeneous_degree()
-    return replace(
-        k, base=new_base, rows=rows, global_grading_shift=shift, z2_shift=z2
-    ), verdict
+    return k.with_rows(rows, new_base), verdict
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +432,7 @@ def glue(
     sub = _substitution(sigma)
     new_base = _substituted_ring(joined.base, sub, kept_vars)
     rows = _rebased_rows(joined, new_base, None, sub, "while gluing")
-    return replace(joined, base=new_base, rows=rows)
+    return joined.with_rows(rows, new_base)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ class TestHomology:
         for cutoff in (0, 1, 2, 40, None):
             assert homology(mf, cutoff=cutoff) == {}
 
+    def test_an_infinite_base_is_refused(self) -> None:
+        mf = KoszulMF(QuotientRing((GradedVar("x", 2),)), (), 0, 0, 4).expand()
+        with pytest.raises(CutoffExceeded, match="base quotient is infinite"):
+            homology(mf)
+
     def test_empty_differentials_are_not_ranked(self, monkeypatch) -> None:
         # every row absorbed, or none at all: both differentials are empty,
         # so their ranks are 0 without enumerating a degree
@@ -549,6 +554,39 @@ class TestVerifyRelation:
         assert report["verdict"] == "FAIL"
         assert "first_difference" not in report
         assert report["structural_mismatch"] == ["base variables differ"]
+
+    # what each structural check finds when the second side differs from
+    # the first in exactly one way: check, the change, the entry
+    ONE_CHANGE = {
+        "row count": (
+            analysis._same_rows,
+            lambda k: k.with_rows(k.rows + ((Poly.variable(k.base.vars[0]), Poly.zero()),)),
+            "row count 2 != 3",
+        ),
+        "parity": (analysis._same_rows, lambda k: k.translated(), "parity shift differs"),
+        "grading shift": (
+            analysis._same_rows, lambda k: k.grade_shifted(2), "grading shift 0 != 2"
+        ),
+        "ideal size": (
+            analysis._same_ring,
+            # a redundant generator: the same ideal, one more generator
+            lambda k: k.with_rows(k.rows, k.base.with_generator(k.base.ideal_gens[0] * 2)),
+            "base ideal sizes differ",
+        ),
+        "potential": (
+            analysis._same_ring,
+            lambda k: k.with_rows(((k.rows[0][0] * 2, k.rows[0][1]),) + k.rows[1:]),
+            "potentials differ",
+        ),
+    }
+
+    @pytest.mark.parametrize("change", ONE_CHANGE)
+    def test_a_structural_check_names_the_one_change(self, change: str) -> None:
+        check, changed, entry = self.ONE_CHANGE[change]
+        k = compile_diagram(parse(LINE))
+        k = k.with_rows(k.rows, k.base.with_generator(Poly.variable(k.base.vars[0]) ** 4))
+        assert check(k, k) == []
+        assert check(k, changed(k)) == [entry]
 
     def test_bubble_colors_must_sum(self) -> None:
         with pytest.raises(ValueError, match="summing"):

@@ -55,6 +55,43 @@ class TestEulerCommand:
         assert main(["euler", str(path), "--n", "2"]) == 0
         assert capsys.readouterr().out == "q^-1 + q\n"
 
+    @pytest.mark.parametrize(
+        "level_line",
+        ["level n -3", "level n ٣"],
+        ids=["negative", "arabic-indic digit"],
+    )
+    def test_the_override_replaces_any_level_value(self, tmp_path, capsys, level_line) -> None:
+        # refused without --n, answered with it: the value token is replaced
+        path = tmp_path / "circle1.moy"
+        path.write_text(CIRCLE.replace("level n 3", level_line))
+        assert main(["euler", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1, col 9:")
+        assert main(["euler", str(path), "--n", "2"]) == 0
+        assert capsys.readouterr().out == "q^-1 + q\n"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (CIRCLE.replace("level n 3", "level n 3 4"), "line 1, col 1: expected: level n <int>"),
+            (CIRCLE.replace("level n 3\nedge e1 color", "edge e1 colour"), "line 1, col 9:"),
+        ],
+        ids=["level line arity", "no level line"],
+    )
+    def test_override_refusals_keep_the_file_line_numbers(
+        self, tmp_path, capsys, text, where
+    ) -> None:
+        path = tmp_path / "circle1.moy"
+        path.write_text(text)
+        for extra in ([], ["--n", "2"]):
+            assert main(["euler", str(path), *extra]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {where}")
+
+    def test_a_file_without_a_level_line_gets_the_override(self, tmp_path, capsys) -> None:
+        path = tmp_path / "circle1.moy"
+        path.write_text(CIRCLE.replace("level n 3\n", "").rstrip("\n"))
+        assert main(["euler", str(path), "--n", "2"]) == 0
+        assert capsys.readouterr().out == "q^-1 + q\n"
+
     def test_level_override_is_textual(self, circle_file, capsys) -> None:
         # the file says level 3; without an override that level is used
         assert main(["euler", circle_file]) == 0

@@ -82,6 +82,26 @@ class TestKoszulConstruction:
         with pytest.raises(InhomogeneousRow, match="row 0 has potential degree 8, expected 10"):
             KoszulMF(k.base, k.rows, 0, 0, 10)
 
+    def test_a_zero_a_side_takes_its_degree_from_the_potential(self) -> None:
+        # (0; y) at potential degree 8: deg a is 8 - 2, and the row shift
+        # (2 - 6)/2 places the odd generator at -2
+        y = Poly.variable(Y)
+        k = KoszulMF(QuotientRing((X, Y)), ((Poly.zero(), y),), 0, 0, 8)
+        assert k.row_degrees(0) == (6, 2)
+        assert k.row_shift(0) == -2
+        mf = koszul_expand(k)
+        assert mf.m1.generator_shifts == (-2,)
+        assert validate(mf) == []
+
+    @pytest.mark.parametrize(
+        "z2, degree, message",
+        [(2, 8, "z2_shift must be 0 or 1"), (0, 7, "bad potential degree 7"),
+         (0, -2, "bad potential degree -2")],
+    )
+    def test_bad_shifts_are_refused(self, z2: int, degree: int, message: str) -> None:
+        with pytest.raises(ValueError, match=message):
+            KoszulMF(QuotientRing((X, Y)), (), 0, z2, degree)
+
     def test_potential_is_row_product_sum(self) -> None:
         k = _simple_koszul()
         x, y = Poly.variable(X), Poly.variable(Y)
@@ -270,6 +290,14 @@ class TestTensor:
             a = koszul_expand(corpus.random_koszul(rng))
             b = koszul_expand(corpus.random_koszul(rng))
             assert validate(tensor(a, b)) == []
+
+    def test_potential_degrees_must_agree(self) -> None:
+        k = _simple_koszul()
+        other = KoszulMF(k.base, (), 0, 0, 6)
+        with pytest.raises(ValueError, match="potential degrees differ in join"):
+            k.join(other)
+        with pytest.raises(ValueError, match="potential degrees differ: 8 vs 6"):
+            tensor(koszul_expand(k), koszul_expand(other))
 
     def test_unit_object_is_neutral(self) -> None:
         a = koszul_expand(_simple_koszul())

@@ -30,6 +30,8 @@ from moymf import (
     glue,
     parse,
     regularity_heuristic,
+    replace_first_sequence,
+    replace_second_sequence,
     row_op,
     scalar_twist,
     transpose_row,
@@ -329,6 +331,49 @@ class TestAbsorption:
                     checked += 1
         assert checked >= 20
 
+def _line_of(color: int, tail: str, head: str) -> KoszulMF:
+    return compile_diagram(parse(_line_src(color, 3, tail=tail, head=head)))
+
+
+# name -> (the refused call, its exception, what the message says)
+REFUSALS = {
+    "row_op on one row": (
+        lambda: row_op(_two_rows(), 0, 0, PX, "first_col"), ValueError, "two distinct rows",
+    ),
+    "row_op inhomogeneous lambda": (
+        lambda: row_op(_two_rows(), 0, 1, PX + PX * PY, "first_col"),
+        DegreeMismatch, "lambda must be homogeneous",
+    ),
+    "first_col lambda degree": (
+        lambda: row_op(_two_rows(), 0, 1, PX * PY, "first_col"),
+        DegreeMismatch, "first_col lambda degree 4, need 2",
+    ),
+    "second_col lambda degree": (
+        lambda: row_op(_two_rows(), 0, 1, PX * PY, "second_col"),
+        DegreeMismatch, "second_col lambda degree 4, need 2",
+    ),
+    "row_op unknown kind": (
+        lambda: row_op(_two_rows(), 0, 1, PX, "third_col"), ValueError, "unknown row_op kind",
+    ),
+    "absorb a row with no zero side": (
+        lambda: absorb_zero_row(_two_rows(), 0), ConditionUnmet, "row 0 has no zero side",
+    ),
+    "glue a variable outside the base": (
+        lambda: glue(
+            _line_of(1, "p", "q"), _line_of(1, "r", "s"), [(Alphabet(1, "q"), Alphabet(1, "t"))]
+        ),
+        ValueError, "is not in the base ring",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_the_calculus_refuses(name: str) -> None:
+    call, exc, message = REFUSALS[name]
+    with pytest.raises(exc, match=message):
+        call()
+
+
 class TestRegularityHeuristic:
     def test_product_expansion_sequence_verifies(self) -> None:
         # homogeneous pieces of (1 + x1 + x2)(1 + y1) - 1: a known regular
@@ -417,6 +462,66 @@ class TestReplacementGates:
         forced = ReductionSession(_two_rows(), force=True)
         forced.replace_second_sequence([PY * PY, PY])
         assert forced.log[-1].params["regularity"] == "unverified"
+
+    def test_an_a_column_swap_keeps_the_potential_and_is_logged(self) -> None:
+        # (2x^2, y^3 - x*y^2) against the kept regular b-column (y^2, x)
+        k = self._regular_k()
+        target = [2 * PX * PX, PY**3 - PX * PY * PY]
+        new, verdict = replace_first_sequence(k, target)
+        assert verdict == "verified"
+        assert new.rows == tuple(zip(target, (PY * PY, PX)))
+        assert new.potential() == k.potential()
+        session = ReductionSession(k)
+        session.replace_first_sequence(target)
+        [entry] = session.log_dicts()
+        assert entry == {
+            "op": "replace_first_sequence",
+            "params": {
+                "targets": ["2*x^2", "-x*y^2 + y^3"], "rows": None, "regularity": "verified",
+            },
+            "potential_check": "ok",
+        }
+
+    def test_an_a_column_swap_over_an_unverified_b_column(self) -> None:
+        # the kept b-column (y^2, y) of _two_rows is not a regular sequence
+        target = [PX * PX + PX * PY, PX**3 - PX * PY * PY]
+        with pytest.raises(RegularityUnverified):
+            ReductionSession(_two_rows()).replace_first_sequence(target)
+        forced = ReductionSession(_two_rows(), force=True)
+        forced.replace_first_sequence(target)
+        assert forced.log[-1].params["regularity"] == "unverified"
+        assert forced.current.potential() == _two_rows().potential()
+
+    def test_an_a_column_that_changes_the_potential_is_refused(self) -> None:
+        with pytest.raises(PotentialMismatch, match="target a-column"):
+            replace_first_sequence(self._regular_k(), [2 * PX * PX, PY**3])
+
+    @pytest.mark.parametrize("target, rows", [([PY * PY], None), ([PY * PY, PX], [0])])
+    def test_a_target_of_the_wrong_length_is_refused(self, target, rows) -> None:
+        with pytest.raises(ValueError, match="length must match the row subset"):
+            replace_second_sequence(self._regular_k(), target, rows=rows)
+
+
+class TestSessionMoves:
+    def test_a_scalar_twist_logs_its_row_and_scalar(self) -> None:
+        session = ReductionSession(_two_rows())
+        session.scalar_twist(0, Fraction(1, 3))
+        assert session.current == scalar_twist(_two_rows(), 0, Fraction(1, 3))
+        assert session.log_dicts() == [
+            {"op": "scalar_twist", "params": {"row": 0, "c": "1/3"}, "potential_check": "ok"}
+        ]
+
+    def test_a_row_op_logs_its_rows_lambda_and_kind(self) -> None:
+        session = ReductionSession(_two_rows())
+        session.row_op(0, 1, PX, "first_col")
+        assert session.current == row_op(_two_rows(), 0, 1, PX, "first_col")
+        assert session.log_dicts() == [
+            {
+                "op": "row_op",
+                "params": {"i": 0, "j": 1, "lambda": "x", "kind": "first_col"},
+                "potential_check": "ok",
+            }
+        ]
 
 
 class TestGlue:
@@ -710,6 +815,13 @@ class TestClearing:
         at = ops.index("transpose_row")
         assert ops[at + 1] == "exclude_variable"
         assert session.log[at + 1].params["row"] == session.log[at].params["row"]
+
+    def test_an_internal_potential_stops_clearing_before_a_transpose(self) -> None:
+        # y^2 is a pure power exclusion would admit, but the potential
+        # x^2*y^2 holds the internal y, so exclusion would refuse the row
+        k = KoszulMF(QuotientRing((X, Y)), ((PY * PY, PX * PX),), 0, 0, 8)
+        session = ReductionSession(k, external=frozenset({X}))
+        assert session.reduce_fully() == k and not session.log
 
     def test_external_rows_need_no_step(self) -> None:
         session = _session_of(_line_src(2, 4))
