@@ -670,7 +670,9 @@ class QuotientRing:
     An empty ``ideal_gens`` is the free polynomial ring.  ``cutoff`` bounds
     the work, not the answers: the Groebner basis must complete without an
     S-pair or generator past that degree, or every question to the ring
-    raises CutoffExceeded; a complete basis answers in every degree.
+    raises CutoffExceeded; a complete basis answers in every degree.  A
+    ring may start from a basis that ``_Basis.extended`` certified, which
+    runs no S-pair at all.
     """
 
     vars: tuple[GradedVar, ...]
@@ -698,7 +700,16 @@ class QuotientRing:
     # -- construction helpers -------------------------------------------
 
     def with_generator(self, g: Poly) -> "QuotientRing":
-        return QuotientRing(self.vars, self.ideal_gens + (g,), self.cutoff)
+        """This ring with g joined to its generators.  When this ring's
+        basis is built and its leads certify g (``_Basis.extended``), the
+        new ring starts from that basis and builds none."""
+        ring = QuotientRing(self.vars, self.ideal_gens + (g,), self.cutoff)
+        basis = self._cache.get("basis")
+        if isinstance(basis, _Basis):
+            basis = basis.extended(g)
+            if basis is not None:
+                ring._cache["basis"] = basis
+        return ring
 
     # -- monomial bases ---------------------------------------------------
 
@@ -843,11 +854,13 @@ class _Basis:
     nothing waits at or below the exact ``top_degree`` of the quotient by
     the leads; a pending degree past the ring's cutoff before then raises
     CutoffExceeded.  ``standard(d)`` lists the degree-d standard monomials.
+    ``extended(g)`` is a complete basis with g joined, built without
+    S-pairs when the leads certify it.
     """
 
     __slots__ = (
         "weights", "leads", "tails", "_units", "_shifts", "foreign", "guards", "_todo", "_seq",
-        "_numerator", "_standard",
+        "_numerator", "_top", "_standard",
     )
 
     def __init__(self, ring: QuotientRing):
@@ -862,6 +875,7 @@ class _Basis:
         self._todo: list[tuple[int, int, object]] = []
         self._seq = 0
         self._numerator: QLaurent | None = None
+        self._top: int | float | None = None
         self._standard: dict[int, list[int]] = {}
         for g in ring.ideal_gens:
             self._push(g.homogeneous_degree(), dict(g._terms))
@@ -935,16 +949,20 @@ class _Basis:
         leads hold a pure power of every variable that quotient is finite,
         its series N(q) / prod_w (1 - q^w) is a polynomial of degree
         deg N - sum_w w, and the zero ring (N = 0) gives -1.  Infinite
-        otherwise.  Once the basis is complete this is the ring's top."""
-        pure: set[int] = set()
-        for m in map(self.order, self.leads):
-            support = [i for i, e in enumerate(m) if e]
-            if len(support) < 2:
-                pure.update(support or range(len(m)))
-        if len(pure) < len(self.weights):
-            return float("inf")
-        numerator = self.numerator()
-        return numerator.max_exp() - sum(self.weights) if numerator else -1
+        otherwise.  Once the basis is complete this is the ring's top.  Kept
+        until a lead is added."""
+        if self._top is None:
+            pure: set[int] = set()
+            for m in map(self.order, self.leads):
+                support = [i for i, e in enumerate(m) if e]
+                if len(support) < 2:
+                    pure.update(support or range(len(m)))
+            if len(pure) < len(self.weights):
+                self._top = float("inf")
+            else:
+                numerator = self.numerator()
+                self._top = numerator.max_exp() - sum(self.weights) if numerator else -1
+        return self._top
 
     def _add(self, p: dict[int, int | Fraction]) -> None:
         lead = min(p, key=self.order)
@@ -956,7 +974,34 @@ class _Basis:
                 self._push(lcm & (1 << _BITS) - 1, (i, k))
         self.leads.append(lead)
         self.tails.append({m: _coeff(c * inv) for m, c in p.items()})
-        self._numerator = None
+        self._numerator = self._top = None
+
+    def extended(self, g: Poly) -> "_Basis | None":
+        """This complete basis with g joined, when the leads certify it:
+        None unless the normal form g' of g is a nonconstant whose lead
+        shares no variable with any lead.  Then every S-pair of g' has
+        coprime leads and reduces to zero (Buchberger's first criterion),
+        so the leads, the tails and monic g' are a complete basis of the
+        ideal with g, and no S-pair is queued.  The lead of g' is also a
+        nonzerodivisor modulo the leads, so the Hilbert numerator is
+        N(q) * (1 - q^deg g).  This basis is left as it was."""
+        rem = self._reduce(dict(g._terms))
+        if not rem:
+            return None
+        lead = min(rem, key=self.order)
+        fields = sum(_FIELD << s for s in self._shifts if (lead >> s) & _FIELD)
+        if not fields or any(other & fields for other in self.leads):
+            return None
+        new = _Basis.__new__(_Basis)
+        for name in _Basis.__slots__:
+            setattr(new, name, getattr(self, name))
+        inv = _inverse(rem.pop(lead))
+        new.leads = self.leads + [lead]
+        new.tails = self.tails + [{m: _coeff(c * inv) for m, c in rem.items()}]
+        new._todo, new._standard, new._top = [], {}, None
+        numerator = self.numerator()
+        new._numerator = numerator - numerator.shift(_degree(lead))
+        return new
 
     def _s_poly(self, i: int, j: int) -> dict[int, int | Fraction]:
         """lcm/lead_i * g_i - lcm/lead_j * g_j; the leads cancel."""

@@ -30,7 +30,7 @@ clears internal variables from rows by row ops and transpositions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -152,7 +152,12 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     a, b = k.rows[row]
     rows = list(k.rows)
     rows[row] = (b, a)
-    return k.with_rows(rows).grade_shifted(k.row_shift(row)).translated()
+    return replace(
+        k,
+        rows=tuple(rows),
+        global_grading_shift=k.global_grading_shift + k.row_shift(row),
+        z2_shift=1 - k.z2_shift,
+    )
 
 
 def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
@@ -162,18 +167,37 @@ def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
     by them has prod_i (1 - q^d_i) times the Hilbert series of base
     (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1); both share one
     denominator, so their numerators decide.  "unverified" for an entry
-    zero in base, or a basis not complete by the ring cutoff."""
+    zero in base, or a basis not complete by the ring cutoff.
+
+    The leads decide first, with no new basis: reduce each entry to its
+    normal form g' modulo the Groebner basis G of base and the entries
+    before it.  When the lead of g' shares no variable with a lead of G,
+    G + {g'} is a Groebner basis, as every new S-pair has coprime leads
+    (Buchberger's first criterion), and in(g') is a nonzerodivisor modulo
+    in(G), so the series gains the factor 1 - q^deg g'.  When every entry
+    passes, that is the equation above, and no series is compared."""
     return _gate(base, seq)[0]
 
 
 def _gate(base: QuotientRing, seq: Sequence[Poly]) -> tuple[str, QuotientRing]:
     """The ``regularity_heuristic`` verdict and the ring base + (seq) it
     decides on, with the nonzero entries of seq as given for its new
-    generators; once verified, that ring's basis is complete."""
+    generators; once verified, that ring's basis is complete.  The leads
+    are asked first: when each entry in turn extends the basis of the
+    prefix before it (``_Basis.extended``), seq is regular and the ring
+    adopts that basis; otherwise the Hilbert numerators decide."""
     extended = QuotientRing(base.vars, base.ideal_gens + tuple(filter(None, seq)), base.cutoff)
     try:
         if not all(base.normal_form(p) for p in seq):
             return "unverified", extended
+        basis = base._basis()
+        for p in seq:
+            basis = basis.extended(p)
+            if basis is None:
+                break
+        else:
+            extended._cache["basis"] = basis
+            return "verified", extended
         predicted, _ = base.hilbert_series()
         actual, _ = extended.hilbert_series()
     except CutoffExceeded:

@@ -32,6 +32,7 @@ from moymf import (
     poincare_regular_quotient,
 )
 from moymf import poly_core
+from moymf import reduce as reduce_module
 from moymf.poly_core import (
     _apply_plan,
     _fields,
@@ -1085,3 +1086,102 @@ class TestStepSetUp:
         # in any order of the templates, every exponent is read
         tvars = (LATE[0], Z, Y, X)
         assert _apply_plan(_to_plan(p, tvars), _fields(tvars)) == p
+
+
+def _top_part(p: Poly, vs) -> Poly:
+    """The top-degree part of p with every variable outside vs set to 1,
+    or 0."""
+    kept = sum(
+        (Poly({tuple((v, e) for v, e in m if v in vs): c}) for m, c in p.terms.items()),
+        Poly.zero(),
+    )
+    parts = kept.homogeneous_components()
+    return parts[max(parts)] if parts else kept
+
+
+def _series_verdict(ring: QuotientRing, seq: list[Poly]) -> str:
+    """The regularity verdict by Hilbert numerators alone, from a basis of
+    the extended ring built from scratch."""
+    if not all(ring.normal_form(p) for p in seq):
+        return "unverified"
+    predicted = ring.hilbert_series()[0]
+    for p in seq:
+        predicted = predicted - predicted.shift(p.homogeneous_degree())
+    fresh = poly_core._Basis(QuotientRing(ring.vars, ring.ideal_gens + tuple(seq)))
+    return "verified" if fresh.numerator() == predicted else "unverified"
+
+
+class TestCertifiedExtension:
+    """A basis extended by an entry whose lead shares no variable with any
+    lead is the basis built from scratch, in everything it answers, and
+    the gate that adopts it gives the verdict of the series comparison."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_rings(), mixed_polys(), mixed_polys())
+    def test_a_certified_basis_answers_as_a_rebuilt_one(
+        self, ring: QuotientRing, p: Poly, q: Poly
+    ) -> None:
+        basis = ring._basis()
+        leads = list(basis.leads)
+        held = {ring.vars[i] for m in leads for i, e in enumerate(basis.order(m)) if e}
+        # no lead divides a term of free, so it certifies; a multiple of a
+        # generator added to it is reduced away first
+        unheld = [v for v in ring.vars if v not in held]
+        free, gen, multiple = _top_part(p, unheld), ring.ideal_gens[0], _top_part(q, ring.vars)
+        if free and multiple and (
+            multiple.homogeneous_degree() + gen.homogeneous_degree() == free.homogeneous_degree()
+        ):
+            free = free + multiple * gen
+        entries = [free, _top_part(q, unheld), _top_part(p, ring.vars), multiple]
+        entries = [g for g in entries if g.variables()]
+        for g in entries:
+            extended = basis.extended(g)
+            if extended is None:
+                assert g is not free, "an entry free of every lead variable was refused"
+                continue
+            fresh = poly_core._Basis(QuotientRing(ring.vars, ring.ideal_gens + (g,)))
+            assert basis.leads == leads
+            assert sorted(extended.leads) == sorted(fresh.leads)
+            assert extended.numerator() == fresh.numerator()
+            assert extended.top_degree() == fresh.top_degree()
+            for d in range(0, 9, 2):
+                assert sorted(extended.standard(d)) == sorted(fresh.standard(d))
+            certified = QuotientRing(ring.vars, ring.ideal_gens + (g,))
+            certified._cache["basis"] = extended
+            rebuilt = QuotientRing(ring.vars, ring.ideal_gens + (g,))
+            for r in (p, q, g, p * q):
+                assert certified.normal_form(r) == _full_normal_form(rebuilt, r)
+        for seq in [[g] for g in entries] + [entries[:2]]:
+            if seq:
+                assert reduce_module._gate(ring, seq)[0] == _series_verdict(ring, seq)
+
+    def test_the_gate_agrees_with_the_series_on_each_kind_of_entry(self, monkeypatch) -> None:
+        built = []
+        init = poly_core._Basis.__init__
+        monkeypatch.setattr(
+            poly_core._Basis, "__init__", lambda b, r: built.append(r) or init(b, r)
+        )
+        x, y, z = (Poly.variable(v) for v in VARS)
+        cases = [
+            # (ring generators, entries, certified, verdict)
+            ((x**3,), [y * y], True, "verified"),
+            ((x**2,), [y * y, z], True, "verified"),
+            # y^3 reduces to x^2*y, whose lead shares y with the lead y^2
+            ((y * y - x * x,), [y**3], False, "verified"),
+            ((x * y,), [x * x], False, "unverified"),  # a zero divisor
+            ((x * x,), [x**3], False, "unverified"),  # zero in the base
+            # y^3 is zero once y^2 is joined
+            ((x * x,), [y * y, y**3], False, "unverified"),
+        ]
+        for gens, seq, certified, verdict in cases:
+            ring = QuotientRing(VARS, gens)
+            basis = ring._basis()
+            for g in seq:
+                basis = basis and basis.extended(g)
+            assert (basis is not None) == certified
+            built.clear()
+            got, extended = reduce_module._gate(ring, seq)
+            # a certified gate builds no basis, and its ring answers from
+            # the extended one
+            assert not certified or (not built and extended._basis().leads == basis.leads)
+            assert got == _series_verdict(ring, seq) == verdict

@@ -249,22 +249,35 @@ class TestAbsorption:
         assert gen == PX * PX and type(gen.coefficient(((X, 2),))) is int
 
     def test_absorption_adopts_the_gate_ring(self, monkeypatch) -> None:
-        # the gate completes the basis of base + (y^2); absorption keeps
-        # that ring, so neither the rebased row nor a later series builds
-        # another basis
-        base = QuotientRing((X, Y), (PX**3,))
-        base.hilbert_series()
-        k = KoszulMF(base, ((3 * PY * PY, Poly.zero()), (PX, PY**3)), 0, 0, 8)
-        built = []
-        init = poly_core._Basis.__init__
+        # absorption keeps the ring the gate decided on, so neither the
+        # rebased row nor a later series builds another basis.  Over (x^3)
+        # the lead y^2 shares no variable with x^3: the gate extends the
+        # base's basis and builds none.  Over (y^2 - x^2) the lead x^2*y of
+        # y^3's normal form shares y with the lead y^2, so the gate builds
+        # the basis of the extended ring, once, to compare series
+        built, decided = [], []
+        init, gate = poly_core._Basis.__init__, reduce_module._gate
         monkeypatch.setattr(
             poly_core._Basis, "__init__", lambda b, ring: built.append(ring) or init(b, ring)
         )
-        new = absorb_zero_row(k, 0)
-        new.base.hilbert_series()
-        assert len(built) == 1 and built[0] is new.base
-        assert new.base.render() == base.with_generator(PY * PY).render()
-        assert new.rows == ((PX, Poly.zero()),)
+        monkeypatch.setattr(
+            reduce_module, "_gate", lambda b, seq: decided.append(gate(b, seq)) or decided[-1]
+        )
+        for base, entry, builds in (
+            (QuotientRing((X, Y), (PX**3,)), PY * PY, 0),
+            (QuotientRing((X, Y), (PY * PY - PX * PX,)), PY**3, 1),
+        ):
+            base.hilbert_series()
+            built.clear()
+            decided.clear()
+            k = KoszulMF(base, ((3 * entry, Poly.zero()), (PX, PY**5)), 0, 0, 12)
+            new = absorb_zero_row(k, 0)
+            new.base.hilbert_series()
+            assert [ring for _, ring in decided] == [new.base]
+            assert decided[0][0] == "verified"
+            assert built == [new.base] * builds
+            assert new.base.render() == base.with_generator(entry).render()
+            assert new.rows == ((PX, Poly.zero()),)
 
     def test_zero_divisor_is_flagged(self) -> None:
         base = QuotientRing((X, Y), (PX * PY,))
