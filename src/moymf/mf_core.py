@@ -452,10 +452,22 @@ class KoszulMF:
     # -- functors ----------------------------------------------------------
 
     def grade_shifted(self, n: int) -> "KoszulMF":
-        return replace(self, global_grading_shift=self.global_grading_shift + n)
+        return self.regraded(n, 0)
 
     def translated(self, k: int = 1) -> "KoszulMF":
-        return replace(self, z2_shift=(self.z2_shift + k) % 2)
+        return self.regraded(0, k)
+
+    def regraded(
+        self, n: int, k: int, rows: Sequence[tuple[Poly, Poly]] | None = None
+    ) -> "KoszulMF":
+        """Grading shifted by n and parity by k, with new rows when given,
+        in one instance: the one statement of both shift rules."""
+        return replace(
+            self,
+            rows=self.rows if rows is None else tuple(rows),
+            global_grading_shift=self.global_grading_shift + n,
+            z2_shift=(self.z2_shift + k) % 2,
+        )
 
     def with_rows(
         self, rows: Sequence[tuple[Poly, Poly]], base: QuotientRing | None = None

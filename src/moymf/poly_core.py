@@ -671,8 +671,8 @@ class QuotientRing:
     the work, not the answers: the Groebner basis must complete without an
     S-pair or generator past that degree, or every question to the ring
     raises CutoffExceeded; a complete basis answers in every degree.  A
-    ring may start from a basis that ``_Basis.extended`` certified, which
-    runs no S-pair at all.
+    ring from ``with_generators`` may start from a basis that
+    ``_Basis.extended`` certified, which runs no S-pair at all.
     """
 
     vars: tuple[GradedVar, ...]
@@ -700,16 +700,29 @@ class QuotientRing:
     # -- construction helpers -------------------------------------------
 
     def with_generator(self, g: Poly) -> "QuotientRing":
-        """This ring with g joined to its generators.  When this ring's
-        basis is built and its leads certify g (``_Basis.extended``), the
-        new ring starts from that basis and builds none."""
-        ring = QuotientRing(self.vars, self.ideal_gens + (g,), self.cutoff)
-        basis = self._cache.get("basis")
-        if isinstance(basis, _Basis):
+        return QuotientRing(self.vars, self.ideal_gens + (g,), self.cutoff)
+
+    def with_generators(self, seq: Sequence[Poly]) -> "tuple[QuotientRing, bool]":
+        """This ring with the nonzero entries of seq joined to its
+        generators, and whether the leads certify seq a regular sequence:
+        each entry in turn extends the complete basis of the ring before it
+        (``_Basis.extended``), within the cutoff.  A certified ring starts
+        from that basis and builds none; a degree past the cutoff is
+        refused, as a ring built from scratch would refuse it.  Builds this
+        ring's basis; not certified when that is refused."""
+        ring = QuotientRing(self.vars, self.ideal_gens + tuple(filter(None, seq)), self.cutoff)
+        try:
+            basis: _Basis | None = self._basis()
+        except CutoffExceeded:
+            return ring, False
+        for g in seq:
+            if not g or g.homogeneous_degree() > self.cutoff:
+                return ring, False
             basis = basis.extended(g)
-            if basis is not None:
-                ring._cache["basis"] = basis
-        return ring
+            if basis is None:
+                return ring, False
+        ring._cache["basis"] = basis
+        return ring, True
 
     # -- monomial bases ---------------------------------------------------
 

@@ -30,7 +30,7 @@ clears internal variables from rows by row ops and transpositions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -152,12 +152,7 @@ def transpose_row(k: KoszulMF, row: int) -> KoszulMF:
     a, b = k.rows[row]
     rows = list(k.rows)
     rows[row] = (b, a)
-    return replace(
-        k,
-        rows=tuple(rows),
-        global_grading_shift=k.global_grading_shift + k.row_shift(row),
-        z2_shift=1 - k.z2_shift,
-    )
+    return k.regraded(k.row_shift(row), 1, rows)
 
 
 def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
@@ -175,7 +170,8 @@ def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
     G + {g'} is a Groebner basis, as every new S-pair has coprime leads
     (Buchberger's first criterion), and in(g') is a nonzerodivisor modulo
     in(G), so the series gains the factor 1 - q^deg g'.  When every entry
-    passes, that is the equation above, and no series is compared."""
+    passes, that is the equation above, and no series is compared; an
+    entry past the ring cutoff never passes."""
     return _gate(base, seq)[0]
 
 
@@ -183,21 +179,15 @@ def _gate(base: QuotientRing, seq: Sequence[Poly]) -> tuple[str, QuotientRing]:
     """The ``regularity_heuristic`` verdict and the ring base + (seq) it
     decides on, with the nonzero entries of seq as given for its new
     generators; once verified, that ring's basis is complete.  The leads
-    are asked first: when each entry in turn extends the basis of the
-    prefix before it (``_Basis.extended``), seq is regular and the ring
-    adopts that basis; otherwise the Hilbert numerators decide."""
-    extended = QuotientRing(base.vars, base.ideal_gens + tuple(filter(None, seq)), base.cutoff)
+    are asked first (``QuotientRing.with_generators``): when they certify
+    seq, the ring starts from the certified basis; otherwise the Hilbert
+    numerators decide."""
+    extended, certified = base.with_generators(seq)
+    if certified:
+        return "verified", extended
     try:
         if not all(base.normal_form(p) for p in seq):
             return "unverified", extended
-        basis = base._basis()
-        for p in seq:
-            basis = basis.extended(p)
-            if basis is None:
-                break
-        else:
-            extended._cache["basis"] = basis
-            return "verified", extended
         predicted, _ = base.hilbert_series()
         actual, _ = extended.hilbert_series()
     except CutoffExceeded:

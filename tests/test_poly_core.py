@@ -1107,7 +1107,10 @@ def _series_verdict(ring: QuotientRing, seq: list[Poly]) -> str:
     predicted = ring.hilbert_series()[0]
     for p in seq:
         predicted = predicted - predicted.shift(p.homogeneous_degree())
-    fresh = poly_core._Basis(QuotientRing(ring.vars, ring.ideal_gens + tuple(seq)))
+    try:
+        fresh = poly_core._Basis(QuotientRing(ring.vars, ring.ideal_gens + tuple(seq), ring.cutoff))
+    except CutoffExceeded:
+        return "unverified"
     return "verified" if fresh.numerator() == predicted else "unverified"
 
 
@@ -1146,8 +1149,9 @@ class TestCertifiedExtension:
             assert extended.top_degree() == fresh.top_degree()
             for d in range(0, 9, 2):
                 assert sorted(extended.standard(d)) == sorted(fresh.standard(d))
-            certified = QuotientRing(ring.vars, ring.ideal_gens + (g,))
-            certified._cache["basis"] = extended
+            certified, ok = ring.with_generators([g])
+            assert ok and certified._basis() is not None
+            assert sorted(certified._basis().leads) == sorted(extended.leads)
             rebuilt = QuotientRing(ring.vars, ring.ideal_gens + (g,))
             for r in (p, q, g, p * q):
                 assert certified.normal_form(r) == _full_normal_form(rebuilt, r)
@@ -1163,25 +1167,33 @@ class TestCertifiedExtension:
         )
         x, y, z = (Poly.variable(v) for v in VARS)
         cases = [
-            # (ring generators, entries, certified, verdict)
-            ((x**3,), [y * y], True, "verified"),
-            ((x**2,), [y * y, z], True, "verified"),
+            # (ring generators, cutoff, entries, certified, verdict)
+            ((x**3,), 512, [y * y], True, "verified"),
+            ((x**2,), 512, [y * y, z], True, "verified"),
             # y^3 reduces to x^2*y, whose lead shares y with the lead y^2
-            ((y * y - x * x,), [y**3], False, "verified"),
-            ((x * y,), [x * x], False, "unverified"),  # a zero divisor
-            ((x * x,), [x**3], False, "unverified"),  # zero in the base
+            ((y * y - x * x,), 512, [y**3], False, "verified"),
+            ((x * y,), 512, [x * x], False, "unverified"),  # a zero divisor
+            ((x * x,), 512, [x**3], False, "unverified"),  # zero in the base
             # y^3 is zero once y^2 is joined
-            ((x * x,), [y * y, y**3], False, "unverified"),
+            ((x * x,), 512, [y * y, y**3], False, "unverified"),
+            # the leads would certify y^3, but a ring built from scratch
+            # refuses a generator past the cutoff, and so does the gate
+            ((x * x,), 5, [y**3], False, "unverified"),
         ]
-        for gens, seq, certified, verdict in cases:
-            ring = QuotientRing(VARS, gens)
-            basis = ring._basis()
-            for g in seq:
-                basis = basis and basis.extended(g)
-            assert (basis is not None) == certified
+        for gens, cutoff, seq, certified, verdict in cases:
+            ring = QuotientRing(VARS, gens, cutoff)
+            ring._basis()
             built.clear()
             got, extended = reduce_module._gate(ring, seq)
-            # a certified gate builds no basis, and its ring answers from
-            # the extended one
-            assert not certified or (not built and extended._basis().leads == basis.leads)
+            # a certified gate builds no basis, and its ring has the leads
+            # of one built from scratch
+            assert not (certified and built)
+            assert ring.with_generators(seq)[1] == certified
             assert got == _series_verdict(ring, seq) == verdict
+            if certified:
+                assert sorted(extended._basis().leads) == sorted(
+                    poly_core._Basis(QuotientRing(VARS, extended.ideal_gens)).leads
+                )
+        # the gate's ring past the cutoff refuses, as one built from scratch
+        with pytest.raises(CutoffExceeded):
+            reduce_module._gate(QuotientRing(VARS, (x * x,), 5), [y**3])[1]._basis()
