@@ -31,7 +31,8 @@ leads into the numerator N(q) of N(q) / prod_v (1 - q^deg v).  The basis
 is complete once no S-pair waits at or below the top degree that series
 gives.  A ring completes its basis once, on its first question, or
 refuses every question with CutoffExceeded when a pending degree passes
-its cutoff first; a complete ring answers in every degree.
+its cutoff first; a complete ring answers in every degree.  A ring that
+joins generators to a complete one continues that ring's basis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .qseries import QLaurent, _expand
 
@@ -671,8 +672,8 @@ class QuotientRing:
     the work, not the answers: the Groebner basis must complete without an
     S-pair or generator past that degree, or every question to the ring
     raises CutoffExceeded; a complete basis answers in every degree.  A
-    ring from ``with_generators`` may start from a basis that
-    ``_Basis.extended`` certified, which runs no S-pair at all.
+    ring from ``with_generators`` continues the complete basis of the ring
+    it joins generators to, rather than building its own from scratch.
     """
 
     vars: tuple[GradedVar, ...]
@@ -684,13 +685,13 @@ class QuotientRing:
         names = [v.name for v in self.vars]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in ring")
-        known = set(self.vars)
+        outside = _outside(self.vars) if self.ideal_gens else 0
         for g in self.ideal_gens:
             if not g:
                 raise ValueError("zero ideal generator")
             if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous ideal generator: {g.render()}")
-            if not g.variables() <= known:
+            if any(m & outside for m in g._terms):
                 raise ValueError("ideal generator uses a variable not in the ring")
 
     def __reduce__(self):
@@ -699,30 +700,24 @@ class QuotientRing:
 
     # -- construction helpers -------------------------------------------
 
-    def with_generator(self, g: Poly) -> "QuotientRing":
-        return QuotientRing(self.vars, self.ideal_gens + (g,), self.cutoff)
-
-    def with_generators(self, seq: Sequence[Poly]) -> "tuple[QuotientRing, bool]":
+    def with_generators(self, seq: Sequence[Poly]) -> "QuotientRing":
         """This ring with the nonzero entries of seq joined to its
-        generators, and whether the leads certify seq a regular sequence:
-        each entry in turn extends the complete basis of the ring before it
-        (``_Basis.extended``), within the cutoff.  A certified ring starts
-        from that basis and builds none; a degree past the cutoff is
-        refused, as a ring built from scratch would refuse it.  Builds this
-        ring's basis; not certified when that is refused."""
-        ring = QuotientRing(self.vars, self.ideal_gens + tuple(filter(None, seq)), self.cutoff)
+        generators.  Builds this ring's basis; the joined ring's basis
+        continues it, with every entry at once (``_Basis.extended``), and a
+        refusal by the cutoff is kept, as ``_basis`` keeps one.  When this
+        ring refuses, the joined ring builds its own on its first
+        question."""
+        gens = tuple(filter(None, seq))
+        ring = QuotientRing(self.vars, self.ideal_gens + gens, self.cutoff)
         try:
-            basis: _Basis | None = self._basis()
+            basis = self._basis()
         except CutoffExceeded:
-            return ring, False
-        for g in seq:
-            if not g or g.homogeneous_degree() > self.cutoff:
-                return ring, False
-            basis = basis.extended(g)
-            if basis is None:
-                return ring, False
-        ring._cache["basis"] = basis
-        return ring, True
+            return ring
+        try:
+            ring._cache["basis"] = basis.extended(gens, self.cutoff)
+        except CutoffExceeded as exc:
+            ring._cache["basis"] = str(exc)
+        return ring
 
     # -- monomial bases ---------------------------------------------------
 
@@ -760,7 +755,7 @@ class QuotientRing:
         if not p or not self.ideal_gens:
             return p
         basis = self._basis()
-        leads, guards = basis.leads, basis.guards
+        leads, guards = basis.elements, basis.guards
         if not any(not (m - lead) & guards for m in p._terms for lead in leads):
             return p
         foreign = basis.foreign
@@ -857,29 +852,27 @@ class _Basis:
     The multiple of a tail term t by m / L is then m - L + t.  ``foreign``
     masks the fields of variables outside the ring.
 
-    Elements are monic: a lead and a tail {key: coeff}.  Generators and
-    S-pairs wait in one heap by degree, and construction reduces them one
-    pending degree at a time against the basis, adding each nonzero
-    remainder.  Every pair a new element makes has a higher degree than
-    the element, because its lead is divisible by no earlier lead; for the
-    same reason the leads stay minimal.  Pairs with coprime leads are never
-    queued (Buchberger's first criterion).  The basis is complete once
-    nothing waits at or below the exact ``top_degree`` of the quotient by
-    the leads; a pending degree past the ring's cutoff before then raises
-    CutoffExceeded.  ``standard(d)`` lists the degree-d standard monomials.
-    ``extended(g)`` is a complete basis with g joined, built without
-    S-pairs when the leads certify it.
+    ``elements`` maps each lead to its monic tail {key: coeff}.
+    Generators and S-pairs, a pair by its two leads, wait in one heap by
+    degree, and ``_complete`` reduces them one pending degree at a time
+    against the basis, adding each nonzero remainder; a pair whose lead
+    has left is skipped.  Pairs with coprime leads are never queued
+    (Buchberger's first criterion).  The basis is complete once nothing
+    waits at or below the exact ``top_degree`` of the quotient by the
+    leads; a pending degree past the cutoff before then raises
+    CutoffExceeded.  ``extended(gens, cutoff)`` continues a copy of a
+    complete basis with gens joined, so the same loop grows every basis.
+    ``standard(d)`` lists the degree-d standard monomials.
     """
 
     __slots__ = (
-        "weights", "leads", "tails", "_units", "_shifts", "foreign", "guards", "_todo", "_seq",
+        "weights", "elements", "_units", "_shifts", "foreign", "guards", "_todo", "_seq",
         "_numerator", "_top", "_standard",
     )
 
     def __init__(self, ring: QuotientRing):
         self.weights = tuple(v.degree for v in ring.vars)
-        self.leads: list[int] = []
-        self.tails: list[dict[int, int | Fraction]] = []
+        self.elements: dict[int, dict[int, int | Fraction]] = {}
         self._units = tuple(map(_unit, ring.vars))
         self._shifts = tuple(u.bit_length() - 1 for u in self._units)
         # every bit of a key outside the degree and the ring's fields
@@ -892,20 +885,43 @@ class _Basis:
         self._standard: dict[int, list[int]] = {}
         for g in ring.ideal_gens:
             self._push(g.homogeneous_degree(), dict(g._terms))
-        # a waiting item above the top degree reduces to zero: every
-        # monomial there is divisible by a lead
-        todo = self._todo
+        self._complete(ring.cutoff)
+
+    def _complete(self, cutoff: int) -> None:
+        """Reduce what waits, one degree at a time, until nothing waits at
+        or below the top degree: a waiting item above it reduces to zero,
+        as every monomial there is divisible by a lead."""
+        todo, elements = self._todo, self.elements
         while todo and todo[0][0] <= self.top_degree():
             d = todo[0][0]
-            if d > ring.cutoff:
-                raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {ring.cutoff}")
+            if d > cutoff:
+                raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {cutoff}")
             if d > _FIELD:
                 raise OverflowError(f"S-pair degree {d} exceeds the packed limit {_FIELD}")
             while todo and todo[0][0] == d:
                 item = heapq.heappop(todo)[2]
-                rem = self._reduce(self._s_poly(*item) if isinstance(item, tuple) else item)
+                if isinstance(item, tuple):
+                    if item[0] not in elements or item[1] not in elements:
+                        continue
+                    item = self._s_poly(*item)
+                rem = self._reduce(item)
                 if rem:
                     self._add(rem)
+
+    def extended(self, gens: Iterable[Poly], cutoff: int) -> "_Basis":
+        """A complete basis of this basis's ideal with gens joined: a copy
+        of this complete basis, gens pushed and ``_complete`` run.  What
+        still waits here lies above the top degree, where the copy's leads
+        cover every monomial too, so none of it is copied.  This basis is
+        left as it was."""
+        new = _Basis.__new__(_Basis)
+        for name in _Basis.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.elements, new._todo, new._standard = dict(self.elements), [], {}
+        for g in gens:
+            new._push(g.homogeneous_degree(), dict(g._terms))
+        new._complete(cutoff)
+        return new
 
     def order(self, m: int) -> tuple[int, ...]:
         """The exponents of an in-ring key in ring order: the sort key of
@@ -918,7 +934,7 @@ class _Basis:
         return sum(max((a >> s) & _FIELD, (b >> s) & _FIELD) * u
                    for s, u in zip(self._shifts, self._units))
 
-    def keys(self, d: int, leads: Sequence[int]) -> list[int]:
+    def keys(self, d: int, leads: Collection[int]) -> list[int]:
         """The keys of the degree-d monomials that no one of leads divides.
         Variables take their exponents in ring order, and a prefix that a
         lead divides is cut, as every completion of it is divisible too."""
@@ -943,7 +959,7 @@ class _Basis:
         """``keys`` of the degree-d standard monomials, kept."""
         got = self._standard.get(d)
         if got is None:
-            got = self._standard[d] = self.keys(d, self.leads)
+            got = self._standard[d] = self.keys(d, self.elements)
         return got
 
     def _push(self, degree: int, item: object) -> None:
@@ -952,9 +968,10 @@ class _Basis:
         self._seq += 1
 
     def numerator(self) -> QLaurent:
-        """The Hilbert numerator of the leads, kept until a lead is added."""
+        """The Hilbert numerator of the leads, kept (see ``_add``)."""
         if self._numerator is None:
-            self._numerator = _hilbert_numerator(list(map(self.order, self.leads)), self.weights)
+            leads = list(map(self.order, self.elements))
+            self._numerator = _hilbert_numerator(leads, self.weights)
         return self._numerator
 
     def top_degree(self) -> int | float:
@@ -966,7 +983,7 @@ class _Basis:
         until a lead is added."""
         if self._top is None:
             pure: set[int] = set()
-            for m in map(self.order, self.leads):
+            for m in map(self.order, self.elements):
                 support = [i for i, e in enumerate(m) if e]
                 if len(support) < 2:
                     pure.update(support or range(len(m)))
@@ -978,52 +995,35 @@ class _Basis:
         return self._top
 
     def _add(self, p: dict[int, int | Fraction]) -> None:
+        """Join the remainder p (consumed), monic.  An element whose lead
+        the new lead divides leaves, and waits again as a generator, so the
+        leads stay minimal.  A kept numerator gains the factor 1 - q^deg
+        when the new lead shares no variable with any lead, as it is then a
+        nonzerodivisor modulo the leads; otherwise it is derived again."""
         lead = min(p, key=self.order)
         inv = _inverse(p.pop(lead))
-        k = len(self.leads)
-        for i, other in enumerate(self.leads):
-            lcm = self._lcm(lead, other)
-            if lcm != lead + other:
-                self._push(lcm & (1 << _BITS) - 1, (i, k))
-        self.leads.append(lead)
-        self.tails.append({m: _coeff(c * inv) for m, c in p.items()})
-        self._numerator = self._top = None
-
-    def extended(self, g: Poly) -> "_Basis | None":
-        """This complete basis with g joined, when the leads certify it:
-        None unless the normal form g' of g is a nonconstant whose lead
-        shares no variable with any lead.  Then every S-pair of g' has
-        coprime leads and reduces to zero (Buchberger's first criterion),
-        so the leads, the tails and monic g' are a complete basis of the
-        ideal with g, and no S-pair is queued.  The lead of g' is also a
-        nonzerodivisor modulo the leads, so the Hilbert numerator is
-        N(q) * (1 - q^deg g).  This basis is left as it was."""
-        rem = self._reduce(dict(g._terms))
-        if not rem:
-            return None
-        lead = min(rem, key=self.order)
         fields = sum(_FIELD << s for s in self._shifts if (lead >> s) & _FIELD)
-        if not fields or any(other & fields for other in self.leads):
-            return None
-        new = _Basis.__new__(_Basis)
-        for name in _Basis.__slots__:
-            setattr(new, name, getattr(self, name))
-        inv = _inverse(rem.pop(lead))
-        new.leads = self.leads + [lead]
-        new.tails = self.tails + [{m: _coeff(c * inv) for m, c in rem.items()}]
-        new._todo, new._standard, new._top = [], {}, None
-        numerator = self.numerator()
-        new._numerator = numerator - numerator.shift(_degree(lead))
-        return new
+        elements, guards, coprime = self.elements, self.guards, True
+        for other in list(elements):
+            if not (other - lead) & guards:
+                self._push(_degree(other), {other: 1, **elements.pop(other)})
+                coprime = False
+            elif other & fields:
+                self._push(self._lcm(lead, other) & (1 << _BITS) - 1, (other, lead))
+                coprime = False
+        elements[lead] = {m: _coeff(c * inv) for m, c in p.items()}
+        kept = self._numerator if coprime else None
+        self._numerator = None if kept is None else kept - kept.shift(_degree(lead))
+        self._top = None
 
-    def _s_poly(self, i: int, j: int) -> dict[int, int | Fraction]:
-        """lcm/lead_i * g_i - lcm/lead_j * g_j; the leads cancel."""
-        li, lj = self.leads[i], self.leads[j]
-        lcm = self._lcm(li, lj)
+    def _s_poly(self, a: int, b: int) -> dict[int, int | Fraction]:
+        """lcm/a * g_a - lcm/b * g_b for the elements of leads a and b; the
+        leads cancel."""
+        lcm = self._lcm(a, b)
         out: dict[int, int | Fraction] = {}
-        for lead, tail, sign in ((li, self.tails[i], 1), (lj, self.tails[j], -1)):
+        for lead, sign in ((a, 1), (b, -1)):
             shift = lcm - lead
-            for m, c in tail.items():
+            for m, c in self.elements[lead].items():
                 m += shift
                 out[m] = out.get(m, 0) + sign * c
         return {m: c for m, c in out.items() if c}
@@ -1038,7 +1038,7 @@ class _Basis:
         heap = [(order(m), m) for m in p]
         heapq.heapify(heap)
         rem: dict[int, int | Fraction] = {}
-        basis = tuple(zip(self.leads, self.tails))
+        basis = tuple(self.elements.items())
         while heap:
             m = heapq.heappop(heap)[1]
             c = p.pop(m, None)

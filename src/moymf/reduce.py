@@ -162,39 +162,33 @@ def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
     by them has prod_i (1 - q^d_i) times the Hilbert series of base
     (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1); both share one
     denominator, so their numerators decide.  "unverified" for an entry
-    zero in base, or a basis not complete by the ring cutoff.
-
-    The leads decide first, with no new basis: reduce each entry to its
-    normal form g' modulo the Groebner basis G of base and the entries
-    before it.  When the lead of g' shares no variable with a lead of G,
-    G + {g'} is a Groebner basis, as every new S-pair has coprime leads
-    (Buchberger's first criterion), and in(g') is a nonzerodivisor modulo
-    in(G), so the series gains the factor 1 - q^deg g'.  When every entry
-    passes, that is the equation above, and no series is compared; an
-    entry past the ring cutoff never passes."""
+    zero in base, or a basis not complete by the ring cutoff.  The basis of
+    the quotient continues that of base (``QuotientRing.with_generators``):
+    an entry whose lead shares no variable with any lead queues no S-pair
+    (Buchberger's first criterion) and carries the numerator across, so
+    its check costs no Buchberger run and no numerator recursion."""
     return _gate(base, seq)[0]
 
 
 def _gate(base: QuotientRing, seq: Sequence[Poly]) -> tuple[str, QuotientRing]:
     """The ``regularity_heuristic`` verdict and the ring base + (seq) it
-    decides on, with the nonzero entries of seq as given for its new
-    generators; once verified, that ring's basis is complete.  The leads
-    are asked first (``QuotientRing.with_generators``): when they certify
-    seq, the ring starts from the certified basis; otherwise the Hilbert
-    numerators decide."""
-    extended, certified = base.with_generators(seq)
-    if certified:
-        return "verified", extended
+    decides on, from ``base.with_generators(seq)``.  The numerator of base
+    is asked before that ring is built, so that its basis carries it."""
     try:
-        if not all(base.normal_form(p) for p in seq):
-            return "unverified", extended
-        predicted, _ = base.hilbert_series()
-        actual, _ = extended.hilbert_series()
+        regular = all(base.normal_form(p) for p in seq)
+        if regular:
+            predicted, _ = base.hilbert_series()
     except CutoffExceeded:
-        return "unverified", extended
-    for p in seq:
-        predicted = predicted - predicted.shift(p.homogeneous_degree())
-    return ("verified" if actual == predicted else "unverified"), extended
+        regular = False
+    joined = base.with_generators(seq)
+    if regular:
+        for p in seq:
+            predicted = predicted - predicted.shift(p.homogeneous_degree())
+        try:
+            regular = joined.hilbert_series()[0] == predicted
+        except CutoffExceeded:
+            regular = False
+    return ("verified" if regular else "unverified"), joined
 
 
 def _replace_column(
@@ -373,7 +367,7 @@ def _excluded(
         new_base = _substituted_ring(k.base, sub, tuple(v for v in k.base.vars if v != y))
     else:
         sub = None
-        new_base = k.base.with_generator(b * _inverse(c))
+        new_base = k.base.with_generators((b * _inverse(c),))
     context = (
         f"after excluding {y.name}; "
         "the remaining data is not a regular presentation"

@@ -570,7 +570,7 @@ class TestVerifyRelation:
         "ideal size": (
             analysis._same_ring,
             # a redundant generator: the same ideal, one more generator
-            lambda k: k.with_rows(k.rows, k.base.with_generator(k.base.ideal_gens[0] * 2)),
+            lambda k: k.with_rows(k.rows, k.base.with_generators((k.base.ideal_gens[0] * 2,))),
             "base ideal sizes differ",
         ),
         "potential": (
@@ -584,7 +584,7 @@ class TestVerifyRelation:
     def test_a_structural_check_names_the_one_change(self, change: str) -> None:
         check, changed, entry = self.ONE_CHANGE[change]
         k = compile_diagram(parse(LINE))
-        k = k.with_rows(k.rows, k.base.with_generator(Poly.variable(k.base.vars[0]) ** 4))
+        k = k.with_rows(k.rows, k.base.with_generators((Poly.variable(k.base.vars[0]) ** 4,)))
         assert check(k, k) == []
         assert check(k, changed(k)) == [entry]
 

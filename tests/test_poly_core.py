@@ -24,6 +24,7 @@ from moymf import (
     CutoffExceeded,
     DegreeMismatch,
     GradedVar,
+    KoszulMF,
     Poly,
     QLaurent,
     QuotientRing,
@@ -406,14 +407,19 @@ class TestQuotientRing:
         assert got == want
 
     def test_construction_rejections(self) -> None:
-        with pytest.raises(ValueError):
-            QuotientRing((X, GradedVar("x", 2)))  # duplicate names
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate variable names in ring$"):
+            QuotientRing((X, GradedVar("x", 2)))
+        with pytest.raises(ValueError, match="^zero ideal generator$"):
             QuotientRing((X,), (Poly.zero(),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^inhomogeneous ideal generator: 1 \+ x$"):
             QuotientRing((X,), (Poly.variable(X) + Poly.const(1),))
-        with pytest.raises(ValueError):
+        outside = "^ideal generator uses a variable not in the ring$"
+        with pytest.raises(ValueError, match=outside):
             QuotientRing((X,), (Poly.variable(Y),))
+        # a variable of a ring variable's name and another degree is another
+        # variable, outside the ring
+        with pytest.raises(ValueError, match=outside):
+            QuotientRing((X, Y), (Poly.variable(GradedVar("x", 4)) + Poly.variable(Y) ** 2,))
 
     def test_cutoff_enforced(self) -> None:
         # the cutoff bounds the basis's work: the pair of x^2*y and x*y^2
@@ -1048,14 +1054,15 @@ class TestStepSetUp:
     def test_a_complete_basis_meets_buchbergers_criterion(self, ring: QuotientRing) -> None:
         basis = ring._basis()
         order = basis.order
-        exps = list(map(order, basis.leads))
-        for lead, tail in zip(basis.leads, basis.tails):
+        leads = list(basis.elements)
+        exps = list(map(order, leads))
+        for lead, tail in basis.elements.items():
             assert min([lead, *tail], key=order) == lead
         for i, a in enumerate(exps):
             assert not any(j != i and all(map(int.__le__, a, b)) for j, b in enumerate(exps))
-        for j in range(len(exps)):
-            for i in range(j):
-                assert basis._reduce(basis._s_poly(i, j)) == {}
+        for j, b in enumerate(leads):
+            for a in leads[:j]:
+                assert basis._reduce(basis._s_poly(a, b)) == {}
 
     def test_no_lead_dividing_a_term_skips_the_reduction(self, monkeypatch) -> None:
         u, w = (Poly.variable(v) for v in LATE)
@@ -1102,64 +1109,82 @@ def _top_part(p: Poly, vs) -> Poly:
 def _series_verdict(ring: QuotientRing, seq: list[Poly]) -> str:
     """The regularity verdict by Hilbert numerators alone, from a basis of
     the extended ring built from scratch."""
-    if not all(ring.normal_form(p) for p in seq):
-        return "unverified"
-    predicted = ring.hilbert_series()[0]
-    for p in seq:
-        predicted = predicted - predicted.shift(p.homogeneous_degree())
     try:
-        fresh = poly_core._Basis(QuotientRing(ring.vars, ring.ideal_gens + tuple(seq), ring.cutoff))
+        if not all(ring.normal_form(p) for p in seq):
+            return "unverified"
+        predicted = ring.hilbert_series()[0]
+        joined = QuotientRing(ring.vars, ring.ideal_gens + tuple(seq), ring.cutoff)
+        fresh = poly_core._Basis(joined)
     except CutoffExceeded:
         return "unverified"
+    for p in seq:
+        predicted = predicted - predicted.shift(p.homogeneous_degree())
     return "verified" if fresh.numerator() == predicted else "unverified"
 
 
-class TestCertifiedExtension:
-    """A basis extended by an entry whose lead shares no variable with any
-    lead is the basis built from scratch, in everything it answers, and
-    the gate that adopts it gives the verdict of the series comparison."""
+def _check_continuation(ring: QuotientRing, seq: list[Poly], probes: list[Poly]) -> None:
+    """The ring ``with_generators`` joins seq to answers as one built from
+    scratch, refuses when it refuses, and the gate that adopts it gives the
+    verdict of the series comparison."""
+    joined = ring.with_generators(seq)
+    scratch = QuotientRing(ring.vars, joined.ideal_gens, ring.cutoff)
+    bases = []
+    for r in (joined, scratch):
+        try:
+            bases.append(r._basis())
+        except CutoffExceeded:
+            bases.append(None)
+    assert (bases[0] is None) == (bases[1] is None)
+    if bases[0] is not None:
+        got, fresh = bases
+        assert sorted(got.elements) == sorted(fresh.elements)
+        assert got.numerator() == fresh.numerator()
+        assert got.top_degree() == fresh.top_degree()
+        for d in range(0, 9, 2):
+            assert sorted(got.standard(d)) == sorted(fresh.standard(d))
+        for r in probes:
+            assert joined.normal_form(r) == _full_normal_form(scratch, r)
+    assert reduce_module._gate(ring, seq)[0] == _series_verdict(ring, seq)
+
+
+class TestContinuedBasis:
+    """Every ring that joins generators continues the complete basis of the
+    ring it joins them to; the continued basis is the one built from
+    scratch, in everything it answers and in refusing."""
 
     @settings(max_examples=150, deadline=None)
-    @given(mixed_rings(), mixed_polys(), mixed_polys())
-    def test_a_certified_basis_answers_as_a_rebuilt_one(
-        self, ring: QuotientRing, p: Poly, q: Poly
+    @given(mixed_rings(), mixed_polys(), mixed_polys(), st.sampled_from((*range(4, 11), 512)))
+    def test_a_continued_basis_answers_as_one_built_from_scratch(
+        self, drawn: QuotientRing, p: Poly, q: Poly, cutoff: int
     ) -> None:
-        basis = ring._basis()
-        leads = list(basis.leads)
-        held = {ring.vars[i] for m in leads for i, e in enumerate(basis.order(m)) if e}
-        # no lead divides a term of free, so it certifies; a multiple of a
-        # generator added to it is reduced away first
-        unheld = [v for v in ring.vars if v not in held]
-        free, gen, multiple = _top_part(p, unheld), ring.ideal_gens[0], _top_part(q, ring.vars)
-        if free and multiple and (
-            multiple.homogeneous_degree() + gen.homogeneous_degree() == free.homogeneous_degree()
+        full = drawn._basis()
+        held = {drawn.vars[i] for m in full.elements for i, e in enumerate(full.order(m)) if e}
+        unheld = [v for v in drawn.vars if v not in held]
+        ring = QuotientRing(drawn.vars, drawn.ideal_gens, cutoff)
+        # coprime's lead shares no variable with a lead, also once a multiple
+        # of a generator added to it is reduced away; shared's most often
+        # shares one; multiple * gen is zero in the base
+        coprime, shared = _top_part(p, unheld), _top_part(p, drawn.vars)
+        multiple, gen = _top_part(q, drawn.vars), drawn.ideal_gens[0]
+        if coprime and multiple and (
+            multiple.homogeneous_degree() + gen.homogeneous_degree()
+            == coprime.homogeneous_degree()
         ):
-            free = free + multiple * gen
-        entries = [free, _top_part(q, unheld), _top_part(p, ring.vars), multiple]
-        entries = [g for g in entries if g.variables()]
-        for g in entries:
-            extended = basis.extended(g)
-            if extended is None:
-                assert g is not free, "an entry free of every lead variable was refused"
-                continue
-            fresh = poly_core._Basis(QuotientRing(ring.vars, ring.ideal_gens + (g,)))
-            assert basis.leads == leads
-            assert sorted(extended.leads) == sorted(fresh.leads)
-            assert extended.numerator() == fresh.numerator()
-            assert extended.top_degree() == fresh.top_degree()
-            for d in range(0, 9, 2):
-                assert sorted(extended.standard(d)) == sorted(fresh.standard(d))
-            certified, ok = ring.with_generators([g])
-            assert ok and certified._basis() is not None
-            assert sorted(certified._basis().leads) == sorted(extended.leads)
-            rebuilt = QuotientRing(ring.vars, ring.ideal_gens + (g,))
-            for r in (p, q, g, p * q):
-                assert certified.normal_form(r) == _full_normal_form(rebuilt, r)
-        for seq in [[g] for g in entries] + [entries[:2]]:
-            if seq:
-                assert reduce_module._gate(ring, seq)[0] == _series_verdict(ring, seq)
+            coprime = coprime + multiple * gen
+        kinds = [g for g in (coprime, shared, multiple * gen) if g.variables()]
+        probes = [p, q, p * q, *kinds]
+        pairs = [list(pair) for pair in zip(kinds, kinds[1:] + kinds[:1])]
+        for seq in [[g] for g in kinds] + pairs:
+            _check_continuation(ring, seq, probes)
+        if shared.variables():
+            # shared is a zero divisor once v * shared is joined, unless v or
+            # shared is already zero there
+            v = Poly.variable(drawn.vars[0])
+            divided = QuotientRing(drawn.vars, drawn.ideal_gens + (v * shared,), cutoff)
+            _check_continuation(divided, [shared], probes)
+            _check_continuation(divided, [shared, v], probes)
 
-    def test_the_gate_agrees_with_the_series_on_each_kind_of_entry(self, monkeypatch) -> None:
+    def test_the_gate_continues_the_base_basis_on_each_kind_of_entry(self, monkeypatch) -> None:
         built = []
         init = poly_core._Basis.__init__
         monkeypatch.setattr(
@@ -1167,33 +1192,92 @@ class TestCertifiedExtension:
         )
         x, y, z = (Poly.variable(v) for v in VARS)
         cases = [
-            # (ring generators, cutoff, entries, certified, verdict)
-            ((x**3,), 512, [y * y], True, "verified"),
-            ((x**2,), 512, [y * y, z], True, "verified"),
+            # (ring generators, cutoff, entries, verdict)
+            ((x**3,), 512, [y * y], "verified"),
+            ((x**2,), 512, [y * y, z], "verified"),
             # y^3 reduces to x^2*y, whose lead shares y with the lead y^2
-            ((y * y - x * x,), 512, [y**3], False, "verified"),
-            ((x * y,), 512, [x * x], False, "unverified"),  # a zero divisor
-            ((x * x,), 512, [x**3], False, "unverified"),  # zero in the base
+            ((y * y - x * x,), 512, [y**3], "verified"),
+            ((x * y,), 512, [x * x], "unverified"),  # a zero divisor
+            ((x * x,), 512, [x**3], "unverified"),  # zero in the base
             # y^3 is zero once y^2 is joined
-            ((x * x,), 512, [y * y, y**3], False, "unverified"),
-            # the leads would certify y^3, but a ring built from scratch
-            # refuses a generator past the cutoff, and so does the gate
-            ((x * x,), 5, [y**3], False, "unverified"),
+            ((x * x,), 512, [y * y, y**3], "unverified"),
+            # a ring built from scratch refuses a generator past the
+            # cutoff, and so does the gate
+            ((x * x,), 5, [y**3], "unverified"),
         ]
-        for gens, cutoff, seq, certified, verdict in cases:
+        for gens, cutoff, seq, verdict in cases:
             ring = QuotientRing(VARS, gens, cutoff)
             ring._basis()
             built.clear()
-            got, extended = reduce_module._gate(ring, seq)
-            # a certified gate builds no basis, and its ring has the leads
-            # of one built from scratch
-            assert not (certified and built)
-            assert ring.with_generators(seq)[1] == certified
+            got, joined = reduce_module._gate(ring, seq)
+            # the gate's ring continues the base's basis and builds none
+            assert not built
             assert got == _series_verdict(ring, seq) == verdict
-            if certified:
-                assert sorted(extended._basis().leads) == sorted(
-                    poly_core._Basis(QuotientRing(VARS, extended.ideal_gens)).leads
+            if cutoff == 512:
+                assert sorted(joined._basis().elements) == sorted(
+                    poly_core._Basis(QuotientRing(VARS, joined.ideal_gens)).elements
                 )
         # the gate's ring past the cutoff refuses, as one built from scratch
         with pytest.raises(CutoffExceeded):
             reduce_module._gate(QuotientRing(VARS, (x * x,), 5), [y**3])[1]._basis()
+
+    def test_a_coprime_lead_gate_queues_no_pair_and_derives_no_numerator(
+        self, monkeypatch
+    ) -> None:
+        built, derived, pairs = [], [], []
+        init, push = poly_core._Basis.__init__, poly_core._Basis._push
+        numerator = poly_core._hilbert_numerator
+        monkeypatch.setattr(
+            poly_core._Basis, "__init__", lambda b, r: built.append(r) or init(b, r)
+        )
+        monkeypatch.setattr(
+            poly_core, "_hilbert_numerator", lambda g, w: derived.append(g) or numerator(g, w)
+        )
+
+        def spy_push(b, degree: int, item: object) -> None:
+            if isinstance(item, tuple):
+                pairs.append(item)
+            push(b, degree, item)
+
+        monkeypatch.setattr(poly_core._Basis, "_push", spy_push)
+        x, y, z = (Poly.variable(v) for v in VARS)
+        for gens, seq, queued in (
+            ((x**3,), [y * y], False),
+            ((x**3,), [y * y, z], False),
+            ((y * y - x * x,), [y**3], True),
+        ):
+            ring = QuotientRing(VARS, gens)
+            ring.hilbert_series()
+            for spy in (built, derived, pairs):
+                spy.clear()
+            assert reduce_module._gate(ring, seq)[0] == "verified"
+            assert not built
+            assert bool(pairs) == bool(derived) == queued
+
+    def test_a_refusing_base_leaves_the_joined_ring_to_build_its_own(self) -> None:
+        # the base refuses (see test_cutoff_enforced), while the ring with
+        # x^3 and y^3 joined, built from scratch, completes
+        x, y = Poly.variable(X), Poly.variable(Y)
+        base = QuotientRing((X, Y), (x**2 * y, x * y**2), cutoff=6)
+        answer = {0: 1, 2: 2, 4: 3}
+        with pytest.raises(CutoffExceeded):
+            base.dimension(2)
+        assert dict(base.with_generators((x**3, y**3)).dimension_series(10).coeffs) == answer
+        verdict, joined = reduce_module._gate(base, [x**3, y**3])
+        assert verdict == "unverified"
+        assert dict(joined.dimension_series(10).coeffs) == answer
+        # absorption with force adopts that ring, one entry at a time
+        k = KoszulMF(base, ((x**3, Poly.zero()),), 0, 0, 12)
+        k = reduce_module.absorb_zero_row(k, 0, force=True)
+        with pytest.raises(CutoffExceeded):
+            k.base.dimension(2)
+        k = KoszulMF(k.base, ((y**3, Poly.zero()),), 0, 0, 12)
+        k = reduce_module.absorb_zero_row(k, 0, force=True)
+        assert k.base.ideal_gens == base.ideal_gens + (x**3, y**3)
+        assert dict(k.base.dimension_series(10).coeffs) == answer
+        # a column replacement with force passes the same gate
+        k = KoszulMF(base, ((x**3, Poly.zero()), (y**3, Poly.zero())), 0, 0, 12)
+        with pytest.raises(reduce_module.RegularityUnverified):
+            reduce_module.replace_second_sequence(k, [Poly.zero()] * 2)
+        _, verdict = reduce_module.replace_second_sequence(k, [Poly.zero()] * 2, force=True)
+        assert verdict == "unverified"
