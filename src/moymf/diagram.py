@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .poly_core import GradedVar, Poly, QuotientRing
+from .poly_core import _FIELD, GradedVar, Poly, QuotientRing
 from .symfun import Alphabet, _rows, power_sum_in
 # unused here, kept because bench/tracing.py rebinds these names in this module
 from .symfun import L_poly, Lambda_poly, V_poly, product_term  # noqa: F401
@@ -175,6 +175,10 @@ for _name, _form in _FORMS.items():
     _GRAMMAR.setdefault(_toks[0], (_toks.index(_name), _toks, {}))[2][_name] = _toks
 
 
+# the largest level whose potential, of degree 2n + 2, a monomial key holds
+_MAX_LEVEL = (_FIELD - 2) // 2
+
+
 class _Refused(Exception):
     """A line's token does not fit its form; args are (message, token index)."""
 
@@ -246,6 +250,12 @@ def parse(text: str, allow_high_colors: bool = False) -> Diagram:
                 (level,) = values
                 if level < 1:
                     raise _Refused("level must be >= 1", form.index("<int>"))
+                if level > _MAX_LEVEL:
+                    raise _Refused(
+                        f"level must be <= {_MAX_LEVEL}: the potential's degree 2n + 2 "
+                        f"exceeds the packed limit {_FIELD}",
+                        form.index("<int>"),
+                    )
             elif form[0] == "edge":
                 eid, color, tail, head = values
                 if color < 1:

@@ -7,15 +7,16 @@ tuple of ``(GradedVar, exponent)`` pairs sorted by name, exponents
 positive, and () is 1.  A ``Poly`` keys each monomial by one packed int
 (Monagan and Pearce, CASC 2007; Bachmann and Schoenemann, ISSAC 1998): a
 process-wide registry gives each variable an index on first use, and the
-key holds 16-bit fields, field 0 the weighted degree and field i + 1 the
+key holds 9-bit fields, field 0 the weighted degree and field i + 1 the
 exponent of variable i, each with its top bit a guard.  A product of
 monomials is the sum of their keys.  A degree, and so an exponent, above
-``_FIELD`` = 32767 raises OverflowError; no key wraps.  ``Poly({Mono: c})``
-and ``coefficient`` pack their input, ``Poly.terms`` is a view converted
-back on each access, and a pickled ``Poly`` carries ``Mono`` terms, as keys
-mean nothing in another process.  Coefficients are exact: an ``int`` when
-integral, a ``Fraction`` only when its denominator exceeds 1; a ``float``
-raises TypeError.
+``_FIELD`` = 255 raises OverflowError wherever a key is formed (a variable
+registered, a monomial packed, a product, an S-pair, the monomials of one
+degree); no key wraps.  ``Poly({Mono: c})`` and ``coefficient`` pack their
+input, ``Poly.terms`` is a view converted back on each access, and a
+pickled ``Poly`` carries ``Mono`` terms, as keys mean nothing in another
+process.  Coefficients are exact: an ``int`` when integral, a ``Fraction``
+only when its denominator exceeds 1; a ``float`` raises TypeError.
 
 A quotient ring by a homogeneous ideal answers normal forms, dimensions,
 standard monomials and dimension series from one homogeneous Groebner
@@ -118,7 +119,7 @@ def _check_cutoff(cutoff: int | None) -> None:
 
 # -- packed monomial keys ------------------------------------------------------
 
-_BITS = 16  # bits per field
+_BITS = 9  # bits per field
 _FIELD = (1 << (_BITS - 1)) - 1  # the largest degree; a field's top bit is a guard
 _degree = _FIELD.__and__  # the degree of a key
 _VARS: list[GradedVar] = []  # registered variables: index i holds field i + 1
@@ -130,6 +131,8 @@ def _unit(v: GradedVar) -> int:
     """The key of v, registering v in the next field on first use."""
     u = _UNITS.get(v)
     if u is None:
+        if v.degree > _FIELD:
+            raise OverflowError(f"degree of {v.name} exceeds the packed limit {_FIELD}")
         shift = _BITS * (len(_VARS) + 1)
         _CONFLICTS.extend((_FIELD << _BITS * (i + 1), _FIELD << shift, v.name)
                           for i, w in enumerate(_VARS) if w.name == v.name)
@@ -221,7 +224,7 @@ def _lead_quotient(t: Poly, s: Poly) -> Poly | None:
     if not t or not s:
         return None
     mt, ms = max(t._terms), max(s._terms)
-    guards = int("8000" * (mt.bit_length() // _BITS + 1), 16)
+    guards = sum(1 << i + _BITS - 1 for i in range(0, mt.bit_length() + 1, _BITS))
     if ms > mt or ((mt | guards) - ms) & guards != guards:
         return None
     return _from_clean({mt - ms: _coeff(Fraction(t._terms[mt]) / s._terms[ms])})
@@ -930,14 +933,18 @@ class _Basis:
 
     def _lcm(self, a: int, b: int) -> int:
         """The key of lcm(a, b).  Its degree field may pass ``_FIELD`` into
-        its guard bit, never further, so the low ``_BITS`` bits hold it."""
+        its guard bit, never further: two valid keys' lcm has degree at most
+        2 * 255 = 510 < 2^9, so the low ``_BITS`` bits hold it."""
         return sum(max((a >> s) & _FIELD, (b >> s) & _FIELD) * u
                    for s, u in zip(self._shifts, self._units))
 
     def keys(self, d: int, leads: Collection[int]) -> list[int]:
         """The keys of the degree-d monomials that no one of leads divides.
         Variables take their exponents in ring order, and a prefix that a
-        lead divides is cut, as every completion of it is divisible too."""
+        lead divides is cut, as every completion of it is divisible too.
+        A degree above ``_FIELD`` raises OverflowError."""
+        if d > _FIELD:
+            raise OverflowError(f"degree {d} exceeds the packed limit {_FIELD}")
         out: list[int] = []
         guards, steps = self.guards, tuple(zip(self.weights, self._units))
 

@@ -103,6 +103,16 @@ class TestHomology:
         with pytest.raises(CutoffExceeded, match="base quotient is infinite"):
             homology(mf)
 
+    def test_a_degree_past_the_packed_limit_is_refused(self) -> None:
+        # Q[x, y]/(x^100, y^100) has top degree 396, past the packed limit
+        # 255: its standard monomials there cannot be keys, so it refuses
+        xy = (GradedVar("x", 2), GradedVar("y", 2))
+        x, y = map(Poly.variable, xy)
+        base = QuotientRing(xy, (x**100, y**100))
+        mf = KoszulMF(base, ((x**99, x),), 0, 0, 200).expand()
+        with pytest.raises(OverflowError, match="degree 256 exceeds the packed limit 255"):
+            homology(mf, cutoff=500)
+
     def test_empty_differentials_are_not_ranked(self, monkeypatch) -> None:
         # every row absorbed, or none at all: both differentials are empty,
         # so their ranks are 0 without enumerating a degree

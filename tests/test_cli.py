@@ -86,6 +86,21 @@ class TestEulerCommand:
             assert main(["euler", str(path), *extra]) == 2
             assert capsys.readouterr().err.startswith(f"error: {where}")
 
+    def test_a_level_past_the_packed_limit_is_an_input_error(self, tmp_path, capsys) -> None:
+        # level 127's potential has degree 256, past the packed limit 255:
+        # refused at its line, from the file or from --n, never an internal error
+        want = "error: line 1, col 9: level must be <= 126: the potential's degree"
+        path = tmp_path / "circle1.moy"
+        path.write_text(CIRCLE.replace("level n 3", "level n 127"))
+        assert main(["euler", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(want)
+        path.write_text(CIRCLE)
+        assert main(["euler", str(path), "--n", "127"]) == 2
+        assert capsys.readouterr().err.startswith(want)
+        path.write_text(CIRCLE.replace("level n 3\n", "").rstrip("\n"))
+        assert main(["euler", str(path), "--n", "127"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2, col 9: level must be <= 126")
+
     def test_a_file_without_a_level_line_gets_the_override(self, tmp_path, capsys) -> None:
         path = tmp_path / "circle1.moy"
         path.write_text(CIRCLE.replace("level n 3\n", "").rstrip("\n"))

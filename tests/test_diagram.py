@@ -144,6 +144,13 @@ def test_negative_integer_reaches_the_bound() -> None:
     assert (info.value.line, info.value.col) == (1, 9)
 
 
+def test_the_largest_level_compiles() -> None:
+    # its potential's degree 2n + 2 is 254, the largest even packed degree;
+    # level 127 is refused (BAD_INPUTS)
+    k = compile_diagram(parse("level n 126\n" + EDGE))
+    assert k.potential().homogeneous_degree() == 254
+
+
 def test_grammar_forms_are_documented() -> None:
     # README's diagram-language section and the module docstring quote
     # every form of the grammar verbatim
@@ -195,6 +202,8 @@ BAD_INPUTS = {
                         DiagramSyntaxError, "duplicate level", 3, 1),
     "malformed level": ("level n\n" + EDGE, DiagramSyntaxError, "expected: level n", 1, 1),
     "level below 1": ("level n 0\n" + EDGE, DiagramSyntaxError, "level must be >= 1", 1, 9),
+    "level above the packed limit": ("level n 127\n" + EDGE, DiagramSyntaxError,
+                                     "level must be <= 126: the potential's degree", 1, 9),
     "color below 1": (L3 + "edge e1 color 0 from boundary:a to boundary:b\n",
                       DiagramSyntaxError, "color must be >= 1", 2, 15),
     "edge arity": (L3 + "edge e1 color 1 from boundary:a\n",

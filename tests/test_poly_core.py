@@ -881,26 +881,36 @@ class TestPackedKeys:
 
     def test_overflow_raises_and_never_wraps(self) -> None:
         x, z = Poly.variable(X), Poly.variable(Z)
-        top = x**16383  # degree 32766: the largest even degree a key holds
-        assert top.terms == {((X, 16383),): 1}
-        assert (x**8000 * x**8383).terms == {((X, 16383),): 1}
+        top = x**127  # degree 254: the largest even degree a key holds
+        assert top.terms == {((X, 127),): 1}
+        assert (x**60 * x**67).terms == {((X, 127),): 1}
         with pytest.raises(OverflowError):
-            x**16384
+            x**128
         with pytest.raises(OverflowError):
             top * x
         with pytest.raises(OverflowError):
             top * (x + 1)
         with pytest.raises(OverflowError):
-            z**4096 * z**4096
+            z**32 * z**32
         with pytest.raises(OverflowError):
-            Poly({((X, 16384),): 1})
+            Poly({((X, 128),): 1})
         with pytest.raises(ValueError):
             Poly({((X, -1),): 1})
-        # a Groebner basis whose S-pair would reach degree 40000
+        # a Groebner basis whose S-pair would reach degree 400
         y = Poly.variable(Y)
-        ring = QuotientRing((X, Y), (x**10000 * y**100, x**100 * y**10000), cutoff=40000)
-        with pytest.raises(OverflowError, match="S-pair degree 40000"):
+        ring = QuotientRing((X, Y), (x**100 * y**20, x**20 * y**100))
+        with pytest.raises(OverflowError, match="S-pair degree 400"):
             ring.dimension(4)
+        # a variable of degree above the limit is refused when registered
+        with pytest.raises(OverflowError, match="degree of big_v exceeds"):
+            Poly.variable(GradedVar("big_v", 256))
+        assert GradedVar("big_v", 256) not in poly_core._UNITS
+        # the monomials of a degree above the limit are refused, not wrapped
+        free = QuotientRing((X,))
+        assert free.dimension(254) == 1 and free.standard_monomials(254) == (((X, 127),),)
+        for ask in (free.dimension, free.standard_monomials, free.monomials):
+            with pytest.raises(OverflowError, match="degree 256 exceeds"):
+                ask(256)
 
     def test_pickle_loads_in_a_process_that_packs_in_another_order(self) -> None:
         samples = corpus.pickle_samples()
@@ -934,7 +944,7 @@ class TestPackedKeys:
     @settings(max_examples=40, deadline=None)
     @given(mixed_polys(), mixed_polys(), st.integers(0, 3), mixed_substitutions())
     def test_arithmetic_against_sympy(self, p: Poly, q: Poly, n: int, sigma: dict) -> None:
-        assert all(poly_core._unit(v).bit_length() > 120 * 16 for v in LATE)
+        assert all(poly_core._unit(v).bit_length() > 120 * poly_core._BITS for v in LATE)
         sp = _sym(p, SYMS)
         product, power, moved = p * q, p**n, p.substitute(sigma)
         assert sympy.expand(_sym(product, SYMS) - sp * _sym(q, SYMS)) == 0
@@ -1042,7 +1052,7 @@ class TestStepSetUp:
     @settings(max_examples=40, deadline=None)
     @given(mixed_rings(), st.lists(mixed_polys(), min_size=1, max_size=4))
     def test_normal_form_equals_a_full_reduction(self, ring: QuotientRing, ps: list[Poly]) -> None:
-        assert all(poly_core._unit(v).bit_length() > 120 * 16 for v in LATE)
+        assert all(poly_core._unit(v).bit_length() > 120 * poly_core._BITS for v in LATE)
         for p in ps:
             nf = ring.normal_form(p)
             assert nf == _full_normal_form(ring, p)
