@@ -16,7 +16,6 @@ still carry a definite homogeneous map degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .poly_core import GradedVar, Poly, QuotientRing, _check_cutoff, _sum
@@ -348,13 +347,13 @@ def validate(x: MatrixFactorization) -> list[str]:
 
 
 class Row(tuple):
-    """A Koszul row (a, b), a tuple in every way, that keeps its ``product``
-    a * b, what ``memo`` computes, and the potential degree ``KoszulMF``
-    last checked it against, for as long as it lives."""
+    """A Koszul row (a, b), a tuple in every way, that keeps what ``memo``
+    computes, its ``product`` a * b among it, and the potential degree
+    ``KoszulMF`` last checked it against, for as long as it lives."""
 
-    @cached_property
+    @property
     def product(self) -> Poly:
-        return self[0] * self[1]
+        return self.memo("product", lambda: self[0] * self[1])
 
     def memo(self, key: object, compute):
         """compute(), once per key; the key names every other input."""

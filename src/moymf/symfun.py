@@ -14,7 +14,10 @@ Three families of divided differences populate Koszul rows downstream:
 
 Their defining property, exercised heavily by the tests, is telescoping:
 summing row-polynomial times slot-difference over all slots reproduces the
-difference of boundary power sums exactly.
+difference of boundary power sums exactly.  The rows are built along
+that telescope: one chain from F on the varying alphabet to F on the
+other side moves one slot per step, and the divided difference of step
+j in slot j is row j.
 
 The rows of a line piece or a vertex depend on their alphabets only
 through their variables, so each shape, that is (family, colors, level),
@@ -158,31 +161,6 @@ def product_term(j: int, a: Alphabet, b: Alphabet) -> Poly:
     return acc
 
 
-def _mixed_divided_difference(
-    i: int,
-    n: int,
-    j: int,
-    below: list[Poly],
-    varying_hi: Poly,
-    varying_lo: Poly,
-    above: list[Poly],
-) -> Poly:
-    """[F(below, hi, above) - F(below, lo, above)] / (hi - lo) in slot j.
-
-    ``below`` fills slots 1..j-1, ``above`` fills slots j+1..i.  Exact by
-    construction (geometric-sum expansion), even when hi = lo.
-    """
-    slots = generic_slots(i)
-    f = power_sum_F(i, n)
-    sigma: dict[GradedVar, Poly] = {}
-    for m, img in enumerate(below, start=1):
-        sigma[slots[m - 1]] = img
-    for m, img in enumerate(above, start=j + 1):
-        sigma[slots[m - 1]] = img
-    g = f.substitute(sigma)
-    return divided_difference_values(g, slots[j - 1], varying_hi, varying_lo)
-
-
 # labels of the two template alphabets besides the anonymous slots
 _TEMPLATE_LABELS = ("tmpl.a", "tmpl.b")
 
@@ -197,24 +175,29 @@ def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _P
     x_j(src) - x_j(dst).  ``Lambda`` and ``V``: colors (color a, color b),
     c the slots and a, b template alphabets 0 and 1; b is x_j(c) -
     product_term_j(a, b) for ``Lambda`` and its negative for ``V``.
+
+    One sweep builds every row: g starts as F on the slots, and for j =
+    1..i (``V``: i..1) row j is g's divided difference in slot j, after
+    which slot j takes its other value in g.  So each slot is substituted
+    once, and row j sees the slots already passed moved and the rest not.
     """
     i = sum(colors)
-    slots = [Poly.variable(s) for s in generic_slots(i)]
+    slots = generic_slots(i)
     alpha = [Alphabet(k, label) for k, label in zip(colors, _TEMPLATE_LABELS)]
-    tvars = generic_slots(i) + tuple(v for t in alpha for v in t.vars)
+    tvars = slots + tuple(v for t in alpha for v in t.vars)
     # what slot m of the varying alphabet meets: dst's x_m, or product term m
     if family == "L":
         other = [alpha[0].poly(m) for m in range(1, i + 1)]
     else:
         other = [product_term(m, *alpha) for m in range(1, i + 1)]
-    plans = []
-    for j in range(1, i + 1):
-        if family == "V":
-            below, hi, lo, above = slots[: j - 1], other[j - 1], slots[j - 1], other[j:]
-        else:
-            below, hi, lo, above = other[: j - 1], slots[j - 1], other[j - 1], slots[j:]
-        row = _mixed_divided_difference(i, n, j, below, hi, lo, above)
-        plans.append((_to_plan(row, tvars), _to_plan(hi - lo, tvars)))
+    plans = [None] * i
+    g = power_sum_F(i, n)
+    for j in range(i, 0, -1) if family == "V" else range(1, i + 1):
+        x, y = Poly.variable(slots[j - 1]), other[j - 1]
+        hi, lo = (y, x) if family == "V" else (x, y)
+        row = divided_difference_values(g, slots[j - 1], hi, lo)
+        plans[j - 1] = (_to_plan(row, tvars), _to_plan(hi - lo, tvars))
+        g = g.substitute({slots[j - 1]: y})
     return tuple(plans)
 
 

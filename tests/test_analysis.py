@@ -4,10 +4,14 @@ the relation verifiers."""
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import sympy
@@ -334,6 +338,36 @@ class TestBracketOracle:
         assert evaluated >= 5
 
 
+def _relation_tuples_through_level_6() -> list[tuple[str, tuple[int, ...]]]:
+    """Every (relation, parameters) pair at levels 1..6."""
+    levels = range(1, 7)
+    cases = [(name, (i, n)) for name in ("line_contract", "circle_jacobi")
+             for n in levels for i in range(1, n + 1)]
+    cases += [
+        (name, (i1, i2, i3, n)) for name in ("assoc_merge", "assoc_split") for n in levels
+        for i1 in range(1, n) for i2 in range(1, n - i1) for i3 in range(1, n - i1 - i2 + 1)
+    ]
+    cases += [("bubble", (i1, i3 - i1, i3, n))
+              for n in levels for i3 in range(2, n + 1) for i1 in range(1, i3)]
+    cases += [("counter_bubble", (i1, i2, n))
+              for n in levels for i1 in range(1, n) for i2 in range(1, n - i1 + 1)]
+    cases += [(name, (j, n)) for name in ("square_j", "square_wide")
+              for n in levels for j in range(2, n)]
+    cases += [("cor_square", (j1, j2)) for j1 in levels for j2 in levels]
+    return cases
+
+
+# reads (relation, parameters) pairs as JSON on stdin, registers as many
+# filler variables as its argument says, and prints the reports as JSON
+_FRESH_REPORTS = """
+import json, sys
+from moymf import GradedVar, Poly, verify_relation
+for i in range(int(sys.argv[1])):
+    Poly.variable(GradedVar(f"filler{i}", 2))
+print(json.dumps([verify_relation(name, params) for name, params in json.load(sys.stdin)]))
+"""
+
+
 class TestVerifyRelation:
     REPORT_KEYS = {
         "relation",
@@ -397,20 +431,7 @@ class TestVerifyRelation:
         # (3,3,6,6) and the other bubbles whose thin colors are both at
         # least 2 with an internal variable; the clearing step closes them.
         # A wrong weight, swap or source in the table fails here.
-        levels = range(1, 7)
-        cases = [(name, (i, n)) for name in ("line_contract", "circle_jacobi")
-                 for n in levels for i in range(1, n + 1)]
-        cases += [
-            (name, (i1, i2, i3, n)) for name in ("assoc_merge", "assoc_split") for n in levels
-            for i1 in range(1, n) for i2 in range(1, n - i1) for i3 in range(1, n - i1 - i2 + 1)
-        ]
-        cases += [("bubble", (i1, i3 - i1, i3, n))
-                  for n in levels for i3 in range(2, n + 1) for i1 in range(1, i3)]
-        cases += [("counter_bubble", (i1, i2, n))
-                  for n in levels for i1 in range(1, n) for i2 in range(1, n - i1 + 1)]
-        cases += [(name, (j, n)) for name in ("square_j", "square_wide")
-                  for n in levels for j in range(2, n)]
-        cases += [("cor_square", (j1, j2)) for j1 in levels for j2 in levels]
+        cases = _relation_tuples_through_level_6()
         counts = Counter(name for name, _ in cases)
         assert counts == {
             "line_contract": 21, "circle_jacobi": 21, "assoc_merge": 35, "assoc_split": 35,
@@ -419,6 +440,37 @@ class TestVerifyRelation:
         }
         for name, params in cases:
             assert verify_relation(name, params)["verdict"] == "PASS", (name, params)
+
+    def test_clearing_reports_do_not_depend_on_the_variables_registered_before(self) -> None:
+        # keys pack each variable at its place in the process-wide
+        # registry, so a fault in the key layout may show only when the
+        # fields sit elsewhere: the tuples a clearing row op closes are
+        # run again in fresh interpreters, with 0 and 150 variables
+        # registered first, and must give the very reports given here
+        cases, want = [], []
+        for name, params in _relation_tuples_through_level_6():
+            report = verify_relation(name, params)
+            if any(e["op"] == "row_op" for e in report.get("reduction_log", ())):
+                cases.append((name, params))
+                want.append(report)
+        assert len(cases) >= 60 and {name for name, _ in cases} == {
+            "bubble", "counter_bubble", "square_j", "square_wide"
+        }
+        assert all(r["verdict"] == "PASS" for r in want)
+        want = json.loads(json.dumps(want))
+        root = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(root.parent / "src"))
+        for fillers in (0, 150):
+            child = subprocess.run(
+                [sys.executable, "-c", _FRESH_REPORTS, str(fillers)],
+                input=json.dumps(cases),
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            assert json.loads(child.stdout) == want, fillers
 
     @pytest.mark.parametrize("name, kind", [("assoc_merge", "merge"), ("assoc_split", "split")])
     def test_associativity_compares_the_two_trees_of_its_kind(self, name: str, kind: str) -> None:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import moymf.cli as cli
-from moymf import qbinomial
+from moymf import ReductionSession, compile_diagram, parse, qbinomial
 from moymf.cli import main
 
 CIRCLE = "level n 3\nedge e1 color 1 from boundary:a to boundary:a\n"
@@ -21,6 +21,18 @@ THETA = (
     "vertex v2 merge in e2 e3 out e4\n"
 )
 BAD = THETA.replace("edge e4 color 2", "edge e4 color 3")
+# an open merge then split: reduction excludes its internal variables and
+# keeps two rows on the boundary alphabets
+OPEN = (
+    "level n 3\n"
+    "edge e1 color 1 from boundary:a to v0\n"
+    "edge e2 color 1 from boundary:b to v0\n"
+    "edge e3 color 2 from v0 to v1\n"
+    "edge e4 color 1 from v1 to boundary:c\n"
+    "edge e5 color 1 from v1 to boundary:d\n"
+    "vertex v0 merge in e1 e2 out e3\n"
+    "vertex v1 split in e3 out e4 e5\n"
+)
 
 
 @pytest.fixture
@@ -127,6 +139,12 @@ class TestEulerCommand:
         assert main(["euler", line_file]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_level_below_one_is_an_input_error(self, circle_file, capsys) -> None:
+        assert main(["euler", circle_file, "--n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n must be a positive integer\n"
+
 
 class TestCompileCommand:
     def test_text_output_shape(self, theta_file, capsys) -> None:
@@ -219,6 +237,21 @@ class TestReduceCommand:
         assert [e["params"]["regularity"] for e in absorbed] == ["verified", "verified"]
 
 
+    def test_an_open_diagram_prints_the_rows_it_keeps(self, tmp_path, capsys) -> None:
+        path = tmp_path / "open.moy"
+        path.write_text(OPEN)
+        assert main(["reduce", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        d = parse(OPEN)
+        session = ReductionSession(compile_diagram(d), external=d.external_vars())
+        k = session.reduce_fully()
+        assert k.row_count == 2 and len(session.log) == 2
+        assert lines[1] == "rows: 2" and lines[-1] == "steps: 2"
+        assert [line for line in lines if line.startswith("row ")] == [
+            f"row {i}: {a.render()} | {b.render()}" for i, (a, b) in enumerate(k.rows)
+        ]
+
+
 class TestVerifyCommand:
     def test_cor_square_passes(self, capsys) -> None:
         assert main(["verify", "cor_square", "--params", "3", "1"]) == 0
@@ -238,6 +271,12 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "cannot be combined" in capsys.readouterr().err
+
+    def test_no_params_and_no_colors_is_an_input_error(self, capsys) -> None:
+        assert main(["verify", "bubble"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: provide --params, or --colors with --n\n"
 
     def test_arity_precheck(self, capsys) -> None:
         assert main(["verify", "cor_square", "--params", "1", "2", "3"]) == 2
@@ -316,6 +355,15 @@ class TestCrosscheckCommand:
         assert lines[1].startswith("oracle: ")
         assert lines[2] == "PASS"
         assert lines[0].split(": ", 1)[1] == lines[1].split(": ", 1)[1]
+
+    def test_json_format(self, theta_file, capsys) -> None:
+        assert main(["crosscheck", theta_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        engine, oracle = (line.split(": ", 1)[1] for line in lines[:2])
+        assert main(["crosscheck", theta_file, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "PASS"
+        assert (doc["engine_euler"], doc["oracle_value"]) == (engine, oracle)
 
 
 class TestQbinomCommand:

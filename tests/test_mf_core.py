@@ -12,8 +12,10 @@ import pytest
 
 import corpus
 from moymf import (
+    GradedFreeModule,
     GradedVar,
     KoszulMF,
+    MatrixFactorization,
     Poly,
     QLaurent,
     QuotientRing,
@@ -376,3 +378,76 @@ class TestSerialization:
             i, j = key.split(",")
             assert i.isdigit() and j.isdigit()
             assert isinstance(entry, str)
+
+
+def _one_by_one(d0=None, d1=None, potential=None, degree=8, shift1=2, base1=None):
+    """K(x; x^3) over Q[x] written out as a 1x1 factorization of x^4,
+    with any part replaced."""
+    x = Poly.variable(X)
+    base = QuotientRing((X,))
+    return MatrixFactorization(
+        GradedFreeModule(base, (0,)),
+        GradedFreeModule(base if base1 is None else base1, (shift1,)),
+        d0 if d0 is not None else SparseMat(1, 1, {(0, 0): x}),
+        d1 if d1 is not None else SparseMat(1, 1, {(0, 0): x**3}),
+        x**4 if potential is None else potential,
+        degree,
+    )
+
+
+class TestRefusals:
+    """Every shape and parity refusal of the matrix layer, and every
+    violation ``validate`` reports, on hand-broken factorizations."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: SparseMat(2, 2, {(2, 0): Poly.variable(X)}), IndexError,
+             "entry (2,0) outside 2x2"),
+            (lambda: SparseMat(2, 3).mul(SparseMat(2, 3)), ValueError,
+             "shape mismatch in matrix product"),
+            (lambda: _one_by_one(base1=QuotientRing((X, Y))), IncompatibleBases,
+             "m0 and m1 over different bases"),
+            (lambda: _one_by_one(d0=SparseMat(2, 1)), ValueError,
+             "d0 shape does not match module ranks"),
+            (lambda: _one_by_one(d1=SparseMat(1, 2)), ValueError,
+             "d1 shape does not match module ranks"),
+            (lambda: _one_by_one(degree=7), ValueError, "potential degree must be even"),
+        ],
+        ids=["entry outside", "product shapes", "bases", "d0 shape", "d1 shape", "parity"],
+    )
+    def test_a_bad_shape_is_refused(self, build, error, message) -> None:
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_validate_reports_each_kind_of_violation(self) -> None:
+        x = Poly.variable(X)
+        assert validate(_one_by_one()) == []
+        cases = [
+            (_one_by_one(potential=x**4 + x), [
+                "potential is inhomogeneous",
+                "d1*d0[0,0] = x^4, expected x + x^4",
+                "d0*d1[0,0] = x^4, expected x + x^4",
+            ]),
+            (_one_by_one(degree=6), [
+                "potential degree 8 != declared 6",
+                "d0[0,0] degree 2, expected 1",
+                "d1[0,0] degree 6, expected 5",
+            ]),
+            (_one_by_one(d0=SparseMat(1, 1)), [
+                "d1*d0[0,0] = 0, expected x^4",
+                "d0*d1[0,0] = 0, expected x^4",
+            ]),
+            (_one_by_one(d0=SparseMat(1, 1, {(0, 0): x + x**2})), [
+                "d1*d0[0,0] = x^4 + x^5, expected x^4",
+                "d0*d1[0,0] = x^4 + x^5, expected x^4",
+                "d0[0,0] inhomogeneous: x + x^2",
+            ]),
+            (_one_by_one(shift1=0), [
+                "d0[0,0] degree 2, expected 4",
+                "d1[0,0] degree 6, expected 4",
+            ]),
+        ]
+        for broken, want in cases:
+            assert validate(broken) == want

@@ -327,6 +327,25 @@ class TestDividedDifference:
         ) + f.substitute({X: Poly.variable(Y)}) == f
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Poly.variable(X) ** -1, ValueError, "negative power"),
+            (lambda: divided_difference(Poly.variable(X), X, Z), DegreeMismatch,
+             "deg x != deg z"),
+            (lambda: divided_difference_values(
+                Poly.variable(X), X, Poly.variable(Z), Poly.variable(X)
+            ), DegreeMismatch, "slot image degree mismatch"),
+        ],
+        ids=["negative power", "divided difference", "divided difference values"],
+    )
+    def test_a_bad_operand_is_refused(self, build, error, message) -> None:
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestQuotientRing:
     def setup_method(self) -> None:
         gens = (_mono((2, 0, 0), 1) + _mono((0, 2, 0), 1), _mono((1, 1, 0), 1))

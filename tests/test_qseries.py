@@ -17,7 +17,7 @@ from moymf import (
     qbinomial,
     quantum_integer,
 )
-from moymf.qseries import cor_square_sides
+from moymf.qseries import cor_square_sides, geometric_series
 
 
 @st.composite
@@ -187,3 +187,23 @@ class TestRegularQuotientSeries:
         got = poincare_regular_quotient([2, 4, 2, 4], [2, 4], 20)
         want = poincare_regular_quotient([2, 4], [], 20)
         assert got == want
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: QLaurent.one().divide_exact(QLaurent.zero()), ZeroDivisionError,
+             "division by zero series"),
+            (lambda: QLaurent.one().divide_exact(QLaurent({0: 1, 1: 1})), ArithmeticError,
+             "non-terminating exact division"),
+            (lambda: QLaurent({1: 1}).divide_exact(QLaurent({0: 2})), ArithmeticError,
+             "non-integer coefficient in exact division"),
+            (lambda: geometric_series(0, 4), ValueError, "geometric step must be positive"),
+        ],
+        ids=["by zero", "non-terminating", "non-integer", "step 0"],
+    )
+    def test_a_bad_operand_is_refused(self, build, error, message) -> None:
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message

@@ -19,12 +19,13 @@ from moymf import (
     Lambda_poly,
     Poly,
     V_poly,
+    divided_difference_values,
     power_sum_F,
     power_sum_in,
     product_term,
 )
 from moymf import boundary_potential, compile_diagram, parse, render, symfun
-from moymf.symfun import _mixed_divided_difference, generic_slots
+from moymf.symfun import generic_slots
 
 
 class TestAlphabet:
@@ -43,6 +44,20 @@ class TestAlphabet:
             a.var(0)
         with pytest.raises(IndexError):
             a.poly(3)
+
+    @pytest.mark.parametrize(
+        "color, label, message",
+        [
+            (0, "a", "alphabet color must be >= 1: Alphabet(color=0, label='a')"),
+            (2, "a b",
+             "alphabet label must be nonempty, no spaces: Alphabet(color=2, label='a b')"),
+        ],
+        ids=["color 0", "label with a space"],
+    )
+    def test_a_bad_alphabet_is_refused(self, color: int, label: str, message: str) -> None:
+        with pytest.raises(ValueError) as info:
+            Alphabet(color, label)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_variables_are_built_once_and_stay_invisible(self) -> None:
         a = Alphabet(3, "a")
@@ -172,15 +187,27 @@ class TestTelescoping:
             assert V_poly(j, a, b, c, n).homogeneous_degree() == 2 * n + 2 - 2 * j
 
 
+def _all_at_once(
+    i: int, n: int, j: int, below: list[Poly], hi: Poly, lo: Poly, above: list[Poly]
+) -> Poly:
+    """[F(below, hi, above) - F(below, lo, above)] / (hi - lo) in slot j,
+    every other slot of F_i substituted at once: ``below`` fills slots
+    1..j-1 and ``above`` slots j+1..i."""
+    slots = generic_slots(i)
+    sigma = dict(zip(slots, below)) | dict(zip(slots[j:], above))
+    return divided_difference_values(power_sum_F(i, n).substitute(sigma), slots[j - 1], hi, lo)
+
+
 def _direct(family: str, j: int, n: int, alphabets: tuple[Alphabet, ...]) -> Poly:
     """A row polynomial by the divided difference on its own alphabets,
-    with no template: ``L`` takes (src, dst), the others (c, a, b)."""
+    with no template and no sweep: ``L`` takes (src, dst), the others
+    (c, a, b)."""
     if family == "L":
         src, dst = alphabets
         i = src.color
         below = [dst.poly(m) for m in range(1, j)]
         above = [src.poly(m) for m in range(j + 1, i + 1)]
-        return _mixed_divided_difference(i, n, j, below, src.poly(j), dst.poly(j), above)
+        return _all_at_once(i, n, j, below, src.poly(j), dst.poly(j), above)
     c, a, b = alphabets
     i = c.color
     products = [product_term(m, a, b) for m in range(1, i + 1)]
@@ -189,7 +216,29 @@ def _direct(family: str, j: int, n: int, alphabets: tuple[Alphabet, ...]) -> Pol
         below, hi, lo, above = products[: j - 1], slots[j - 1], products[j - 1], slots[j:]
     else:
         below, hi, lo, above = slots[: j - 1], products[j - 1], slots[j - 1], products[j:]
-    return _mixed_divided_difference(i, n, j, below, hi, lo, above)
+    return _all_at_once(i, n, j, below, hi, lo, above)
+
+
+def _check_every_shape(n: int, line_labels, vertex_labels) -> int:
+    """Every row of every shape at level n, applied from its plan on each
+    label set, against ``_direct``; returns the number of rows checked."""
+    checked = 0
+    for i in range(1, n + 1):
+        for src, dst in line_labels:
+            pair = (Alphabet(i, src), Alphabet(i, dst))
+            for j in range(1, i + 1):
+                assert L_poly(j, i, n, *pair) == _direct("L", j, n, pair), (j, i, n, src, dst)
+                checked += 1
+        for ia in range(1, i):
+            for lc, la, lb in vertex_labels:
+                c, a, b = Alphabet(i, lc), Alphabet(ia, la), Alphabet(i - ia, lb)
+                for j in range(1, i + 1):
+                    shape = (j, ia, i - ia, n, lc, la, lb)
+                    merge = _direct("Lambda", j, n, (c, a, b))
+                    assert Lambda_poly(j, a, b, c, n) == merge, shape
+                    assert V_poly(j, a, b, c, n) == _direct("V", j, n, (c, a, b)), shape
+                    checked += 2
+    return checked
 
 
 class TestTemplates:
@@ -202,25 +251,25 @@ class TestTemplates:
         ta, tb = symfun._TEMPLATE_LABELS
         line_labels = [("s", "d"), ("s", "s"), (ta, "d"), (tb, ta), (ta, ta)]
         vertex_labels = [("c", "a", "b"), ("c", ta, tb), ("c", tb, ta), (ta, ta, tb)]
-        checked = 0
-        for n in range(1, 7):
-            for i in range(1, n + 1):
-                for src, dst in line_labels:
-                    pair = (Alphabet(i, src), Alphabet(i, dst))
-                    for j in range(1, i + 1):
-                        want = _direct("L", j, n, pair)
-                        assert L_poly(j, i, n, *pair) == want, (j, i, n, src, dst)
-                        checked += 1
-                for ia in range(1, i):
-                    for lc, la, lb in vertex_labels:
-                        c, a, b = Alphabet(i, lc), Alphabet(ia, la), Alphabet(i - ia, lb)
-                        for j in range(1, i + 1):
-                            shape = (j, ia, i - ia, n, lc, la, lb)
-                            merge = _direct("Lambda", j, n, (c, a, b))
-                            assert Lambda_poly(j, a, b, c, n) == merge, shape
-                            assert V_poly(j, a, b, c, n) == _direct("V", j, n, (c, a, b)), shape
-                            checked += 2
+        checked = sum(_check_every_shape(n, line_labels, vertex_labels) for n in range(1, 7))
         assert checked == 5 * 56 + 4 * 2 * 140
+
+    def test_every_shape_at_levels_seven_and_eight_matches_the_direct_rows(self) -> None:
+        # the levels where the sweep saves most, on one label set
+        checked = sum(_check_every_shape(n, [("s", "d")], [("c", "a", "b")]) for n in (7, 8))
+        assert checked == (28 + 36) + 2 * (112 + 168)
+
+    def test_swapping_the_thin_alphabets_keeps_every_vertex_row(self) -> None:
+        # P_m(a, b) is symmetric, so the (a, b) and (b, a) plans of a
+        # shape give one row on the same alphabets
+        for n in range(1, 9):
+            for i in range(2, n + 1):
+                for ia in range(1, i):
+                    c, a, b = Alphabet(i, "c"), Alphabet(ia, "a"), Alphabet(i - ia, "b")
+                    for j in range(1, i + 1):
+                        shape = (j, ia, i - ia, n)
+                        assert Lambda_poly(j, a, b, c, n) == Lambda_poly(j, b, a, c, n), shape
+                        assert V_poly(j, a, b, c, n) == V_poly(j, b, a, c, n), shape
 
     def test_a_shape_is_built_once(self) -> None:
         # one plan holds every slot of a shape, for any alphabets
