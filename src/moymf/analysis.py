@@ -617,6 +617,13 @@ def _bubble_sides(i1: int, i2: int, i3: int, n: int) -> Sides:
     return _single(_bubble_src(i1, i2, i3, n)), [(_line_src(i3, n), qbinomial(i3, i1), 0)]
 
 
+def _cor_square_sides(j1: int, j2: int) -> Sides:
+    # the identity is stated for colors; below 1 some tuples fail, as (3, 0)
+    if min(j1, j2) < 1:
+        raise ValueError(f"relation cor_square {[j1, j2]}: j1 and j2 must be at least 1")
+    return tuple([(None, s, 0)] for s in cor_square_sides(j1, j2))
+
+
 def _square_j_sides(j: int, n: int) -> Sides:
     rhs = _single(_join_src(j, n)) + [(_parallel_src(j, n), quantum_integer(j - 1), 0)]
     return _single(_square_tall_src(j, n)), rhs
@@ -658,7 +665,7 @@ RELATIONS: dict[str, tuple[int, Callable[..., Sides], bool, Callable | None]] = 
     ),
     "square_j": (2, _square_j_sides, True, None),
     "square_wide": (2, _square_wide_sides, False, None),
-    "cor_square": (2, lambda *p: tuple([(None, s, 0)] for s in cor_square_sides(*p)), False, None),
+    "cor_square": (2, _cor_square_sides, False, None),
 }
 
 
@@ -730,15 +737,19 @@ def verify_relation(
     a closed-form identity and needs no reduction.  The report carries both
     series expanded through the cutoff, which bounds nothing else, a
     PASS/FAIL verdict, the reduction log, and the lowest differing
-    coefficient on failure.  An unknown name,
-    a parameter count other than the one ``RELATIONS`` lists, a parameter
-    outside the relation's domain (a color below 1 or above the level
-    among them), or a negative cutoff raises ValueError.
+    coefficient on failure.  An unknown name, a parameter that is not an
+    ``int`` (a ``bool`` included), a parameter count other than the one
+    ``RELATIONS`` lists, a parameter outside the relation's domain (a color
+    below 1 or above the level among them, and a ``cor_square`` parameter
+    below 1), or a negative cutoff raises ValueError.
     """
     if name not in RELATIONS:
         raise ValueError(f"unknown relation {name!r}; choose from {RELATION_NAMES}")
     arity = RELATIONS[name][0]
-    params = tuple(int(p) for p in params)
+    params = tuple(params)
+    for p in params:
+        if type(p) is not int:
+            raise ValueError(f"relation {name}: parameter {p!r} is not an int")
     if len(params) != arity:
         raise ValueError(f"relation {name} expects {arity} parameters, got {len(params)}")
     _check_cutoff(cutoff)

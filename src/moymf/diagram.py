@@ -109,9 +109,8 @@ class Diagram:
     allow_high_colors: bool = False
 
     def __post_init__(self) -> None:
-        # lookups kept beside the fields, so equality, hashing and repr do
-        # not see them: edges by id (the first of a repeated id), and the
-        # external variables once ``external_vars`` has found them
+        # a lookup kept beside the fields, so equality, hashing and repr do
+        # not see it: edges by id (the first of a repeated id)
         by_id: dict[str, Edge] = {}
         for e in self.edges:
             by_id.setdefault(e.id, e)
@@ -145,12 +144,8 @@ class Diagram:
         ]
 
     def external_vars(self) -> frozenset[GradedVar]:
-        """The boundary alphabets' variables, found once per diagram."""
-        vs = self.__dict__.get("_external")
-        if vs is None:
-            vs = frozenset(v for _, alpha in self.boundary_alphabets() for v in alpha.vars)
-            object.__setattr__(self, "_external", vs)
-        return vs
+        """The boundary alphabets' variables, found afresh on each call."""
+        return frozenset(v for _, alpha in self.boundary_alphabets() for v in alpha.vars)
 
 
 # ---------------------------------------------------------------------------

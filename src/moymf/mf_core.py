@@ -348,8 +348,7 @@ def validate(x: MatrixFactorization) -> list[str]:
 
 class Row(tuple):
     """A Koszul row (a, b), a tuple in every way, that keeps what ``memo``
-    computes, its ``product`` a * b among it, and the potential degree
-    ``KoszulMF`` last checked it against, for as long as it lives."""
+    computes, its ``product`` a * b among it, for as long as it lives."""
 
     @property
     def product(self) -> Poly:
@@ -375,9 +374,10 @@ class KoszulMF:
     instance built by ``with_rows``, ``replace`` or ``join`` reuses what
     the rows it shares have kept.  The potential is computed once per
     instance, on the first ``potential()`` call.  Neither is a field, so
-    equality, hashing, ``repr`` and ``as_dict`` do not see them.  A row is
-    checked once per potential degree: one carried over from an instance
-    of the same degree is not checked again.
+    equality, hashing, ``repr`` and ``as_dict`` do not see them.  Every
+    construction checks each row's degrees against the potential degree;
+    each ``Poly`` keeps its own degree, so a carried row's check is a
+    lookup.
     """
 
     base: QuotientRing
@@ -394,11 +394,7 @@ class KoszulMF:
         pot_deg = self.potential_degree
         if pot_deg < 0 or pot_deg % 2:
             raise ValueError(f"bad potential degree {pot_deg}")
-        for m, row in enumerate(rows):
-            kept = row.__dict__
-            if kept.get("checked") == pot_deg:
-                continue
-            a, b = row
+        for m, (a, b) in enumerate(rows):
             # a nonzero side's degree, -1 when inhomogeneous; kept by the Poly
             da = a._homogeneous_degree() if a else None
             db = b._homogeneous_degree() if b else None
@@ -411,7 +407,6 @@ class KoszulMF:
                 raise InhomogeneousRow(
                     f"row {m} has potential degree {da + db}, expected {pot_deg}"
                 )
-            kept["checked"] = pot_deg
 
     # -- degrees ---------------------------------------------------------
 

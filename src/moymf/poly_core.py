@@ -240,7 +240,7 @@ def mono_key(m: Mono) -> tuple:
 class Poly:
     """Immutable exact polynomial.  Supports +, -, *, ** and scalar mixing."""
 
-    __slots__ = ("_terms", "_hash", "_deg")  # _deg: see _homogeneous_degree
+    __slots__ = ("_terms", "_deg")  # _deg: see _homogeneous_degree
 
     def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
         sums: dict[int, int | Fraction] = {}
@@ -248,7 +248,6 @@ class Poly:
             k = _pack(m)
             sums[k] = sums.get(k, 0) + _coeff(c)
         self._terms: dict[int, int | Fraction] = _canonical(sums)
-        self._hash: int | None = None
 
     def __reduce__(self):
         # keys are indices into this process's registry: carry Mono terms
@@ -326,9 +325,7 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Poly":
         return _from_clean({m: -c for m, c in self._terms.items()})
@@ -488,7 +485,6 @@ def _from_clean(terms: dict[int, int | Fraction]) -> Poly:
     """A Poly over terms already canonical (see ``_coeff``), no zeros."""
     p = Poly.__new__(Poly)
     p._terms = terms
-    p._hash = None
     return p
 
 
@@ -583,21 +579,12 @@ def _fields(vs: Iterable[GradedVar]) -> tuple[int, ...]:
 
 def _to_plan(p: Poly, tvars: Sequence[GradedVar]) -> _Plan:
     """p as a plan over tvars, which must hold every variable of p
-    (KeyError naming one otherwise).  Each exponent is read from its field."""
+    (KeyError naming one otherwise)."""
     deg = p.homogeneous_degree() if p else 0
-    shifts = [(i, _unit(v).bit_length() - 1) for i, v in enumerate(tvars)]
-    terms = []
-    for m, c in p._terms.items():
-        rest, pairs = m - deg, []
-        for i, s in shifts:
-            e = (rest >> s) & _FIELD
-            if e:
-                pairs.append((i, e))
-                rest -= e << s
-        if rest:
-            raise KeyError(_unpack(rest)[0][0])
-        terms.append((c, tuple(pairs)))
-    return deg, tuple(terms)
+    index = {v: i for i, v in enumerate(tvars)}
+    return deg, tuple(
+        (c, tuple((index[v], e) for v, e in _unpack(m))) for m, c in p._terms.items()
+    )
 
 
 def _apply_plan(plan: _Plan, fields: Sequence[int]) -> Poly:

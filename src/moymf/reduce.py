@@ -82,7 +82,10 @@ class PotentialMismatch(ValueError):
 
 
 class RegularityUnverified(RuntimeError):
-    """The regularity heuristic failed and no override was given."""
+    """The regularity gate, the exact Hilbert-series comparison of
+    ``regularity_heuristic``, did not verify a sequence, and no override
+    was given: the sequence is not regular, or a Gröbner basis was not
+    complete by the ring's cutoff."""
 
 
 class ConditionUnmet(ValueError):

@@ -4,6 +4,7 @@ the relation verifiers."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -438,8 +439,14 @@ class TestVerifyRelation:
             "bubble": 35, "counter_bubble": 35, "square_j": 10, "square_wide": 10,
             "cor_square": 36,
         }
+        digest = hashlib.sha256()
         for name, params in cases:
-            assert verify_relation(name, params)["verdict"] == "PASS", (name, params)
+            report = verify_relation(name, params)
+            assert report["verdict"] == "PASS", (name, params)
+            digest.update(json.dumps(report, sort_keys=True).encode())
+        # every report is pinned, logs and series included: a change to any
+        # report updates this digest and says why in CHANGES.md
+        assert digest.hexdigest()[:16] == "ab80db0ad589bab9"
 
     def test_clearing_reports_do_not_depend_on_the_variables_registered_before(self) -> None:
         # keys pack each variable at its place in the process-wide
@@ -501,13 +508,15 @@ class TestVerifyRelation:
         ("square_j", (4, 3), "color 4 not in 1..3"),
         ("square_wide", (0, 3), "color 0 not in 1..3"),
         ("square_wide", (4, 3), "color 4 not in 1..3"),
+        ("cor_square", (3, 0), "j1 and j2 must be at least 1"),
+        ("cor_square", (0, 3), "j1 and j2 must be at least 1"),
     ]
 
     @pytest.mark.parametrize("name, params, message", OUT_OF_DOMAIN)
     def test_a_color_outside_the_level_is_a_value_error(self, name, params, message) -> None:
         # a ValueError that names the relation, never a syntax error in a
         # generated diagram source
-        assert {case[0] for case in self.OUT_OF_DOMAIN} == set(RELATION_NAMES) - {"cor_square"}
+        assert {case[0] for case in self.OUT_OF_DOMAIN} == set(RELATION_NAMES)
         with pytest.raises(ValueError, match=message) as info:
             verify_relation(name, params)
         assert str(info.value).startswith(f"relation {name} {list(params)}: ")
@@ -569,6 +578,13 @@ class TestVerifyRelation:
     def test_wrong_arity_rejected(self) -> None:
         with pytest.raises(ValueError, match="expects 4 parameters"):
             verify_relation("bubble", (1, 1, 3))
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "1", True])
+    def test_a_parameter_that_is_not_an_int_is_rejected(self, bad) -> None:
+        # never rounded or parsed into a color: a report names what was verified
+        with pytest.raises(ValueError) as info:
+            verify_relation("bubble", (bad, 1, 2, 3))
+        assert str(info.value) == f"relation bubble: parameter {bad!r} is not an int"
 
     def test_square_j_rejects_ladder_color_at_the_level(self) -> None:
         # the join diagram would need a rung of color n + 1

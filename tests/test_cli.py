@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +409,23 @@ class TestCutoffEnvironment:
         monkeypatch.setenv(cli.CUTOFF_ENV, "soon")
         assert main(["euler", circle_file]) == 2
         assert cli.CUTOFF_ENV in capsys.readouterr().err
+
+
+def test_readme_command_line_examples(circle_file, capsys, monkeypatch) -> None:
+    # each example of README's "Command line" section, run in process,
+    # prints the very text README shows under it; circle.moy is a color-1
+    # circle
+    monkeypatch.delenv(cli.CUTOFF_ENV, raising=False)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = section.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    ran = []
+    for example in examples.strip().split("\n\n"):
+        command, *shown = example.splitlines()
+        assert command.startswith("$ moymf "), command
+        argv = shlex.split(command.removeprefix("$ moymf "))
+        argv = [circle_file if arg == "circle.moy" else arg for arg in argv]
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out.splitlines() == shown, command
+        ran.append(argv[0])
+    assert ran == ["euler", "verify", "qbinom"]

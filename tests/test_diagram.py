@@ -178,9 +178,9 @@ class TestDiagramShape:
         assert theta.external_vars() == frozenset()
         assert len(line.external_vars()) == 4  # two color-2 alphabets
 
-    def test_external_variables_are_found_once(self) -> None:
+    def test_external_variables_are_stable_and_survive_a_copy(self) -> None:
         line = parse(LINE)
-        assert line.external_vars() is line.external_vars()
+        assert line.external_vars() == line.external_vars()
         copied = pickle.loads(pickle.dumps(line))
         assert copied == line and copied.external_vars() == line.external_vars()
 

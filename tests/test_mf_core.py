@@ -67,20 +67,21 @@ class TestKoszulConstruction:
         with pytest.raises(InhomogeneousRow):
             KoszulMF(base, ((Poly.zero(), Poly.zero()),), 0, 0, 8)
 
-    def test_rows_are_checked_once_per_potential_degree(self, monkeypatch) -> None:
+    def test_rows_are_checked_at_every_construction(self, monkeypatch) -> None:
         k = _simple_koszul()
         calls = []
         degree = Poly._homogeneous_degree
         monkeypatch.setattr(
             Poly, "_homogeneous_degree", lambda p: calls.append(1) or degree(p)
         )
-        # rows carried into an instance of the same degree: not checked again
+        # rows carried into another instance are those very objects, and
+        # both sides of each are checked again
         assert KoszulMF(k.base, k.rows[::-1], 0, 0, 8).rows[0] is k.rows[1]
-        assert not calls
-        # a copy keeps nothing, so its rows are checked again
-        KoszulMF(k.base, pickle.loads(pickle.dumps(k.rows)), 0, 0, 8)
         assert len(calls) == 4
-        # a checked row is checked again at another degree, and refused
+        # so are the rows of a copy
+        KoszulMF(k.base, pickle.loads(pickle.dumps(k.rows)), 0, 0, 8)
+        assert len(calls) == 8
+        # rows that passed at one degree are refused at another
         with pytest.raises(InhomogeneousRow, match="row 0 has potential degree 8, expected 10"):
             KoszulMF(k.base, k.rows, 0, 0, 10)
 

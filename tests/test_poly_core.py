@@ -282,7 +282,7 @@ class TestCoefficients:
         # one value, one rendering and one hash, whichever type stores it
         three = Poly.const(3)
         raw = Poly.__new__(Poly)
-        raw._terms, raw._hash = {_pack(()): Fraction(3)}, None
+        raw._terms = {_pack(()): Fraction(3)}
         assert three == raw and hash(three) == hash(raw)
         assert three.render() == raw.render() == "3"
 
