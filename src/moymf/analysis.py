@@ -96,19 +96,17 @@ def _map_rank(
 def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[int, int], int]:
     """Dimensions of homology per (grading, parity index).
 
-    Requires potential 0 and a finite-dimensional base.  The cutoff (at
-    most the base's own cutoff, which is also the default) bounds the
-    answer: CutoffExceeded unless the base's Groebner basis completes
-    within ``QuotientRing.cutoff``, the only bound on the work, the
-    quotient is finite, and no degree of the returned table lies above
-    the cutoff.  Every degree reads the standard monomials of that one
-    complete basis, and per degree dim H = dim ker - dim im from exact
-    ranks of the two differentials.
+    Requires potential 0 and a finite-dimensional base.  The cutoff, when
+    given, bounds the answer: CutoffExceeded unless the base's Groebner
+    basis completes within the packed limit of 255, the quotient is
+    finite, and no degree of the returned table lies above the cutoff;
+    with no cutoff no degree is bounded.  Every degree reads the standard
+    monomials of that one complete basis, and per degree
+    dim H = dim ker - dim im from exact ranks of the two differentials.
     A negative cutoff raises ValueError.
     """
     _check_cutoff(cutoff)
     base = mf.base
-    cutoff = base.cutoff if cutoff is None else min(cutoff, base.cutoff)
     if base.normal_form(mf.potential):
         raise NotClosed("homology requires potential 0")
     basis = base._basis()
@@ -136,8 +134,8 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
             h = dim - rank_at(k, d) - rank_at(1 - k, d - delta)
             if h:
                 table[(d, k)] = h
-    highest = max((d for d, _ in table), default=cutoff)
-    if highest > cutoff:
+    highest = max((d for d, _ in table), default=0)
+    if cutoff is not None and highest > cutoff:
         raise CutoffExceeded(f"homology degree {highest} exceeds the cutoff {cutoff}")
     return table
 
@@ -153,9 +151,9 @@ def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
     """Euler characteristic of a closed diagram through the engine pipeline.
     The cutoff bounds the degrees of the answer (see ``homology``):
-    CutoffExceeded unless the reduced base's basis is complete by the ring's
-    cutoff, its quotient is finite and no degree of the homology lies above
-    the cutoff.  A negative cutoff raises ValueError."""
+    CutoffExceeded unless the reduced base's basis completes within the
+    packed limit, its quotient is finite and no degree of the homology lies
+    above the cutoff.  A negative cutoff raises ValueError."""
     _check_cutoff(cutoff)
     if not d.closed:
         raise NotClosed("Euler characteristic requires a closed diagram")

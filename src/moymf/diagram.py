@@ -172,6 +172,8 @@ for _name, _form in _FORMS.items():
 
 # the largest level whose potential, of degree 2n + 2, a monomial key holds
 _MAX_LEVEL = (_FIELD - 2) // 2
+# the largest color whose top variable, of degree 2 * color, a key holds
+_MAX_COLOR = _FIELD // 2
 
 
 class _Refused(Exception):
@@ -255,6 +257,9 @@ def parse(text: str, allow_high_colors: bool = False) -> Diagram:
                 eid, color, tail, head = values
                 if color < 1:
                     raise _Refused("color must be >= 1", form.index("<int>"))
+                if color > _MAX_COLOR:
+                    raise _Refused(f"color must be <= {_MAX_COLOR}: degree 2 * color exceeds "
+                                   f"the packed limit {_FIELD}", form.index("<int>"))
                 edges.append(Edge(eid, color, tail, head, lineno))
             else:  # a vertex's id, its in-slots (two or one by kind), its out-slots
                 kind = form[2]

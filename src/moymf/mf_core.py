@@ -196,7 +196,7 @@ def merge_bases(b1: QuotientRing, b2: QuotientRing) -> QuotientRing:
     for g in b2.ideal_gens:
         if g not in gens:
             gens.append(g)
-    return QuotientRing(vars_, tuple(gens), max(b1.cutoff, b2.cutoff))
+    return QuotientRing(vars_, tuple(gens))
 
 
 def tensor(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:

@@ -11,8 +11,8 @@ key holds 9-bit fields, field 0 the weighted degree and field i + 1 the
 exponent of variable i, each with its top bit a guard.  A product of
 monomials is the sum of their keys.  A degree, and so an exponent, above
 ``_FIELD`` = 255 raises OverflowError wherever a key is formed (a variable
-registered, a monomial packed, a product, an S-pair, the monomials of one
-degree); no key wraps.  ``Poly({Mono: c})`` and ``coefficient`` pack their
+registered, a monomial packed, a product, the monomials of one degree); no
+key wraps.  ``Poly({Mono: c})`` and ``coefficient`` pack their
 input, ``Poly.terms`` is a view converted back on each access, and a
 pickled ``Poly`` carries ``Mono`` terms, as keys mean nothing in another
 process.  Coefficients are exact: an ``int`` when integral, a ``Fraction``
@@ -32,8 +32,8 @@ leads into the numerator N(q) of N(q) / prod_v (1 - q^deg v).  The basis
 is complete once no S-pair waits at or below the top degree that series
 gives.  A ring completes its basis once, on its first question, or
 refuses every question with CutoffExceeded when a pending degree passes
-its cutoff first; a complete ring answers in every degree.  A ring that
-joins generators to a complete one continues that ring's basis.
+the packed limit first; a complete ring answers in every degree.  A ring
+that joins generators to a complete one continues that ring's basis.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class DegreeMismatch(ValueError):
 
 
 class CutoffExceeded(RuntimeError):
-    """A ring's Groebner basis does not complete within the ring's cutoff,
-    or an answer's degree lies past the cutoff its caller gave."""
+    """A ring's Groebner basis does not complete within the packed limit
+    of 255, or an answer's degree lies past the cutoff its caller gave."""
 
 
 @dataclass(frozen=True, order=True)
@@ -658,17 +658,16 @@ class QuotientRing:
 
     The order of ``vars`` is the term order: weighted degree, then reverse
     lexicographic with ``vars[0]`` the smallest variable (see ``_Basis``).
-    An empty ``ideal_gens`` is the free polynomial ring.  ``cutoff`` bounds
-    the work, not the answers: the Groebner basis must complete without an
-    S-pair or generator past that degree, or every question to the ring
-    raises CutoffExceeded; a complete basis answers in every degree.  A
-    ring from ``with_generators`` continues the complete basis of the ring
-    it joins generators to, rather than building its own from scratch.
+    An empty ``ideal_gens`` is the free polynomial ring.  The packed limit
+    of 255 bounds the work, not the answers: the Groebner basis must
+    complete without an S-pair past that degree, or every question to the
+    ring raises CutoffExceeded; a complete basis answers in every degree.
+    A ring from ``with_generators`` continues the complete basis of the
+    ring it joins generators to, rather than building its own from scratch.
     """
 
     vars: tuple[GradedVar, ...]
     ideal_gens: tuple[Poly, ...] = ()
-    cutoff: int = 512
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -686,7 +685,7 @@ class QuotientRing:
 
     def __reduce__(self):
         # the cached basis holds packed keys of this process: leave it out
-        return QuotientRing, (self.vars, self.ideal_gens, self.cutoff)
+        return QuotientRing, (self.vars, self.ideal_gens)
 
     # -- construction helpers -------------------------------------------
 
@@ -694,17 +693,17 @@ class QuotientRing:
         """This ring with the nonzero entries of seq joined to its
         generators.  Builds this ring's basis; the joined ring's basis
         continues it, with every entry at once (``_Basis.extended``), and a
-        refusal by the cutoff is kept, as ``_basis`` keeps one.  When this
-        ring refuses, the joined ring builds its own on its first
+        refusal at the packed limit is kept, as ``_basis`` keeps one.  When
+        this ring refuses, the joined ring builds its own on its first
         question."""
         gens = tuple(filter(None, seq))
-        ring = QuotientRing(self.vars, self.ideal_gens + gens, self.cutoff)
+        ring = QuotientRing(self.vars, self.ideal_gens + gens)
         try:
             basis = self._basis()
         except CutoffExceeded:
             return ring
         try:
-            ring._cache["basis"] = basis.extended(gens, self.cutoff)
+            ring._cache["basis"] = basis.extended(gens)
         except CutoffExceeded as exc:
             ring._cache["basis"] = str(exc)
         return ring
@@ -719,9 +718,9 @@ class QuotientRing:
 
     def _basis(self) -> "_Basis":
         """The ring's complete Groebner basis, built on first use;
-        CutoffExceeded, on every call, when it does not complete within the
-        ring's cutoff.  A refusal is kept as its message, so it is decided
-        once too."""
+        CutoffExceeded, on every call, when a degree past the packed limit
+        waits before it completes.  A refusal is kept as its message, so it
+        is decided once too."""
         basis = self._cache.get("basis")
         if basis is None:
             try:
@@ -849,8 +848,8 @@ class _Basis:
     has left is skipped.  Pairs with coprime leads are never queued
     (Buchberger's first criterion).  The basis is complete once nothing
     waits at or below the exact ``top_degree`` of the quotient by the
-    leads; a pending degree past the cutoff before then raises
-    CutoffExceeded.  ``extended(gens, cutoff)`` continues a copy of a
+    leads; a pending degree past the packed limit ``_FIELD`` before then
+    raises CutoffExceeded.  ``extended(gens)`` continues a copy of a
     complete basis with gens joined, so the same loop grows every basis.
     ``standard(d)`` lists the degree-d standard monomials.
     """
@@ -875,19 +874,17 @@ class _Basis:
         self._standard: dict[int, list[int]] = {}
         for g in ring.ideal_gens:
             self._push(g.homogeneous_degree(), dict(g._terms))
-        self._complete(ring.cutoff)
+        self._complete()
 
-    def _complete(self, cutoff: int) -> None:
+    def _complete(self) -> None:
         """Reduce what waits, one degree at a time, until nothing waits at
         or below the top degree: a waiting item above it reduces to zero,
         as every monomial there is divisible by a lead."""
         todo, elements = self._todo, self.elements
         while todo and todo[0][0] <= self.top_degree():
             d = todo[0][0]
-            if d > cutoff:
-                raise CutoffExceeded(f"Groebner basis not complete by ring cutoff {cutoff}")
             if d > _FIELD:
-                raise OverflowError(f"S-pair degree {d} exceeds the packed limit {_FIELD}")
+                raise CutoffExceeded(f"S-pair degree {d} exceeds the packed limit {_FIELD}")
             while todo and todo[0][0] == d:
                 item = heapq.heappop(todo)[2]
                 if isinstance(item, tuple):
@@ -898,7 +895,7 @@ class _Basis:
                 if rem:
                     self._add(rem)
 
-    def extended(self, gens: Iterable[Poly], cutoff: int) -> "_Basis":
+    def extended(self, gens: Iterable[Poly]) -> "_Basis":
         """A complete basis of this basis's ideal with gens joined: a copy
         of this complete basis, gens pushed and ``_complete`` run.  What
         still waits here lies above the top degree, where the copy's leads
@@ -910,7 +907,7 @@ class _Basis:
         new.elements, new._todo, new._standard = dict(self.elements), [], {}
         for g in gens:
             new._push(g.homogeneous_degree(), dict(g._terms))
-        new._complete(cutoff)
+        new._complete()
         return new
 
     def order(self, m: int) -> tuple[int, ...]:

@@ -23,7 +23,6 @@ __all__ = [
     "p_coeff",
     "jacobi_series",
     "poincare_regular_quotient",
-    "geometric_series",
     "poly_factor",
     "cor_square_sides",
 ]
@@ -218,13 +217,6 @@ def _expand(num: QLaurent, weights: Iterable[int], hi: int) -> QLaurent:
     return QLaurent({lo + k: c for k, c in enumerate(coeffs)})
 
 
-def geometric_series(d: int, cutoff: int) -> QLaurent:
-    """1/(1 - q^d) through exponent cutoff."""
-    if d <= 0:
-        raise ValueError("geometric step must be positive")
-    return QLaurent({k: 1 for k in range(0, cutoff + 1, d)})
-
-
 def quantum_integer(m: int) -> QLaurent:
     """[m] = q^(1-m) + q^(3-m) + ... + q^(m-1); zero for m <= 0."""
     if m <= 0:
@@ -280,14 +272,18 @@ def poincare_regular_quotient(
     """Poincare series of Q[vars]/<regular sequence>, truncated at cutoff.
 
     prod_g (1 - q^deg(g)) / prod_v (1 - q^deg(v)); exactness of that formula
-    is precisely the regularity of the sequence.
+    is precisely the regularity of the sequence.  A variable degree below 1
+    or a negative generator degree raises ValueError.
     """
-    series = QLaurent.one()
+    var_degrees = list(var_degrees)
+    if min(var_degrees, default=1) < 1:
+        raise ValueError("geometric step must be positive")
+    num = QLaurent.one()
     for d in gen_degrees:
-        series = (series * (QLaurent.one() - QLaurent.q_power(d))).truncate(cutoff)
-    for d in var_degrees:
-        series = (series * geometric_series(d, cutoff)).truncate(cutoff)
-    return series
+        if d < 0:
+            raise ValueError(f"generator degree must be >= 0, got {d}")
+        num = num - num.shift(d)
+    return _expand(num, var_degrees, cutoff)
 
 
 def cor_square_sides(j1: int, j2: int) -> tuple[QLaurent, QLaurent]:

@@ -84,8 +84,8 @@ class PotentialMismatch(ValueError):
 class RegularityUnverified(RuntimeError):
     """The regularity gate, the exact Hilbert-series comparison of
     ``regularity_heuristic``, did not verify a sequence, and no override
-    was given: the sequence is not regular, or a Gröbner basis was not
-    complete by the ring's cutoff."""
+    was given: the sequence is not regular, or a Gröbner basis did not
+    complete within the packed limit of 255."""
 
 
 class ConditionUnmet(ValueError):
@@ -165,7 +165,7 @@ def regularity_heuristic(base: QuotientRing, seq: Sequence[Poly]) -> str:
     by them has prod_i (1 - q^d_i) times the Hilbert series of base
     (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1); both share one
     denominator, so their numerators decide.  "unverified" for an entry
-    zero in base, or a basis not complete by the ring cutoff.  The basis of
+    zero in base, or a basis refused at the packed limit.  The basis of
     the quotient continues that of base (``QuotientRing.with_generators``):
     an entry whose lead shares no variable with any lead queues no S-pair
     (Buchberger's first criterion) and carries the numerator across, so
@@ -304,7 +304,7 @@ def _substituted_ring(
     base: QuotientRing, sub: Callable[[Poly], Poly], keep: tuple[GradedVar, ...]
 ) -> QuotientRing:
     gens = map(sub, base.ideal_gens)
-    return QuotientRing(keep, tuple(g for g in gens if g), base.cutoff)
+    return QuotientRing(keep, tuple(g for g in gens if g))
 
 
 def _rebased_rows(

@@ -141,7 +141,7 @@ class TestHomology:
         k = _reduced(CIRCLE12).current
 
         def outcome(settle: bool, cutoff: int):
-            base = QuotientRing(k.base.vars, k.base.ideal_gens, k.base.cutoff)
+            base = QuotientRing(k.base.vars, k.base.ideal_gens)
             if settle:
                 base.hilbert_series()
             try:

@@ -151,6 +151,18 @@ def test_the_largest_level_compiles() -> None:
     assert k.potential().homogeneous_degree() == 254
 
 
+def test_the_largest_color_compiles_and_the_next_is_refused() -> None:
+    # a color-c alphabet's top variable has degree 2c, 254 at color 127;
+    # color 128 is refused at its token, with or without the flag
+    src = "level n 2\nedge e1 color {} from boundary:a to boundary:b\n"
+    k = compile_diagram(parse(src.format(127), allow_high_colors=True))
+    assert max(v.degree for v in k.base.vars) == 254
+    for flag in (False, True):
+        with pytest.raises(DiagramSyntaxError, match="color must be <= 127: .* limit 255") as info:
+            parse(src.format(128), allow_high_colors=flag)
+        assert (info.value.line, info.value.col) == (2, 15)
+
+
 def test_grammar_forms_are_documented() -> None:
     # README's diagram-language section and the module docstring quote
     # every form of the grammar verbatim

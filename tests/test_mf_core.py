@@ -246,6 +246,10 @@ class TestExpansion:
         m = koszul_expand(_simple_koszul())
         assert m.m0.rank == 2 and m.m1.rank == 2
 
+    def test_an_entry_is_its_polynomial_or_zero(self) -> None:
+        mat = SparseMat(2, 2, {(0, 1): Poly.variable(X)})
+        assert mat.entry(0, 1) == Poly.variable(X) and mat.entry(1, 0) == Poly.zero()
+
     def test_corrupted_differential_is_caught(self) -> None:
         m = koszul_expand(_simple_koszul())
         entries = dict(m.d0.entries)

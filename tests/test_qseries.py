@@ -17,7 +17,7 @@ from moymf import (
     qbinomial,
     quantum_integer,
 )
-from moymf.qseries import cor_square_sides, geometric_series
+from moymf.qseries import cor_square_sides
 
 
 @st.composite
@@ -70,6 +70,11 @@ class TestQLaurent:
         assert QLaurent.zero().render() == "0"
         assert QLaurent({0: 7}).render() == "7"
         assert QLaurent({2: -1, 0: 1}).render() == "1 - q^2"
+        assert repr(QLaurent({2: -1, 0: 1})) == "QLaurent(1 - q^2)"
+
+    def test_equal_series_hash_alike(self) -> None:
+        series = {QLaurent({1: 2, -1: 1}), QLaurent({-1: 1, 1: 2}), QLaurent.zero()}
+        assert len(series) == 2 and QLaurent({}) in series
 
     @pytest.mark.parametrize("coeffs", [
         {0: 1.5}, {0.5: 2}, {1: "3"}, {0: Fraction(1, 2)}, {0: Fraction(2)},
@@ -199,9 +204,12 @@ class TestRefusals:
              "non-terminating exact division"),
             (lambda: QLaurent({1: 1}).divide_exact(QLaurent({0: 2})), ArithmeticError,
              "non-integer coefficient in exact division"),
-            (lambda: geometric_series(0, 4), ValueError, "geometric step must be positive"),
+            (lambda: poincare_regular_quotient([2, 0], [], 4), ValueError,
+             "geometric step must be positive"),
+            (lambda: poincare_regular_quotient([2], [-2], 4), ValueError,
+             "generator degree must be >= 0, got -2"),
         ],
-        ids=["by zero", "non-terminating", "non-integer", "step 0"],
+        ids=["by zero", "non-terminating", "non-integer", "step 0", "negative generator"],
     )
     def test_a_bad_operand_is_refused(self, build, error, message) -> None:
         with pytest.raises(error) as info:

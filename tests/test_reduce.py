@@ -165,6 +165,17 @@ class TestExclusion:
         with pytest.raises(ConditionUnmet):
             session.exclude_variable(0)
 
+    def test_a_power_of_a_generator_variable_is_no_candidate(self) -> None:
+        # y^3 is a free monomial over Q[x,y], not over Q[x,y]/(y^2 - x^2)
+        row = ((Poly.zero(), PY**3),)
+        free = KoszulMF(QuotientRing((X, Y)), row, 0, 0, 8)
+        cand = exclusion_candidate(free, 0, frozenset({X}))
+        assert (cand.var, cand.power) == (Y, 3)
+        k = KoszulMF(QuotientRing((X, Y), (PY * PY - PX * PX,)), row, 0, 0, 8)
+        assert exclusion_candidate(k, 0, frozenset({X})) is None
+        with pytest.raises(ConditionUnmet, match="row 0: no admissible pure power"):
+            exclude_variable(k, 0, {X})
+
     def test_external_variables_are_protected(self) -> None:
         base = QuotientRing((X, Y))
         k = KoszulMF(base, ((PX**3, PY - PX),), 0, 0, 8)
@@ -423,11 +434,11 @@ class TestRegularityHeuristic:
             absorb_zero_row(k, 0)
 
     def test_a_base_that_cannot_complete_is_unverified(self) -> None:
-        # the pair of x^2*y and x*y^2 waits at degree 8, past the base's
-        # cutoff of 6, so not even the entry's normal form is known
+        # the pair of x^100*y^20 and x^20*y^100 waits at degree 400, past
+        # the packed limit 255, so not even the entry's normal form is known
         w = GradedVar("w", 2)
         pw = Poly.variable(w)
-        base = QuotientRing((X, Y, w), (PX * PX * PY, PX * PY * PY), cutoff=6)
+        base = QuotientRing((X, Y, w), (PX**100 * PY**20, PX**20 * PY**100))
         assert regularity_heuristic(base, [pw]) == "unverified"
         k = KoszulMF(base, ((pw, Poly.zero()),), 0, 0, 8)
         session = ReductionSession(k)
@@ -435,6 +446,35 @@ class TestRegularityHeuristic:
         assert session.current.rows == k.rows and not session.log
         with pytest.raises(RegularityUnverified):
             session.absorb_zero_rows()
+
+    def test_an_entry_whose_pair_passes_the_packed_limit_is_unverified(
+        self, monkeypatch
+    ) -> None:
+        # the base's one generator is a complete basis; joining x^20*y^100
+        # queues their pair at degree 400, which no key holds, so the
+        # joined ring refuses, once, and the gate says "unverified"
+        base = QuotientRing((X, Y), (PX**100 * PY**20,))
+        entry = PX**20 * PY**100
+        base._basis()
+        completed = []
+        complete = poly_core._Basis._complete
+        monkeypatch.setattr(
+            poly_core._Basis, "_complete", lambda b: completed.append(b) or complete(b)
+        )
+        verdict, joined = reduce_module._gate(base, [entry])
+        assert verdict == "unverified" and len(completed) == 1
+        for _ in range(3):
+            with pytest.raises(poly_core.CutoffExceeded, match="S-pair degree 400"):
+                joined.dimension(2)
+        assert len(completed) == 1
+        assert regularity_heuristic(base, [entry]) == "unverified"
+        k = KoszulMF(base, ((entry, Poly.zero()),), 0, 0, 240)
+        with pytest.raises(RegularityUnverified):
+            absorb_zero_row(k, 0)
+        session = ReductionSession(k)
+        assert session.absorb_zero_rows(skip_unverified=True) == 0
+        assert session.current.rows == k.rows and not session.log
+        assert session.reduce_fully() == k
 
     def test_sequence_is_decided_in_every_degree(self) -> None:
         # y is regular on Q[x,y]/(x^10), but x is then a zero divisor on
