@@ -668,7 +668,7 @@ class QuotientRing:
 
     vars: tuple[GradedVar, ...]
     ideal_gens: tuple[Poly, ...] = ()
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.vars]

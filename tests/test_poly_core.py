@@ -460,6 +460,11 @@ class TestQuotientRing:
         with pytest.raises(ValueError, match=outside):
             QuotientRing((X, Y), (Poly.variable(GradedVar("x", 4)) + Poly.variable(Y) ** 2,))
 
+    def test_a_third_argument_is_refused(self) -> None:
+        # a ring has no bound of its own: a leftover one fails at once
+        with pytest.raises(TypeError):
+            QuotientRing((X,), (), 512)
+
     def test_cutoff_enforced(self) -> None:
         # the packed limit bounds the basis's work: the pair of the refusing
         # ring's generators waits at degree 400, so the basis cannot
@@ -806,6 +811,8 @@ class TestMacaulayKernel:
 # Packed only after a run of fillers, so their exponents sit in high fields
 # of the key, far above those of X, Y and Z.
 LATE = (GradedVar("late_u", 2), GradedVar("late_w", 4))
+# foreign to every drawn ring, beside Y
+HIGH_V = GradedVar("high_v", 2)
 SYMS = {v: sympy.Symbol(v.name) for v in VARS + LATE}
 
 
@@ -1235,6 +1242,27 @@ class TestContinuedBasis:
             divided = QuotientRing(drawn.vars, drawn.ideal_gens + (v * shared,))
             _check_continuation(divided, [shared], probes)
             _check_continuation(divided, [shared, v], probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_rings(), mixed_polys(), st.integers(48, 80), st.integers(1, 47))
+    def test_a_continued_basis_refuses_as_one_built_from_scratch(
+        self, drawn: QuotientRing, p: Poly, a: int, b: int
+    ) -> None:
+        # y^a*v^b and y^b*v^a have degree 2(a + b) <= 254, and their pair
+        # waits at degree 4 * max(a, b): past the packed limit from 64 on,
+        # so about half the draws refuse; y and v are foreign to the drawn
+        # generators, which share no pair with them
+        y, v = Poly.variable(Y), Poly.variable(HIGH_V)
+        first, second = y**a * v**b, y**b * v**a
+        vs = drawn.vars + (Y, HIGH_V)
+        base = QuotientRing(vs, drawn.ideal_gens + (first,))
+        kinds = [g for g in (_top_part(p, drawn.vars),) if g.variables()]
+        probes = [p, first, second, y * v]
+        for seq in ([second], [second, *kinds], [*kinds, second]):
+            _check_continuation(base, seq, probes)
+        # with both, a base that refuses leaves the joined ring to build its own
+        both = QuotientRing(vs, base.ideal_gens + (second,))
+        _check_continuation(both, kinds or [y], probes)
 
     def test_the_gate_continues_the_base_basis_on_each_kind_of_entry(self, monkeypatch) -> None:
         built = []
