@@ -4,7 +4,10 @@ Subcommands cover the batch workflow: compile a diagram file to an
 explicit matrix factorization, print its potential or graded series,
 run the reduction calculus, verify decomposition relations, cross-check
 the Euler characteristic against the combinatorial evaluator, and print
-balanced q-binomials.
+balanced q-binomials.  Every input comes from the command line: the
+file commands read a diagram file, whose level ``--n`` may override;
+``verify`` reads a relation's parameters from ``--params``; and the
+commands that truncate take ``--cutoff``, default ``DEFAULT_CUTOFF``.
 
 Exit codes: 0 on success or PASS, 1 when a verification reports FAIL,
 2 on input errors (unreadable file, syntax error, color violation,
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from collections.abc import Sequence
@@ -41,30 +43,14 @@ from .poly_core import CutoffExceeded, DegreeMismatch
 from .qseries import qbinomial
 from .reduce import ReductionSession
 
-__all__ = ["CUTOFF_ENV", "main"]
+__all__ = ["main"]
 
-CUTOFF_ENV = "MOYMF_CUTOFF"
 # what --cutoff means to euler and crosscheck, which take homology
 _WORK_BOUND = "bound on the answer: no degree of the homology may exceed it"
 
 
 class UsageError(ValueError):
     """Bad command input that argparse cannot catch on its own."""
-
-
-def _default_cutoff() -> int:
-    raw = os.environ.get(CUTOFF_ENV)
-    if raw is None:
-        return DEFAULT_CUTOFF
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{CUTOFF_ENV} must be an integer, got {raw!r}") from None
-
-
-def _resolve_cutoff(args: argparse.Namespace) -> int:
-    cutoff = getattr(args, "cutoff", None)
-    return _default_cutoff() if cutoff is None else cutoff
 
 
 def _load_diagram(path: str, level: int | None) -> Diagram:
@@ -137,13 +123,13 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 
 def _cmd_euler(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args.file, args.n)
-    print(euler_of_diagram(diagram, cutoff=_resolve_cutoff(args)).render())
+    print(euler_of_diagram(diagram, cutoff=args.cutoff).render())
     return 0
 
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args.file, args.n)
-    even, odd = compile_diagram(diagram).graded_series(_resolve_cutoff(args))
+    even, odd = compile_diagram(diagram).graded_series(args.cutoff)
     print(f"z2_0: {even.render()}")
     print(f"z2_1: {odd.render()}")
     return 0
@@ -157,6 +143,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         force=args.force,
     )
     result = session.reduce_fully()
+    # the log first, so a run that cannot write it prints only its error
+    if args.log is not None:
+        with open(args.log, "w", encoding="utf-8") as fh:
+            json.dump(session.log_dicts(), fh, indent=2)
+            fh.write("\n")
     d = result.as_dict()
     lines = [
         f"base: {d['base']}",
@@ -170,24 +161,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         lines.append(f"row {i}: {row['a']} | {row['b']}")
     lines.append(f"steps: {len(session.log)}")
     print("\n".join(lines))
-    if args.log is not None:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            json.dump(session.log_dicts(), fh, indent=2)
-            fh.write("\n")
     return 0
-
-
-def _verify_params(args: argparse.Namespace) -> list[int]:
-    if args.params is not None:
-        if args.colors is not None or args.n is not None:
-            raise UsageError("--params cannot be combined with --colors/--n")
-        return list(args.params)
-    params: list[int] = list(args.colors) if args.colors is not None else []
-    if args.n is not None:
-        params.append(args.n)
-    if not params:
-        raise UsageError("provide --params, or --colors with --n")
-    return params
 
 
 def _print_series_block(label: str, block: dict) -> None:
@@ -196,8 +170,7 @@ def _print_series_block(label: str, block: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params = _verify_params(args)
-    report = verify_relation(args.relation, params, cutoff=_resolve_cutoff(args))
+    report = verify_relation(args.relation, args.params, cutoff=args.cutoff)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -217,7 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args.file, args.n)
-    report = oracle_crosscheck(diagram, cutoff=_resolve_cutoff(args))
+    report = oracle_crosscheck(diagram, cutoff=args.cutoff)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -247,8 +220,8 @@ def _add_cutoff_argument(sub: argparse.ArgumentParser, use: str) -> None:
     sub.add_argument(
         "--cutoff",
         type=int,
-        default=None,
-        help=f"{use} (default {DEFAULT_CUTOFF}, or ${CUTOFF_ENV})",
+        default=DEFAULT_CUTOFF,
+        help=f"{use} (default {DEFAULT_CUTOFF})",
     )
 
 
@@ -310,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify", help="verify one decomposition relation")
     sub.add_argument("relation", choices=RELATION_NAMES)
-    sub.add_argument("--n", type=int, default=None, help="level (appended to --colors)")
     sub.add_argument(
-        "--colors", type=int, nargs="+", default=None, help="edge colors, in order"
-    )
-    sub.add_argument(
-        "--params", type=int, nargs="+", default=None, help="raw parameter list"
+        "--params",
+        type=int,
+        nargs="+",
+        required=True,
+        help="the relation's parameters, the level n last",
     )
     _add_cutoff_argument(sub, "print series through this degree; a PASS holds in every degree")
     _add_format_argument(sub)

@@ -10,6 +10,7 @@ Its grammar is the table ``_FORMS``, one form a line:
 
 An ``<int>`` is an optional ``-`` and ASCII digits; an id is ASCII letters,
 digits and ``_``.  An endpoint is a vertex id or ``boundary:<label>``.
+Every edge color lies in 1..n, the level.
 Every edge is oriented tail (from) to head (to); a boundary at the head is
 an out-boundary and contributes its power sum positively to the potential.
 A refused line reports the column of its first bad token; the checks
@@ -67,7 +68,8 @@ class DiagramSyntaxError(SyntaxError):
 
 class ColorConstraintViolation(ValueError):
     """A vertex whose edge colors do not satisfy i1 + i2 = i3.  (A color
-    above the level n is refused on its edge first.)"""
+    outside 1..n is refused first, with ``DiagramSyntaxError`` at its
+    edge's line.)"""
 
     def __init__(self, vertex: str, message: str):
         super().__init__(f"vertex {vertex}: {message}")
@@ -106,7 +108,6 @@ class Diagram:
     vertices: tuple[Vertex, ...]
     boundary: tuple[BoundaryPoint, ...]
     glued_labels: frozenset[str] = frozenset()
-    allow_high_colors: bool = False
 
     def __post_init__(self) -> None:
         # a lookup kept beside the fields, so equality, hashing and repr do
@@ -172,8 +173,6 @@ for _name, _form in _FORMS.items():
 
 # the largest level whose potential, of degree 2n + 2, a monomial key holds
 _MAX_LEVEL = (_FIELD - 2) // 2
-# the largest color whose top variable, of degree 2 * color, a key holds
-_MAX_COLOR = _FIELD // 2
 
 
 class _Refused(Exception):
@@ -226,9 +225,10 @@ def _match(toks: list[str], ids: dict[str, set[str]]) -> tuple[tuple[str, ...], 
     return form, values
 
 
-def parse(text: str, allow_high_colors: bool = False) -> Diagram:
+def parse(text: str) -> Diagram:
     """Parse and validate one diagram document; each line follows one of
-    the forms of ``_FORMS``."""
+    the forms of ``_FORMS``.  Every edge color lies in 1..n, so at most
+    ``_MAX_LEVEL``."""
     level: int | None = None
     edges: list[Edge] = []
     vertices: list[Vertex] = []
@@ -257,9 +257,6 @@ def parse(text: str, allow_high_colors: bool = False) -> Diagram:
                 eid, color, tail, head = values
                 if color < 1:
                     raise _Refused("color must be >= 1", form.index("<int>"))
-                if color > _MAX_COLOR:
-                    raise _Refused(f"color must be <= {_MAX_COLOR}: degree 2 * color exceeds "
-                                   f"the packed limit {_FIELD}", form.index("<int>"))
                 edges.append(Edge(eid, color, tail, head, lineno))
             else:  # a vertex's id, its in-slots (two or one by kind), its out-slots
                 kind = form[2]
@@ -276,24 +273,18 @@ def parse(text: str, allow_high_colors: bool = False) -> Diagram:
     if not edges:
         raise DiagramSyntaxError("diagram has no edges", 1)
 
-    boundary, glued = _validate(level, edges, vertices, allow_high_colors)
-    return Diagram(
-        level, tuple(edges), tuple(vertices), boundary, glued, allow_high_colors
-    )
+    boundary, glued = _validate(level, edges, vertices)
+    return Diagram(level, tuple(edges), tuple(vertices), boundary, glued)
 
 
 def _validate(
-    level: int, edges: list[Edge], vertices: list[Vertex], allow_high_colors: bool
+    level: int, edges: list[Edge], vertices: list[Vertex]
 ) -> tuple[tuple[BoundaryPoint, ...], frozenset[str]]:
     by_id = {e.id: e for e in edges}
 
     for e in edges:
-        if e.color > level and not allow_high_colors:
-            raise DiagramSyntaxError(
-                f"edge {e.id} color {e.color} exceeds level {level} "
-                "(allowed only with the high-colors flag)",
-                e.line,
-            )
+        if e.color > level:
+            raise DiagramSyntaxError(f"edge {e.id} color {e.color} exceeds level {level}", e.line)
 
     # every edge end at a vertex is one of that vertex's slots (a head an
     # in-slot, a tail an out-slot), and there are as many slots as such ends
@@ -375,8 +366,8 @@ def _validate(
 
 
 def render(d: Diagram) -> str:
-    """Canonical DSL text in the forms of ``_FORMS``; parse(render(d),
-    d.allow_high_colors) equals d."""
+    """Canonical DSL text in the forms of ``_FORMS``; parse(render(d))
+    equals d."""
     out = [_fill("level", d.level)]
     out += [_fill("edge", e.id, e.color, _ep(e.tail), _ep(e.head)) for e in d.edges]
     out += [_fill(v.kind, v.id, *v.ins, *v.outs) for v in d.vertices]

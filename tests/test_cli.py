@@ -126,10 +126,9 @@ class TestEulerCommand:
         assert main(["euler", circle_file]) == 0
         assert capsys.readouterr().out == "q^-2 + 1 + q^2\n"
 
-    def test_the_cutoff_bounds_the_answer(self, tmp_path, capsys, monkeypatch) -> None:
+    def test_the_cutoff_bounds_the_answer(self, tmp_path, capsys) -> None:
         # a color-5 circle at level 10: its base quotient reaches degree 50,
         # but its answer lies in q^-25..q^25, within the default cutoff 40
-        monkeypatch.delenv(cli.CUTOFF_ENV, raising=False)
         path = tmp_path / "circle5.moy"
         path.write_text("level n 10\nedge e1 color 5 from boundary:a to boundary:a\n")
         assert main(["euler", str(path)]) == 0
@@ -146,6 +145,14 @@ class TestEulerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --n must be a positive integer\n"
+
+    def test_a_color_above_the_level_is_an_input_error(self, tmp_path, capsys) -> None:
+        path = tmp_path / "circle4.moy"
+        path.write_text("level n 2\nedge e1 color 4 from boundary:a to boundary:a\n")
+        assert main(["euler", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2, col 1: edge e1 color 4 exceeds level 2\n"
 
 
 class TestCompileCommand:
@@ -213,12 +220,6 @@ class TestPoincareCommand:
         assert lines[0].startswith("z2_0: ")
         assert lines[1].startswith("z2_1: ")
 
-    def test_negative_cutoff_is_an_input_error(self, circle_file, capsys) -> None:
-        assert main(["poincare", circle_file, "--cutoff", "-4"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: cutoff must be >= 0, got -4\n"
-
 
 class TestReduceCommand:
     def test_reduces_circle_and_writes_log(self, circle_file, tmp_path, capsys) -> None:
@@ -238,6 +239,13 @@ class TestReduceCommand:
         absorbed = [e for e in json.loads(log_path.read_text()) if e["op"] == "absorb"]
         assert [e["params"]["regularity"] for e in absorbed] == ["verified", "verified"]
 
+    def test_an_unwritable_log_prints_only_the_error(self, circle_file, tmp_path, capsys) -> None:
+        log_path = tmp_path / "missing" / "log.json"
+        assert main(["reduce", circle_file, "--log", str(log_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(log_path) in captured.err
 
     def test_an_open_diagram_prints_the_rows_it_keeps(self, tmp_path, capsys) -> None:
         path = tmp_path / "open.moy"
@@ -262,23 +270,13 @@ class TestVerifyCommand:
         assert lines[1] == "params: 3 1"
         assert lines[-1] == "PASS"
 
-    def test_colors_and_level_build_the_params(self, capsys) -> None:
-        code = main(["verify", "bubble", "--colors", "1", "1", "2", "--n", "3"])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()[1] == "params: 1 1 2 3"
-
-    def test_params_conflict_with_colors(self, capsys) -> None:
-        code = main(
-            ["verify", "cor_square", "--params", "3", "1", "--colors", "2"]
-        )
-        assert code == 2
-        assert "cannot be combined" in capsys.readouterr().err
-
-    def test_no_params_and_no_colors_is_an_input_error(self, capsys) -> None:
-        assert main(["verify", "bubble"]) == 2
+    def test_missing_params_is_an_argparse_error(self, capsys) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "bubble"])
+        assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: provide --params, or --colors with --n\n"
+        assert "the following arguments are required: --params" in captured.err
 
     def test_arity_precheck(self, capsys) -> None:
         assert main(["verify", "cor_square", "--params", "1", "2", "3"]) == 2
@@ -299,13 +297,6 @@ class TestVerifyCommand:
         # the circle's top degree is 2; the cutoff only stops the series
         assert main(["verify", "circle_jacobi", "--params", "2", "3", "--cutoff", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
-
-    def test_negative_cutoff_is_an_input_error(self, capsys) -> None:
-        code = main(["verify", "bubble", "--params", "1", "1", "2", "3", "--cutoff", "-4"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: cutoff must be >= 0, got -4\n"
 
     def test_json_format(self, capsys) -> None:
         assert main(
@@ -383,39 +374,19 @@ class TestQbinomCommand:
         assert info.value.code == 2
 
 
-class TestCutoffEnvironment:
-    def test_env_variable_is_honored(self, circle_file, capsys, monkeypatch) -> None:
-        # the circle's answer q^-1 + q reaches degree 1, so cutoff 0 must refuse
-        monkeypatch.setenv(cli.CUTOFF_ENV, "0")
-        assert main(["euler", circle_file, "--n", "2"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_flag_overrides_the_environment(self, circle_file, capsys, monkeypatch) -> None:
-        monkeypatch.setenv(cli.CUTOFF_ENV, "2")
-        assert main(["euler", circle_file, "--n", "2", "--cutoff", "40"]) == 0
-        assert capsys.readouterr().out == "q^-1 + q\n"
-
-    def test_negative_env_is_an_input_error(self, circle_file, capsys, monkeypatch) -> None:
-        monkeypatch.setenv(cli.CUTOFF_ENV, "-4")
-        assert main(["euler", circle_file]) == 2
-        assert main(["crosscheck", circle_file]) == 2
-        assert main(["verify", "bubble", "--params", "1", "1", "2", "3"]) == 2
-        assert main(["poincare", circle_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("error: cutoff must be >= 0, got -4\n") == 4
-
-    def test_non_integer_env_is_a_usage_error(self, circle_file, capsys, monkeypatch) -> None:
-        monkeypatch.setenv(cli.CUTOFF_ENV, "soon")
-        assert main(["euler", circle_file]) == 2
-        assert cli.CUTOFF_ENV in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["euler", "crosscheck", "verify", "poincare"])
+def test_a_negative_cutoff_is_an_input_error(command, circle_file, capsys) -> None:
+    inputs = ["bubble", "--params", "1", "1", "2", "3"] if command == "verify" else [circle_file]
+    assert main([command, *inputs, "--cutoff", "-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutoff must be >= 0, got -4\n"
 
 
-def test_readme_command_line_examples(circle_file, capsys, monkeypatch) -> None:
+def test_readme_command_line_examples(circle_file, capsys) -> None:
     # each example of README's "Command line" section, run in process,
     # prints the very text README shows under it; circle.moy is a color-1
     # circle
-    monkeypatch.delenv(cli.CUTOFF_ENV, raising=False)
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     examples = section.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]

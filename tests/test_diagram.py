@@ -55,13 +55,6 @@ class TestParseRender:
         )
         assert parse(src) == parse(CIRCLE)
 
-    def test_high_colors_need_the_flag(self) -> None:
-        src = "level n 2\nedge e1 color 3 from boundary:p to boundary:q\n"
-        with pytest.raises(DiagramSyntaxError, match="exceeds level"):
-            parse(src)
-        d = parse(src, allow_high_colors=True)
-        assert parse(render(d), allow_high_colors=True) == d
-
 
 class TestSyntaxErrors:
     def test_missing_level(self) -> None:
@@ -151,16 +144,24 @@ def test_the_largest_level_compiles() -> None:
     assert k.potential().homogeneous_degree() == 254
 
 
-def test_the_largest_color_compiles_and_the_next_is_refused() -> None:
-    # a color-c alphabet's top variable has degree 2c, 254 at color 127;
-    # color 128 is refused at its token, with or without the flag
-    src = "level n 2\nedge e1 color {} from boundary:a to boundary:b\n"
-    k = compile_diagram(parse(src.format(127), allow_high_colors=True))
-    assert max(v.degree for v in k.base.vars) == 254
-    for flag in (False, True):
-        with pytest.raises(DiagramSyntaxError, match="color must be <= 127: .* limit 255") as info:
-            parse(src.format(128), allow_high_colors=flag)
-        assert (info.value.line, info.value.col) == (2, 15)
+@pytest.mark.parametrize(
+    "level, color, ends",
+    [
+        # circles at level + 2 and above, whose glued rows past slot n + 1
+        # would be (0; 0), colors from 127 on, and an open line
+        (2, 4, "boundary:a to boundary:a"),
+        (3, 5, "boundary:a to boundary:a"),
+        (2, 127, "boundary:a to boundary:a"),
+        (2, 128, "boundary:a to boundary:a"),
+        (2, 3, "boundary:p to boundary:q"),
+    ],
+)
+def test_a_color_above_the_level_is_refused_at_its_edge(level: int, color: int, ends: str) -> None:
+    src = f"# one edge\nlevel n {level}\nedge e1 color {color} from {ends}\n"
+    message = f"edge e1 color {color} exceeds level {level}$"
+    with pytest.raises(DiagramSyntaxError, match=message) as info:
+        parse(src)
+    assert (info.value.line, info.value.col) == (3, 1)
 
 
 def test_grammar_forms_are_documented() -> None:

@@ -75,6 +75,29 @@ def test_no_true_division_of_an_int_literal() -> None:
     assert hits == []
 
 
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment() -> None:
+    # every input is an argument or an option: no module reads os.environ
+    # or calls os.getenv, so no hidden setting changes an answer
+    hits = []
+    for path in sorted(Path(moymf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in _ENVIRONMENT_READERS
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in _ENVIRONMENT_READERS for alias in node.names)
+            ):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
 def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):

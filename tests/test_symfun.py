@@ -24,7 +24,7 @@ from moymf import (
     power_sum_in,
     product_term,
 )
-from moymf import boundary_potential, compile_diagram, parse, render, symfun
+from moymf import compile_diagram, parse, render, symfun
 from moymf.symfun import generic_slots
 
 
@@ -297,25 +297,9 @@ class TestTemplates:
             assert list(compile_diagram(d).rows) == _direct_rows(d), render(d)
         assert min(seen.values()) >= 5, seen
 
-    def test_colors_above_the_level_compile(self) -> None:
-        # slots j > n + 1 of a color above the level have a-entry 0, as
-        # F_i has no term there; their rows are (0; slot difference)
-        d = parse(
-            "level n 1\n"
-            "edge e0 color 3 from boundary:p to boundary:q\n"
-            "edge e1 color 1 from boundary:a to v0\n"
-            "edge e2 color 2 from boundary:b to v0\n"
-            "edge e3 color 3 from v0 to v1\n"
-            "edge e4 color 2 from v1 to boundary:c\n"
-            "edge e5 color 1 from v1 to boundary:d\n"
-            "vertex v0 merge in e1 e2 out e3\n"
-            "vertex v1 split in e3 out e4 e5\n",
-            allow_high_colors=True,
-        )
-        k = compile_diagram(d)
-        assert list(k.rows) == _direct_rows(d)
-        assert sum(not a for a, _ in k.rows) == 3
-        assert k.potential() == boundary_potential(d)
+    def test_row_polynomials_take_colors_above_the_level(self) -> None:
+        # color-3 alphabets at level 1: slot j = 3 > n + 1 of F_i has no
+        # term, and its row polynomials are still the divided differences
         src, dst, a, b = Alphabet(3, "p"), Alphabet(3, "q"), Alphabet(1, "a"), Alphabet(2, "b")
         for j in (1, 2, 3):
             assert L_poly(j, 3, 1, src, dst) == _direct("L", j, 1, (src, dst))
