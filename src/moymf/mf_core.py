@@ -452,12 +452,18 @@ class KoszulMF:
         return self.regraded(0, k)
 
     def regraded(
-        self, n: int, k: int, rows: Sequence[tuple[Poly, Poly]] | None = None
+        self,
+        n: int,
+        k: int,
+        rows: Sequence[tuple[Poly, Poly]] | None = None,
+        base: QuotientRing | None = None,
     ) -> "KoszulMF":
-        """Grading shifted by n and parity by k, with new rows when given,
-        in one instance: the one statement of both shift rules."""
+        """Grading shifted by n and parity by k, with new rows and a new
+        base when given, in one instance: the one statement of both shift
+        rules."""
         return replace(
             self,
+            base=self.base if base is None else base,
             rows=self.rows if rows is None else tuple(rows),
             global_grading_shift=self.global_grading_shift + n,
             z2_shift=(self.z2_shift + k) % 2,
@@ -468,7 +474,7 @@ class KoszulMF:
     ) -> "KoszulMF":
         """The same presentation with new rows, and a new base when given;
         a ``Row`` passed on keeps its product."""
-        return replace(self, rows=tuple(rows), base=self.base if base is None else base)
+        return self.regraded(0, 0, rows, base)
 
     def join(self, other: "KoszulMF") -> "KoszulMF":
         """Tensor product in row form: concatenate rows, add shifts."""

@@ -19,9 +19,12 @@ that entry.  Two sound cases are distinguished:
 Rows with one zero side appear in closed diagrams, and in open ones once
 a row op clears one side of a row.  They are not exclusions but
 absorptions: (0; b) contributes the quotient by b on the spot, and (a; 0)
-is absorbed as (0; a) after a transposition.  Each is taken only when the
-regularity gate verifies its entry regular over the current base, and is
-logged as ``absorb``.
+is absorbed as (0; a) after a transposition.  A session gates all its
+zero-sided rows as one sequence and, when the gate verifies it regular
+over the current base, absorbs them in one ``absorb`` step; otherwise it
+takes the first row alone, through the same gate.  Every entry that joins
+the base is gated, and every presentation the session adopts is
+potential-checked.
 
 When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
 clears internal variables from rows by row ops and transpositions
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .poly_core import (
     CutoffExceeded,
@@ -310,18 +313,18 @@ def _substituted_ring(
 def _rebased_rows(
     k: KoszulMF,
     new_base: QuotientRing,
-    drop: int | None,
+    drop: Collection[int],
     sub: Callable[[Poly], Poly] | None,
     context: str,
 ) -> tuple[tuple[Poly, Poly], ...]:
-    """The rows of k other than row ``drop``, each moved by ``sub`` (a
+    """The rows of k not in ``drop``, each moved by ``sub`` (a
     ``_substitution``, built once per step) when given and reduced in
     ``new_base``; a row whose entries both come back as themselves stays
     the same row.  A row that collapses to (0; 0) has no degrees:
     ConditionUnmet, with ``context`` naming the step."""
     rows = []
     for m, row in enumerate(k.rows):
-        if m == drop:
+        if m in drop:
             continue
         a, b = row
         if sub:
@@ -375,7 +378,7 @@ def _excluded(
         f"after excluding {y.name}; "
         "the remaining data is not a regular presentation"
     )
-    return k.with_rows(_rebased_rows(k, new_base, row, sub, context), new_base)
+    return k.with_rows(_rebased_rows(k, new_base, (row,), sub, context), new_base)
 
 
 def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
@@ -386,26 +389,42 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
     the quotient module, so the row can be absorbed into the base ring
     with no change of parity or grading.  A row (a; 0) is absorbed as
     (0; a) after ``transpose_row``, which flips the parity and shifts the
-    grading by potential_degree/2 - deg a.
+    grading by potential_degree/2 - deg a.  The entry joins the base
+    scaled to lead coefficient one.
     """
-    return _absorbed(k, row, force)[0]
+    return _absorbed(k, [row], force)[0]
 
 
-def _absorbed(k: KoszulMF, row: int, force: bool) -> tuple[KoszulMF, str]:
-    """absorb_zero_row, with the gate's verdict on the absorbed entry."""
-    a, b = k.rows[row]
-    if a and b:
-        raise ConditionUnmet(f"row {row} has no zero side")
-    if a:
-        k, b = transpose_row(k, row), a
-    lead = max(b.terms.items(), key=lambda t: mono_key(t[0]))[1]
-    verdict, new_base = _gate(k.base, [b * _inverse(lead)])
+def _absorbed(
+    k: KoszulMF, rows: Sequence[int], force: bool
+) -> tuple[KoszulMF, str, tuple[Poly, ...]]:
+    """The zero-sided ``rows`` absorbed at once, the gate's verdict on
+    their entries and the generators joined, as the new base holds them.
+
+    The entries, each scaled to lead coefficient one, are gated as one
+    sequence in the order given; a regular sequence gives the quotient that
+    absorbing them one at a time gives.  Each (a; 0) row contributes its
+    row shift and one parity flip, as ``transpose_row`` would, to a single
+    ``regraded`` instance over the gate's ring; the other rows are rebased
+    once."""
+    gens, shift, flips = [], 0, 0
+    for m in rows:
+        a, b = k.rows[m]
+        if a and b:
+            raise ConditionUnmet(f"row {m} has no zero side")
+        if a:
+            shift, flips, b = shift + k.row_shift(m), flips + 1, a
+        lead = max(b.terms.items(), key=lambda t: mono_key(t[0]))[1]
+        gens.append(b * _inverse(lead))
+    verdict, new_base = _gate(k.base, gens)
     if verdict != "verified" and not force:
         raise RegularityUnverified(
-            f"row {row} entry not verified regular; pass force to absorb anyway"
+            f"rows {list(rows)}: entries not verified as a regular sequence; "
+            "pass force to absorb anyway"
         )
-    rows = _rebased_rows(k, new_base, row, None, f"while absorbing row {row}")
-    return k.with_rows(rows, new_base), verdict
+    kept = _rebased_rows(k, new_base, rows, None, f"while absorbing rows {list(rows)}")
+    joined = new_base.ideal_gens[len(k.base.ideal_gens):]
+    return k.regraded(shift, flips, kept, new_base), verdict, joined
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +461,7 @@ def glue(
     )
     sub = _substitution(sigma)
     new_base = _substituted_ring(joined.base, sub, kept_vars)
-    rows = _rebased_rows(joined, new_base, None, sub, "while gluing")
+    rows = _rebased_rows(joined, new_base, (), sub, "while gluing")
     return joined.with_rows(rows, new_base)
 
 
@@ -581,36 +600,42 @@ class ReductionSession:
 
     def absorb_zero_rows(self, skip_unverified: bool = False) -> int:
         """Absorb every zero-sided row whose entry passes the regularity
-        gate; with skip_unverified, gate failures are left in place instead
-        of raising."""
+        gate; returns the number of rows absorbed.
+
+        The zero-sided rows not yet skipped are gated as one sequence, in
+        row order; when it is verified, one ``absorb`` step takes them all.
+        Otherwise, or when there is one such row, the first is absorbed
+        alone, forced when the session is: a sequence is never forced.
+        With skip_unverified, a row the gate refuses is left in place
+        instead of raising."""
         absorbed = 0
         skipped: set[int] = set()
         while True:
-            hit = next(
-                (
-                    m
-                    for m, (a, b) in enumerate(self.current.rows)
-                    if (not a or not b) and m not in skipped
-                ),
-                None,
-            )
-            if hit is None:
+            k = self.current
+            rows = [m for m, (a, b) in enumerate(k.rows) if (not a or not b) and m not in skipped]
+            if not rows:
                 return absorbed
-            a, b = self.current.rows[hit]
             try:
-                new, verdict = _absorbed(self.current, hit, self.force)
+                taken = _absorbed(k, rows, False) if len(rows) > 1 else None
             except RegularityUnverified:
-                if not skip_unverified:
-                    raise
-                skipped.add(hit)
-                continue
+                taken = None
+            if taken is None:
+                rows = rows[:1]
+                try:
+                    taken = _absorbed(k, rows, self.force)
+                except RegularityUnverified:
+                    if not skip_unverified:
+                        raise
+                    skipped.add(rows[0])
+                    continue
+            new, verdict, gens = taken
             self._step(
                 "absorb",
-                {"row": hit, "side": "a" if a else "b",
-                 "generator": (a if a else b).render(), "regularity": verdict},
+                {"rows": rows, "sides": ["a" if k.rows[m][0] else "b" for m in rows],
+                 "generators": [g.render() for g in gens], "regularity": verdict},
                 new,
             )
-            absorbed += 1
+            absorbed += len(rows)
             skipped = set()
 
     def reduce_fully(self) -> KoszulMF:

@@ -237,7 +237,13 @@ class TestReduceCommand:
         log_path = tmp_path / "log.json"
         assert main(["reduce", theta_file, "--log", str(log_path)]) == 0
         absorbed = [e for e in json.loads(log_path.read_text()) if e["op"] == "absorb"]
-        assert [e["params"]["regularity"] for e in absorbed] == ["verified", "verified"]
+        # the theta's two zero-sided rows leave in one verified sequence
+        # step, which names each row with its side and generator
+        assert [(e["params"]["rows"], e["params"]["regularity"]) for e in absorbed] == [
+            ([0, 1], "verified")
+        ]
+        params = absorbed[0]["params"]
+        assert len(params["sides"]) == len(params["generators"]) == 2
 
     def test_an_unwritable_log_prints_only_the_error(self, circle_file, tmp_path, capsys) -> None:
         log_path = tmp_path / "missing" / "log.json"

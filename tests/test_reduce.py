@@ -38,7 +38,14 @@ from moymf import (
 )
 from moymf import poly_core
 from moymf import reduce as reduce_module
-from moymf.analysis import _bubble_src, _counter_bubble_src, _line_src, _square_wide_src
+from moymf.analysis import (
+    _bubble_src,
+    _circle_src,
+    _counter_bubble_src,
+    _euler,
+    _line_src,
+    _square_wide_src,
+)
 
 X = GradedVar("x", 2)
 Y = GradedVar("y", 2)
@@ -251,7 +258,7 @@ class TestAbsorption:
         assert session.current.base.ideal_gens == (PX * PX,)
         entry = session.log[-1]
         assert entry.op == "absorb"
-        assert entry.params["side"] == "a"
+        assert entry.params["sides"] == ["a"]
 
     def test_absorbed_generator_is_scaled_to_lead_one(self) -> None:
         base = QuotientRing((X, Y))
@@ -354,6 +361,108 @@ class TestAbsorption:
                     assert absorbed(k, m) == absorbed(transpose_row(k, m), m)
                     checked += 1
         assert checked >= 20
+
+
+def _theta_src(n: int) -> str:
+    """Two color-1 edges split off a color-2 edge and merge back."""
+    return (
+        f"level n {n}\n"
+        "edge e2 color 1 from v1 to v2\n"
+        "edge e3 color 1 from v1 to v2\n"
+        "edge e4 color 2 from v2 to v1\n"
+        "vertex v1 split in e4 out e2 e3\n"
+        "vertex v2 merge in e2 e3 out e4\n"
+    )
+
+
+def _closed_sources() -> list[str]:
+    """The theta family at levels 3..6, 24 corpus closures and every
+    circle through level 6."""
+    rng = random.Random(83)
+    sources = [_theta_src(n) for n in range(3, 7)]
+    sources += [corpus.random_compiled(rng)[0] for _ in range(24)]
+    sources += [_circle_src(i, n) for n in range(1, 7) for i in range(1, n + 1)]
+    return sources
+
+
+class TestSequenceAbsorption:
+    """A session absorbs its zero-sided rows as one gated sequence, and
+    falls back to the first row alone when the gate refuses it."""
+
+    @staticmethod
+    def _zero_rows(k: KoszulMF) -> list[int]:
+        return [m for m, (a, b) in enumerate(k.rows) if not a or not b]
+
+    def test_one_sequence_equals_row_by_row(self) -> None:
+        sequences = 0
+        for src in _closed_sources():
+            session = _session_of(src)
+            session.exclude_all()
+            one = session.current
+            while zero := self._zero_rows(one):
+                one = absorb_zero_row(one, zero[0])
+            start = len(session.log)
+            session.absorb_zero_rows()
+            seq = session.current
+            steps = session.log[start:]
+            assert [e.params["regularity"] for e in steps] == ["verified"] * len(steps), src
+            sequences += sum(len(e.params["rows"]) > 1 for e in steps)
+            assert seq.base.hilbert_series() == one.base.hilbert_series(), src
+            assert seq.rows == one.rows, src
+            assert (seq.global_grading_shift, seq.z2_shift) == (
+                one.global_grading_shift, one.z2_shift
+            ), src
+            assert _euler(seq, None) == _euler(one, None), src
+        assert sequences >= 10
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_a_closed_theta_absorbs_in_one_step(self, n: int) -> None:
+        session = _session_of(_theta_src(n))
+        session.reduce_fully()
+        ops = [e.op for e in session.log]
+        at = ops.index("absorb")
+        assert set(ops[:at]) == {"exclude_variable"} and ops[at:] == ["absorb"]
+        params = session.log[-1].params
+        assert len(params["rows"]) == len(params["sides"]) == len(params["generators"]) > 1
+        assert session.current.row_count == 0
+
+    def test_the_log_names_each_generator_as_the_base_holds_it(self) -> None:
+        # 2x^2 + xy joins the base scaled to lead one
+        k = KoszulMF(QuotientRing((X, Y)), ((Poly.zero(), 2 * PX * PX + PX * PY),), 0, 0, 8)
+        session = ReductionSession(k)
+        assert session.absorb_zero_rows() == 1
+        (gen,) = session.current.base.ideal_gens
+        assert session.log[-1].params["generators"] == [gen.render()] == ["1/2*x*y + x^2"]
+        assert gen == PX * PX + Fraction(1, 2) * PX * PY
+
+    @staticmethod
+    def _two_zero_rows(force: bool = False) -> ReductionSession:
+        # x^2, x*y is not a regular sequence in Q[x,y]; x*y is then a zero
+        # divisor over Q[x,y]/(x^2)
+        rows = ((Poly.zero(), PX * PX), (Poly.zero(), PX * PY))
+        return ReductionSession(KoszulMF(QuotientRing((X, Y)), rows, 0, 0, 8), force=force)
+
+    def test_a_refused_sequence_falls_back_to_its_first_row(self) -> None:
+        session = self._two_zero_rows()
+        assert session.absorb_zero_rows(skip_unverified=True) == 1
+        [entry] = session.log
+        assert (entry.params["rows"], entry.params["regularity"]) == ([0], "verified")
+        assert session.current.rows == ((Poly.zero(), PX * PY),)
+        assert session.current.base.ideal_gens == (PX * PX,)
+        session = self._two_zero_rows()
+        with pytest.raises(RegularityUnverified):
+            session.absorb_zero_rows()
+        assert [e.params["rows"] for e in session.log] == [[0]]
+        assert session.current.row_count == 1
+
+    def test_force_absorbs_a_refused_sequence_row_by_row(self) -> None:
+        session = self._two_zero_rows(force=True)
+        assert session.absorb_zero_rows() == 2
+        assert [(e.params["rows"], e.params["regularity"]) for e in session.log] == [
+            ([0], "verified"), ([0], "unverified")
+        ]
+        assert session.current.row_count == 0
+
 
 def _line_of(color: int, tail: str, head: str) -> KoszulMF:
     return compile_diagram(parse(_line_src(color, 3, tail=tail, head=head)))
@@ -859,7 +968,7 @@ class TestClearing:
         assert op == "row_op" and params == {
             "i": 1, "j": 0, "lambda": "x1_i.zl", "kind": "first_col",
         }
-        assert absorb == "absorb" and absorbed["side"] == "a"
+        assert absorb == "absorb" and absorbed["sides"] == ["a"]
 
     def test_a_transpose_hands_its_row_to_exclusion(self) -> None:
         session = _session_of(_square_wide_src(2, 3))
