@@ -142,10 +142,10 @@ def homology(mf: MatrixFactorization, cutoff: int | None = None) -> dict[tuple[i
 
 def euler_characteristic(table: dict[tuple[int, int], int]) -> QLaurent:
     """Unsigned graded count: both parity indices contribute positively."""
-    total = QLaurent.zero()
+    total: dict[int, int] = {}
     for (d, _k), dim in sorted(table.items()):
-        total = total + QLaurent.q_power(d) * dim
-    return total
+        total[d] = total.get(d, 0) + dim
+    return QLaurent(total)
 
 
 def euler_of_diagram(d: Diagram, cutoff: int | None = None) -> QLaurent:
@@ -351,7 +351,7 @@ def _weighted_sum(terms: Sequence[tuple[Table, QLaurent]]) -> Table:
     even = odd = QLaurent.zero()
     for (t0, t1, weights), factor in terms:
         for w in (common - Counter(weights)).elements():
-            factor = factor - factor.shift(w)
+            factor = factor._times_one_minus(w)
         even, odd = even + t0 * factor, odd + t1 * factor
     return even, odd, tuple(sorted(common.elements()))
 
@@ -367,7 +367,10 @@ def _first_difference(lhs: Table, rhs: Table) -> dict | None:
     """The lowest exponent where the exact series differ, parity 0 first,
     or None: over a common denominator prod_w (1 - q^w) the difference of
     the series starts where the difference of the numerators does."""
-    delta = _weighted_sum([(lhs, QLaurent.one()), (rhs, -QLaurent.one())])
+    if lhs[2] == rhs[2]:  # one denominator, or none: the numerators subtract
+        delta = lhs[0] - rhs[0], lhs[1] - rhs[1]
+    else:
+        delta = _weighted_sum([(lhs, QLaurent.one()), (rhs, -QLaurent.one())])
     for k in (0, 1):
         if delta[k]:
             e = delta[k].min_exp()

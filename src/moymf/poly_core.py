@@ -237,6 +237,16 @@ def mono_key(m: Mono) -> tuple:
     return (sum(v.degree * e for v, e in m), tuple((v.name, e) for v, e in m))
 
 
+def _display_lead(p: Poly) -> int:
+    """The key of the ``mono_key``-largest term of a nonzero p whose variables
+    have distinct names, from the packed keys: after the degree, at the first
+    variable in name order whose exponents differ, the larger wins, and 0
+    (the next pair names a later variable) wins over any."""
+    shifts = [_UNITS[v].bit_length() - 1 for v, _ in _unpack(reduce(int.__or__, p._terms))]
+    zero = _FIELD + 1  # above every exponent
+    return max(p._terms, key=lambda m: [m & _FIELD] + [(m >> s) & _FIELD or zero for s in shifts])
+
+
 class Poly:
     """Immutable exact polynomial.  Supports +, -, *, ** and scalar mixing."""
 
@@ -1004,7 +1014,7 @@ class _Basis:
                 coprime = False
         elements[lead] = {m: _coeff(c * inv) for m, c in p.items()}
         kept = self._numerator if coprime else None
-        self._numerator = None if kept is None else kept - kept.shift(_degree(lead))
+        self._numerator = None if kept is None else kept._times_one_minus(_degree(lead))
         self._top = None
 
     def _s_poly(self, a: int, b: int) -> dict[int, int | Fraction]:
@@ -1074,7 +1084,7 @@ def _hilbert_numerator(gens: Sequence[tuple[int, ...]], weights: Sequence[int]) 
     if max(counts, default=0) <= 1:
         out = QLaurent.one()
         for g in gens:
-            out = out - out.shift(sum(map(int.__mul__, g, weights)))
+            out = out._times_one_minus(sum(map(int.__mul__, g, weights)))
         return out
     i = counts.index(max(counts))
     e = min(g[i] for g in gens if g[i])

@@ -29,8 +29,9 @@ __all__ = [
 
 
 class QLaurent:
-    """Finite Z-linear combination of integer powers of q; an exponent or
-    coefficient that is not an ``int`` raises TypeError."""
+    """Finite Z-linear combination of integer powers of q.  The public
+    constructor validates: an exponent or coefficient that is not an ``int``
+    raises TypeError.  Results built from QLaurents go through ``_of``."""
 
     __slots__ = ("_c",)
 
@@ -44,12 +45,19 @@ class QLaurent:
                     self._c[int(k)] = int(v)
 
     @staticmethod
+    def _of(c: dict[int, int]) -> "QLaurent":
+        """The series on c, int exponents to nonzero ints, taken as it is."""
+        r = QLaurent.__new__(QLaurent)
+        r._c = c
+        return r
+
+    @staticmethod
     def zero() -> "QLaurent":
-        return QLaurent()
+        return QLaurent._of({})
 
     @staticmethod
     def one() -> "QLaurent":
-        return QLaurent({0: 1})
+        return QLaurent._of({0: 1})
 
     @staticmethod
     def q_power(k: int, coeff: int = 1) -> "QLaurent":
@@ -84,7 +92,7 @@ class QLaurent:
         return max(self._c)
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent({k: -v for k, v in self._c.items()})
+        return QLaurent._of({k: -v for k, v in self._c.items()})
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
@@ -96,9 +104,7 @@ class QLaurent:
                 out[k] = s
             else:
                 del out[k]
-        r = QLaurent.__new__(QLaurent)
-        r._c = out
-        return r
+        return QLaurent._of(out)
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
@@ -119,23 +125,32 @@ class QLaurent:
                     out[k] = s
                 else:
                     del out[k]
-        r = QLaurent.__new__(QLaurent)
-        r._c = out
-        return r
+        return QLaurent._of(out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "QLaurent":
         """Multiply by q^k."""
-        return QLaurent({e + k: v for e, v in self._c.items()})
+        if not isinstance(k, int):
+            raise TypeError(f"QLaurent needs an int shift: {k!r}")
+        return QLaurent._of({e + k: v for e, v in self._c.items()})
+
+    def _times_one_minus(self, d: int) -> "QLaurent":
+        """self * (1 - q^d), d an int, in one pass."""
+        out = dict(self._c)
+        for e, v in self._c.items():
+            s = out.pop(e + d, 0) - v
+            if s:
+                out[e + d] = s
+        return QLaurent._of(out)
 
     def truncate(self, hi: int) -> "QLaurent":
         """Drop terms with exponent > hi (series work at a cutoff)."""
-        return QLaurent({k: v for k, v in self._c.items() if k <= hi})
+        return QLaurent._of({k: v for k, v in self._c.items() if k <= hi})
 
     def reverse(self) -> "QLaurent":
         """q -> 1/q."""
-        return QLaurent({-k: v for k, v in self._c.items()})
+        return QLaurent._of({-k: v for k, v in self._c.items()})
 
     def at_one(self) -> int:
         """Evaluation at q = 1 (sum of coefficients)."""
@@ -214,7 +229,7 @@ def _expand(num: QLaurent, weights: Iterable[int], hi: int) -> QLaurent:
     for w in weights:
         for k in range(w, len(coeffs)):
             coeffs[k] += coeffs[k - w]
-    return QLaurent({lo + k: c for k, c in enumerate(coeffs)})
+    return QLaurent._of({lo + k: c for k, c in enumerate(coeffs) if c})
 
 
 def quantum_integer(m: int) -> QLaurent:
@@ -282,7 +297,7 @@ def poincare_regular_quotient(
     for d in gen_degrees:
         if d < 0:
             raise ValueError(f"generator degree must be >= 0, got {d}")
-        num = num - num.shift(d)
+        num = num._times_one_minus(d)
     return _expand(num, var_degrees, cutoff)
 
 

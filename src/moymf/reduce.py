@@ -44,13 +44,13 @@ from .poly_core import (
     Poly,
     QuotientRing,
     _by_monomial,
+    _display_lead,
     _inverse,
     _lead_quotient,
     _outside,
     _part,
     _power_vars,
     _substitution,
-    mono_key,
     pure_power,
 )
 from .mf_core import KoszulMF
@@ -189,7 +189,7 @@ def _gate(base: QuotientRing, seq: Sequence[Poly]) -> tuple[str, QuotientRing]:
     joined = base.with_generators(seq)
     if regular:
         for p in seq:
-            predicted = predicted - predicted.shift(p.homogeneous_degree())
+            predicted = predicted._times_one_minus(p.homogeneous_degree())
         try:
             regular = joined.hilbert_series()[0] == predicted
         except CutoffExceeded:
@@ -414,8 +414,7 @@ def _absorbed(
             raise ConditionUnmet(f"row {m} has no zero side")
         if a:
             shift, flips, b = shift + k.row_shift(m), flips + 1, a
-        lead = max(b.terms.items(), key=lambda t: mono_key(t[0]))[1]
-        gens.append(b * _inverse(lead))
+        gens.append(b * _inverse(b._terms[_display_lead(b)]))
     verdict, new_base = _gate(k.base, gens)
     if verdict != "verified" and not force:
         raise RegularityUnverified(
@@ -496,18 +495,37 @@ def _clearing(target: Poly, b: Poly, part: Poly, groups: list | None, mask: int)
     return None
 
 
-@dataclass
+def _rendering(params: dict, key: str) -> Callable[[], dict]:
+    """Step params whose entry at key, a Poly or a sequence of them, is
+    rendered when the log entry is first read."""
+    v = params[key]
+    return lambda: {**params, key: v.render() if isinstance(v, Poly) else [p.render() for p in v]}
+
+
 class LogEntry:
-    op: str
-    params: dict
-    potential_check: str
+    """One session step.  ``params`` may be given as a function of no
+    arguments, run on the first read of ``params`` or ``as_dict()``; a
+    session defers its renders that way, so a dropped log renders nothing."""
+
+    __slots__ = ("op", "_params", "potential_check")
+
+    def __init__(self, op: str, params: dict | Callable[[], dict], potential_check: str):
+        self.op, self._params, self.potential_check = op, params, potential_check
+
+    @property
+    def params(self) -> dict:
+        if callable(self._params):
+            self._params = self._params()
+        return self._params
 
     def as_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "params": self.params,
-            "potential_check": self.potential_check,
-        }
+        return {"op": self.op, "params": self.params, "potential_check": self.potential_check}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LogEntry) and self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        return f"LogEntry({self.op!r}, {self.params!r}, {self.potential_check!r})"
 
 
 @dataclass
@@ -524,7 +542,7 @@ class ReductionSession:
     force: bool = False
     log: list[LogEntry] = field(default_factory=list)
 
-    def _step(self, op: str, params: dict, new: KoszulMF) -> None:
+    def _step(self, op: str, params: dict | Callable[[], dict], new: KoszulMF) -> None:
         # the previous step computed this as its new.potential(), and the
         # instance kept it; only the new potential is summed here
         old_pot = self.current.potential()
@@ -537,11 +555,8 @@ class ReductionSession:
         self._step("scalar_twist", {"row": row, "c": str(c)}, scalar_twist(self.current, row, c))
 
     def row_op(self, i: int, j: int, lam: Poly, kind: str) -> None:
-        self._step(
-            "row_op",
-            {"i": i, "j": j, "lambda": lam.render(), "kind": kind},
-            row_op(self.current, i, j, lam, kind),
-        )
+        params = _rendering({"i": i, "j": j, "lambda": lam, "kind": kind}, "lambda")
+        self._step("row_op", params, row_op(self.current, i, j, lam, kind))
 
     def transpose_row(self, row: int) -> None:
         self._step(
@@ -564,8 +579,8 @@ class ReductionSession:
         self, op: str, col: str, target: Sequence[Poly], rows: Sequence[int] | None
     ) -> None:
         new, verdict = _replace_column(self.current, col, target, rows, self.force)
-        targets = [p.render() for p in target]
-        self._step(op, {"targets": targets, "rows": rows, "regularity": verdict}, new)
+        params = {"targets": list(target), "rows": rows, "regularity": verdict}
+        self._step(op, _rendering(params, "targets"), new)
 
     def exclude_variable(self, row: int) -> None:
         self._exclude(row, exclusion_candidate(self.current, row, self.external))
@@ -629,12 +644,9 @@ class ReductionSession:
                     skipped.add(rows[0])
                     continue
             new, verdict, gens = taken
-            self._step(
-                "absorb",
-                {"rows": rows, "sides": ["a" if k.rows[m][0] else "b" for m in rows],
-                 "generators": [g.render() for g in gens], "regularity": verdict},
-                new,
-            )
+            sides = ["a" if k.rows[m][0] else "b" for m in rows]
+            params = {"rows": rows, "sides": sides, "generators": gens, "regularity": verdict}
+            self._step("absorb", _rendering(params, "generators"), new)
             absorbed += len(rows)
             skipped = set()
 
@@ -673,8 +685,8 @@ class ReductionSession:
                         new = row_op(k, i, j, lam, kind)
                         after = [_part(p, mask) for m in (i, j) for p in new.rows[m]]
                         if weight(after) < weight(sides + parts[j][0]):
-                            params = {"i": i, "j": j, "lambda": lam.render(), "kind": kind}
-                            self._step("row_op", params, new)
+                            params = {"i": i, "j": j, "lambda": lam, "kind": kind}
+                            self._step("row_op", _rendering(params, "lambda"), new)
                             return True
         if not k.potential().variables() <= self.external:
             return False  # exclusion would refuse the transposed row

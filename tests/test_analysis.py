@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 import corpus
 import oracles
@@ -44,6 +46,7 @@ from moymf import (
     verify_relation,
 )
 import moymf.analysis as analysis
+from moymf.qseries import _expand
 
 CIRCLE12 = "level n 2\nedge e1 color 1 from boundary:a to boundary:a\n"
 CIRCLE23 = "level n 3\nedge e1 color 2 from boundary:a to boundary:a\n"
@@ -367,6 +370,9 @@ for i in range(int(sys.argv[1])):
     Poly.variable(GradedVar(f"filler{i}", 2))
 print(json.dumps([verify_relation(name, params) for name, params in json.load(sys.stdin)]))
 """
+
+
+_NUMERATORS = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4).map(QLaurent)
 
 
 class TestVerifyRelation:
@@ -693,6 +699,24 @@ class TestVerifyRelation:
             "z2": 0, "exponent": 42, "lhs": 1, "rhs": 0
         }
         assert analysis._first_difference(lhs, (one, q(1), (2,))) is None
+
+    @given(st.sampled_from([(), (2,), (2, 4)]), _NUMERATORS, _NUMERATORS, _NUMERATORS, _NUMERATORS)
+    def test_tables_over_one_denominator_subtract_as_the_weighted_sum_does(
+        self, weights, even, odd, even2, odd2
+    ) -> None:
+        def by_weighted_sum(lhs, rhs):  # the route over the least common denominator
+            delta = analysis._weighted_sum([(lhs, QLaurent.one()), (rhs, -QLaurent.one())])
+            for k in (0, 1):
+                if delta[k]:
+                    e = delta[k].min_exp()
+                    a, b = (_expand(t[k], t[2], e).coeff(e) for t in (lhs, rhs))
+                    return {"z2": k, "exponent": e, "lhs": a, "rhs": b}
+            return None
+
+        lhs = (even, odd, weights)
+        for rhs in (lhs, (even, odd2, weights), (even2, odd2, weights)):
+            assert analysis._first_difference(lhs, rhs) == by_weighted_sum(lhs, rhs)
+        assert analysis._first_difference(lhs, lhs) is None
 
     def test_failure_reports_the_first_difference(self, monkeypatch) -> None:
         # rig the closed form so the engine side no longer matches

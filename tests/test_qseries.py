@@ -17,7 +17,7 @@ from moymf import (
     qbinomial,
     quantum_integer,
 )
-from moymf.qseries import cor_square_sides
+from moymf.qseries import _expand, cor_square_sides
 
 
 @st.composite
@@ -87,6 +87,29 @@ class TestQLaurent:
         with pytest.raises(TypeError):
             QLaurent.q_power(2, 2.7)
         assert QLaurent.q_power(2, 3) == QLaurent({2: 3})
+
+    @given(laurents(), st.integers(-8, 8))
+    def test_times_one_minus_is_x_minus_its_shift(self, x: QLaurent, d: int) -> None:
+        assert x._times_one_minus(d) == x - x.shift(d)
+
+    @given(laurents(), laurents(), st.integers(-8, 8))
+    def test_unvalidated_results_are_what_validation_builds(
+        self, x: QLaurent, y: QLaurent, d: int
+    ) -> None:
+        # every result that skips the public constructor's checks
+        results = [
+            QLaurent.zero(), QLaurent.one(), -x, x + y, x - y, x * y, x.shift(d),
+            x._times_one_minus(d), x.truncate(d), x.reverse(),
+            _expand(x, [2, 4], d),
+        ]
+        for r in results:
+            terms = dict(r.coeffs)
+            assert all(type(k) is int and type(v) is int and v for k, v in terms.items())
+            assert r == QLaurent(terms)
+
+    def test_a_shift_takes_an_int_only(self) -> None:
+        with pytest.raises(TypeError, match="int shift"):
+            QLaurent.one().shift(0.5)
 
     def test_extremes_fail_on_zero(self) -> None:
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ regularity gating, gluing, and the potential-preservation contract."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from moymf import (
     DegreeMismatch,
     GradedVar,
     KoszulMF,
+    LogEntry,
     Poly,
     PotentialMismatch,
     QuotientRing,
@@ -28,6 +31,7 @@ from moymf import (
     exclude_variable,
     exclusion_candidate,
     glue,
+    oracle_crosscheck,
     parse,
     regularity_heuristic,
     replace_first_sequence,
@@ -884,6 +888,54 @@ class TestRowReuse:
 def _session_of(src: str) -> ReductionSession:
     d = parse(src)
     return ReductionSession(compile_diagram(d), external=d.external_vars())
+
+
+class TestLazyParams:
+    """A session renders the polynomials of its step params on the first
+    read of its log, so a caller that drops the log renders none."""
+
+    def test_a_crosscheck_renders_no_polynomial(self, monkeypatch) -> None:
+        rendered = []
+        render = Poly.render
+        monkeypatch.setattr(Poly, "render", lambda p: rendered.append(p) or render(p))
+        for src in _closed_sources():
+            assert oracle_crosscheck(parse(src))["verdict"] == "PASS", src
+        assert rendered == []
+
+    def test_a_read_log_is_what_rendering_on_the_spot_gave(self) -> None:
+        digest = hashlib.sha256()
+        for src in _closed_sources():
+            session = _session_of(src)
+            session.reduce_fully()
+            digest.update(json.dumps(session.log_dicts()).encode())
+        assert digest.hexdigest()[:16] == "dc8bcfd3f1cb4d08"
+
+    def test_pending_params_hold_no_presentation_and_render_once(self) -> None:
+        def held(x):
+            if isinstance(x, dict):
+                x = list(x.values())
+            return [y for v in x for y in held(v)] if isinstance(x, (list, tuple)) else [x]
+
+        session = _session_of(_theta_src(4))
+        session.reduce_fully()
+        chain = _session_of(corpus.bubble_chain(4))
+        chain.reduce_fully()
+        log = session.log + chain.log
+        pending = [e for e in log if callable(e._params)]
+        assert {e.op for e in pending} == {"absorb", "row_op"}
+        for e in pending:
+            cells = held([c.cell_contents for c in e._params.__closure__])
+            assert not any(isinstance(x, (KoszulMF, QuotientRing)) for x in cells), e.op
+        first = [e.params for e in log]
+        assert all(e.params is p for e, p in zip(log, first))
+
+    def test_a_log_entry_takes_a_dict_or_a_function_of_none(self) -> None:
+        params = {"i": 0, "j": 1, "lambda": "x", "kind": "first_col"}
+        eager = LogEntry("row_op", dict(params), "ok")
+        lazy = LogEntry("row_op", lambda: dict(params), "ok")
+        assert eager.params == params and lazy == eager
+        assert lazy.as_dict() == {"op": "row_op", "params": params, "potential_check": "ok"}
+        assert repr(lazy) == f"LogEntry('row_op', {params!r}, 'ok')"
 
 
 class TestCandidateCache:
