@@ -16,6 +16,10 @@ that entry.  Two sound cases are distinguished:
   further power of y is no longer a free monomial and the splitting argument
   behind the exclusion breaks, so the gate refuses (ConditionUnmet).
 
+Excluding variables one after another is one composed change of
+variables, so a session takes each maximal run of e = 1 exclusions as one
+step, which moves every row once and is potential-checked once.
+
 Rows with one zero side appear in closed diagrams, and in open ones once
 a row op clears one side of a row.  They are not exclusions but
 absorptions: (0; b) contributes the quotient by b on the spot, and (a; 0)
@@ -24,7 +28,7 @@ zero-sided rows as one sequence and, when the gate verifies it regular
 over the current base, absorbs them in one ``absorb`` step; otherwise it
 takes the first row alone, through the same gate.  Every entry that joins
 the base is gated, and every presentation the session adopts is
-potential-checked.
+potential-checked by a sum over its rows.
 
 When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
 clears internal variables from rows by row ops and transpositions
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .poly_core import (
     CutoffExceeded,
@@ -53,7 +57,7 @@ from .poly_core import (
     _substitution,
     pure_power,
 )
-from .mf_core import KoszulMF
+from .mf_core import KoszulMF, Row
 from .symfun import Alphabet, ColorMismatch
 
 __all__ = [
@@ -311,21 +315,18 @@ def _substituted_ring(
 
 
 def _rebased_rows(
-    k: KoszulMF,
+    kept: Iterable[tuple[Poly, Poly]],
     new_base: QuotientRing,
-    drop: Collection[int],
     sub: Callable[[Poly], Poly] | None,
     context: str,
 ) -> tuple[tuple[Poly, Poly], ...]:
-    """The rows of k not in ``drop``, each moved by ``sub`` (a
-    ``_substitution``, built once per step) when given and reduced in
-    ``new_base``; a row whose entries both come back as themselves stays
-    the same row.  A row that collapses to (0; 0) has no degrees:
-    ConditionUnmet, with ``context`` naming the step."""
+    """The rows kept, each moved by ``sub`` (a ``_substitution``, built
+    once per step) when given and reduced in ``new_base``; a row whose
+    entries both come back as themselves stays the same row.  A row that
+    collapses to (0; 0) has no degrees: ConditionUnmet, with ``context``
+    naming the step."""
     rows = []
-    for m, row in enumerate(k.rows):
-        if m in drop:
-            continue
+    for row in kept:
         a, b = row
         if sub:
             a, b = sub(a), sub(b)
@@ -347,38 +348,81 @@ def exclude_variable(
     current ideal generators.
     """
     external = frozenset(external)
-    return _excluded(k, row, external, exclusion_candidate(k, row, external))
+    return _excluded(k, row, external, exclusion_candidate(k, row, external), False)[0]
+
+
+def _pick(
+    rows: Sequence[Row], external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
+) -> tuple[int, _Candidate] | None:
+    """The row greedy exclusion takes next and its candidate: the first
+    substitution, else the first quotient exclusion.  Each row keeps its
+    candidate per key; a kept one still names the index it was found at."""
+    key, best = (1, external, gen_vars), None
+    for m, row in enumerate(rows):
+        cand = row.memo(key, lambda: _candidate(row[1], m, external, gen_vars))
+        if cand and (best is None or (cand.power == 1 and best[1].power > 1)):
+            best = (m, cand)
+            if cand.power == 1:  # no later row comes first
+                break
+    return best
 
 
 def _excluded(
-    k: KoszulMF, row: int, external: frozenset[GradedVar], cand: _Candidate | None
-) -> KoszulMF:
-    """exclude_variable with the row's candidate already chosen."""
+    k: KoszulMF, row: int, external: frozenset[GradedVar], cand: _Candidate | None, run: bool
+) -> tuple[KoszulMF, list[tuple[int, _Candidate]]]:
+    """exclude_variable with the row's candidate already chosen, and with
+    run each substitution greedy exclusion takes next: the result and each
+    step's (row index then, candidate).  The picks read the b-entries
+    alone, in normal form in each ring the run passes, until a quotient
+    exclusion or a potential with an internal variable comes next.  The
+    substitutions, composed, then move every row once; each maps the old
+    ideal into the new, so the normal forms are those of single steps."""
     pot = k.potential()
     bad = [v.name for v in pot.variables() if v not in external]
     if bad:
         raise ConditionUnmet(
             f"potential involves internal variable(s) {', '.join(sorted(bad))}"
         )
-    b = k.rows[row][1]
     if cand is None:
         raise ConditionUnmet(
             f"row {row}: no admissible pure power of an internal variable "
-            f"in {b.render()}"
+            f"in {k.rows[row][1].render()}"
         )
-    y, e, c = cand.var, cand.power, cand.coeff
-    if e == 1:
-        rest = b - Poly({((y, 1),): c})
-        sub = _substitution({y: rest * -_inverse(c)})
-        new_base = _substituted_ring(k.base, sub, tuple(v for v in k.base.vars if v != y))
-    else:
-        sub = None
-        new_base = k.base.with_generators((b * _inverse(c),))
-    context = (
-        f"after excluding {y.name}; "
-        "the remaining data is not a regular presentation"
-    )
-    return k.with_rows(_rebased_rows(k, new_base, (row,), sub, context), new_base)
+    base, rows, taken, tau = k.base, list(k.rows), [], {}
+    while cand.power == 1:
+        y, c, b = cand.var, cand.coeff, rows.pop(row)[1]
+        taken.append((row, cand))
+        img = (b - Poly({((y, 1),): c})) * -_inverse(c)
+        sub = _substitution({y: img})
+        base = _substituted_ring(base, sub, tuple(v for v in base.vars if v != y))
+        tau = {v: sub(p) for v, p in tau.items()} | {y: img}
+        if not run:
+            break
+        for m, r in enumerate(rows):
+            if (nb := base.normal_form(sub(r[1]))) is not r[1]:
+                rows[m] = Row((r[0], nb))  # a moves once, after the run
+        gen_vars = _generator_vars(base)
+        best = _pick(rows, external, gen_vars)
+        if not best or best[1].power > 1:
+            break
+        if base.ideal_gens and not (pot := base.normal_form(pot)).variables() <= external:
+            break  # the next exclusion refuses this potential
+        row, cand = best
+    if not taken:
+        taken, sub = [(row, cand)], None
+        base = base.with_generators((rows.pop(row)[1] * _inverse(cand.coeff),))
+    elif len(taken) > 1:
+        sub = _substitution(tau)
+    names = ", ".join(c.var.name for _, c in taken)
+    context = f"after excluding {names}; the remaining data is not a regular presentation"
+    new = k.with_rows(_rebased_rows(rows, base, sub, context), base)
+    if run and sub:
+        # the scan that ended the run read these very b-entries; a row
+        # whose a-entry did not move is that row itself
+        key = (1, external, gen_vars)
+        for m, (r, s) in enumerate(zip(new.rows, rows)):
+            r.memo(key, lambda: s.memo(key, lambda: _candidate(s[1], m, external, gen_vars)))
+    return new, taken
 
 
 def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
@@ -421,7 +465,8 @@ def _absorbed(
             f"rows {list(rows)}: entries not verified as a regular sequence; "
             "pass force to absorb anyway"
         )
-    kept = _rebased_rows(k, new_base, rows, None, f"while absorbing rows {list(rows)}")
+    rest = (r for m, r in enumerate(k.rows) if m not in rows)
+    kept = _rebased_rows(rest, new_base, None, f"while absorbing rows {list(rows)}")
     joined = new_base.ideal_gens[len(k.base.ideal_gens):]
     return k.regraded(shift, flips, kept, new_base), verdict, joined
 
@@ -460,7 +505,7 @@ def glue(
     )
     sub = _substitution(sigma)
     new_base = _substituted_ring(joined.base, sub, kept_vars)
-    rows = _rebased_rows(joined, new_base, (), sub, "while gluing")
+    rows = _rebased_rows(joined.rows, new_base, sub, "while gluing")
     return joined.with_rows(rows, new_base)
 
 
@@ -585,33 +630,24 @@ class ReductionSession:
     def exclude_variable(self, row: int) -> None:
         self._exclude(row, exclusion_candidate(self.current, row, self.external))
 
-    def _exclude(self, row: int, cand: _Candidate | None) -> None:
-        new = _excluded(self.current, row, self.external, cand)
-        self._step(
-            "exclude_variable",
-            {"row": row, "variable": cand.var.name, "power": cand.power},
-            new,
-        )
+    def _exclude(self, row: int, cand: _Candidate | None, run: bool = False) -> int:
+        new, taken = _excluded(self.current, row, self.external, cand, run)
+        params = {
+            "rows": [m for m, _ in taken],
+            "variables": [c.var.name for _, c in taken],
+            "powers": [c.power for _, c in taken],
+        }
+        self._step("exclude_variable", params, new)
+        return len(taken)
 
     def exclude_all(self) -> int:
         """Greedy exclusion: substitutions first, then quotient exclusions,
-        ties by row index.  Returns the number of rows removed."""
+        ties by row index, each maximal run of substitutions one step.
+        Returns the number of rows removed."""
         removed = 0
-        while True:
-            gen_vars = _generator_vars(self.current.base)
-            key = (1, self.external, gen_vars)
-            best = None
-            for m, row in enumerate(self.current.rows):
-                # a kept candidate still names the row index it was found at
-                cand = row.memo(key, lambda: _candidate(row[1], m, self.external, gen_vars))
-                if cand and (best is None or (cand.power == 1 and best[1].power > 1)):
-                    best = (m, cand)
-                    if cand.power == 1:  # no later row comes first
-                        break
-            if best is None:
-                return removed
-            self._exclude(*best)
-            removed += 1
+        while best := _pick(self.current.rows, self.external, _generator_vars(self.current.base)):
+            removed += self._exclude(*best, run=True)
+        return removed
 
     def absorb_zero_rows(self, skip_unverified: bool = False) -> int:
         """Absorb every zero-sided row whose entry passes the regularity

@@ -261,8 +261,9 @@ class TestReduceCommand:
         d = parse(OPEN)
         session = ReductionSession(compile_diagram(d), external=d.external_vars())
         k = session.reduce_fully()
-        assert k.row_count == 2 and len(session.log) == 2
-        assert lines[1] == "rows: 2" and lines[-1] == "steps: 2"
+        # its two substitutions are one run, so one step
+        assert k.row_count == 2 and len(session.log) == 1
+        assert lines[1] == "rows: 2" and lines[-1] == "steps: 1"
         assert [line for line in lines if line.startswith("row ")] == [
             f"row {i}: {a.render()} | {b.render()}" for i, (a, b) in enumerate(k.rows)
         ]

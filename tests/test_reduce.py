@@ -40,7 +40,7 @@ from moymf import (
     scalar_twist,
     transpose_row,
 )
-from moymf import poly_core
+from moymf import mf_core, poly_core
 from moymf import reduce as reduce_module
 from moymf.analysis import (
     _bubble_src,
@@ -120,8 +120,7 @@ class TestExclusion:
         assert session.current.row_count == 1
         assert session.current.rows[0] == (PX**3, Poly.zero())
         assert Y not in session.current.base.vars
-        assert session.log[-1].params["variable"] == "y"
-        assert session.log[-1].params["power"] == 1
+        assert session.log[-1].params == {"rows": [0], "variables": ["y"], "powers": [1]}
         # the leftover zero-sided row absorbs into the ideal
         assert session.absorb_zero_rows() == 1
         assert session.current.row_count == 0
@@ -136,7 +135,7 @@ class TestExclusion:
         assert Y in session.current.base.vars
         assert len(session.current.base.ideal_gens) == 1
         assert session.current.base.normal_form(PY * PY) == Poly.zero()
-        assert session.log[-1].params["power"] == 2
+        assert session.log[-1].params["powers"] == [2]
 
     def test_substitution_divides_by_the_coefficient(self) -> None:
         # 3y - x = 0 gives y -> x/3, so the other row's a-side x^2*y
@@ -216,10 +215,9 @@ class TestExclusion:
         assert session.exclude_all() == 2
         first, second = session.log[0], session.log[1]
         assert first.op == "exclude_variable"
-        assert first.params["row"] == 1  # power-1 rows beat lower-index ones
-        assert first.params["variable"] == "z"
-        assert first.params["power"] == 1
-        assert second.params["power"] == 2
+        # power-1 rows beat lower-index ones
+        assert first.params == {"rows": [1], "variables": ["z"], "powers": [1]}
+        assert second.params["powers"] == [2]
 
     # A color-2 strand split and merged twice (item open/3.1.4.3 of the
     # benchmark's open_reduce corpus).  The second exclusion adjoins
@@ -250,6 +248,103 @@ class TestExclusion:
         potential = k.potential()
         assert potential.variables() <= d.external_vars()
         assert not k.base.normal_form(potential - boundary_potential(d))
+
+
+def _presented(k: KoszulMF) -> tuple:
+    return k.rows, k.base.render(), k.global_grading_shift, k.z2_shift, k.potential()
+
+
+class TestExclusionRuns:
+    """exclude_all takes each maximal run of substitutions as one step.  Its
+    oracle is the public single-row exclude_variable, replayed from the
+    logged rows: each step must take the logged variable, and the last
+    must give the presentation the run adopted."""
+
+    @staticmethod
+    def _runs(monkeypatch, sessions: list[ReductionSession]) -> list[tuple]:
+        """(external, presentation before, params, after) of every
+        exclusion step the sessions take in reduce_fully."""
+        runs, step = [], ReductionSession._step
+
+        def kept(self, op, params, new):
+            if op == "exclude_variable":
+                runs.append((self.external, self.current, params, new))
+            step(self, op, params, new)
+
+        monkeypatch.setattr(ReductionSession, "_step", kept)
+        for session in sessions:
+            session.reduce_fully()
+        for external, k, params, new in runs:
+            for row, var in zip(params["rows"], params["variables"]):
+                assert exclusion_candidate(k, row, external).var.name == var
+                k = exclude_variable(k, row, external)
+            assert _presented(k) == _presented(new)
+            if params["powers"][0] == 1:
+                # the run ends where a fresh scan offers no substitution,
+                # or where the potential leaves the external variables
+                assert params["powers"] == [1] * len(params["rows"])
+                cands = [exclusion_candidate(k, m, external) for m in range(k.row_count)]
+                assert not any(c and c.power == 1 for c in cands) or (
+                    not k.potential().variables() <= external
+                )
+        return runs
+
+    def test_random_corpus_runs_equal_single_steps(self, monkeypatch) -> None:
+        rng = random.Random(43)
+        sessions, wide = [], {"max_rows": 24, "max_pairs": 4, "max_level": 6, "max_color": 4}
+        for closed in [False] * 32 + [True] * 12:
+            _, d, k = corpus.random_compiled(rng, closed=closed, **({} if closed else wide))
+            sessions.append(ReductionSession(k, external=d.external_vars()))
+        runs = self._runs(monkeypatch, sessions)
+        assert sum(len(params["rows"]) > 1 for *_, params, _ in runs) >= 10
+
+    # a quotient exclusion, a row op and a transpose leave a run over the
+    # generator the quotient exclusion joined
+    OVER_A_GENERATOR = (
+        "level n 2\n"
+        "edge e0 color 2 from boundary:e0i to v0\n"
+        "edge e1 color 1 from boundary:e1i to v1\n"
+        "edge e2 color 1 from v0 to v3\n"
+        "edge e3 color 1 from v0 to v1\n"
+        "edge e4 color 2 from v1 to v2\n"
+        "edge e5 color 1 from v2 to v3\n"
+        "edge e6 color 1 from v2 to boundary:e6o\n"
+        "edge e7 color 2 from v3 to boundary:e7o\n"
+        "vertex v0 split in e0 out e2 e3\n"
+        "vertex v1 merge in e3 e1 out e4\n"
+        "vertex v2 split in e4 out e5 e6\n"
+        "vertex v3 merge in e2 e5 out e7\n"
+    )
+
+    def test_chain_and_generator_runs_equal_single_steps(self, monkeypatch) -> None:
+        sessions = [_session_of(corpus.bubble_chain(n)) for n in (2, 3, 4)]
+        runs = self._runs(monkeypatch, sessions + [_session_of(self.OVER_A_GENERATOR)])
+        assert any(k.base.ideal_gens and params["powers"] == [1] for _, k, params, _ in runs)
+
+    def test_a_run_over_generators_reads_each_ring_s_normal_forms(self, monkeypatch) -> None:
+        # y -> x turns the ideal (v - y) into (v - x), so v + w has normal
+        # form x + w there and the run substitutes w, not v
+        V, W = GradedVar("v", 2), GradedVar("w", 2)
+        PV, PW = Poly.variable(V), Poly.variable(W)
+        base = QuotientRing((X, V, W, Y), (PV - PY,))
+        rows = ((PX**3, PY - PX), (-(PX**3), PV + PW), (PX**3, PW))
+        session = ReductionSession(KoszulMF(base, rows, 0, 0, 8), external=frozenset({X}))
+        (run,) = self._runs(monkeypatch, [session])
+        assert run[2] == {"rows": [0, 0], "variables": ["y", "w"], "powers": [1, 1]}
+        assert session.current.rows == ((PX**3, -PX),)
+        assert session.current.base.ideal_gens == (PV - PX,)
+
+    def test_a_collapse_in_a_run_refuses_the_whole_run(self) -> None:
+        # y -> x, then w -> x sends (w - y; (w - y)*x^2) to (0; 0); a row
+        # that collapses stays collapsed, so the run checks once, at its end
+        W = GradedVar("w", 2)
+        d = Poly.variable(W) - PY
+        rows = ((PX**3, PY - PX), (-d * PX**2, d), (d, d * PX**2), (-(PX**3), PY - PX))
+        k = KoszulMF(QuotientRing((X, Y, W)), rows, 0, 0, 8)
+        session = ReductionSession(k, external=frozenset({X}))
+        with pytest.raises(ConditionUnmet, match=r"\(0; 0\) after excluding y, w;"):
+            session.exclude_all()
+        assert session.current is k and not session.log
 
 
 class TestAbsorption:
@@ -346,8 +441,10 @@ class TestAbsorption:
         monkeypatch.setattr(
             ReductionSession, "_step", lambda s, op, p, new: step(s, op, p, new) or seen.append(new)
         )
+        # runs of substitutions adopt fewer presentations than single
+        # steps did, so 48 diagrams give the 20 cases 24 used to
         rng = random.Random(71)
-        for _ in range(24):
+        for _ in range(48):
             _, d, k = corpus.random_compiled(rng, closed=rng.random() < 0.5)
             ReductionSession(k, external=d.external_vars()).reduce_fully()
 
@@ -814,6 +911,12 @@ def _square_session() -> ReductionSession:
     return ReductionSession(compile_diagram(d), external=d.external_vars())
 
 
+def _strand_square_session() -> ReductionSession:
+    # a through strand's row survives the square's run of 5 substitutions
+    d = parse(_square_wide_src(1, 3) + "edge s color 1 from boundary:si to boundary:so\n")
+    return ReductionSession(compile_diagram(d), external=d.external_vars())
+
+
 class TestRowReuse:
     """A step keeps the rows it does not touch as the same rows, which keep
     what they computed once per row and key, so it multiplies only the
@@ -864,16 +967,38 @@ class TestRowReuse:
         assert not products
         assert pots == [_fresh_potential(d) for d in (absorbed, joined)]
 
+    def test_a_run_sums_once_and_multiplies_only_the_rows_it_changed(self, monkeypatch) -> None:
+        session = _strand_square_session()
+        old = session.current
+        old.potential()
+        sums, products = [], []
+        mul, total = Poly.__mul__, mf_core._sum
+
+        def summed(polys):
+            # the products a sum takes are those the rows had not kept
+            with monkeypatch.context() as patch:
+                patch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+                sums.append(1)
+                return total(polys)
+
+        monkeypatch.setattr(mf_core, "_sum", summed)
+        assert session.exclude_all() == 5 and len(session.log) == 1
+        new = session.current
+        kept = [r for r in new.rows if any(r is o for o in old.rows)]
+        assert len(sums) == 1 and len(kept) == 1
+        assert len(products) == new.row_count - len(kept) == 3
+
     @pytest.mark.parametrize("kept", [True, False])
     def test_a_corrupted_row_fails_the_check(self, monkeypatch, kept: bool) -> None:
-        session = _square_session()
+        session = _strand_square_session()
         rebased = reduce_module._rebased_rows
         hit = []
 
-        def corrupt(k, new_base, drop, sigma, context):
-            rows = list(rebased(k, new_base, drop, sigma, context))
+        def corrupt(given, new_base, sigma, context):
+            given = list(given)
+            rows = list(rebased(given, new_base, sigma, context))
             for m, (a, b) in enumerate(rows):
-                same = any(rows[m] is r for r in k.rows)
+                same = any(rows[m] is r for r in given)
                 if not hit and same == kept and new_base.normal_form(a * b):
                     rows[m] = (2 * a, b)
                     hit.append(m)
@@ -908,7 +1033,7 @@ class TestLazyParams:
             session = _session_of(src)
             session.reduce_fully()
             digest.update(json.dumps(session.log_dicts()).encode())
-        assert digest.hexdigest()[:16] == "dc8bcfd3f1cb4d08"
+        assert digest.hexdigest()[:16] == "ac1c32967420db34"
 
     def test_pending_params_hold_no_presentation_and_render_once(self) -> None:
         def held(x):
@@ -941,27 +1066,28 @@ class TestLazyParams:
 class TestCandidateCache:
     """exclude_all computes a row's candidate once per row and key (the
     external and generator variables), and picks what a fresh scan would
-    pick."""
+    pick, at every step of a run."""
 
     def test_picks_match_a_fresh_scan(self, monkeypatch) -> None:
-        exclude = ReductionSession._exclude
+        step = ReductionSession._step
         picks = []
 
-        def checked(self, row, cand):
-            k = self.current
-            fresh = [
-                c for m in range(k.row_count)
-                if (c := exclusion_candidate(k, m, self.external)) is not None
-            ]
-            want = min(fresh, key=lambda c: (c.power > 1, c.row))
-            # a kept candidate may name the index it was found at
-            assert (row, cand.var, cand.power, cand.coeff) == (
-                want.row, want.var, want.power, want.coeff
-            )
-            picks.append(cand)
-            exclude(self, row, cand)
+        def checked(self, op, params, new):
+            k, steps = self.current, []
+            if op == "exclude_variable":
+                steps = zip(params["rows"], params["variables"], params["powers"])
+            for row, var, power in steps:
+                fresh = [
+                    c for m in range(k.row_count)
+                    if (c := exclusion_candidate(k, m, self.external)) is not None
+                ]
+                want = min(fresh, key=lambda c: (c.power > 1, c.row))
+                assert (row, var, power) == (want.row, want.var.name, want.power)
+                picks.append(var)
+                k = exclude_variable(k, row, self.external)
+            step(self, op, params, new)
 
-        monkeypatch.setattr(ReductionSession, "_exclude", checked)
+        monkeypatch.setattr(ReductionSession, "_step", checked)
         rng = random.Random(37)
         for _ in range(12):
             _, d, k = corpus.random_compiled(rng, closed=False, max_rows=24, max_pairs=4)
@@ -978,13 +1104,22 @@ class TestCandidateCache:
         monkeypatch.setattr(
             reduce_module, "_candidate", lambda *args: calls.append(1) or candidate(*args)
         )
-        scans = []
-        exclude = ReductionSession._exclude
+        scans, pick = [], reduce_module._pick
         monkeypatch.setattr(
-            ReductionSession, "_exclude",
-            lambda self, row, cand: scans.append(self.current.row_count) or exclude(self, row, cand),
+            reduce_module, "_pick", lambda rows, *a: scans.append(len(rows)) or pick(rows, *a)
         )
-        assert session.exclude_all() == len(scans) > 0
+        # the scan that ended a run is kept on the rows the run leaves
+        ends = []
+        exclude = ReductionSession._exclude
+
+        def ended(self, *args, **kwargs):
+            removed = exclude(self, *args, **kwargs)
+            ends.append(len(calls))
+            return removed
+
+        monkeypatch.setattr(ReductionSession, "_exclude", ended)
+        assert session.exclude_all() == 8 and len(session.log) == 1
+        assert ends == [len(calls)] and len(scans) == 10
         assert len(calls) < sum(scans)
 
     @pytest.mark.parametrize("boundary_first", [True, False])
@@ -1028,7 +1163,7 @@ class TestClearing:
         ops = [e.op for e in session.log]
         at = ops.index("transpose_row")
         assert ops[at + 1] == "exclude_variable"
-        assert session.log[at + 1].params["row"] == session.log[at].params["row"]
+        assert session.log[at + 1].params["rows"][0] == session.log[at].params["row"]
 
     def test_an_internal_potential_stops_clearing_before_a_transpose(self) -> None:
         # y^2 is a pure power exclusion would admit, but the potential
