@@ -37,8 +37,9 @@ from functools import lru_cache
 
 from .poly_core import _FIELD, GradedVar, Poly, QuotientRing
 from .symfun import Alphabet, _rows, power_sum_in
-# unused here, kept because bench/tracing.py rebinds these names in this module
-from .symfun import L_poly, Lambda_poly, V_poly, product_term  # noqa: F401
+from .symfun import (  # noqa: F401 -- kept for bench/tracing.py, which rebinds them here
+    L_poly, Lambda_poly, V_poly, product_term
+)
 from .mf_core import KoszulMF
 
 __all__ = [

@@ -6,6 +6,11 @@ compact row form: a list of pairs (a_m; b_m) whose expansion is the tensor
 product of the rank-1 factorizations (base, base{(deg b_m - deg a_m)/2},
 a_m, b_m), together with a global grading shift and a Z/2 translation bit.
 
+Factorizations are built and transformed only as rows: ``join`` is the
+tensor product, ``translated`` and ``grade_shifted`` the two shifts, and a
+row-free presentation the tensor unit.  ``koszul_expand`` writes the
+explicit matrices down in closed form, one generator per row subset.
+
 Matrices are sparse maps (row, col) -> Poly; Koszul differentials have only
 O(rows) entries per line, so products stay cheap even at rank 2^r.  The
 ``potential_degree`` is tracked explicitly rather than inferred from the
@@ -30,9 +35,6 @@ __all__ = [
     "InhomogeneousRow",
     "merge_bases",
     "koszul_expand",
-    "tensor",
-    "translate",
-    "grade_shift",
     "validate",
 ]
 
@@ -85,9 +87,6 @@ class SparseMat:
             and self._e == other._e
         )
 
-    def __neg__(self) -> "SparseMat":
-        return SparseMat(self.nrows, self.ncols, {k: -p for k, p in self._e.items()})
-
     def mul(self, other: "SparseMat", base: QuotientRing | None = None) -> "SparseMat":
         """Matrix product; entries reduced in ``base`` when given."""
         if self.ncols != other.nrows:
@@ -121,9 +120,6 @@ class GradedFreeModule:
     @property
     def rank(self) -> int:
         return len(self.generator_shifts)
-
-    def shifted(self, n: int) -> "GradedFreeModule":
-        return GradedFreeModule(self.base, tuple(s + n for s in self.generator_shifts))
 
 
 @dataclass(frozen=True)
@@ -197,99 +193,6 @@ def merge_bases(b1: QuotientRing, b2: QuotientRing) -> QuotientRing:
         if g not in gens:
             gens.append(g)
     return QuotientRing(vars_, tuple(gens))
-
-
-def tensor(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:
-    """Tensor product over the shared-variable subring.
-
-    New even part (M0 N0) + (M1 N1), odd part (M1 N0) + (M0 N1);
-    d0 = [[dx0 (x) 1, -1 (x) dy1], [1 (x) dy0, dx1 (x) 1]],
-    d1 = [[dx1 (x) 1,  1 (x) dy1], [-1 (x) dy0, dx0 (x) 1]].
-    Potentials add.
-    """
-    if x.potential_degree != y.potential_degree:
-        raise ValueError(
-            f"potential degrees differ: {x.potential_degree} vs {y.potential_degree}"
-        )
-    base = merge_bases(x.base, y.base)
-
-    def module(xm: GradedFreeModule, ym: GradedFreeModule) -> tuple[int, ...]:
-        return tuple(s + t for s in xm.generator_shifts for t in ym.generator_shifts)
-
-    s00 = module(x.m0, y.m0)
-    s11 = module(x.m1, y.m1)
-    s10 = module(x.m1, y.m0)
-    s01 = module(x.m0, y.m1)
-    m0 = GradedFreeModule(base, s00 + s11)
-    m1 = GradedFreeModule(base, s10 + s01)
-
-    r_y0, r_y1 = y.m0.rank, y.m1.rank
-
-    def place(
-        acc: dict[tuple[int, int], Poly],
-        mat: SparseMat,
-        on_left: bool,
-        rank_pair: int,
-        row_off: int,
-        col_off: int,
-        sign: int,
-    ) -> None:
-        # on_left: mat acts on the x factor, identity on y (rank_pair = y-rank)
-        # else: identity on x (rank_pair = x-rank), mat acts on the y factor
-        for (i, j), p in mat.entries.items():
-            q = p if sign > 0 else -p
-            if on_left:
-                for k in range(rank_pair):
-                    acc[(row_off + i * rank_pair + k, col_off + j * rank_pair + k)] = q
-            else:
-                for k in range(rank_pair):
-                    acc[(row_off + k * mat.nrows + i, col_off + k * mat.ncols + j)] = q
-
-    d0e: dict[tuple[int, int], Poly] = {}
-    place(d0e, x.d0, True, r_y0, 0, 0, +1)                    # M0N0 -> M1N0
-    place(d0e, y.d1, False, x.m1.rank, 0, len(s00), -1)       # M1N1 -> M1N0
-    place(d0e, y.d0, False, x.m0.rank, len(s10), 0, +1)       # M0N0 -> M0N1
-    place(d0e, x.d1, True, r_y1, len(s10), len(s00), +1)      # M1N1 -> M0N1
-    d0 = SparseMat(m1.rank, m0.rank, d0e)
-
-    d1e: dict[tuple[int, int], Poly] = {}
-    place(d1e, x.d1, True, r_y0, 0, 0, +1)                    # M1N0 -> M0N0
-    place(d1e, y.d1, False, x.m0.rank, 0, len(s10), +1)       # M0N1 -> M0N0
-    place(d1e, y.d0, False, x.m1.rank, len(s00), 0, -1)       # M1N0 -> M1N1
-    place(d1e, x.d0, True, r_y1, len(s00), len(s10), +1)      # M0N1 -> M1N1
-    d1 = SparseMat(m0.rank, m1.rank, d1e)
-
-    return MatrixFactorization(
-        m0, m1, d0, d1, x.potential + y.potential, x.potential_degree
-    )
-
-
-def translate(x: MatrixFactorization) -> MatrixFactorization:
-    """Z/2 translation: (M1, M0, -d1, -d0).  Applying twice is the identity."""
-    return MatrixFactorization(
-        x.m1, x.m0, -x.d1, -x.d0, x.potential, x.potential_degree
-    )
-
-
-def grade_shift(x: MatrixFactorization, n: int) -> MatrixFactorization:
-    """Offset every generator degree by n; differentials untouched."""
-    if n == 0:
-        return x
-    return MatrixFactorization(
-        x.m0.shifted(n), x.m1.shifted(n), x.d0, x.d1, x.potential, x.potential_degree
-    )
-
-
-def unit_object(base: QuotientRing, potential_degree: int) -> MatrixFactorization:
-    """(base -> 0 -> base): the tensor unit, potential 0."""
-    return MatrixFactorization(
-        GradedFreeModule(base, (0,)),
-        GradedFreeModule(base, ()),
-        SparseMat(0, 1),
-        SparseMat(1, 0),
-        Poly.zero(),
-        potential_degree,
-    )
 
 
 def validate(x: MatrixFactorization) -> list[str]:
@@ -532,24 +435,38 @@ class KoszulMF:
 
 
 def koszul_expand(k: KoszulMF) -> MatrixFactorization:
-    """Expand the row presentation to explicit block matrices.
+    """Expand the row presentation to explicit matrices, in closed form.
 
-    Rank is 2^(r-1) per Z/2 component for r >= 1 rows.  The second module
-    of each rank-1 factor is shifted by (deg b_m - deg a_m)/2; the fold over
-    tensor accumulates those shifts on subset generators.
+    A generator is a row subset S, held as a bitmask.  It lies in m0 when
+    |S| + z2_shift is even, else in m1, at position S >> 1 there; its
+    degree is the global shift plus row_shift(m) summed over m in S.  Row
+    m maps S without m to S + m by a_m and S with m to S - m by b_m, with
+    sign (-1)^(rows of S below m, plus z2_shift).  Rank is 2^(r-1) per
+    Z/2 component for r >= 1 rows.
     """
-    mf = unit_object(k.base, k.potential_degree)
-    for m, row in enumerate(k.rows):
+    z = k.z2_shift
+    degrees = [k.global_grading_shift]
+    for m in range(k.row_count):
         h = k.row_shift(m)
-        piece = MatrixFactorization(
-            GradedFreeModule(k.base, (0,)),
-            GradedFreeModule(k.base, (h,)),
-            SparseMat(1, 1, {(0, 0): row[0]}),
-            SparseMat(1, 1, {(0, 0): row[1]}),
-            k.base.normal_form(row.product),
-            k.potential_degree,
-        )
-        mf = tensor(mf, piece)
-    for _ in range(k.z2_shift):
-        mf = translate(mf)
-    return grade_shift(mf, k.global_grading_shift)
+        degrees += [d + h for d in degrees]
+    parity = [(s.bit_count() + z) % 2 for s in range(len(degrees))]
+    m0, m1 = (
+        GradedFreeModule(k.base, tuple(d for d, p in zip(degrees, parity) if p == side))
+        for side in (0, 1)
+    )
+    entries: tuple[dict[tuple[int, int], Poly], ...] = ({}, {})
+    for m, (a, b) in enumerate(k.rows):
+        bit = 1 << m
+        signed = ((a, -a), (b, -b))
+        for s, p in enumerate(parity):
+            entry = signed[s >> m & 1][((s & (bit - 1)).bit_count() + z) % 2]
+            if entry:
+                entries[p][((s ^ bit) >> 1, s >> 1)] = entry
+    return MatrixFactorization(
+        m0,
+        m1,
+        SparseMat(m1.rank, m0.rank, entries[0]),
+        SparseMat(m0.rank, m1.rank, entries[1]),
+        k.potential(),
+        k.potential_degree,
+    )

@@ -24,7 +24,6 @@ from moymf import (
     SparseMat,
     compile_diagram,
     euler_characteristic,
-    grade_shift,
     homology,
     jacobi_series,
     koszul_expand,
@@ -33,8 +32,6 @@ from moymf import (
     power_sum_F,
     qbinomial,
     regularity_heuristic,
-    tensor,
-    translate,
     verify_relation,
 )
 from moymf.mf_core import validate
@@ -174,24 +171,30 @@ def test_criterion_09_property_suites() -> None:
         session.reduce_fully()
         assert all(e.potential_check == "ok" for e in session.log)
 
-    # (c) tensor commutes and associates at graded rank
+    # (c) the tensor product, a join of rows, commutes and associates at
+    # graded rank
     cutoff = 12
     for _ in range(20):
-        a = koszul_expand(corpus.random_koszul(rng))
-        b = koszul_expand(corpus.random_koszul(rng))
-        c = koszul_expand(corpus.random_koszul(rng))
-        assert tensor(a, b).graded_series(cutoff) == tensor(b, a).graded_series(cutoff)
+        a = corpus.random_koszul(rng)
+        b = corpus.random_koszul(rng)
+        c = corpus.random_koszul(rng)
         assert (
-            tensor(tensor(a, b), c).graded_series(cutoff)
-            == tensor(a, tensor(b, c)).graded_series(cutoff)
+            koszul_expand(a.join(b)).graded_series(cutoff)
+            == koszul_expand(b.join(a)).graded_series(cutoff)
+        )
+        assert (
+            koszul_expand(a.join(b).join(c)).graded_series(cutoff)
+            == koszul_expand(a.join(b.join(c))).graded_series(cutoff)
         )
 
     # (d) translation squares to the identity; grading shifts add
     for _ in range(10):
         k = corpus.random_koszul(rng)
         m = koszul_expand(k)
-        assert translate(translate(m)) == m
-        assert grade_shift(grade_shift(m, 3), -5) == grade_shift(m, -2)
+        assert koszul_expand(k.translated().translated()) == m
+        assert koszul_expand(k.grade_shifted(3).grade_shifted(-5)) == koszul_expand(
+            k.grade_shifted(-2)
+        )
         assert k.translated(1).translated(1) == k
         assert k.grade_shifted(4).grade_shifted(1) == k.grade_shifted(5)
 

@@ -36,13 +36,11 @@ from moymf import (
     compile_diagram,
     euler_characteristic,
     euler_of_diagram,
-    grade_shift,
     homology,
     moy_bracket,
     oracle_crosscheck,
     parse,
     qbinomial,
-    translate,
     verify_relation,
 )
 import moymf.analysis as analysis
@@ -270,14 +268,14 @@ class TestEuler:
             assert euler_of_diagram(parse(src)) == qbinomial(n, i)
 
     def test_invariant_under_parity_translation(self) -> None:
-        mf = _reduced(CIRCLE23).current.expand()
-        e = euler_characteristic(homology(mf))
-        assert euler_characteristic(homology(translate(mf))) == e
+        k = _reduced(CIRCLE23).current
+        e = euler_characteristic(homology(k.expand()))
+        assert euler_characteristic(homology(k.translated().expand())) == e
 
     def test_grading_shift_scales_by_q_power(self) -> None:
-        mf = _reduced(CIRCLE23).current.expand()
-        e = euler_characteristic(homology(mf))
-        shifted = euler_characteristic(homology(grade_shift(mf, 3)))
+        k = _reduced(CIRCLE23).current
+        e = euler_characteristic(homology(k.expand()))
+        shifted = euler_characteristic(homology(k.grade_shifted(3).expand()))
         assert shifted == QLaurent.q_power(3) * e
 
     def test_open_diagram_rejected(self) -> None:

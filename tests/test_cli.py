@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -175,6 +176,14 @@ class TestCompileCommand:
             "d0", "d1", "potential", "potential_degree",
         } <= set(doc)
         assert doc["rank0"] == doc["rank1"] == 8  # 2^4 / 2 generators
+
+    def test_theta_output_bytes_are_pinned(self, theta_file, capsys) -> None:
+        # sha256 prefixes of the explicit expansion in each format: module
+        # order, entry signs and rendering all feed them
+        for argv, digest in (([], "e42464f25f789753"), (["--format", "json"], "b8c0d1206076b10e")):
+            assert main(["compile", theta_file, *argv]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
     def test_out_writes_the_same_document(self, circle_file, tmp_path, capsys) -> None:
         target = tmp_path / "mf.txt"

@@ -1,5 +1,5 @@
 """Matrix factorization layer: Koszul row presentations, expansion,
-tensor products, shifts, and the defining-identity validator."""
+tensor products as row joins, shifts, and the defining-identity validator."""
 
 from __future__ import annotations
 
@@ -21,13 +21,9 @@ from moymf import (
     QuotientRing,
     SparseMat,
     compile_diagram,
-    grade_shift,
     koszul_expand,
     merge_bases,
     parse,
-    tensor,
-    translate,
-    unit_object,
 )
 from moymf.mf_core import IncompatibleBases, InhomogeneousRow, validate
 
@@ -236,8 +232,8 @@ class TestExpansion:
         assert k.graded_series(0) == (QLaurent.one(), QLaurent.zero())
 
     def test_expansion_keeps_the_base(self) -> None:
-        # the tensor fold merges the base with itself, so the expansion
-        # shares the base ring, and with it its Groebner basis
+        # every generator module is built over k.base itself, so the
+        # expansion shares the base ring, and with it its Groebner basis
         k = compile_diagram(parse("level n 3\nedge e1 color 2 from boundary:p to boundary:q\n"))
         assert k.row_count == 2
         assert koszul_expand(k).base is k.base
@@ -245,6 +241,20 @@ class TestExpansion:
     def test_expand_ranks(self) -> None:
         m = koszul_expand(_simple_koszul())
         assert m.m0.rank == 2 and m.m1.rank == 2
+
+    def test_two_rows_expand_to_the_textbook_matrices(self) -> None:
+        # K(a0, a1; b0, b1) has even generators 1, e0e1 and odd e0, e1:
+        # d0 = [[a0, -b1], [a1, b0]] and d1 = [[b0, b1], [-a1, a0]]
+        x, y = Poly.variable(X), Poly.variable(Y)
+        (a0, b0), (a1, b1) = rows = ((x, x * y * y), (y * y, x * y))
+        k = KoszulMF(QuotientRing((X, Y)), rows, 5, 0, 8)
+        m = koszul_expand(k)
+        h0, h1 = k.row_shift(0), k.row_shift(1)
+        assert m.m0.generator_shifts == (5, 5 + h0 + h1)
+        assert m.m1.generator_shifts == (5 + h0, 5 + h1)
+        assert m.d0 == SparseMat(2, 2, {(0, 0): a0, (0, 1): -b1, (1, 0): a1, (1, 1): b0})
+        assert m.d1 == SparseMat(2, 2, {(0, 0): b0, (0, 1): b1, (1, 0): -a1, (1, 1): a0})
+        assert m.potential == a0 * b0 + a1 * b1 and m.potential_degree == 8
 
     def test_an_entry_is_its_polynomial_or_zero(self) -> None:
         mat = SparseMat(2, 2, {(0, 1): Poly.variable(X)})
@@ -262,56 +272,60 @@ class TestExpansion:
 
 
 class TestTensor:
+    """The tensor product is ``join`` on rows, read through the expansion."""
+
     def test_potentials_add(self) -> None:
         rng = random.Random(23)
         for _ in range(10):
-            a = koszul_expand(corpus.random_koszul(rng))
-            b = koszul_expand(corpus.random_koszul(rng))
-            t = tensor(a, b)
+            a = corpus.random_koszul(rng)
+            b = corpus.random_koszul(rng)
+            t = koszul_expand(a.join(b))
             assert t.base.normal_form(
-                t.potential - (a.potential + b.potential)
+                t.potential - (koszul_expand(a).potential + koszul_expand(b).potential)
             ) == Poly.zero()
 
     def test_commutative_at_graded_rank(self) -> None:
         rng = random.Random(29)
         for _ in range(12):
-            a = koszul_expand(corpus.random_koszul(rng))
-            b = koszul_expand(corpus.random_koszul(rng))
-            assert tensor(a, b).graded_series(CUTOFF) == tensor(b, a).graded_series(
-                CUTOFF
-            )
+            a = corpus.random_koszul(rng)
+            b = corpus.random_koszul(rng)
+            assert koszul_expand(a.join(b)).graded_series(CUTOFF) == koszul_expand(
+                b.join(a)
+            ).graded_series(CUTOFF)
 
     def test_associative_at_graded_rank(self) -> None:
         rng = random.Random(31)
         for _ in range(8):
-            a = koszul_expand(corpus.random_koszul(rng))
-            b = koszul_expand(corpus.random_koszul(rng))
-            c = koszul_expand(corpus.random_koszul(rng))
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
+            a = corpus.random_koszul(rng)
+            b = corpus.random_koszul(rng)
+            c = corpus.random_koszul(rng)
+            left = koszul_expand(a.join(b).join(c))
+            right = koszul_expand(a.join(b.join(c)))
             assert left.graded_series(CUTOFF) == right.graded_series(CUTOFF)
 
     def test_tensor_results_validate(self) -> None:
         rng = random.Random(37)
         for _ in range(6):
-            a = koszul_expand(corpus.random_koszul(rng))
-            b = koszul_expand(corpus.random_koszul(rng))
-            assert validate(tensor(a, b)) == []
+            a = corpus.random_koszul(rng).regraded(rng.randint(-3, 3), rng.randint(0, 1))
+            b = corpus.random_koszul(rng).regraded(rng.randint(-3, 3), rng.randint(0, 1))
+            assert validate(koszul_expand(a.join(b))) == []
 
     def test_potential_degrees_must_agree(self) -> None:
         k = _simple_koszul()
         other = KoszulMF(k.base, (), 0, 0, 6)
         with pytest.raises(ValueError, match="potential degrees differ in join"):
             k.join(other)
-        with pytest.raises(ValueError, match="potential degrees differ: 8 vs 6"):
-            tensor(koszul_expand(k), koszul_expand(other))
 
     def test_unit_object_is_neutral(self) -> None:
-        a = koszul_expand(_simple_koszul())
-        u = unit_object(a.base, a.potential_degree)
-        t = tensor(a, u)
-        assert t.graded_series(CUTOFF) == a.graded_series(CUTOFF)
-        assert validate(t) == []
+        k = _simple_koszul()
+        u = KoszulMF(k.base, (), 0, 0, k.potential_degree)
+        # the unit expands to base -> 0 -> base, potential 0
+        unit = koszul_expand(u)
+        assert (unit.m0.generator_shifts, unit.m1.generator_shifts) == ((0,), ())
+        assert unit.potential == Poly.zero() and validate(unit) == []
+        for t in (koszul_expand(k.join(u)), koszul_expand(u.join(k))):
+            assert t == koszul_expand(k)
+            assert validate(t) == []
 
 
 class TestShifts:
@@ -321,9 +335,14 @@ class TestShifts:
             k = corpus.random_koszul(rng)
             assert k.translated(1).translated(1) == k
             m = koszul_expand(k)
-            assert translate(translate(m)).graded_series(CUTOFF) == m.graded_series(
+            # one translation expands to (M1, M0, -d1, -d0)
+            t = koszul_expand(k.translated(1))
+            assert (t.m0, t.m1) == (m.m1, m.m0)
+            assert t.d0.entries == {ij: -p for ij, p in m.d1.entries.items()}
+            assert t.d1.entries == {ij: -p for ij, p in m.d0.entries.items()}
+            assert koszul_expand(k.translated(1).translated(1)).graded_series(
                 CUTOFF
-            )
+            ) == m.graded_series(CUTOFF)
 
     def test_grading_shifts_compose_additively(self) -> None:
         rng = random.Random(43)
@@ -332,7 +351,15 @@ class TestShifts:
             s, t = rng.randint(-3, 3), rng.randint(-3, 3)
             assert k.grade_shifted(s).grade_shifted(t) == k.grade_shifted(s + t)
             m = koszul_expand(k)
-            assert grade_shift(grade_shift(m, s), t) == grade_shift(m, s + t)
+            assert koszul_expand(k.grade_shifted(s).grade_shifted(t)) == koszul_expand(
+                k.grade_shifted(s + t)
+            )
+            # a grading shift offsets every generator and leaves the
+            # differentials as they are
+            shifted = koszul_expand(k.grade_shifted(s))
+            for mod, old in ((shifted.m0, m.m0), (shifted.m1, m.m1)):
+                assert mod.generator_shifts == tuple(e + s for e in old.generator_shifts)
+            assert (shifted.d0, shifted.d1) == (m.d0, m.d1)
 
     def test_translation_swaps_series(self) -> None:
         k = _simple_koszul()

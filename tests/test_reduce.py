@@ -176,15 +176,17 @@ class TestExclusion:
             session.exclude_variable(0)
 
     def test_a_power_of_a_generator_variable_is_no_candidate(self) -> None:
-        # y^3 is a free monomial over Q[x,y], not over Q[x,y]/(y^2 - x^2)
-        row = ((Poly.zero(), PY**3),)
-        free = KoszulMF(QuotientRing((X, Y)), row, 0, 0, 8)
-        cand = exclusion_candidate(free, 0, frozenset({X}))
-        assert (cand.var, cand.power) == (Y, 3)
-        k = KoszulMF(QuotientRing((X, Y), (PY * PY - PX * PX,)), row, 0, 0, 8)
-        assert exclusion_candidate(k, 0, frozenset({X})) is None
-        with pytest.raises(ConditionUnmet, match="row 0: no admissible pure power"):
-            exclude_variable(k, 0, {X})
+        # y^3 is a free monomial over Q[x,y], not over Q[x,y]/(y^2 - x^2),
+        # and y^2 is not one over Q[x,y]/(y^3)
+        for power, gen in ((3, PY * PY - PX * PX), (2, PY**3)):
+            row = ((Poly.zero(), PY**power),)
+            free = KoszulMF(QuotientRing((X, Y)), row, 0, 0, 8)
+            cand = exclusion_candidate(free, 0, frozenset({X}))
+            assert (cand.var, cand.power) == (Y, power)
+            k = KoszulMF(QuotientRing((X, Y), (gen,)), row, 0, 0, 8)
+            assert exclusion_candidate(k, 0, frozenset({X})) is None
+            with pytest.raises(ConditionUnmet, match="row 0: no admissible pure power"):
+                exclude_variable(k, 0, {X})
 
     def test_external_variables_are_protected(self) -> None:
         base = QuotientRing((X, Y))
@@ -333,6 +335,26 @@ class TestExclusionRuns:
         assert run[2] == {"rows": [0, 0], "variables": ["y", "w"], "powers": [1, 1]}
         assert session.current.rows == ((PX**3, -PX),)
         assert session.current.base.ideal_gens == (PV - PX,)
+
+    def test_a_run_ends_where_the_potential_leaves_the_external_variables(self) -> None:
+        # i ranks below e, so y -> e turns the ideal (y - i) into (e - i),
+        # led by e: there the potential -2e^2 has normal form -2i^2, so the
+        # run stops after y although u - i offers a substitution, and the
+        # next exclusion refuses that potential, as a single step would
+        E, I, U = (GradedVar(name, 2) for name in ("e", "i", "u"))
+        PE, PI, PU = (Poly.variable(v) for v in (E, I, U))
+        base = QuotientRing((I, E, Y, U), (PY - PI,))
+        rows = ((PE, PY - PE), (PE, PU - PE), (PY + PU, -PE))
+        k = KoszulMF(base, rows, 0, 0, 4)
+        assert k.potential() == -2 * PE**2
+        session = ReductionSession(k, external=frozenset({E}))
+        with pytest.raises(ConditionUnmet, match=r"potential involves internal variable\(s\) i$"):
+            session.exclude_all()
+        assert [e.params for e in session.log] == [
+            {"rows": [0], "variables": ["y"], "powers": [1]}
+        ]
+        assert _presented(session.current) == _presented(exclude_variable(k, 0, {E}))
+        assert session.current.potential() == -2 * PI**2
 
     def test_a_collapse_in_a_run_refuses_the_whole_run(self) -> None:
         # y -> x, then w -> x sends (w - y; (w - y)*x^2) to (0; 0); a row

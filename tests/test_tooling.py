@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import moymf
-from moymf import GradedVar, Poly, QuotientRing
+from moymf import GradedVar, KoszulMF, Poly, QuotientRing
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -44,3 +44,23 @@ def test_the_tracer_note_finds_ring_monomials() -> None:
     assert callable(QuotientRing.monomials)
     x = GradedVar("x", 2)
     assert QuotientRing((x,)).monomials(4) == (((x, 2),),)
+
+
+def test_an_expand_span_notes_the_expanded_rank() -> None:
+    # mf_core.expanded_rank sums these notes: 2^r for an r-row presentation
+    x, y = GradedVar("x", 2), GradedVar("y", 2)
+    px, py = Poly.variable(x), Poly.variable(y)
+    rows = ((px, py), (py, px), (px, px))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(moymf)
+    tracer.install()
+    try:
+        tracer.item = "probe"
+        for r in range(4):
+            KoszulMF(QuotientRing((x, y)), rows[:r], 0, r % 2, 4).expand()
+        tracer.item = None
+    finally:
+        tracer.uninstall()
+    expands = [span for span in tracer.spans if span[0] == "mf_core.expand"]
+    assert [span[5] for span in expands] == [1, 2, 4, 8]
+    assert tracing.layer_metrics(tracer.spans)["mf_core.expanded_rank"] == 15
