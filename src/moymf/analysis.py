@@ -8,7 +8,8 @@ while moy_bracket evaluates a closed diagram purely by graph rewriting
 oracle_crosscheck asserts the two agree.  Euler characteristics here are
 unsigned: both parity components count positively.  Each relation is one
 entry of RELATIONS, two sides of q-weighted diagram terms (some translated
-in Z/2), and one verifier reduces the terms and compares the sides.
+in Z/2), and one verifier reduces the terms and compares the sides parity
+by parity.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .qseries import (
 from .mf_core import GradedFreeModule, KoszulMF, MatrixFactorization
 from .reduce import ReductionSession
 from .symfun import L_poly  # noqa: F401 -- kept for bench/tracing.py, which rebinds it here
-from .diagram import Diagram, compile_diagram, parse
+from .diagram import _MAX_LEVEL, Diagram, compile_diagram, parse
 
 __all__ = [
     "NotClosed",
@@ -285,17 +286,13 @@ def _find_digon(arcs, verts):
         if kind != "split":
             continue
         p, q = outs
-        if p == q:
-            continue
         v2 = arcs[p][2]
-        if v2 == v1 or arcs[q][2] != v2:
+        if arcs[q][2] != v2:
             continue
-        kind2, ins2, outs2 = verts[v2]
-        if kind2 != "merge" or set(ins2) != {p, q}:
-            continue
+        # two arcs ending at v2 make it a merge whose ins are exactly p, q
         i3 = arcs[ins[0]][0]
         i1 = arcs[p][0]
-        return qbinomial(i3, i1), v1, v2, ins[0], outs2[0], (p, q)
+        return qbinomial(i3, i1), v1, v2, ins[0], verts[v2][2][0], (p, q)
     return None
 
 
@@ -306,18 +303,13 @@ def _find_backtrack(arcs, verts, n: int):
             continue
         m = outs[0]
         v2 = arcs[m][2]
-        if v2 == v1:
+        kind2, _, outs2 = verts[v2]
+        # a vertex's ins are the arcs that end there and its outs the arcs
+        # that start there: a split v2 has in m, and a common arc runs v2 -> v1
+        common = set(ins) & set(outs2)
+        if kind2 != "split" or not common:
             continue
-        kind2, ins2, outs2 = verts[v2]
-        if kind2 != "split" or ins2 != (m,):
-            continue
-        loop = None
-        for a in set(ins) & set(outs2):
-            if arcs[a][1] == v2 and arcs[a][2] == v1:
-                loop = a
-                break
-        if loop is None:
-            continue
+        loop = next(iter(common))
         e_in = ins[0] if ins[1] == loop else ins[1]
         e_out = outs2[0] if outs2[1] == loop else outs2[1]
         i1 = arcs[e_in][0]
@@ -338,6 +330,14 @@ def _polynomial_table(p: QLaurent) -> Table:
     return p, QLaurent.zero(), ()
 
 
+def _homology_table(k: KoszulMF) -> Table:
+    """A closed side's homology, split by parity."""
+    parts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for (d, z), dim in homology(k.expand()).items():
+        parts[z][d] = dim
+    return QLaurent(parts[0]), QLaurent(parts[1]), ()
+
+
 def _swap(t: Table, times: int) -> Table:
     return (t[1], t[0], t[2]) if times % 2 else t
 
@@ -356,11 +356,9 @@ def _weighted_sum(terms: Sequence[tuple[Table, QLaurent]]) -> Table:
     return even, odd, tuple(sorted(common.elements()))
 
 
-def _render_table(t: Table, hi: int, signed: bool = True) -> dict[str, str]:
-    """The series expanded through exponent hi, per parity or in total."""
-    if signed:
-        return {f"z2_{k}": _expand(t[k], t[2], hi).render() for k in (0, 1)}
-    return {"total": _expand(t[0] + t[1], t[2], hi).render()}
+def _render_table(t: Table, hi: int) -> dict[str, str]:
+    """The series of each parity expanded through exponent hi."""
+    return {f"z2_{k}": _expand(t[k], t[2], hi).render() for k in (0, 1)}
 
 
 def _first_difference(lhs: Table, rhs: Table) -> dict | None:
@@ -631,59 +629,56 @@ def _square_j_sides(j: int, n: int) -> Sides:
 
 
 def _square_wide_sides(j: int, n: int) -> Sides:
-    # each H copy translated once; which parity the summands carry is open
-    # here, so the table compares totals and parity_note records the rest
     rhs = _single(_antiparallel_src(j, n)) + [(_h_src(j, n), quantum_integer(n - j - 1), 1)]
     return _single(_square_wide_src(j, n)), rhs
 
 
-# name -> (parameter count, sides, signed, structural).  sides(*params)
-# checks the parameters and returns the two sides, each the weighted sum
-# of its terms: (diagram source, or None for the unit; weight; how many
-# times its parity is swapped).  signed compares per parity, else the
-# total over both; structural, for one-term sides, lists what differs
+# name -> (parameter count, sides, structural).  sides(*params) checks
+# the parameters and returns the two sides, each the weighted sum of its
+# terms: (diagram source, or None for the unit; weight; how many times its
+# parity is swapped).  structural, for one-term sides, lists what differs
 # between the reduced sides.  The order is the one the CLI lists.
 Term = tuple[str | None, QLaurent, int]
 Sides = tuple[list[Term], list[Term]]
-RELATIONS: dict[str, tuple[int, Callable[..., Sides], bool, Callable | None]] = {
+RELATIONS: dict[str, tuple[int, Callable[..., Sides], Callable | None]] = {
     "line_contract": (
         2, lambda i, n: (_single(_glued_pair_src(i, n)), _single(_line_src(i, n))),
-        True, _same_rows,
+        _same_rows,
     ),
     "circle_jacobi": (
-        2, lambda i, n: (_single(_circle_src(i, n)), [(None, qbinomial(n, i), 0)]),
-        False, None,
+        2, lambda i, n: (_single(_circle_src(i, n)), [(None, qbinomial(n, i), i)]), None,
     ),
-    "assoc_merge": (4, lambda *p: _trees(_merge_tree_src, *p), True, _same_ring),
-    "assoc_split": (4, lambda *p: _trees(_split_tree_src, *p), True, _same_ring),
-    "bubble": (4, _bubble_sides, True, None),
+    "assoc_merge": (4, lambda *p: _trees(_merge_tree_src, *p), _same_ring),
+    "assoc_split": (4, lambda *p: _trees(_split_tree_src, *p), _same_ring),
+    "bubble": (4, _bubble_sides, None),
     "counter_bubble": (
         3, lambda i1, i2, n: (
             _single(_counter_bubble_src(i1, i2, n)),
             [(_line_src(i1, n), qbinomial(n - i1, i2), i2)],
         ),
-        True, None,
+        None,
     ),
-    "square_j": (2, _square_j_sides, True, None),
-    "square_wide": (2, _square_wide_sides, False, None),
-    "cor_square": (2, _cor_square_sides, False, None),
+    "square_j": (2, _square_j_sides, None),
+    "square_wide": (2, _square_wide_sides, None),
+    "cor_square": (2, _cor_square_sides, None),
 }
 
 
 def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
-    """Reduce every term of nonzero weight, count a closed diagram by the
-    Euler characteristic of its homology and an open one by its exact
-    table, sum each side and judge.  An unsigned comparison of open sides
-    also notes whether they agree per parity."""
-    _, sides, signed, structural = RELATIONS[name]
+    """Reduce every term of nonzero weight, count a closed diagram by its
+    homology and an open one by its exact table, each per parity, sum each
+    side and judge."""
+    _, sides, structural = RELATIONS[name]
     terms = sides(*params)
     n = params[-1]  # every diagram's level
     for src, _, _ in terms[0] + terms[1]:
+        if src is not None and n > _MAX_LEVEL:
+            raise ValueError(f"relation {name} {list(params)}: level {n} above {_MAX_LEVEL}")
         for color in map(int, re.findall(r"color (-?\d+)", src or "")):
             if not 1 <= color <= n:
                 raise ValueError(f"relation {name} {list(params)}: color {color} not in 1..{n}")
     log: list[dict] = []
-    tables, reduced, opened = [], ([], []), False
+    tables, reduced = [], ([], [])
     for side, kept in zip(terms, reduced):
         summands = []
         for src, weight, swaps in side:
@@ -696,31 +691,20 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
                 log += session.log_dicts()
                 k = session.current
                 kept.append(k)
-                opened |= not d.closed
-                table = _polynomial_table(_euler(k, None)) if d.closed else k._series()
+                table = _homology_table(k) if d.closed else k._series()
             summands.append((_swap(table, swaps), weight))
         tables.append(_weighted_sum(summands))
     lhs, rhs = tables
     report = {
         "relation": name,
         "params": list(params),
-        "lhs_series": _render_table(lhs, cutoff, signed),
-        "rhs_series": _render_table(rhs, cutoff, signed),
+        "lhs_series": _render_table(lhs, cutoff),
+        "rhs_series": _render_table(rhs, cutoff),
         "verdict": None,
         "reduction_log_ref": "inline:reduction_log",
         "reduction_log": log,
     }
-    if signed:
-        return _judge(report, lhs, rhs, structural(*(k[0] for k in reduced)) if structural else ())
-    _judge(report, *((t[0] + t[1], QLaurent.zero(), t[2]) for t in (lhs, rhs)))
-    if opened:
-        direct, flipped = (_first_difference(lhs, t) is None for t in (rhs, _swap(rhs, 1)))
-        report["parity_note"] = {
-            "lhs": _render_table(lhs, cutoff),
-            "rhs_flipped_summands": _render_table(rhs, cutoff),
-            "parity_match": "direct" if direct else "flipped" if flipped else "neither",
-        }
-    return report
+    return _judge(report, lhs, rhs, structural(*(k[0] for k in reduced)) if structural else ())
 
 
 RELATION_NAMES = tuple(RELATIONS)
@@ -733,16 +717,18 @@ def verify_relation(
 ) -> dict:
     """Check one decomposition relation at the given colors and level.
 
-    Diagram sides are built, reduced by the calculus, and compared as exact
-    rational graded series, so PASS holds in every degree; ``cor_square`` is
+    Diagram sides are built, reduced by the calculus, and compared parity
+    by parity as exact rational graded series, so PASS holds in every
+    degree; ``cor_square`` is
     a closed-form identity and needs no reduction.  The report carries both
     series expanded through the cutoff, which bounds nothing else, a
     PASS/FAIL verdict, the reduction log, and the lowest differing
     coefficient on failure.  An unknown name, a parameter that is not an
     ``int`` (a ``bool`` included), a parameter count other than the one
     ``RELATIONS`` lists, a parameter outside the relation's domain (a color
-    below 1 or above the level among them, and a ``cor_square`` parameter
-    below 1), or a negative cutoff raises ValueError.
+    below 1 or above the level among them, a level above 126 for a relation
+    of diagrams, and a ``cor_square`` parameter below 1), or a negative
+    cutoff raises ValueError.
     """
     if name not in RELATIONS:
         raise ValueError(f"unknown relation {name!r}; choose from {RELATION_NAMES}")

@@ -294,10 +294,8 @@ def _candidate(
     )
     best: _Candidate | None = None
     for y in internal:
-        power = pure_power(b, y)
-        if power is None:
-            continue
-        e, c = power
+        # b is homogeneous, so its pure term c*y^e holds y's top power alone
+        e, c = pure_power(b, y)
         if e > 1 and y in gen_vars:
             # y is already constrained; y^e is no longer a free monomial
             continue

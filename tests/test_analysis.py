@@ -44,7 +44,7 @@ from moymf import (
     verify_relation,
 )
 import moymf.analysis as analysis
-from moymf.qseries import _expand
+from moymf.qseries import _expand, quantum_integer
 
 CIRCLE12 = "level n 2\nedge e1 color 1 from boundary:a to boundary:a\n"
 CIRCLE23 = "level n 3\nedge e1 color 2 from boundary:a to boundary:a\n"
@@ -374,7 +374,10 @@ _NUMERATORS = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4
 
 
 class TestVerifyRelation:
-    REPORT_KEYS = {
+    # the keys of every report, in order: part of the public surface; a
+    # FAIL adds first_difference and a structural mismatch
+    # structural_mismatch
+    REPORT_KEYS = [
         "relation",
         "params",
         "lhs_series",
@@ -382,7 +385,7 @@ class TestVerifyRelation:
         "verdict",
         "reduction_log_ref",
         "reduction_log",
-    }
+    ]
 
     SMALL = {
         "line_contract": (1, 2),
@@ -401,9 +404,27 @@ class TestVerifyRelation:
         for name in RELATION_NAMES:
             report = verify_relation(name, self.SMALL[name])
             assert report["verdict"] == "PASS", (name, report)
-            assert self.REPORT_KEYS <= set(report)
+            assert list(report) == self.REPORT_KEYS, name
+            assert list(report["lhs_series"]) == list(report["rhs_series"]) == ["z2_0", "z2_1"]
             assert report["relation"] == name
             assert report["reduction_log_ref"] == "inline:reduction_log"
+
+    def test_a_fail_and_a_structural_mismatch_add_their_keys(self, monkeypatch) -> None:
+        arity, sides, structural = analysis.RELATIONS["line_contract"]
+        monkeypatch.setitem(
+            analysis.RELATIONS, "line_contract", (arity, sides, lambda *_: ["rigged"])
+        )
+        report = verify_relation("line_contract", (1, 2))
+        assert list(report) == self.REPORT_KEYS + ["structural_mismatch"]
+        # the color-2 line against the color-1 pair differs in series and rows
+        monkeypatch.setitem(
+            analysis.RELATIONS, "line_contract",
+            (arity, lambda i, n: (sides(i, n)[0], sides(i + 1, n)[1]), structural),
+        )
+        report = verify_relation("line_contract", (1, 2))
+        assert report["verdict"] == "FAIL"
+        assert list(report) == self.REPORT_KEYS + ["first_difference", "structural_mismatch"]
+        assert list(report["first_difference"]) == ["z2", "exponent", "lhs", "rhs"]
 
     def test_no_step_runs_outside_reduce_fully(self, monkeypatch) -> None:
         # every relation side reduces through reduce_fully alone: no
@@ -451,10 +472,10 @@ class TestVerifyRelation:
             results.update(json.dumps(report, sort_keys=True).encode())
             logs.update(json.dumps(log, sort_keys=True).encode())
         # every report is pinned in two parts: what it answers (verdict,
-        # series tables, first difference and notes), which a change to the
+        # series tables per parity and first difference), which a change to the
         # reduction steps must leave alone, and its reduction log; a change
         # to either updates its digest and says why in CHANGES.md
-        assert results.hexdigest()[:16] == "4d3af7e400dea6e3"
+        assert results.hexdigest()[:16] == "c60c93c9ecbf935a"
         assert logs.hexdigest()[:16] == "f3512964ee988520"
 
     def test_clearing_reports_do_not_depend_on_the_variables_registered_before(self) -> None:
@@ -503,6 +524,7 @@ class TestVerifyRelation:
     OUT_OF_DOMAIN = [
         ("line_contract", (0, 2), "color 0 not in 1..2"),
         ("line_contract", (3, 2), "color 3 not in 1..2"),
+        ("line_contract", (1, 200), "level 200 above 126"),
         ("circle_jacobi", (0, 2), "color 0 not in 1..2"),
         ("circle_jacobi", (3, 2), "color 3 not in 1..2"),
         ("assoc_merge", (1, 0, 1, 3), "color 0 not in 1..3"),
@@ -513,6 +535,7 @@ class TestVerifyRelation:
         ("bubble", (2, 2, 4, 3), "color 4 not in 1..3"),
         ("counter_bubble", (0, 1, 3), "color 0 not in 1..3"),
         ("counter_bubble", (2, 2, 3), "color 4 not in 1..3"),
+        ("counter_bubble", (1, 1, 127), "level 127 above 126"),
         ("square_j", (0, 3), "color 0 not in 1..3"),
         ("square_j", (4, 3), "color 4 not in 1..3"),
         ("square_wide", (0, 3), "color 0 not in 1..3"),
@@ -541,10 +564,6 @@ class TestVerifyRelation:
         h = analysis._reduced(parse(analysis._h_src(2, 4))).log_dicts()
         assert (len(square), len(h)) == (4, 1)
         assert verify_relation("square_wide", (2, 4))["reduction_log"] == square + h
-        # only an unsigned comparison of open sides notes its parity
-        notes = {name: "parity_note" in verify_relation(name, self.SMALL[name])
-                 for name in RELATION_NAMES}
-        assert [name for name, noted in notes.items() if noted] == ["square_wide"]
 
     def test_bubble_2247_takes_a_b_b_then_an_a_b_row_op(self) -> None:
         # (2,2,4,7): a b-against-b op, then an a-against-b op leave a
@@ -567,12 +586,42 @@ class TestVerifyRelation:
         # the ring's own cutoff, and only the series stop at the given one
         report = verify_relation("circle_jacobi", (2, 3), cutoff=1)
         assert report["verdict"] == "PASS"
-        assert report["lhs_series"] == report["rhs_series"] == {"total": "q^-2 + 1"}
+        assert report["lhs_series"] == report["rhs_series"] == {"z2_0": "q^-2 + 1", "z2_1": "0"}
         assert verify_relation("circle_jacobi", (3, 10))["verdict"] == "PASS"
 
-    def test_wide_square_records_parity_agreement(self) -> None:
-        report = verify_relation("square_wide", (2, 3))
-        assert report["parity_note"]["parity_match"] == "direct"
+    @pytest.mark.parametrize("name, params, wrong, parity", [
+        # a color-1 circle's homology [2 1] lies in parity 1, so the unit
+        # term stated without its swap puts the same total in parity 0
+        ("circle_jacobi", (1, 2), lambda i, n: (
+            analysis._single(analysis._circle_src(i, n)), [(None, qbinomial(n, i), 0)]
+        ), 0),
+        # square_wide (2, 4) with its H copy left untranslated
+        ("square_wide", (2, 4), lambda j, n: (
+            analysis._single(analysis._square_wide_src(j, n)),
+            analysis._single(analysis._antiparallel_src(j, n))
+            + [(analysis._h_src(j, n), quantum_integer(n - j - 1), 0)],
+        ), 0),
+    ])
+    def test_sides_are_judged_per_parity(self, monkeypatch, name, params, wrong, parity) -> None:
+        # each relation holds parity by parity: a side whose parity swaps
+        # are wrong FAILs, and first_difference names the parity, though
+        # both parities together still agree
+        assert verify_relation(name, params)["verdict"] == "PASS"
+        arity, _, structural = analysis.RELATIONS[name]
+        monkeypatch.setitem(analysis.RELATIONS, name, (arity, wrong, structural))
+        judged, judge = [], analysis._judge
+        monkeypatch.setattr(
+            analysis, "_judge", lambda report, *sides: judged.append(sides) or judge(report, *sides)
+        )
+        report = verify_relation(name, params)
+        assert report["verdict"] == "FAIL"
+        assert report["first_difference"]["z2"] == parity
+        [(lhs, rhs, _)] = judged
+
+        def total(t):
+            return t[0] + t[1], QLaurent.zero(), t[2]
+
+        assert analysis._first_difference(total(lhs), total(rhs)) is None
 
     def test_negative_cutoff_rejected(self) -> None:
         # every series truncated below degree 0 is empty; from cutoff 0 on

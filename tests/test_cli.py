@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import shlex
@@ -303,6 +304,11 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             "error: relation assoc_merge [1, 1, 1, 2]: color 3 not in 1..2\n"
         )
+        # a level past the packed limit is refused before any source is parsed
+        assert main(["verify", "line_contract", "--params", "1", "200"]) == 2
+        assert capsys.readouterr().err == (
+            "error: relation line_contract [1, 200]: level 200 above 126\n"
+        )
 
     def test_unknown_relation_is_an_argparse_error(self) -> None:
         with pytest.raises(SystemExit) as info:
@@ -326,11 +332,11 @@ class TestVerifyCommand:
             return {
                 "relation": name,
                 "params": list(params),
-                "lhs_series": {"total": "1"},
-                "rhs_series": {"total": "q^2"},
+                "lhs_series": {"z2_0": "1", "z2_1": "0"},
+                "rhs_series": {"z2_0": "q^2", "z2_1": "0"},
                 "verdict": "FAIL",
                 "first_difference": {
-                    "z2": "total", "exponent": 0, "lhs": 1, "rhs": 0,
+                    "z2": 0, "exponent": 0, "lhs": 1, "rhs": 0,
                 },
                 "reduction_log_ref": "inline:reduction_log",
                 "reduction_log": [],
@@ -416,3 +422,29 @@ def test_readme_command_line_examples(circle_file, capsys) -> None:
         assert capsys.readouterr().out.splitlines() == shown, command
         ran.append(argv[0])
     assert ran == ["euler", "verify", "qbinom"]
+
+
+def test_readme_usage_block_lists_each_commands_arguments() -> None:
+    # README's usage block names, per subcommand, its positional arguments
+    # (the dest in capitals) and exactly the options build_parser defines
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    usage = section.split("\n```\n", 1)[1].split("```", 1)[0]
+    shown = {}
+    for line in usage.splitlines():
+        command, *tokens = shlex.split(line.removeprefix("moymf "))
+        tokens = [t.strip("[]") for t in tokens]
+        first = next((i for i, t in enumerate(tokens) if t.startswith("--")), len(tokens))
+        options = {t for t in tokens if t.startswith("--")}
+        shown[command] = (tokens[:first], options)
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    defined = {}
+    for command, sub in commands.choices.items():
+        positionals = [a.dest.upper() for a in sub._actions if not a.option_strings]
+        options = {
+            s for a in sub._actions for s in a.option_strings if s.startswith("--")
+        } - {"--help"}
+        defined[command] = (positionals, options)
+    assert shown == defined
