@@ -445,31 +445,23 @@ def _merge_tree_src(i1: int, i2: int, i3: int, n: int, left: bool) -> str:
     )
 
 
-def _split_tree_src(i1: int, i2: int, i3: int, n: int, left: bool) -> str:
-    i4 = i1 + i2 + i3
-    if left:
-        m = i1 + i2
-        return (
-            f"level n {n}\n"
-            f"edge e4 color {i4} from boundary:d to v1\n"
-            f"vertex v1 split in e4 out am e3\n"
-            f"edge am color {m} from v1 to v2\n"
-            f"edge e3 color {i3} from v1 to boundary:a3\n"
-            f"vertex v2 split in am out e1 e2\n"
-            f"edge e1 color {i1} from v2 to boundary:a1\n"
-            f"edge e2 color {i2} from v2 to boundary:a2\n"
-        )
-    m = i2 + i3
-    return (
-        f"level n {n}\n"
-        f"edge e4 color {i4} from boundary:d to v1\n"
-        f"vertex v1 split in e4 out e1 am\n"
-        f"edge e1 color {i1} from v1 to boundary:a1\n"
-        f"edge am color {m} from v1 to v2\n"
-        f"vertex v2 split in am out e2 e3\n"
-        f"edge e2 color {i2} from v2 to boundary:a2\n"
-        f"edge e3 color {i3} from v2 to boundary:a3\n"
-    )
+def _mirrored(src: str) -> str:
+    """The diagram with every edge reversed: each merge becomes a split with
+    its ins and outs swapped, and each split a merge.  The vertices come in
+    reverse order, and so do their rows."""
+    lines, vertices = [], []
+    for line in src.splitlines():
+        w = line.split()
+        if w[0] == "edge":
+            line = f"edge {w[1]} color {w[3]} from {w[7]} to {w[5]}"
+        elif w[0] == "vertex":
+            cut = w.index("out")
+            kind = "split" if w[2] == "merge" else "merge"
+            ins, outs = " ".join(w[4:cut]), " ".join(w[cut + 1:])
+            vertices.insert(0, f"vertex {w[1]} {kind} in {outs} out {ins}")
+            continue
+        lines.append(line)
+    return "\n".join(lines + vertices) + "\n"
 
 
 def _square_tall_src(j: int, n: int) -> str:
@@ -606,8 +598,11 @@ def _single(src: str) -> list[Term]:
     return [(src, QLaurent.one(), 0)]
 
 
-def _trees(builder: Callable[..., str], *params: int) -> Sides:
-    return _single(builder(*params, left=True)), _single(builder(*params, left=False))
+def _trees(*params: int, mirror: bool = False) -> Sides:
+    """The left and right merge trees, each mirrored into a split tree when
+    asked."""
+    srcs = (_merge_tree_src(*params, left=left) for left in (True, False))
+    return tuple(_single(_mirrored(src) if mirror else src) for src in srcs)
 
 
 def _bubble_sides(i1: int, i2: int, i3: int, n: int) -> Sides:
@@ -648,8 +643,8 @@ RELATIONS: dict[str, tuple[int, Callable[..., Sides], Callable | None]] = {
     "circle_jacobi": (
         2, lambda i, n: (_single(_circle_src(i, n)), [(None, qbinomial(n, i), i)]), None,
     ),
-    "assoc_merge": (4, lambda *p: _trees(_merge_tree_src, *p), _same_ring),
-    "assoc_split": (4, lambda *p: _trees(_split_tree_src, *p), _same_ring),
+    "assoc_merge": (4, _trees, _same_ring),
+    "assoc_split": (4, lambda *p: _trees(*p, mirror=True), _same_ring),
     "bubble": (4, _bubble_sides, None),
     "counter_bubble": (
         3, lambda i1, i2, n: (
@@ -667,7 +662,11 @@ RELATIONS: dict[str, tuple[int, Callable[..., Sides], Callable | None]] = {
 def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
     """Reduce every term of nonzero weight, count a closed diagram by its
     homology and an open one by its exact table, each per parity, sum each
-    side and judge."""
+    side and judge.  A verdict other than PASS is UNDECIDED when a reduced
+    open term keeps an internal variable in a row: its table counts the
+    ranks of a presentation the calculus did not finish, so a difference
+    disproves nothing.  A closed term's homology is the same however far
+    it was reduced."""
     _, sides, structural = RELATIONS[name]
     terms = sides(*params)
     n = params[-1]  # every diagram's level
@@ -678,7 +677,7 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
             if not 1 <= color <= n:
                 raise ValueError(f"relation {name} {list(params)}: color {color} not in 1..{n}")
     log: list[dict] = []
-    tables, reduced = [], ([], [])
+    tables, reduced, stalled = [], ([], []), set()
     for side, kept in zip(terms, reduced):
         summands = []
         for src, weight, swaps in side:
@@ -691,7 +690,11 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
                 log += session.log_dicts()
                 k = session.current
                 kept.append(k)
-                table = _homology_table(k) if d.closed else k._series()
+                if d.closed:
+                    table = _homology_table(k)
+                else:
+                    table, ext = k._series(), d.external_vars()
+                    stalled.update(v.name for r in k.rows for p in r for v in p.variables() - ext)
             summands.append((_swap(table, swaps), weight))
         tables.append(_weighted_sum(summands))
     lhs, rhs = tables
@@ -704,7 +707,11 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
         "reduction_log_ref": "inline:reduction_log",
         "reduction_log": log,
     }
-    return _judge(report, lhs, rhs, structural(*(k[0] for k in reduced)) if structural else ())
+    _judge(report, lhs, rhs, structural(*(k[0] for k in reduced)) if structural else ())
+    if report["verdict"] != "PASS" and stalled:
+        report["verdict"] = "UNDECIDED"
+        report["stalled_variables"] = sorted(stalled)
+    return report
 
 
 RELATION_NAMES = tuple(RELATIONS)
@@ -719,11 +726,13 @@ def verify_relation(
 
     Diagram sides are built, reduced by the calculus, and compared parity
     by parity as exact rational graded series, so PASS holds in every
-    degree; ``cor_square`` is
-    a closed-form identity and needs no reduction.  The report carries both
-    series expanded through the cutoff, which bounds nothing else, a
-    PASS/FAIL verdict, the reduction log, and the lowest differing
-    coefficient on failure.  An unknown name, a parameter that is not an
+    degree; ``cor_square`` is a closed-form identity and needs no
+    reduction.  The report carries both series expanded through the
+    cutoff, which bounds nothing else, a verdict, the reduction log, and
+    the lowest differing coefficient when the series differ.  The verdict
+    is PASS, FAIL, or UNDECIDED when the sides differ while a reduced open
+    term keeps internal variables in its rows, which the report lists as
+    ``stalled_variables``.  An unknown name, a parameter that is not an
     ``int`` (a ``bool`` included), a parameter count other than the one
     ``RELATIONS`` lists, a parameter outside the relation's domain (a color
     below 1 or above the level among them, a level above 126 for a relation

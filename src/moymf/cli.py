@@ -9,10 +9,11 @@ file commands read a diagram file, whose level ``--n`` may override;
 ``verify`` reads a relation's parameters from ``--params``; and the
 commands that truncate take ``--cutoff``, default ``DEFAULT_CUTOFF``.
 
-Exit codes: 0 on success or PASS, 1 when a verification reports FAIL,
-2 on input errors (unreadable file, syntax error, color violation,
-open diagram where a closed one is required, bad parameters), 3 on an
-internal error, reported as one ``internal error: <Type>: <message>`` line.
+Exit codes: 0 on success or PASS, 1 when a verification reports FAIL
+or UNDECIDED, 2 on input errors (unreadable file, syntax error, color
+violation, open diagram where a closed one is required, bad parameters),
+3 on an internal error, reported as one ``internal error: <Type>:
+<message>`` line.
 """
 
 from __future__ import annotations

@@ -237,16 +237,6 @@ def mono_key(m: Mono) -> tuple:
     return (sum(v.degree * e for v, e in m), tuple((v.name, e) for v, e in m))
 
 
-def _display_lead(p: Poly) -> int:
-    """The key of the ``mono_key``-largest term of a nonzero p whose variables
-    have distinct names, from the packed keys: after the degree, at the first
-    variable in name order whose exponents differ, the larger wins, and 0
-    (the next pair names a later variable) wins over any."""
-    shifts = [_UNITS[v].bit_length() - 1 for v, _ in _unpack(reduce(int.__or__, p._terms))]
-    zero = _FIELD + 1  # above every exponent
-    return max(p._terms, key=lambda m: [m & _FIELD] + [(m >> s) & _FIELD or zero for s in shifts])
-
-
 class Poly:
     """Immutable exact polynomial.  Supports +, -, *, ** and scalar mixing."""
 

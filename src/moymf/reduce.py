@@ -26,9 +26,10 @@ absorptions: (0; b) contributes the quotient by b on the spot, and (a; 0)
 is absorbed as (0; a) after a transposition.  A session gates all its
 zero-sided rows as one sequence and, when the gate verifies it regular
 over the current base, absorbs them in one ``absorb`` step; otherwise it
-takes the first row alone, through the same gate.  Every entry that joins
-the base is gated, and every presentation the session adopts is
-potential-checked by a sum over its rows.
+takes the first row alone, through the same gate.  Every absorbed entry
+is gated (a quotient exclusion's entry is regular by its form: monic in a
+variable no generator holds), and every presentation the session adopts
+is potential-checked by a sum over its rows.
 
 When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
 clears internal variables from rows by row ops and transpositions
@@ -48,7 +49,6 @@ from .poly_core import (
     Poly,
     QuotientRing,
     _by_monomial,
-    _display_lead,
     _inverse,
     _lead_quotient,
     _outside,
@@ -266,7 +266,6 @@ def replace_first_sequence(
 
 @dataclass(frozen=True)
 class _Candidate:
-    row: int
     var: GradedVar
     power: int
     coeff: int | Fraction
@@ -276,7 +275,7 @@ def exclusion_candidate(
     k: KoszulMF, row: int, external: frozenset[GradedVar]
 ) -> _Candidate | None:
     """Best admissible (variable, power) for excluding this row, or None."""
-    return _candidate(k.rows[row][1], row, external, _generator_vars(k.base))
+    return _candidate(k.rows[row][1], external, _generator_vars(k.base))
 
 
 def _generator_vars(base: QuotientRing) -> frozenset[GradedVar]:
@@ -285,7 +284,7 @@ def _generator_vars(base: QuotientRing) -> frozenset[GradedVar]:
 
 
 def _candidate(
-    b: Poly, row: int, external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
+    b: Poly, external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
 ) -> _Candidate | None:
     """``exclusion_candidate`` for a row with second entry b, the generator
     variables given."""
@@ -301,7 +300,7 @@ def _candidate(
             continue
         # prefer substitutions, then the lexicographically smallest variable
         if best is None or (e == 1 and best.power > 1):
-            best = _Candidate(row, y, e, c)
+            best = _Candidate(y, e, c)
     return best
 
 
@@ -354,10 +353,10 @@ def _pick(
 ) -> tuple[int, _Candidate] | None:
     """The row greedy exclusion takes next and its candidate: the first
     substitution, else the first quotient exclusion.  Each row keeps its
-    candidate per key; a kept one still names the index it was found at."""
-    key, best = (1, external, gen_vars), None
+    candidate per key."""
+    key, best = (external, gen_vars), None
     for m, row in enumerate(rows):
-        cand = row.memo(key, lambda: _candidate(row[1], m, external, gen_vars))
+        cand = row.memo(key, lambda: _candidate(row[1], external, gen_vars))
         if cand and (best is None or (cand.power == 1 and best[1].power > 1)):
             best = (m, cand)
             if cand.power == 1:  # no later row comes first
@@ -417,9 +416,9 @@ def _excluded(
     if run and sub:
         # the scan that ended the run read these very b-entries; a row
         # whose a-entry did not move is that row itself
-        key = (1, external, gen_vars)
-        for m, (r, s) in enumerate(zip(new.rows, rows)):
-            r.memo(key, lambda: s.memo(key, lambda: _candidate(s[1], m, external, gen_vars)))
+        key = (external, gen_vars)
+        for r, s in zip(new.rows, rows):
+            r.memo(key, lambda: s.memo(key, lambda: _candidate(s[1], external, gen_vars)))
     return new, taken
 
 
@@ -431,8 +430,8 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
     the quotient module, so the row can be absorbed into the base ring
     with no change of parity or grading.  A row (a; 0) is absorbed as
     (0; a) after ``transpose_row``, which flips the parity and shifts the
-    grading by potential_degree/2 - deg a.  The entry joins the base
-    scaled to lead coefficient one.
+    grading by potential_degree/2 - deg a.  The entry joins the base as
+    the row holds it; the Groebner basis makes its own elements monic.
     """
     return _absorbed(k, [row], force)[0]
 
@@ -443,12 +442,11 @@ def _absorbed(
     """The zero-sided ``rows`` absorbed at once, the gate's verdict on
     their entries and the generators joined, as the new base holds them.
 
-    The entries, each scaled to lead coefficient one, are gated as one
-    sequence in the order given; a regular sequence gives the quotient that
-    absorbing them one at a time gives.  Each (a; 0) row contributes its
-    row shift and one parity flip, as ``transpose_row`` would, to a single
-    ``regraded`` instance over the gate's ring; the other rows are rebased
-    once."""
+    The entries, as the rows hold them, are gated as one sequence in the
+    order given; a regular sequence gives the quotient that absorbing them
+    one at a time gives.  Each (a; 0) row contributes its row shift and one
+    parity flip, as ``transpose_row`` would, to a single ``regraded``
+    instance over the gate's ring; the other rows are rebased once."""
     gens, shift, flips = [], 0, 0
     for m in rows:
         a, b = k.rows[m]
@@ -456,7 +454,7 @@ def _absorbed(
             raise ConditionUnmet(f"row {m} has no zero side")
         if a:
             shift, flips, b = shift + k.row_shift(m), flips + 1, a
-        gens.append(b * _inverse(b._terms[_display_lead(b)]))
+        gens.append(b)
     verdict, new_base = _gate(k.base, gens)
     if verdict != "verified" and not force:
         raise RegularityUnverified(
@@ -465,8 +463,7 @@ def _absorbed(
         )
     rest = (r for m, r in enumerate(k.rows) if m not in rows)
     kept = _rebased_rows(rest, new_base, None, f"while absorbing rows {list(rows)}")
-    joined = new_base.ideal_gens[len(k.base.ideal_gens):]
-    return k.regraded(shift, flips, kept, new_base), verdict, joined
+    return k.regraded(shift, flips, kept, new_base), verdict, tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +722,8 @@ class ReductionSession:
         if not k.potential().variables() <= self.external:
             return False  # exclusion would refuse the transposed row
         gen_vars = _generator_vars(k.base)
-        key = (0, self.external, gen_vars)
         for m, row in enumerate(k.rows):
-            if any(parts[m][0]) and all(row) and row.memo(
-                key, lambda: _candidate(row[0], m, self.external, gen_vars)
-            ):
+            if any(parts[m][0]) and all(row) and _candidate(row[0], self.external, gen_vars):
                 self.transpose_row(m)
                 return True
         return False

@@ -348,6 +348,17 @@ class TestVerifyCommand:
         assert lines[-1] == "FAIL"
         assert any(line.startswith("first difference:") for line in lines)
 
+    def test_undecided_verdict_exits_1(self, capsys) -> None:
+        # the reduced counter-bubble keeps x1_i.zl and x2_i.zl in its rows
+        args = ["verify", "counter_bubble", "--params", "3", "3", "8"]
+        assert main(args) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "UNDECIDED"
+        assert any(line.startswith("first difference:") for line in lines)
+        assert main(args + ["--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["stalled_variables"] == ["x1_i.zl", "x2_i.zl"]
+
     def test_internal_error_exits_3_without_traceback(self, capsys, monkeypatch) -> None:
         def broken(name, params, cutoff=None):
             raise TypeError("unsupported operand")

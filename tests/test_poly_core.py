@@ -40,7 +40,6 @@ from moymf.poly_core import (
     _pack,
     _to_plan,
     insert_pivot_row,
-    mono_key,
     pure_power,
 )
 from moymf.qseries import _expand
@@ -883,34 +882,8 @@ print("ok")
 """
 
 
-# registered in this order, which is not name order, so that the packed
-# fields and mono_key read the variables in different orders
-_LEAD_VARS = (
-    GradedVar("lead_z", 2), GradedVar("lead_b", 4), GradedVar("lead_y", 2), GradedVar("lead_a", 6)
-)
-
-
-@st.composite
-def homogeneous_fraction_polys(draw) -> Poly:
-    """A nonzero homogeneous Poly over some of _LEAD_VARS, its coefficients
-    Fractions."""
-    for v in _LEAD_VARS:
-        poly_core._unit(v)
-    vs = draw(st.lists(st.sampled_from(_LEAD_VARS), min_size=1, max_size=4, unique=True))
-    monos = corpus._weighted_monomials([v.degree for v in vs], draw(st.sampled_from([4, 6, 8, 12])))
-    assume(monos)
-    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=8, unique=True))
-    coeffs = st.fractions(-4, 4, max_denominator=5).filter(bool)
-    return Poly({tuple((v, e) for v, e in zip(vs, exps) if e): draw(coeffs) for exps in chosen})
-
-
 class TestKeyHelpers:
     """The key-level reads the reduction calculus makes of row entries."""
-
-    @given(homogeneous_fraction_polys())
-    def test_display_lead_is_the_mono_key_largest_term(self, p: Poly) -> None:
-        top = max(p.terms, key=mono_key)
-        assert poly_core._unpack(poly_core._display_lead(p)) == top
 
     def test_lead_quotient_divides_field_by_field(self) -> None:
         x, y, z = (Poly.variable(v) for v in VARS)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -42,6 +43,7 @@ from moymf import (
 )
 from moymf import mf_core, poly_core
 from moymf import reduce as reduce_module
+from moymf.poly_core import mono_key
 from moymf.analysis import (
     _bubble_src,
     _circle_src,
@@ -381,11 +383,11 @@ class TestAbsorption:
         assert entry.op == "absorb"
         assert entry.params["sides"] == ["a"]
 
-    def test_absorbed_generator_is_scaled_to_lead_one(self) -> None:
+    def test_absorbed_generator_is_the_rows_entry(self) -> None:
         base = QuotientRing((X, Y))
         k = KoszulMF(base, ((3 * PX * PX, Poly.zero()),), 0, 0, 8)
         (gen,) = absorb_zero_row(k, 0).base.ideal_gens
-        assert gen == PX * PX and type(gen.coefficient(((X, 2),))) is int
+        assert gen == 3 * PX * PX and type(gen.coefficient(((X, 2),))) is int
 
     def test_absorption_adopts_the_gate_ring(self, monkeypatch) -> None:
         # absorption keeps the ring the gate decided on, so neither the
@@ -402,9 +404,12 @@ class TestAbsorption:
         monkeypatch.setattr(
             reduce_module, "_gate", lambda b, seq: decided.append(gate(b, seq)) or decided[-1]
         )
-        for base, entry in (
-            (QuotientRing((X, Y), (PX**3,)), PY * PY),
-            (QuotientRing((X, Y), (PY * PY - PX * PX,)), PY**3),
+        for base, entry, joined in (
+            (QuotientRing((X, Y), (PX**3,)), PY * PY, "Q[x(2), y(2)] / <x^3; 3*y^2>"),
+            (
+                QuotientRing((X, Y), (PY * PY - PX * PX,)), PY**3,
+                "Q[x(2), y(2)] / <-x^2 + y^2; 3*y^3>",
+            ),
         ):
             base.hilbert_series()
             built.clear()
@@ -415,7 +420,7 @@ class TestAbsorption:
             assert [ring for _, ring in decided] == [new.base]
             assert decided[0][0] == "verified"
             assert not built
-            assert new.base.render() == base.with_generators((entry,)).render()
+            assert new.base.render() == base.with_generators((3 * entry,)).render() == joined
             assert new.rows == ((PX, Poly.zero()),)
 
     def test_zero_divisor_is_flagged(self) -> None:
@@ -550,13 +555,13 @@ class TestSequenceAbsorption:
         assert session.current.row_count == 0
 
     def test_the_log_names_each_generator_as_the_base_holds_it(self) -> None:
-        # 2x^2 + xy joins the base scaled to lead one
+        # 2x^2 + xy joins the base as the row holds it
         k = KoszulMF(QuotientRing((X, Y)), ((Poly.zero(), 2 * PX * PX + PX * PY),), 0, 0, 8)
         session = ReductionSession(k)
         assert session.absorb_zero_rows() == 1
         (gen,) = session.current.base.ideal_gens
-        assert session.log[-1].params["generators"] == [gen.render()] == ["1/2*x*y + x^2"]
-        assert gen == PX * PX + Fraction(1, 2) * PX * PY
+        assert session.log[-1].params["generators"] == [gen.render()] == ["x*y + 2*x^2"]
+        assert gen == 2 * PX * PX + PX * PY
 
     @staticmethod
     def _two_zero_rows(force: bool = False) -> ReductionSession:
@@ -585,6 +590,84 @@ class TestSequenceAbsorption:
             ([0], "verified"), ([0], "unverified")
         ]
         assert session.current.row_count == 0
+
+
+def _lead_one(p: Poly) -> Poly:
+    """p scaled so that its ``mono_key``-largest term has coefficient 1,
+    as absorbed entries once joined the base."""
+    return p * (1 / Fraction(p.coefficient(max(p.terms, key=mono_key))))
+
+
+def _joined_answers(base: QuotientRing, seq: Sequence[Poly], polys: Sequence[Poly]) -> tuple:
+    """What base + (seq) answers: the gate's verdict, the basis elements,
+    the Hilbert numerator and the normal forms of polys; "refused" for a
+    basis the packed limit stops."""
+    verdict, joined = reduce_module._gate(base, seq)
+    try:
+        elements = joined._basis().elements
+    except poly_core.CutoffExceeded:
+        return verdict, "refused"
+    return verdict, elements, joined.hilbert_series()[0], [joined.normal_form(p) for p in polys]
+
+
+class TestUnscaledGenerators:
+    """An entry joins the base as its row holds it.  An ideal does not
+    change when its generators are rescaled, so scaling each entry first,
+    as by its ``mono_key`` lead, changes no answer of the joined ring."""
+
+    @staticmethod
+    def _corpus_gates(monkeypatch) -> list[tuple[QuotientRing, tuple[Poly, ...]]]:
+        gates, gate = [], reduce_module._gate
+        monkeypatch.setattr(
+            reduce_module, "_gate", lambda b, seq: gates.append((b, tuple(seq))) or gate(b, seq)
+        )
+        rng = random.Random(59)
+        sources = _closed_sources()[::3] + [corpus.bubble_chain(4), _bubble_src(2, 2, 4, 4)]
+        sources += [corpus.random_compiled(rng, closed=False)[0] for _ in range(8)]
+        for src in sources:
+            _session_of(src).reduce_fully()
+        monkeypatch.undo()
+        return gates
+
+    HAND_BUILT = (
+        (
+            QuotientRing((X, Y, Z)),
+            (2 * PX * PX + 3 * PY * PZ, Fraction(-2, 3) * PX * PY + 5 * PZ * PZ),
+        ),
+        (QuotientRing((X, Y), (PY * PY - PX * PX,)), (Fraction(7, 2) * PY**3 - PX * PX * PY,)),
+        (QuotientRing((Z, X, Y), (PX**3,)), (4 * PY * PY + PX * PZ, -3 * PZ**3 + PX * PY * PZ)),
+    )
+    REFUSED = (
+        (QuotientRing((X, Y)), (3 * PX * PX, -2 * PX * PY)),  # x*y divides zero mod (x^2)
+        (QuotientRing((X, Y), (PX * PX,)), (Fraction(1, 3) * PX * PY,)),
+        (QuotientRing((X, Y), (PX**100 * PY**20,)), (-5 * PX**20 * PY**100,)),  # packed limit
+    )
+
+    def test_a_lead_one_scaling_changes_no_answer(self, monkeypatch) -> None:
+        rng = random.Random(61)
+        gates = self._corpus_gates(monkeypatch)
+        assert len(gates) >= 20
+        # each corpus entry divides zero once its multiple by a variable of
+        # the ring is joined, so the gate refuses it there
+        divided = [
+            (QuotientRing(base.vars, base.ideal_gens + (seq[0] * Poly.variable(base.vars[-1]),)),
+             seq[:1])
+            for base, seq in gates[::2]
+        ]
+        refused = 0
+        for base, seq in gates + divided + list(self.HAND_BUILT + self.REFUSED):
+            polys = [
+                corpus.random_homogeneous(rng, list(base.vars), d, allow_zero=True)
+                for d in (4, 6, 8)
+            ]
+            scaled = [_lead_one(p) for p in seq]
+            raw = _joined_answers(base, seq, polys)
+            assert raw == _joined_answers(base, scaled, polys), (base.render(), seq)
+            refused += raw[0] == "unverified"
+        assert refused == len(divided) + len(self.REFUSED)
+        assert any(
+            _lead_one(p) != p for _, seq in gates for p in seq
+        ), "no corpus entry had a lead other than one"
 
 
 def _line_of(color: int, tail: str, head: str) -> KoszulMF:
@@ -901,15 +984,12 @@ class TestPotentialMemo:
             _, d, k = corpus.random_compiled(rng, closed=False)
             external = d.external_vars()
             while True:
-                cands = [
-                    c for m in range(k.row_count)
-                    if (c := exclusion_candidate(k, m, external)) is not None
-                ]
-                if not cands:
+                rows = [m for m in range(k.row_count) if exclusion_candidate(k, m, external)]
+                if not rows:
                     break
                 k.potential()  # stored on the parent before the step
                 try:
-                    k = exclude_variable(k, cands[0].row, external)
+                    k = exclude_variable(k, rows[0], external)
                 except ConditionUnmet:
                     break
                 assert k.potential() == _fresh_potential(k)
@@ -948,8 +1028,8 @@ class TestRowReuse:
         session = _square_session()
         old = session.current
         old.potential()
-        cand = exclusion_candidate(old, 0, session.external)
-        new = exclude_variable(old, cand.row, session.external)
+        assert exclusion_candidate(old, 0, session.external)
+        new = exclude_variable(old, 0, session.external)
         kept = [r for r in new.rows if any(r is o for o in old.rows)]
         assert len(kept) == 4 and new.row_count == 7
         products = []
@@ -1055,7 +1135,7 @@ class TestLazyParams:
             session = _session_of(src)
             session.reduce_fully()
             digest.update(json.dumps(session.log_dicts()).encode())
-        assert digest.hexdigest()[:16] == "ac1c32967420db34"
+        assert digest.hexdigest()[:16] == "edf8dc73c547d16f"
 
     def test_pending_params_hold_no_presentation_and_render_once(self) -> None:
         def held(x):
@@ -1100,11 +1180,11 @@ class TestCandidateCache:
                 steps = zip(params["rows"], params["variables"], params["powers"])
             for row, var, power in steps:
                 fresh = [
-                    c for m in range(k.row_count)
+                    (m, c) for m in range(k.row_count)
                     if (c := exclusion_candidate(k, m, self.external)) is not None
                 ]
-                want = min(fresh, key=lambda c: (c.power > 1, c.row))
-                assert (row, var, power) == (want.row, want.var.name, want.power)
+                at, want = min(fresh, key=lambda mc: (mc[1].power > 1, mc[0]))
+                assert (row, var, power) == (at, want.var.name, want.power)
                 picks.append(var)
                 k = exclude_variable(k, row, self.external)
             step(self, op, params, new)

@@ -1,8 +1,11 @@
 """The benchmark's tracer still fits the engine: it rebinds engine callables
-by name, so a renamed or deleted one breaks ``bench/run.py --trace 1``."""
+by name, so a renamed or deleted one breaks ``bench/run.py --trace 1``.
+And the package imports no name it does not read, but those the tracer
+rebinds."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import moymf
 from moymf import GradedVar, KoszulMF, Poly, QuotientRing
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+PACKAGE = Path(moymf.__file__).resolve().parent
 
 
 def _load_tracing():
@@ -64,3 +68,40 @@ def test_an_expand_span_notes_the_expanded_rank() -> None:
     expands = [span for span in tracer.spans if span[0] == "mf_core.expand"]
     assert [span[5] for span in expands] == [1, 2, 4, 8]
     assert tracing.layer_metrics(tracer.spans)["mf_core.expanded_rank"] == 15
+
+
+def _unused_imports(path: Path) -> dict[str, int]:
+    """The names a module imports but neither reads nor lists in
+    ``__all__``, each with the line of its import statement."""
+    tree = ast.parse(path.read_text())
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)  # __all__ entries and string annotations
+    return {name: line for name, line in imported.items() if name not in read}
+
+
+def test_the_package_imports_only_what_it_reads_or_the_tracer_rebinds() -> None:
+    # the tracer rebinds a callable in each module that calls it by name;
+    # a module that imports one only for that keeps it under a noqa
+    rebinds = {
+        (user, rest[0]) for _, kind, _, *rest in _load_tracing().TARGETS if kind == "mod"
+        for user in rest[1]
+    }
+    kept = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        unused = _unused_imports(path)
+        assert {n for n in unused if (path.stem, n) not in rebinds} == set(), path.name
+        for name, line in unused.items():
+            assert "# noqa: F401" in lines[line - 1], (path.name, name)
+        noqa = {i + 1 for i, text in enumerate(lines) if "# noqa: F401" in text}
+        assert noqa == set(unused.values()), path.name
+        kept += len(unused)
+    assert kept
