@@ -24,9 +24,12 @@ from functools import cache
 from .poly_core import (
     CutoffExceeded,
     Poly,
+    QuotientRing,
     _Basis,
     _check_cutoff,
     _from_clean,
+    _lead_quotient,
+    _sum,
     insert_pivot_row,
 )
 from .qseries import (
@@ -35,7 +38,7 @@ from .qseries import (
 from .mf_core import GradedFreeModule, KoszulMF, MatrixFactorization
 from .reduce import ReductionSession
 from .symfun import L_poly  # noqa: F401 -- kept for bench/tracing.py, which rebinds it here
-from .diagram import _MAX_LEVEL, Diagram, compile_diagram, parse
+from .diagram import _MAX_LEVEL, Diagram, boundary_potential, compile_diagram, parse
 
 __all__ = [
     "NotClosed",
@@ -659,14 +662,36 @@ RELATIONS: dict[str, tuple[int, Callable[..., Sides], Callable | None]] = {
 }
 
 
+def _lifted(k: KoszulMF, d: Diagram) -> tuple[KoszulMF, list[Poly]]:
+    """A reduced open side over a free base, and the base generators in
+    boundary variables alone it still keeps.  A lone generator g in them
+    comes back as the row (h; g), where w - sum a*b = h*g in the free ring
+    for w the boundary potential: K(h; g) tensor the rows is the rows over
+    R/(g) (the absorption lemma read backwards, Khovanov-Rozansky 2008,
+    section 2).  h is found by lead-term division, and only when it is
+    exact."""
+    ext = d.external_vars()
+    left = [g for g in k.base.ideal_gens if g.variables() <= ext]
+    if left and len(k.base.ideal_gens) == 1:
+        g, h = left[0], Poly.zero()
+        r = boundary_potential(d) - _sum(row.product for row in k.rows)
+        while (q := _lead_quotient(r, g)) is not None:
+            h, r = h + q, r - q * g
+        if not r:
+            return k.with_rows(k.rows + ((h, g),), QuotientRing(k.base.vars)), []
+    return k, left
+
+
 def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
     """Reduce every term of nonzero weight, count a closed diagram by its
-    homology and an open one by its exact table, each per parity, sum each
-    side and judge.  A verdict other than PASS is UNDECIDED when a reduced
-    open term keeps an internal variable in a row: its table counts the
-    ranks of a presentation the calculus did not finish, so a difference
-    disproves nothing.  A closed term's homology is the same however far
-    it was reduced."""
+    homology and an open one by its exact table over a free base (see
+    ``_lifted``), each per parity, sum each side and judge.  A verdict
+    other than PASS is UNDECIDED when a reduced open term keeps an
+    internal variable in a row, or a base generator in boundary variables
+    alone: its table counts the ranks of a presentation the calculus did
+    not finish, or of a module over a ring that is not free, so a
+    difference disproves nothing.  A closed term's homology is the same
+    however far it was reduced."""
     _, sides, structural = RELATIONS[name]
     terms = sides(*params)
     n = params[-1]  # every diagram's level
@@ -677,7 +702,7 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
             if not 1 <= color <= n:
                 raise ValueError(f"relation {name} {list(params)}: color {color} not in 1..{n}")
     log: list[dict] = []
-    tables, reduced, stalled = [], ([], []), set()
+    tables, reduced, stalled, unlifted = [], ([], []), set(), set()
     for side, kept in zip(terms, reduced):
         summands = []
         for src, weight, swaps in side:
@@ -689,12 +714,14 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
                 session = _reduced(d)
                 log += session.log_dicts()
                 k = session.current
-                kept.append(k)
                 if d.closed:
                     table = _homology_table(k)
                 else:
+                    k, left = _lifted(k, d)
                     table, ext = k._series(), d.external_vars()
                     stalled.update(v.name for r in k.rows for p in r for v in p.variables() - ext)
+                    unlifted.update(g.render() for g in left)
+                kept.append(k)
             summands.append((_swap(table, swaps), weight))
         tables.append(_weighted_sum(summands))
     lhs, rhs = tables
@@ -708,9 +735,10 @@ def _verify(name: str, params: tuple[int, ...], cutoff: int) -> dict:
         "reduction_log": log,
     }
     _judge(report, lhs, rhs, structural(*(k[0] for k in reduced)) if structural else ())
-    if report["verdict"] != "PASS" and stalled:
+    undecided = {"stalled_variables": stalled, "unlifted_generators": unlifted}
+    if report["verdict"] != "PASS" and any(undecided.values()):
         report["verdict"] = "UNDECIDED"
-        report["stalled_variables"] = sorted(stalled)
+        report.update((key, sorted(v)) for key, v in undecided.items() if v)
     return report
 
 
@@ -732,7 +760,9 @@ def verify_relation(
     the lowest differing coefficient when the series differ.  The verdict
     is PASS, FAIL, or UNDECIDED when the sides differ while a reduced open
     term keeps internal variables in its rows, which the report lists as
-    ``stalled_variables``.  An unknown name, a parameter that is not an
+    ``stalled_variables``, or base generators in boundary variables alone
+    that it could not lift back into rows, listed as
+    ``unlifted_generators``.  An unknown name, a parameter that is not an
     ``int`` (a ``bool`` included), a parameter count other than the one
     ``RELATIONS`` lists, a parameter outside the relation's domain (a color
     below 1 or above the level among them, a level above 126 for a relation

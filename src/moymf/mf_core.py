@@ -250,22 +250,17 @@ def validate(x: MatrixFactorization) -> list[str]:
 
 
 class Row(tuple):
-    """A Koszul row (a, b), a tuple in every way, that keeps what ``memo``
-    computes, its ``product`` a * b among it, for as long as it lives."""
+    """A Koszul row (a, b), a tuple in every way, that keeps its
+    ``product`` a * b, once computed, for as long as it lives."""
 
     @property
     def product(self) -> Poly:
-        return self.memo("product", lambda: self[0] * self[1])
-
-    def memo(self, key: object, compute):
-        """compute(), once per key; the key names every other input."""
-        kept = self.__dict__.setdefault("memos", {})
-        if key not in kept:
-            kept[key] = compute()
-        return kept[key]
+        if "product" not in self.__dict__:
+            self.__dict__["product"] = self[0] * self[1]
+        return self.__dict__["product"]
 
     def __reduce__(self):
-        # a copy keeps nothing: memo keys may hold this process's field masks
+        # a copy keeps nothing: it recomputes its product
         return Row, (tuple(self),)
 
 
@@ -274,8 +269,8 @@ class KoszulMF:
     """Row presentation K(a; b) with global shifts applied after expansion.
 
     Each row is a ``Row``; one given is kept as that very object, so an
-    instance built by ``with_rows``, ``replace`` or ``join`` reuses what
-    the rows it shares have kept.  The potential is computed once per
+    instance built by ``with_rows``, ``replace`` or ``join`` reuses the
+    products of the rows it shares.  The potential is computed once per
     instance, on the first ``potential()`` call.  Neither is a field, so
     equality, hashing, ``repr`` and ``as_dict`` do not see them.  Every
     construction checks each row's degrees against the potential degree;
@@ -337,8 +332,8 @@ class KoszulMF:
     def potential(self) -> Poly:
         """Sum of a_m * b_m over the rows, in normal form in the base.
 
-        Kept on the instance after the first call.  Each row's product is
-        computed once (see ``Row``); the sum and its normal form are not.
+        Kept on the instance after the first call.  Each row keeps its
+        product (see ``Row``); the sum and its normal form are taken per instance.
         """
         pot = self.__dict__.get("_potential")
         if pot is None:
@@ -376,7 +371,7 @@ class KoszulMF:
         self, rows: Sequence[tuple[Poly, Poly]], base: QuotientRing | None = None
     ) -> "KoszulMF":
         """The same presentation with new rows, and a new base when given;
-        a ``Row`` passed on keeps its product."""
+        a row passed on as the same ``Row`` object keeps its product."""
         return self.regraded(0, 0, rows, base)
 
     def join(self, other: "KoszulMF") -> "KoszulMF":

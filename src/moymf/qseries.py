@@ -239,14 +239,24 @@ def quantum_integer(m: int) -> QLaurent:
     return QLaurent({1 - m + 2 * j: 1 for j in range(m)})
 
 
+_PASCAL_STEP = 64  # how deep a qbinomial call recurses at most
+
+
 @lru_cache(maxsize=None)
 def qbinomial(n: int, i: int) -> QLaurent:
-    """Balanced quantum binomial; zero when i < 0 or i > n or n < 0."""
+    """Balanced quantum binomial; zero when i < 0 or i > n or n < 0.
+
+    Balanced Pascal, [n i] = q^(i-n)*[n-1 i-1] + q^i*[n-1 i], recursing
+    into one cache every call shares.  The band [n i] reads, row m holding
+    j from i - n + m to i, is first filled bottom-up on every
+    ``_PASCAL_STEP``-th row below n, so no recursion runs deeper."""
     if i < 0 or n < 0 or i > n:
         return QLaurent.zero()
     if i == 0 or i == n:
         return QLaurent.one()
-    # balanced Pascal: [n i] = q^(i-n)*[n-1 i-1] + q^i*[n-1 i]
+    for m in range(n % _PASCAL_STEP or _PASCAL_STEP, n, _PASCAL_STEP):
+        for j in range(max(1, i - n + m), min(i, m - 1) + 1):
+            qbinomial(m, j)
     return qbinomial(n - 1, i - 1).shift(i - n) + qbinomial(n - 1, i).shift(i)
 
 

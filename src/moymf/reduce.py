@@ -57,7 +57,7 @@ from .poly_core import (
     _substitution,
     pure_power,
 )
-from .mf_core import KoszulMF, Row
+from .mf_core import KoszulMF
 from .symfun import Alphabet, ColorMismatch
 
 __all__ = [
@@ -349,14 +349,13 @@ def exclude_variable(
 
 
 def _pick(
-    rows: Sequence[Row], external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
+    rows: Sequence[tuple], external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
 ) -> tuple[int, _Candidate] | None:
     """The row greedy exclusion takes next and its candidate: the first
-    substitution, else the first quotient exclusion.  Each row keeps its
-    candidate per key."""
-    key, best = (external, gen_vars), None
-    for m, row in enumerate(rows):
-        cand = row.memo(key, lambda: _candidate(row[1], external, gen_vars))
+    substitution, else the first quotient exclusion."""
+    best = None
+    for m, (_, b) in enumerate(rows):
+        cand = _candidate(b, external, gen_vars)
         if cand and (best is None or (cand.power == 1 and best[1].power > 1)):
             best = (m, cand)
             if cand.power == 1:  # no later row comes first
@@ -397,7 +396,7 @@ def _excluded(
             break
         for m, r in enumerate(rows):
             if (nb := base.normal_form(sub(r[1]))) is not r[1]:
-                rows[m] = Row((r[0], nb))  # a moves once, after the run
+                rows[m] = (r[0], nb)  # a moves once, after the run
         gen_vars = _generator_vars(base)
         best = _pick(rows, external, gen_vars)
         if not best or best[1].power > 1:
@@ -412,14 +411,7 @@ def _excluded(
         sub = _substitution(tau)
     names = ", ".join(c.var.name for _, c in taken)
     context = f"after excluding {names}; the remaining data is not a regular presentation"
-    new = k.with_rows(_rebased_rows(rows, base, sub, context), base)
-    if run and sub:
-        # the scan that ended the run read these very b-entries; a row
-        # whose a-entry did not move is that row itself
-        key = (external, gen_vars)
-        for r, s in zip(new.rows, rows):
-            r.memo(key, lambda: s.memo(key, lambda: _candidate(s[1], external, gen_vars)))
-    return new, taken
+    return k.with_rows(_rebased_rows(rows, base, sub, context), base), taken
 
 
 def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
@@ -507,15 +499,6 @@ def glue(
 # ---------------------------------------------------------------------------
 # Sessions: ordered, potential-checked, logged reductions
 # ---------------------------------------------------------------------------
-
-
-def _internal_parts(
-    row: tuple[Poly, Poly], mask: int
-) -> tuple[tuple[Poly, Poly], list[tuple[Poly, Poly]]]:
-    """The part of each side of row in the fields of mask, and b's part
-    by monomial."""
-    a, b = (_part(p, mask) for p in row)
-    return (a, b), _by_monomial(b, mask)
 
 
 def _clearing(target: Poly, b: Poly, part: Poly, groups: list | None, mask: int) -> Poly | None:
@@ -703,7 +686,9 @@ class ReductionSession:
         def weight(parts: Sequence[Poly]) -> tuple[int, int]:
             return sum(map(bool, parts)), sum(map(len, parts))
 
-        parts = [r.memo(mask, lambda: _internal_parts(r, mask)) for r in k.rows]
+        # each row's part per side in the fields of mask, and b's by monomial
+        sides = [tuple(_part(p, mask) for p in row) for row in k.rows]
+        parts = [(s, _by_monomial(s[1], mask)) for s in sides]
         if not any(any(sides) for sides, _ in parts):
             return False  # no row holds an internal variable
         for i, (sides, groups) in enumerate(parts):

@@ -376,7 +376,7 @@ _NUMERATORS = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4
 class TestVerifyRelation:
     # the keys of every report, in order: part of the public surface; a
     # FAIL adds first_difference and structural_mismatch, and an UNDECIDED
-    # first_difference and stalled_variables
+    # first_difference and stalled_variables or unlifted_generators
     REPORT_KEYS = [
         "relation",
         "params",
@@ -443,6 +443,54 @@ class TestVerifyRelation:
         assert report["verdict"] == "UNDECIDED"
         assert report["stalled_variables"] == stalled
         assert list(report) == self.REPORT_KEYS + ["first_difference", "stalled_variables"]
+
+    def test_a_level_10_counter_bubble_passes_over_a_free_base(self) -> None:
+        # the reduced lhs lies over Q[boundary]/(g), g of degree 20 in
+        # boundary variables alone; judged with g lifted back into a row,
+        # it has the rhs's table
+        d = parse(analysis._counter_bubble_src(8, 2, 10))
+        [g] = analysis._reduced(d).current.base.ideal_gens
+        assert g.variables() <= d.external_vars() and g.homogeneous_degree() == 20
+        report = verify_relation("counter_bubble", (8, 2, 10))
+        assert report["verdict"] == "PASS" and list(report) == self.REPORT_KEYS
+
+    def test_a_lone_boundary_generator_is_lifted_back_into_a_row(self) -> None:
+        # the color-2 line with its first row absorbed forward: one row over
+        # Q[boundary]/(b0); the lift gives back (a0; b0) over the free ring
+        d = parse(analysis._line_src(2, 4))
+        line = compile_diagram(d)
+        (a0, b0), row = line.rows
+        side = line.with_rows([row], QuotientRing(line.base.vars, (b0,)))
+        lifted, left = analysis._lifted(side, d)
+        assert left == [] and lifted.base == line.base
+        assert lifted.rows == (row, (a0, b0))
+        assert lifted._series() == line._series() != side._series()
+
+    @pytest.mark.parametrize("absorbed, verdict", [(1, "PASS"), (2, "UNDECIDED")])
+    def test_boundary_generators_left_in_an_open_base_never_fail(
+        self, monkeypatch, absorbed: int, verdict: str
+    ) -> None:
+        # the rhs line of counter_bubble (2, 1, 4) with its first rows
+        # absorbed forward into the base: a lone generator is lifted back,
+        # and the relation passes; two are left, and the tables, which count
+        # a module over a ring that is not free, decide nothing
+        reduced = analysis._reduced
+
+        def rigged(d):
+            session = reduced(d)
+            if len(d.edges) == 1:  # the line
+                k = session.current
+                gens = tuple(b for _, b in k.rows[:absorbed])
+                session.current = k.with_rows(k.rows[absorbed:], QuotientRing(k.base.vars, gens))
+            return session
+
+        monkeypatch.setattr(analysis, "_reduced", rigged)
+        report = verify_relation("counter_bubble", (2, 1, 4))
+        assert report["verdict"] == verdict
+        if absorbed == 2:
+            (_, b0), (_, b1) = compile_diagram(parse(analysis._line_src(2, 4))).rows
+            assert report["unlifted_generators"] == sorted([b0.render(), b1.render()])
+            assert list(report) == self.REPORT_KEYS + ["first_difference", "unlifted_generators"]
 
     def test_a_wrong_weight_on_a_side_that_reduces_fully_fails(self, monkeypatch) -> None:
         arity, sides, structural = analysis.RELATIONS["counter_bubble"]

@@ -401,6 +401,10 @@ class TestQbinomCommand:
         assert main(["qbinom", "2", "5"]) == 0
         assert capsys.readouterr().out == "0\n"
 
+    def test_a_level_past_the_recursion_limit(self, capsys) -> None:
+        assert main(["qbinom", "500", "2"]) == 0
+        assert capsys.readouterr().out == qbinomial(500, 2).render() + "\n"
+
     def test_non_integer_argument_is_an_argparse_error(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["qbinom", "4", "two"])

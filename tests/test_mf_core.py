@@ -116,8 +116,8 @@ def _row_sum(k: KoszulMF) -> Poly:
 
 
 class TestPotentialMemo:
-    """A presentation sums its potential once, from row products each row
-    keeps once per row and key; none of it is visible or copied."""
+    """A presentation sums its potential once, from the products its rows
+    keep; none of it is visible or copied."""
 
     def test_derived_objects_compute_their_own(self) -> None:
         rng = random.Random(11)

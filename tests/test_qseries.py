@@ -146,6 +146,11 @@ class TestQBinomial:
             for i in range(n + 1):
                 assert qbinomial(n, i).reverse() == qbinomial(n, i)
 
+    def test_far_past_the_recursion_limit(self) -> None:
+        # the band is filled bottom-up: no call recurses n deep
+        q = qbinomial(600, 2)
+        assert q.reverse() == q and q.at_one() == oracles.binomial(600, 2)
+
     @given(st.integers(1, 7), st.integers(0, 7), st.integers(1, 5))
     def test_random_point_evaluation(self, n: int, i: int, qnum: int) -> None:
         if i > n:

@@ -1021,8 +1021,8 @@ def _strand_square_session() -> ReductionSession:
 
 class TestRowReuse:
     """A step keeps the rows it does not touch as the same rows, which keep
-    what they computed once per row and key, so it multiplies only the
-    others, yet still sums every row for its check."""
+    their product, so it multiplies only the others, yet still sums every
+    row for its check."""
 
     def test_untouched_rows_reach_the_next_step_as_themselves(self, monkeypatch) -> None:
         session = _square_session()
@@ -1165,10 +1165,9 @@ class TestLazyParams:
         assert repr(lazy) == f"LogEntry('row_op', {params!r}, 'ok')"
 
 
-class TestCandidateCache:
-    """exclude_all computes a row's candidate once per row and key (the
-    external and generator variables), and picks what a fresh scan would
-    pick, at every step of a run."""
+class TestCandidatePicks:
+    """exclude_all picks what a fresh scan would pick, at every step of a
+    run, and each session reads its own external variables."""
 
     def test_picks_match_a_fresh_scan(self, monkeypatch) -> None:
         step = ReductionSession._step
@@ -1198,31 +1197,6 @@ class TestCandidateCache:
         for n in (2, 3):
             _session_of(corpus.bubble_chain(n)).reduce_fully()
         assert len(picks) > 20
-
-    def test_unchanged_rows_are_not_scanned_again(self, monkeypatch) -> None:
-        session = _session_of(_square_wide_src(2, 4))
-        calls = []
-        candidate = reduce_module._candidate
-        monkeypatch.setattr(
-            reduce_module, "_candidate", lambda *args: calls.append(1) or candidate(*args)
-        )
-        scans, pick = [], reduce_module._pick
-        monkeypatch.setattr(
-            reduce_module, "_pick", lambda rows, *a: scans.append(len(rows)) or pick(rows, *a)
-        )
-        # the scan that ended a run is kept on the rows the run leaves
-        ends = []
-        exclude = ReductionSession._exclude
-
-        def ended(self, *args, **kwargs):
-            removed = exclude(self, *args, **kwargs)
-            ends.append(len(calls))
-            return removed
-
-        monkeypatch.setattr(ReductionSession, "_exclude", ended)
-        assert session.exclude_all() == 8 and len(session.log) == 1
-        assert ends == [len(calls)] and len(scans) == 10
-        assert len(calls) < sum(scans)
 
     @pytest.mark.parametrize("boundary_first", [True, False])
     def test_sessions_with_other_externals_share_no_candidate(self, boundary_first: bool) -> None:

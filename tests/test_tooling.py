@@ -105,3 +105,36 @@ def test_the_package_imports_only_what_it_reads_or_the_tracer_rebinds() -> None:
         assert noqa == set(unused.values()), path.name
         kept += len(unused)
     assert kept
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The module-level functions, classes and assignments whose names
+    start with one underscore, each with its line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        out.update((n, node.lineno) for n in names if n.startswith("_") and not n.startswith("__"))
+    return out
+
+
+def test_every_private_helper_is_read_in_the_package() -> None:
+    # a helper whose last caller is deleted is deleted with it
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update(
+            ((path.name, name), line) for name, line in _private_definitions(tree).items()
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 100
+    assert {key: line for key, line in defined.items() if key[1] not in read} == {}
