@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .poly_core import _FIELD, GradedVar, Poly, QuotientRing
+from .poly_core import _FIELD, GradedVar, Poly, QuotientRing, _sum
 from .symfun import Alphabet, _rows, power_sum_in
 from .symfun import (  # noqa: F401 -- kept for bench/tracing.py, which rebinds them here
     L_poly, Lambda_poly, V_poly, product_term
@@ -398,9 +398,14 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     the merge rows (slot of out-alphabet against the in-product) or the split
     rows (product against the in... out-alphabet slot), splits contributing
     the grading shift -i1*i2.  Potential equals boundary_potential(d).
+
+    Each piece's rows come with the potential they telescope to (``_rows``),
+    and the sum of those is attached to the result as ``_proved_potential``,
+    the potential a ``ReductionSession``'s first step is checked against.
+    It is not a field, and ``potential()`` still sums the rows.
     """
     n = d.level
-    rows: list[tuple[Poly, Poly]] = []
+    pieces: list[tuple[list[tuple[Poly, Poly]], Poly]] = []  # rows, potential
     shift = 0
     vars_: set[GradedVar] = set()
     alphabets: dict[str, Alphabet] = {}  # of the vertex-incident edges
@@ -411,7 +416,7 @@ def compile_diagram(d: Diagram) -> KoszulMF:
             hd, tl = d._alphabet(e.color, e.head[1]), d._alphabet(e.color, e.tail[1])
             vars_.update(hd.vars)
             vars_.update(tl.vars)
-            rows += _rows("L", n, hd, tl)
+            pieces.append(_rows("L", n, hd, tl))
         else:
             alphabets[e.id] = alpha = d.edge_alphabet(e)
             vars_.update(alpha.vars)
@@ -419,23 +424,26 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     for v in d.vertices:
         if v.kind == "merge":
             a, b, c = (alphabets[eid] for eid in v.ins + v.outs)
-            rows += _rows("Lambda", n, c, a, b)
+            pieces.append(_rows("Lambda", n, c, a, b))
         else:
             c, a, b = (alphabets[eid] for eid in v.ins + v.outs)
-            rows += _rows("V", n, c, a, b)
+            pieces.append(_rows("V", n, c, a, b))
             shift -= a.color * b.color
 
     # boundary variables first: the ring's term order ranks them lowest, so
     # normal forms rewrite internal variables in terms of boundary ones
     ext = d.external_vars()
     base = QuotientRing(tuple(sorted(vars_, key=lambda v: (v not in ext, v.name))), ())
-    return KoszulMF(
+    k = KoszulMF(
         base,
-        tuple(rows),
+        tuple(row for rows, _ in pieces for row in rows),
         global_grading_shift=shift,
         z2_shift=0,
         potential_degree=2 * n + 2,
     )
+    # a base with no generators holds every polynomial in normal form
+    object.__setattr__(k, "_proved_potential", _sum(pot for _, pot in pieces))
+    return k
 
 
 def boundary_potential(d: Diagram) -> Poly:

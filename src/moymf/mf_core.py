@@ -271,7 +271,9 @@ class KoszulMF:
     Each row is a ``Row``; one given is kept as that very object, so an
     instance built by ``with_rows``, ``replace`` or ``join`` reuses the
     products of the rows it shares.  The potential is computed once per
-    instance, on the first ``potential()`` call.  Neither is a field, so
+    instance, on the first ``potential()`` call.  A builder that has proved
+    the potential may attach it as ``_proved_potential`` (``compile_diagram``
+    does), for ``_known_potential`` to read.  None of these is a field, so
     equality, hashing, ``repr`` and ``as_dict`` do not see them.  Every
     construction checks each row's degrees against the potential degree;
     each ``Poly`` keeps its own degree, so a carried row's check is a
@@ -330,7 +332,9 @@ class KoszulMF:
         return len(self.rows)
 
     def potential(self) -> Poly:
-        """Sum of a_m * b_m over the rows, in normal form in the base.
+        """Sum of a_m * b_m over the rows, in normal form in the base, on
+        every instance, a compiled one included: a proved potential never
+        stands in for it.
 
         Kept on the instance after the first call.  Each row keeps its
         product (see ``Row``); the sum and its normal form are taken per instance.
@@ -340,6 +344,14 @@ class KoszulMF:
             pot = self.base.normal_form(_sum(row.product for row in self.rows))
             object.__setattr__(self, "_potential", pot)
         return pot
+
+    def _known_potential(self) -> Poly:
+        """The potential without multiplying a row when it is known: the row
+        sum once ``potential`` has taken it, else the attached
+        ``_proved_potential``, else the row sum, taken now."""
+        known = self.__dict__
+        pot = known.get("_potential", known.get("_proved_potential"))
+        return self.potential() if pot is None else pot
 
     # -- functors ----------------------------------------------------------
 

@@ -299,7 +299,8 @@ class Poly:
 
     def _homogeneous_degree(self) -> int:
         """The degree of this nonzero polynomial when homogeneous, else -1;
-        kept, as every presentation that holds a row checks it again."""
+        kept, as every presentation that holds a row checks it again.  A
+        product of factors that keep theirs is born with it (``__mul__``)."""
         try:
             return self._deg
         except AttributeError:
@@ -370,8 +371,14 @@ class Poly:
         if not a:
             return _POLY_ZERO
         # the fields of valid keys never carry into their neighbours, and no
-        # exponent exceeds the degree, so only the degree field can overflow
-        if max(map(_degree, a)) + max(map(_degree, b)) > _FIELD:
+        # exponent exceeds the degree, so only the degree field can overflow;
+        # a factor's top degree is its kept degree, scanned for when it keeps
+        # none or -1 (inhomogeneous)
+        da, db = getattr(self, "_deg", -1), getattr(other, "_deg", -1)
+        top = (da if da >= 0 else max(map(_degree, self._terms))) + (
+            db if db >= 0 else max(map(_degree, other._terms))
+        )
+        if top > _FIELD:
             raise OverflowError(f"product degree exceeds the packed limit {_FIELD}")
         if len(a) == 1:
             # a monomial times a polynomial: the keys stay distinct
@@ -387,7 +394,12 @@ class Poly:
                     out[m] = get(m, 0) + c1 * c2
         if _CONFLICTS:
             _check_gradings(out)
-        return _from_clean(_canonical(out))
+        p = _from_clean(_canonical(out))
+        if da >= 0 and db >= 0:
+            # Q[x] is a domain: a product of nonzero homogeneous factors is
+            # nonzero and homogeneous of the summed degree, which it keeps
+            p._deg = top
+        return p
 
     __rmul__ = __mul__
 

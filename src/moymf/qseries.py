@@ -239,25 +239,31 @@ def quantum_integer(m: int) -> QLaurent:
     return QLaurent({1 - m + 2 * j: 1 for j in range(m)})
 
 
-_PASCAL_STEP = 64  # how deep a qbinomial call recurses at most
-
-
 @lru_cache(maxsize=None)
 def qbinomial(n: int, i: int) -> QLaurent:
     """Balanced quantum binomial; zero when i < 0 or i > n or n < 0.
 
-    Balanced Pascal, [n i] = q^(i-n)*[n-1 i-1] + q^i*[n-1 i], recursing
-    into one cache every call shares.  The band [n i] reads, row m holding
-    j from i - n + m to i, is first filled bottom-up on every
-    ``_PASCAL_STEP``-th row below n, so no recursion runs deeper."""
+    The product [n i] = q^(-i(n-i)) prod_(k=1..i) (1 - q^(2(n-i+k))) /
+    (1 - q^(2k)), taken in t = q^2 on a dense list of integer coefficients,
+    one factor of each at a time.  After k factors the list is the
+    Gaussian binomial [n-i+k k] in t, a polynomial, so each division is
+    exact.  Only the answer is cached."""
     if i < 0 or n < 0 or i > n:
         return QLaurent.zero()
-    if i == 0 or i == n:
-        return QLaurent.one()
-    for m in range(n % _PASCAL_STEP or _PASCAL_STEP, n, _PASCAL_STEP):
-        for j in range(max(1, i - n + m), min(i, m - 1) + 1):
-            qbinomial(m, j)
-    return qbinomial(n - 1, i - 1).shift(i - n) + qbinomial(n - 1, i).shift(i)
+    i = min(i, n - i)
+    c = [1]
+    for k in range(1, i + 1):
+        m = n - i + k
+        c += [0] * m
+        for e in range(len(c) - 1, m - 1, -1):  # times 1 - t^m
+            c[e] -= c[e - m]
+        for e in range(k, len(c)):  # over 1 - t^k
+            c[e] += c[e - k]
+        if any(c[-k:]):
+            raise ArithmeticError(f"inexact division in [{n} {i}]")
+        del c[-k:]
+    lo = -i * (n - i)
+    return QLaurent._of({lo + 2 * e: v for e, v in enumerate(c)})
 
 
 def p_coeff(j: int, n1: int, n2: int) -> int:
@@ -274,9 +280,10 @@ def p_coeff(j: int, n1: int, n2: int) -> int:
 def jacobi_series(n: int, r: int) -> QLaurent:
     """prod_{k<=n}(1-q^2k) / [prod_{k<=r}(1-q^2k) * prod_{k<=n-r}(1-q^2k)].
 
-    Computed by exact polynomial division, independently of qbinomial's
-    recurrence; the two agree after recentering, and tests rely on that
-    agreement as a cross-check.
+    Computed by exact division of whole products in QLaurent arithmetic,
+    where qbinomial divides one factor at a time on integer lists; the two
+    agree after recentering.  Both are product formulas, so the tests take
+    their independent check of qbinomial from Pascal's rule instead.
     """
     if r < 0 or r > n:
         raise ValueError("need 0 <= r <= n")

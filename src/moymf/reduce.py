@@ -29,7 +29,10 @@ over the current base, absorbs them in one ``absorb`` step; otherwise it
 takes the first row alone, through the same gate.  Every absorbed entry
 is gated (a quotient exclusion's entry is regular by its form: monic in a
 variable no generator holds), and every presentation the session adopts
-is potential-checked by a sum over its rows.
+is potential-checked by a sum over its rows.  Each is compared against the
+row sum of the presentation before it, except the first from a compiled
+diagram, whose rows were never summed: it is compared against the
+potential ``compile_diagram`` proved along its telescopes.
 
 When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
 clears internal variables from rows by row ops and transpositions
@@ -372,8 +375,10 @@ def _excluded(
     alone, in normal form in each ring the run passes, until a quotient
     exclusion or a potential with an internal variable comes next.  The
     substitutions, composed, then move every row once; each maps the old
-    ideal into the new, so the normal forms are those of single steps."""
-    pot = k.potential()
+    ideal into the new, so the normal forms are those of single steps.
+    The precondition reads k's potential as ``KoszulMF._known_potential``
+    gives it, so a compiled presentation multiplies no row for it."""
+    pot = k._known_potential()
     bad = [v.name for v in pot.variables() if v not in external]
     if bad:
         raise ConditionUnmet(
@@ -558,6 +563,10 @@ class ReductionSession:
     ``external`` lists the boundary variables exclusion must preserve;
     with ``force``, a step whose entries the regularity gate does not
     verify is taken anyway, and its log entry says "unverified".
+
+    Steps read the potential of ``current`` as ``KoszulMF._known_potential``
+    gives it: the row sum the step before took, or, before any step on a
+    compiled presentation, the potential ``compile_diagram`` proved.
     """
 
     current: KoszulMF
@@ -566,9 +575,9 @@ class ReductionSession:
     log: list[LogEntry] = field(default_factory=list)
 
     def _step(self, op: str, params: dict | Callable[[], dict], new: KoszulMF) -> None:
-        # the previous step computed this as its new.potential(), and the
-        # instance kept it; only the new potential is summed here
-        old_pot = self.current.potential()
+        """Adopt new once its row sum equals the potential of current (see
+        the class docstring); only the new potential is summed here."""
+        old_pot = self.current._known_potential()
         if new.base.normal_form(new.potential() - old_pot):
             raise PotentialMismatch(f"{op} changed the potential")
         self.log.append(LogEntry(op, params, "ok"))
@@ -704,7 +713,7 @@ class ReductionSession:
                             params = {"i": i, "j": j, "lambda": lam, "kind": kind}
                             self._step("row_op", _rendering(params, "lambda"), new)
                             return True
-        if not k.potential().variables() <= self.external:
+        if not k._known_potential().variables() <= self.external:
             return False  # exclusion would refuse the transposed row
         gen_vars = _generator_vars(k.base)
         for m, row in enumerate(k.rows):

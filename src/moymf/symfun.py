@@ -23,8 +23,9 @@ The rows of a line piece or a vertex depend on their alphabets only
 through their variables, so each shape, that is (family, colors, level),
 is compiled once on template alphabets and kept as a plan (``_plan``):
 for every slot j the a-entry, the divided difference above, and the
-b-entry, the slot difference it telescopes against, each with its degree
-and, per term, its coefficient and the template variables it holds.  The
+b-entry, the slot difference it telescopes against, and the two ends of
+the telescope, the potential the rows sum to; each with its degree and,
+per term, its coefficient and the template variables it holds.  The
 varying alphabet takes the anonymous slots x1..xi of ``generic_slots``,
 the others two private template alphabets.  A call applies the plan onto
 its own alphabets' variables, packing each key straight from their
@@ -166,10 +167,12 @@ _TEMPLATE_LABELS = ("tmpl.a", "tmpl.b")
 
 
 @lru_cache(maxsize=None)
-def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _Plan], ...]:
-    """Every slot's (a-entry, b-entry) of one shape, each a plan over the
-    template variables: the slots x1..xi of the varying alphabet, then
-    those of the template alphabets.
+def _plan(
+    family: str, colors: tuple[int, ...], n: int
+) -> tuple[tuple[tuple[_Plan, _Plan], ...], _Plan]:
+    """Every slot's (a-entry, b-entry) of one shape, and the potential
+    they telescope to, each a plan over the template variables: the slots
+    x1..xi of the varying alphabet, then those of the template alphabets.
 
     ``L``: colors (i,), src the slots and dst template alphabet 0; b is
     x_j(src) - x_j(dst).  ``Lambda`` and ``V``: colors (color a, color b),
@@ -180,6 +183,9 @@ def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _P
     1..i (``V``: i..1) row j is g's divided difference in slot j, after
     which slot j takes its other value in g.  So each slot is substituted
     once, and row j sees the slots already passed moved and the rest not.
+    Row j times its b-entry is g before step j less g after it, so the
+    rows sum to the two ends of the sweep: F on the slots less the last g,
+    or (``V``) the last g less F on the slots.
     """
     i = sum(colors)
     slots = generic_slots(i)
@@ -191,24 +197,27 @@ def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _P
     else:
         other = [product_term(m, *alpha) for m in range(1, i + 1)]
     plans = [None] * i
-    g = power_sum_F(i, n)
+    g = start = power_sum_F(i, n)
     for j in range(i, 0, -1) if family == "V" else range(1, i + 1):
         x, y = Poly.variable(slots[j - 1]), other[j - 1]
         hi, lo = (y, x) if family == "V" else (x, y)
         row = divided_difference_values(g, slots[j - 1], hi, lo)
         plans[j - 1] = (_to_plan(row, tvars), _to_plan(hi - lo, tvars))
         g = g.substitute({slots[j - 1]: y})
-    return tuple(plans)
+    return tuple(plans), _to_plan(g - start if family == "V" else start - g, tvars)
 
 
-def _rows(family: str, n: int, *alphabets: Alphabet) -> list[tuple[Poly, Poly]]:
-    """Every (a, b) row of one line piece or vertex, slot by slot, from its
-    shape's plan: ``L`` takes (src, dst), ``Lambda`` and ``V`` (c, a, b)."""
+def _rows(family: str, n: int, *alphabets: Alphabet) -> tuple[list[tuple[Poly, Poly]], Poly]:
+    """Every (a, b) row of one line piece or vertex, slot by slot, and
+    the potential they sum to, both from its shape's plan: ``L`` takes
+    (src, dst), ``Lambda`` and ``V`` (c, a, b).  No row is multiplied: the
+    potential is the plan's telescope, exactly the sum of a * b."""
     colors = tuple(a.color for a in (alphabets[:1] if family == "L" else alphabets[1:]))
     fields = sum((a._fields for a in alphabets), ())
+    rows, potential = _plan(family, colors, n)
     return [
-        (_apply_plan(pa, fields), _apply_plan(pb, fields)) for pa, pb in _plan(family, colors, n)
-    ]
+        (_apply_plan(pa, fields), _apply_plan(pb, fields)) for pa, pb in rows
+    ], _apply_plan(potential, fields)
 
 
 def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
@@ -221,7 +230,7 @@ def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
         raise ColorMismatch(f"line needs both alphabets of color {i}")
     if not 1 <= j <= i:
         raise IndexOutOfRange(f"slot {j} outside 1..{i}")
-    return _apply_plan(_plan("L", (i,), n)[j - 1][0], src._fields + dst._fields)
+    return _apply_plan(_plan("L", (i,), n)[0][j - 1][0], src._fields + dst._fields)
 
 
 def _check_vertex(a: Alphabet, b: Alphabet, c: Alphabet, j: int) -> None:
@@ -241,7 +250,7 @@ def Lambda_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     yields F(c) - F(a) - F(b).
     """
     _check_vertex(a, b, c, j)
-    plan = _plan("Lambda", (a.color, b.color), n)[j - 1][0]
+    plan = _plan("Lambda", (a.color, b.color), n)[0][j - 1][0]
     return _apply_plan(plan, c._fields + a._fields + b._fields)
 
 
@@ -253,5 +262,5 @@ def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     F(a) + F(b) - F(c).
     """
     _check_vertex(a, b, c, j)
-    plan = _plan("V", (a.color, b.color), n)[j - 1][0]
+    plan = _plan("V", (a.color, b.color), n)[0][j - 1][0]
     return _apply_plan(plan, c._fields + a._fields + b._fields)

@@ -34,6 +34,27 @@ def qbinom_product(n: int, i: int) -> dict[int, int]:
     return out
 
 
+def qbinom_pascal_rows(n_max: int):
+    """Balanced q-binomials by Pascal's rule, as {exponent: coeff}: yields
+    row m = [[m 0], ..., [m m]] for m = 0..n_max, each built from the row
+    before by [m j] = q^(j-m) [m-1 j-1] + q^j [m-1 j]."""
+    row = [{0: 1}]
+    yield row
+    for m in range(1, n_max + 1):
+        nxt = []
+        for j in range(m + 1):
+            out: dict[int, int] = {}
+            if j >= 1:
+                for e, c in row[j - 1].items():
+                    out[e + j - m] = out.get(e + j - m, 0) + c
+            if j < m:
+                for e, c in row[j].items():
+                    out[e + j] = out.get(e + j, 0) + c
+            nxt.append({e: c for e, c in out.items() if c})
+        row = nxt
+        yield row
+
+
 def partitions_in_box(j: int, rows: int, cols: int) -> int:
     """Count partitions of j with at most `rows` parts, each at most `cols`."""
     if j < 0:

@@ -85,6 +85,45 @@ def polys(draw) -> Poly:
     return p
 
 
+def _homogeneous(draw, d: int) -> Poly:
+    """A sum of monomials of degree d in VARS, coefficients possibly
+    rational; its terms may cancel to zero.  Its degree is kept or not, as
+    a row check would have left it."""
+    p = Poly.zero()
+    for exps in [(a, b, (d - 2 * a - 2 * b) // 4) for a in range(5) for b in range(5)]:
+        if exps[2] >= 0 and 2 * exps[0] + 2 * exps[1] + 4 * exps[2] == d:
+            c = draw(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3)]))
+            p = p + _mono(exps, c)
+    if p and draw(st.booleans()):
+        p._homogeneous_degree()
+    return p
+
+
+@st.composite
+def factors(draw) -> Poly:
+    """A nonzero product factor: homogeneous, a product of two, a product
+    whose cross terms cancel, one summed to homogeneous through cancelling
+    terms, or inhomogeneous; its degree, or -1, kept or not."""
+    kind = draw(st.sampled_from(["homogeneous", "product", "cancelled", "summed", "mixed"]))
+    d, e = draw(st.sampled_from([0, 2, 4, 6])), draw(st.sampled_from([2, 4]))
+    if kind == "homogeneous":
+        p = _homogeneous(draw, d)
+    elif kind == "product":
+        p = _homogeneous(draw, d) * _homogeneous(draw, e)
+    elif kind == "cancelled":
+        f, g = _homogeneous(draw, e), _homogeneous(draw, e)
+        p = (f + g) * (f - g)
+    elif kind == "summed":
+        q = _homogeneous(draw, e)
+        p = _homogeneous(draw, d) + q * q - q * q
+    else:
+        p = _homogeneous(draw, d) + _homogeneous(draw, d + e)
+    assume(p)
+    if draw(st.booleans()):
+        p._homogeneous_degree()
+    return p
+
+
 @st.composite
 def points(draw) -> dict:
     return {v: Fraction(draw(st.integers(-5, 5))) for v in VARS}
@@ -115,6 +154,18 @@ class TestPolyArithmetic:
                 prod = hp * hq
                 if prod:
                     assert prod.homogeneous_degree() == dp + dq
+
+    @given(factors(), factors())
+    def test_a_product_keeps_the_degree_a_fresh_scan_finds(self, p: Poly, q: Poly) -> None:
+        dp, dq = getattr(p, "_deg", -1), getattr(q, "_deg", -1)
+        prod = p * q
+        degrees = set(map(poly_core._degree, prod._terms))
+        fresh = degrees.pop() if len(degrees) == 1 else -1
+        kept = getattr(prod, "_deg", None)
+        if dp >= 0 and dq >= 0:
+            assert kept == fresh == dp + dq  # born with the summed degree
+        assert kept in (None, fresh)
+        assert prod._homogeneous_degree() == fresh
 
     @given(polys(), polys())
     def test_differentiate_product_rule(self, p: Poly, q: Poly) -> None:
@@ -940,6 +991,13 @@ class TestPackedKeys:
             top * (x + 1)
         with pytest.raises(OverflowError):
             z**32 * z**32
+        # factors whose degrees a KoszulMF row check kept: no scan reads them
+        y10 = Poly.variable(Y) ** 10
+        k = KoszulMF(QuotientRing((X, Y)), ((x**100, y10), (y10, x**100)), 0, 0, 220)
+        (a, _), (_, b) = k.rows
+        assert (a._deg, b._deg) == (200, 200)
+        with pytest.raises(OverflowError):
+            a * b
         with pytest.raises(OverflowError):
             Poly({((X, 128),): 1})
         with pytest.raises(ValueError):

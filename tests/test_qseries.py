@@ -146,8 +146,22 @@ class TestQBinomial:
             for i in range(n + 1):
                 assert qbinomial(n, i).reverse() == qbinomial(n, i)
 
+    def test_against_pascal_s_rule(self) -> None:
+        # an oracle independent of the product formula qbinomial divides by
+        for n, row in enumerate(oracles.qbinom_pascal_rows(40)):
+            for i, want in enumerate(row):
+                assert dict(qbinomial(n, i).coeffs) == want, (n, i)
+
+    def test_only_the_answer_is_cached(self) -> None:
+        before = qbinomial.cache_info()
+        q = qbinomial(200, 100)
+        after = qbinomial.cache_info()
+        assert after.currsize == before.currsize + 1
+        assert after.misses == before.misses + 1
+        assert q.at_one() == oracles.binomial(200, 100)
+
     def test_far_past_the_recursion_limit(self) -> None:
-        # the band is filled bottom-up: no call recurses n deep
+        # a product formula: no call recurses
         q = qbinomial(600, 2)
         assert q.reverse() == q and q.at_one() == oracles.binomial(600, 2)
 

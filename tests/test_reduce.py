@@ -41,7 +41,7 @@ from moymf import (
     scalar_twist,
     transpose_row,
 )
-from moymf import mf_core, poly_core
+from moymf import diagram, mf_core, poly_core, symfun
 from moymf import reduce as reduce_module
 from moymf.poly_core import mono_key
 from moymf.analysis import (
@@ -1110,6 +1110,70 @@ class TestRowReuse:
         with pytest.raises(PotentialMismatch, match="exclude_variable changed the potential"):
             session.exclude_all()
         assert hit and not session.log
+
+
+class TestProvedPotential:
+    """``compile_diagram`` keeps the potential its rows telescope to, apart
+    from ``potential()``, which still sums the rows; a session's first step
+    compares against the kept one and multiplies no compiled row for it."""
+
+    def test_a_compiled_potential_is_its_row_sum(self, monkeypatch) -> None:
+        rng = random.Random(42)
+        sources = [_square_wide_src(1, 3), corpus.bubble_chain(2)]
+        sources += [corpus.random_diagram_source(rng, closed=m % 2 == 0) for m in range(20)]
+        mul = Poly.__mul__
+        for src in sources:
+            d = parse(src)
+            k = compile_diagram(d)
+            products = []
+            monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+            pot = k.potential()
+            monkeypatch.undo()
+            assert len(products) == k.row_count, src
+            assert pot == _fresh_potential(k) == k._proved_potential, src
+            assert pot == boundary_potential(d), src
+
+    def test_the_first_step_multiplies_only_the_new_rows(self, monkeypatch) -> None:
+        session = _strand_square_session()
+        old = session.current
+        sums, products = [], []
+        mul, total = Poly.__mul__, mf_core._sum
+
+        def summed(polys):
+            with monkeypatch.context() as patch:
+                patch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+                sums.append(1)
+                return total(polys)
+
+        monkeypatch.setattr(mf_core, "_sum", summed)
+        assert session.exclude_all() == 5 and len(session.log) == 1
+        new = session.current
+        # one sum, over the 4 new rows, the through strand's among them;
+        # none of the 9 compiled rows was multiplied before it
+        assert len(sums) == 1 and len(products) == new.row_count == 4
+        assert old.row_count == 9 and "_potential" not in old.__dict__
+        dropped = [r for r in old.rows if all(r is not q for q in new.rows)]
+        assert len(dropped) == 8 and not any("product" in r.__dict__ for r in dropped)
+
+    def test_a_doubled_compiled_row_fails_the_first_step(self, monkeypatch) -> None:
+        # the through strand's row survives the run, so doubling its
+        # a-entry moves the row sum off the potential the compiler proved
+        rows_of = symfun._rows
+
+        def doubled(family, n, *alphabets):
+            rows, pot = rows_of(family, n, *alphabets)
+            if family == "L":
+                rows[0] = (2 * rows[0][0], rows[0][1])
+            return rows, pot
+
+        monkeypatch.setattr(diagram, "_rows", doubled)
+        session = _strand_square_session()
+        monkeypatch.undo()
+        k = session.current
+        assert _fresh_potential(k) != k._proved_potential
+        with pytest.raises(PotentialMismatch, match="exclude_variable changed the potential"):
+            session.exclude_all()
+        assert not session.log and session.current is k
 
 
 def _session_of(src: str) -> ReductionSession:

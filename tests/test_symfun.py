@@ -307,6 +307,61 @@ class TestTemplates:
             assert V_poly(j, a, b, src, 1) == _direct("V", j, 1, (src, a, b))
 
 
+def _check_telescopes(n: int, shapes, line_labels, vertex_labels) -> int:
+    """The potential each shape's plan gives against the sum of its applied
+    rows, each row multiplied out, and against the boundary power sums,
+    on each label set; returns the number of pieces checked."""
+    checked = 0
+    for family, colors in shapes:
+        if family == "L":
+            sets = [(Alphabet(colors[0], s), Alphabet(colors[0], d)) for s, d in line_labels]
+        else:
+            sets = [
+                (Alphabet(sum(colors), lc), Alphabet(colors[0], la), Alphabet(colors[1], lb))
+                for lc, la, lb in vertex_labels
+            ]
+        for alphabets in sets:
+            rows, pot = symfun._rows(family, n, *alphabets)
+            summed = Poly.zero()
+            for a, b in rows:
+                summed = summed + a * b
+            f = [power_sum_in(alpha, n) for alpha in alphabets]
+            ends = f[0] - sum(f[1:], Poly.zero())
+            assert pot == summed == (-ends if family == "V" else ends), (family, colors, n)
+            checked += 1
+    return checked
+
+
+def _shapes(n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every (family, colors) of level n with colors summing to at most n."""
+    out = [("L", (i,)) for i in range(1, n + 1)]
+    for i in range(2, n + 1):
+        out += [(f, (ia, i - ia)) for ia in range(1, i) for f in ("Lambda", "V")]
+    return out
+
+
+class TestTelescopePlans:
+    """A plan's potential is the two ends of its telescope; the rows it
+    gives sum to it exactly, on any alphabets, also ones sharing labels."""
+
+    def test_every_shape_through_level_six_sums_to_its_plan(self) -> None:
+        ta, tb = symfun._TEMPLATE_LABELS
+        line_labels = [("s", "d"), ("s", "s"), (ta, "d"), (tb, ta)]
+        vertex_labels = [("c", "a", "b"), ("c", tb, ta), (ta, ta, tb), ("c", "a", "a")]
+        checked = sum(
+            _check_telescopes(n, _shapes(n), line_labels, vertex_labels) for n in range(1, 7)
+        )
+        assert checked == 4 * 21 + 4 * 2 * 35
+
+    def test_a_sample_at_levels_seven_and_eight_sums_to_its_plan(self) -> None:
+        rng = random.Random(78)
+        checked = 0
+        for n in (7, 8):
+            shapes = rng.sample(_shapes(n), 6)
+            checked += _check_telescopes(n, shapes, [("s", "d")], [("c", "a", "b")])
+        assert checked == 12
+
+
 def _direct_rows(d) -> list[tuple[Poly, Poly]]:
     """Every row of the diagram in ``compile_diagram``'s order, each entry
     built on the row's own alphabets: the divided difference by ``_direct``

@@ -1,18 +1,24 @@
 """The benchmark's tracer still fits the engine: it rebinds engine callables
 by name, so a renamed or deleted one breaks ``bench/run.py --trace 1``.
-And the package imports no name it does not read, but those the tracer
-rebinds."""
+One pass of each benchmark workload still gives the answers it gave, by
+digest.  And the package imports no name it does not read, but those the
+tracer rebinds."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import signal
 from pathlib import Path
+
+import pytest
 
 import moymf
 from moymf import GradedVar, KoszulMF, Poly, QuotientRing
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 PACKAGE = Path(moymf.__file__).resolve().parent
 
 
@@ -68,6 +74,29 @@ def test_an_expand_span_notes_the_expanded_rank() -> None:
     expands = [span for span in tracer.spans if span[0] == "mf_core.expand"]
     assert [span[5] for span in expands] == [1, 2, 4, 8]
     assert tracing.layer_metrics(tracer.spans)["mf_core.expanded_rank"] == 15
+
+
+@pytest.mark.parametrize(
+    "name, pinned",
+    [
+        ("closed_euler", "360f9348b4a01df7"),
+        ("open_relations", "aba61ad31dc0e1aa"),
+        ("open_reduce", "f43f27e0d3341b14"),
+    ],
+)
+def test_one_pass_of_a_bench_workload_keeps_its_digest(monkeypatch, name, pinned) -> None:
+    """The digest ``bench/run.py`` prints, over the outcome and rendered
+    answer of every item, from one pass in this process; the digest sorts
+    the items, so the seed only orders the pass."""
+    monkeypatch.syspath_prepend(str(BENCH))  # workload.py imports its siblings
+    workload = importlib.import_module("workload")
+    items = workload.INPUTS[name](1)
+    previous = signal.signal(signal.SIGALRM, workload._on_alarm)  # the per-item cap
+    try:
+        outs = [workload.run_item(moymf, name, item_id, item) for item_id, item in items]
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert workload.digest(outs) == pinned
 
 
 def _unused_imports(path: Path) -> dict[str, int]:
