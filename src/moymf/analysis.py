@@ -368,10 +368,7 @@ def _first_difference(lhs: Table, rhs: Table) -> dict | None:
     """The lowest exponent where the exact series differ, parity 0 first,
     or None: over a common denominator prod_w (1 - q^w) the difference of
     the series starts where the difference of the numerators does."""
-    if lhs[2] == rhs[2]:  # one denominator, or none: the numerators subtract
-        delta = lhs[0] - rhs[0], lhs[1] - rhs[1]
-    else:
-        delta = _weighted_sum([(lhs, QLaurent.one()), (rhs, -QLaurent.one())])
+    delta = _weighted_sum([(lhs, QLaurent.one()), (rhs, -QLaurent.one())])
     for k in (0, 1):
         if delta[k]:
             e = delta[k].min_exp()

@@ -396,16 +396,17 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     Rows, in deterministic order: for each boundary-to-boundary edge, the
     line rows (head slot against tail slot, all slots); then for each vertex,
     the merge rows (slot of out-alphabet against the in-product) or the split
-    rows (product against the in... out-alphabet slot), splits contributing
-    the grading shift -i1*i2.  Potential equals boundary_potential(d).
+    rows (out-product against the in-alphabet slot), splits contributing
+    the grading shift -i1*i2.
 
-    Each piece's rows come with the potential they telescope to (``_rows``),
-    and the sum of those is attached to the result as ``_proved_potential``,
-    the potential a ``ReductionSession``'s first step is checked against.
-    It is not a field, and ``potential()`` still sums the rows.
+    The result carries ``boundary_potential(d)`` as ``_proved_potential``,
+    the potential a ``ReductionSession``'s first step is checked against:
+    each piece's rows telescope to its boundary power sums, and those of
+    the internal edges cancel.  It is not a field, and ``potential()``
+    still sums the rows.
     """
     n = d.level
-    pieces: list[tuple[list[tuple[Poly, Poly]], Poly]] = []  # rows, potential
+    rows: list[tuple[Poly, Poly]] = []
     shift = 0
     vars_: set[GradedVar] = set()
     alphabets: dict[str, Alphabet] = {}  # of the vertex-incident edges
@@ -416,7 +417,7 @@ def compile_diagram(d: Diagram) -> KoszulMF:
             hd, tl = d._alphabet(e.color, e.head[1]), d._alphabet(e.color, e.tail[1])
             vars_.update(hd.vars)
             vars_.update(tl.vars)
-            pieces.append(_rows("L", n, hd, tl))
+            rows += _rows("L", n, hd, tl)
         else:
             alphabets[e.id] = alpha = d.edge_alphabet(e)
             vars_.update(alpha.vars)
@@ -424,10 +425,10 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     for v in d.vertices:
         if v.kind == "merge":
             a, b, c = (alphabets[eid] for eid in v.ins + v.outs)
-            pieces.append(_rows("Lambda", n, c, a, b))
+            rows += _rows("Lambda", n, c, a, b)
         else:
             c, a, b = (alphabets[eid] for eid in v.ins + v.outs)
-            pieces.append(_rows("V", n, c, a, b))
+            rows += _rows("V", n, c, a, b)
             shift -= a.color * b.color
 
     # boundary variables first: the ring's term order ranks them lowest, so
@@ -436,20 +437,21 @@ def compile_diagram(d: Diagram) -> KoszulMF:
     base = QuotientRing(tuple(sorted(vars_, key=lambda v: (v not in ext, v.name))), ())
     k = KoszulMF(
         base,
-        tuple(row for rows, _ in pieces for row in rows),
+        tuple(rows),
         global_grading_shift=shift,
         z2_shift=0,
         potential_degree=2 * n + 2,
     )
     # a base with no generators holds every polynomial in normal form
-    object.__setattr__(k, "_proved_potential", _sum(pot for _, pot in pieces))
+    object.__setattr__(k, "_proved_potential", boundary_potential(d))
     return k
 
 
 def boundary_potential(d: Diagram) -> Poly:
-    """Sum of out-boundary power sums minus in-boundary power sums."""
-    total = Poly.zero()
+    """Sum of out-boundary power sums minus in-boundary power sums: what
+    the rows of ``compile_diagram(d)`` sum to, zero on a closed d."""
+    signed = []
     for bp, alpha in d.boundary_alphabets():
         f = power_sum_in(alpha, d.level)
-        total = total + (f if bp.is_out else -f)
-    return total
+        signed.append(f if bp.is_out else -f)
+    return _sum(signed)

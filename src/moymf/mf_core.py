@@ -273,7 +273,8 @@ class KoszulMF:
     products of the rows it shares.  The potential is computed once per
     instance, on the first ``potential()`` call.  A builder that has proved
     the potential may attach it as ``_proved_potential`` (``compile_diagram``
-    does), for ``_known_potential`` to read.  None of these is a field, so
+    attaches the diagram's ``boundary_potential``), for ``_known_potential``
+    to read.  None of these is a field, so
     equality, hashing, ``repr`` and ``as_dict`` do not see them.  Every
     construction checks each row's degrees against the potential degree;
     each ``Poly`` keeps its own degree, so a carried row's check is a
@@ -348,7 +349,8 @@ class KoszulMF:
     def _known_potential(self) -> Poly:
         """The potential without multiplying a row when it is known: the row
         sum once ``potential`` has taken it, else the attached
-        ``_proved_potential``, else the row sum, taken now."""
+        ``_proved_potential`` (a compiled diagram's boundary potential),
+        else the row sum, taken now."""
         known = self.__dict__
         pot = known.get("_potential", known.get("_proved_potential"))
         return self.potential() if pot is None else pot

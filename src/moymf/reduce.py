@@ -32,7 +32,8 @@ variable no generator holds), and every presentation the session adopts
 is potential-checked by a sum over its rows.  Each is compared against the
 row sum of the presentation before it, except the first from a compiled
 diagram, whose rows were never summed: it is compared against the
-potential ``compile_diagram`` proved along its telescopes.
+diagram's boundary potential, which ``compile_diagram`` attaches and the
+compiled rows sum to by telescoping.
 
 When exclusion and absorption both stall, ``ReductionSession.reduce_fully``
 clears internal variables from rows by row ops and transpositions
@@ -566,7 +567,8 @@ class ReductionSession:
 
     Steps read the potential of ``current`` as ``KoszulMF._known_potential``
     gives it: the row sum the step before took, or, before any step on a
-    compiled presentation, the potential ``compile_diagram`` proved.
+    compiled presentation, the boundary potential ``compile_diagram``
+    attached.
     """
 
     current: KoszulMF

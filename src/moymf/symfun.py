@@ -17,20 +17,21 @@ summing row-polynomial times slot-difference over all slots reproduces the
 difference of boundary power sums exactly.  The rows are built along
 that telescope: one chain from F on the varying alphabet to F on the
 other side moves one slot per step, and the divided difference of step
-j in slot j is row j.
+j in slot j is row j.  So a glued diagram's rows sum to its boundary
+power sums, internal ones cancelling, and ``diagram.boundary_potential``
+is the one place that polynomial is built.
 
-The rows of a line piece or a vertex depend on their alphabets only
-through their variables, so each shape, that is (family, colors, level),
-is compiled once on template alphabets and kept as a plan (``_plan``):
+Every template here is compiled once and kept as a plan: each power sum
+F_i of level n on the slots x1..xi of ``generic_slots``, and each shape,
+that is (family, colors, level), of a line piece or a vertex (``_plan``):
 for every slot j the a-entry, the divided difference above, and the
-b-entry, the slot difference it telescopes against, and the two ends of
-the telescope, the potential the rows sum to; each with its degree and,
-per term, its coefficient and the template variables it holds.  The
-varying alphabet takes the anonymous slots x1..xi of ``generic_slots``,
-the others two private template alphabets.  A call applies the plan onto
-its own alphabets' variables, packing each key straight from their
-fields (``poly_core._apply_plan``), with no polynomial arithmetic; this
-is exact for any alphabets, also two that share variables.
+b-entry, the slot difference it telescopes against, on the slots of the
+varying alphabet and two private template alphabets.  A plan keeps its
+degree and, per term, its coefficient and the template variables it
+holds.  A call applies the plan onto its own alphabets' variables,
+packing each key straight from their fields (``poly_core._apply_plan``),
+with no polynomial arithmetic; this is exact for any alphabets, also two
+that share variables.
 """
 
 from __future__ import annotations
@@ -136,11 +137,15 @@ def power_sum_F(i: int, n: int) -> Poly:
     return p[n + 1]
 
 
+@lru_cache(maxsize=None)
+def _power_sum_plan(i: int, n: int) -> _Plan:
+    return _to_plan(power_sum_F(i, n), generic_slots(i))
+
+
 def power_sum_in(a: Alphabet, n: int) -> Poly:
-    """power_sum_F evaluated on an alphabet's own variables."""
-    f = power_sum_F(a.color, n)
-    sigma = {s: a.poly(j + 1) for j, s in enumerate(generic_slots(a.color))}
-    return f.substitute(sigma)
+    """power_sum_F on an alphabet's own variables, applied from its plan
+    over the slots x1..xi."""
+    return _apply_plan(_power_sum_plan(a.color, n), a._fields)
 
 
 def product_term(j: int, a: Alphabet, b: Alphabet) -> Poly:
@@ -167,12 +172,10 @@ _TEMPLATE_LABELS = ("tmpl.a", "tmpl.b")
 
 
 @lru_cache(maxsize=None)
-def _plan(
-    family: str, colors: tuple[int, ...], n: int
-) -> tuple[tuple[tuple[_Plan, _Plan], ...], _Plan]:
-    """Every slot's (a-entry, b-entry) of one shape, and the potential
-    they telescope to, each a plan over the template variables: the slots
-    x1..xi of the varying alphabet, then those of the template alphabets.
+def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _Plan], ...]:
+    """Every slot's (a-entry, b-entry) of one shape, each a plan over the
+    template variables: the slots x1..xi of the varying alphabet, then
+    those of the template alphabets.
 
     ``L``: colors (i,), src the slots and dst template alphabet 0; b is
     x_j(src) - x_j(dst).  ``Lambda`` and ``V``: colors (color a, color b),
@@ -185,7 +188,8 @@ def _plan(
     once, and row j sees the slots already passed moved and the rest not.
     Row j times its b-entry is g before step j less g after it, so the
     rows sum to the two ends of the sweep: F on the slots less the last g,
-    or (``V``) the last g less F on the slots.
+    or (``V``) the last g less F on the slots, where the last g is F on
+    dst, or F(a) + F(b).
     """
     i = sum(colors)
     slots = generic_slots(i)
@@ -197,27 +201,23 @@ def _plan(
     else:
         other = [product_term(m, *alpha) for m in range(1, i + 1)]
     plans = [None] * i
-    g = start = power_sum_F(i, n)
+    g = power_sum_F(i, n)
     for j in range(i, 0, -1) if family == "V" else range(1, i + 1):
         x, y = Poly.variable(slots[j - 1]), other[j - 1]
         hi, lo = (y, x) if family == "V" else (x, y)
         row = divided_difference_values(g, slots[j - 1], hi, lo)
         plans[j - 1] = (_to_plan(row, tvars), _to_plan(hi - lo, tvars))
         g = g.substitute({slots[j - 1]: y})
-    return tuple(plans), _to_plan(g - start if family == "V" else start - g, tvars)
+    return tuple(plans)
 
 
-def _rows(family: str, n: int, *alphabets: Alphabet) -> tuple[list[tuple[Poly, Poly]], Poly]:
-    """Every (a, b) row of one line piece or vertex, slot by slot, and
-    the potential they sum to, both from its shape's plan: ``L`` takes
-    (src, dst), ``Lambda`` and ``V`` (c, a, b).  No row is multiplied: the
-    potential is the plan's telescope, exactly the sum of a * b."""
+def _rows(family: str, n: int, *alphabets: Alphabet) -> list[tuple[Poly, Poly]]:
+    """Every (a, b) row of one line piece or vertex, slot by slot, from
+    its shape's plan: ``L`` takes (src, dst), ``Lambda`` and ``V`` (c, a, b)."""
     colors = tuple(a.color for a in (alphabets[:1] if family == "L" else alphabets[1:]))
     fields = sum((a._fields for a in alphabets), ())
-    rows, potential = _plan(family, colors, n)
-    return [
-        (_apply_plan(pa, fields), _apply_plan(pb, fields)) for pa, pb in rows
-    ], _apply_plan(potential, fields)
+    plans = _plan(family, colors, n)
+    return [(_apply_plan(pa, fields), _apply_plan(pb, fields)) for pa, pb in plans]
 
 
 def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
@@ -230,7 +230,7 @@ def L_poly(j: int, i: int, n: int, src: Alphabet, dst: Alphabet) -> Poly:
         raise ColorMismatch(f"line needs both alphabets of color {i}")
     if not 1 <= j <= i:
         raise IndexOutOfRange(f"slot {j} outside 1..{i}")
-    return _apply_plan(_plan("L", (i,), n)[0][j - 1][0], src._fields + dst._fields)
+    return _apply_plan(_plan("L", (i,), n)[j - 1][0], src._fields + dst._fields)
 
 
 def _check_vertex(a: Alphabet, b: Alphabet, c: Alphabet, j: int) -> None:
@@ -250,7 +250,7 @@ def Lambda_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     yields F(c) - F(a) - F(b).
     """
     _check_vertex(a, b, c, j)
-    plan = _plan("Lambda", (a.color, b.color), n)[0][j - 1][0]
+    plan = _plan("Lambda", (a.color, b.color), n)[j - 1][0]
     return _apply_plan(plan, c._fields + a._fields + b._fields)
 
 
@@ -262,5 +262,5 @@ def V_poly(j: int, a: Alphabet, b: Alphabet, c: Alphabet, n: int) -> Poly:
     F(a) + F(b) - F(c).
     """
     _check_vertex(a, b, c, j)
-    plan = _plan("V", (a.color, b.color), n)[0][j - 1][0]
+    plan = _plan("V", (a.color, b.color), n)[j - 1][0]
     return _apply_plan(plan, c._fields + a._fields + b._fields)

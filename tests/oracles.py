@@ -4,6 +4,8 @@ Everything here is computed with sympy or bare combinatorics, on purpose
 avoiding the package's own algebra, so that agreement between the two is
 evidence rather than a tautology.  Tests freeze values produced by these
 functions; the package is never consulted to produce an expected value.
+The one exception is ``power_sum_substituted``, which evaluates a power sum
+by ``Poly.substitute``, a path the package's plans never take.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import itertools
 from fractions import Fraction
 
 import sympy
+
+from moymf import Alphabet, Poly, power_sum_F
+from moymf.symfun import generic_slots
 
 
 def qbinom_product(n: int, i: int) -> dict[int, int]:
@@ -135,6 +140,13 @@ def elementary_symmetric(roots: list[Fraction]) -> list[Fraction]:
 def power_sum(roots: list[Fraction], k: int) -> Fraction:
     """p_k of the given root multiset."""
     return sum((Fraction(x) ** k for x in roots), Fraction(0))
+
+
+def power_sum_substituted(a: Alphabet, n: int) -> Poly:
+    """power_sum_F(i, n) with each slot xj replaced by the alphabet's jth
+    variable, by simultaneous substitution."""
+    sigma = {s: a.poly(j) for j, s in enumerate(generic_slots(a.color), 1)}
+    return power_sum_F(a.color, n).substitute(sigma)
 
 
 def eval_laurent(coeffs: dict[int, int], q: Fraction) -> Fraction:

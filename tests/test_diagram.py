@@ -298,6 +298,28 @@ class TestCompile:
             k = compile_diagram(d)
             assert k.potential() == boundary_potential(d), src
 
+    def test_the_proved_potential_takes_one_power_sum_per_boundary_point(
+        self, monkeypatch
+    ) -> None:
+        # closed: no power sum at all, and the proved potential is zero
+        rng = random.Random(43)
+        sources = [THETA, corpus.bubble_chain(2), LINE, _square_wide_src(1, 3)]
+        sources += [corpus.random_diagram_source(rng, closed=False) for _ in range(8)]
+        power_sum_in = diagram.power_sum_in
+        for src in sources:
+            d = parse(src)
+            calls = []
+            monkeypatch.setattr(
+                diagram, "power_sum_in", lambda a, n: calls.append(a) or power_sum_in(a, n)
+            )
+            k = compile_diagram(d)
+            monkeypatch.undo()
+            assert len(calls) == len(d.boundary), src
+            assert k._proved_potential == boundary_potential(d), src
+            if d.closed:
+                assert not calls and k._proved_potential == Poly.zero(), src
+        assert sum(parse(src).closed for src in sources) == 2
+
     def test_disjoint_union_compiles_to_the_join(self) -> None:
         pieces = [
             (CIRCLE, "level n 3\nedge l1 color 2 from boundary:p to boundary:q\n"),

@@ -104,6 +104,20 @@ class TestPowerSum:
         a = Alphabet(1, "a")
         assert power_sum_in(a, 3) == a.poly(1) ** 4
 
+    def test_the_plan_agrees_with_substitution(self) -> None:
+        # colors above n + 1 included, where the top slots have no term;
+        # labels plain, a template's, and one starting with a digit
+        checked = 0
+        for label in ("a", symfun._TEMPLATE_LABELS[0], "1_b"):
+            for i in range(1, 9):
+                for n in range(1, 11):
+                    a = Alphabet(i, label)
+                    f = power_sum_in(a, n)
+                    assert f == oracles.power_sum_substituted(a, n), (label, i, n)
+                    assert f.homogeneous_degree() == 2 * n + 2
+                    checked += 1
+        assert checked == 3 * 8 * 10
+
     def test_rejects_bad_arguments(self) -> None:
         with pytest.raises(ValueError):
             power_sum_F(0, 3)
@@ -139,7 +153,8 @@ class TestTelescoping:
                     total = total + L_poly(j, i, n, src, dst) * (
                         src.poly(j) - dst.poly(j)
                     )
-                assert total == power_sum_in(src, n) - power_sum_in(dst, n), (i, n)
+                f = oracles.power_sum_substituted
+                assert total == f(src, n) - f(dst, n), (i, n)
 
     def test_merge_rows_reproduce_potential_difference(self) -> None:
         for i1 in range(1, 4):
@@ -152,11 +167,8 @@ class TestTelescoping:
                         total = total + Lambda_poly(j, a, b, c, n) * (
                             c.poly(j) - product_term(j, a, b)
                         )
-                    want = (
-                        power_sum_in(c, n)
-                        - power_sum_in(a, n)
-                        - power_sum_in(b, n)
-                    )
+                    f = oracles.power_sum_substituted
+                    want = f(c, n) - f(a, n) - f(b, n)
                     assert total == want, (i1, i2, n)
 
     def test_split_rows_reproduce_potential_difference(self) -> None:
@@ -170,11 +182,8 @@ class TestTelescoping:
                         total = total + V_poly(j, a, b, c, n) * (
                             product_term(j, a, b) - c.poly(j)
                         )
-                    want = (
-                        power_sum_in(a, n)
-                        + power_sum_in(b, n)
-                        - power_sum_in(c, n)
-                    )
+                    f = oracles.power_sum_substituted
+                    want = f(a, n) + f(b, n) - f(c, n)
                     assert total == want, (i1, i2, n)
 
     def test_row_degrees(self) -> None:
@@ -281,6 +290,15 @@ class TestTemplates:
         assert (info.misses, info.hits) == (1, 5)
         assert rows[:3] != rows[3:]
 
+    def test_a_plan_holds_one_pair_per_slot_and_nothing_else(self) -> None:
+        # the potential is no part of a plan: boundary_potential builds it
+        for n in (1, 4):
+            for family, colors in _shapes(n):
+                plans = symfun._plan(family, colors, n)
+                assert len(plans) == sum(colors), (family, colors, n)
+                for pair in plans:
+                    assert len(pair) == 2 and all(len(plan) == 2 for plan in pair)
+
     def test_every_compiled_row_equals_its_direct_construction(self) -> None:
         """Both entries of every row ``compile_diagram`` builds from plans,
         against the divided difference and the slot difference built by
@@ -308,9 +326,9 @@ class TestTemplates:
 
 
 def _check_telescopes(n: int, shapes, line_labels, vertex_labels) -> int:
-    """The potential each shape's plan gives against the sum of its applied
-    rows, each row multiplied out, and against the boundary power sums,
-    on each label set; returns the number of pieces checked."""
+    """The sum of each shape's applied rows, each row multiplied out,
+    against the piece's boundary power sums by substitution, on each label
+    set; returns the number of pieces checked."""
     checked = 0
     for family, colors in shapes:
         if family == "L":
@@ -321,13 +339,12 @@ def _check_telescopes(n: int, shapes, line_labels, vertex_labels) -> int:
                 for lc, la, lb in vertex_labels
             ]
         for alphabets in sets:
-            rows, pot = symfun._rows(family, n, *alphabets)
             summed = Poly.zero()
-            for a, b in rows:
+            for a, b in symfun._rows(family, n, *alphabets):
                 summed = summed + a * b
-            f = [power_sum_in(alpha, n) for alpha in alphabets]
+            f = [oracles.power_sum_substituted(alpha, n) for alpha in alphabets]
             ends = f[0] - sum(f[1:], Poly.zero())
-            assert pot == summed == (-ends if family == "V" else ends), (family, colors, n)
+            assert summed == (-ends if family == "V" else ends), (family, colors, n)
             checked += 1
     return checked
 
@@ -341,8 +358,9 @@ def _shapes(n: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class TestTelescopePlans:
-    """A plan's potential is the two ends of its telescope; the rows it
-    gives sum to it exactly, on any alphabets, also ones sharing labels."""
+    """The rows a shape's plan gives sum to the two ends of its telescope,
+    the piece's boundary power sums, exactly, on any alphabets, also ones
+    sharing labels."""
 
     def test_every_shape_through_level_six_sums_to_its_plan(self) -> None:
         ta, tb = symfun._TEMPLATE_LABELS

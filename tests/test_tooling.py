@@ -76,6 +76,33 @@ def test_an_expand_span_notes_the_expanded_rank() -> None:
     assert tracing.layer_metrics(tracer.spans)["mf_core.expanded_rank"] == 15
 
 
+def test_a_traced_compile_records_one_symfun_span_per_boundary_point() -> None:
+    # the proved potential takes one power sum per boundary point, inside
+    # the compile span; the rows come from plans, which are not traced
+    src = (
+        "level n 3\n"
+        "edge e1 color 2 from boundary:c to v\n"
+        "vertex v split in e1 out e2 e3\n"
+        "edge e2 color 1 from v to boundary:a\n"
+        "edge e3 color 1 from v to boundary:b\n"
+    )
+    d = moymf.parse(src)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(moymf)
+    tracer.install()
+    try:
+        tracer.item = "probe"
+        moymf.diagram.compile_diagram(d)
+        tracer.item = None
+    finally:
+        tracer.uninstall()
+    [compile_at] = [m for m, span in enumerate(tracer.spans) if span[0] == "diagram.compile"]
+    symfun = [span for span in tracer.spans if span[0] == "symfun"]
+    assert len(symfun) == len(d.boundary) == 3
+    assert all(span[3] == compile_at for span in symfun)
+    assert tracing.layer_metrics(tracer.spans)["symfun.s"] > 0
+
+
 @pytest.mark.parametrize(
     "name, pinned",
     [
