@@ -160,7 +160,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     ]
     for i, row in enumerate(d["rows"]):
         lines.append(f"row {i}: {row['a']} | {row['b']}")
-    lines.append(f"steps: {len(session.log)}")
+    lines.append(f"steps: {sum(e.op != 'skip' for e in session.log)}")
     print("\n".join(lines))
     return 0
 

@@ -8,12 +8,15 @@ together with an explicit cutoff chosen by the caller.
 
 The quantum binomials here are the *balanced* ones, symmetric under
 q -> 1/q: qbinomial(n, i) has lowest term q^(-i(n-i)) and value C(n, i)
-at q = 1.
+at q = 1.  ``qbinomial`` is the one evaluation of the Gaussian product:
+the quantum integers ([m] = [m 1]), ``p_coeff`` and ``jacobi_series``
+read its values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -65,7 +68,8 @@ class QLaurent:
 
     @property
     def coeffs(self) -> Mapping[int, int]:
-        return self._c
+        """A read-only view: ``qbinomial`` hands out its cached values."""
+        return MappingProxyType(self._c)
 
     def coeff(self, k: int) -> int:
         return self._c.get(k, 0)
@@ -156,37 +160,6 @@ class QLaurent:
         """Evaluation at q = 1 (sum of coefficients)."""
         return sum(self._c.values())
 
-    def divide_exact(self, other: "QLaurent") -> "QLaurent":
-        """Exact division, ascending from the lowest exponent; both operands
-        must be genuinely divisible (zero remainder).  Raises
-        ArithmeticError on a non-exact step."""
-        if not other:
-            raise ZeroDivisionError("division by zero series")
-        if not self:
-            return QLaurent.zero()
-        lead = other.min_exp()
-        lead_c = other._c[lead]
-        rem = dict(self._c)
-        out: dict[int, int] = {}
-        bound = self.max_exp() - lead
-        while rem:
-            lo = min(rem)
-            k = lo - lead
-            if k > bound:
-                raise ArithmeticError("non-terminating exact division")
-            c, r = divmod(rem[lo], lead_c)
-            if r:
-                raise ArithmeticError("non-integer coefficient in exact division")
-            out[k] = c
-            for e, v in other._c.items():
-                t = e + k
-                s = rem.get(t, 0) - c * v
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        return QLaurent(out)
-
     def render(self) -> str:
         """Canonical ascending form: e.g. ``q^-3 + 2*q^-1 + 2*q + q^3``."""
         if not self._c:
@@ -233,10 +206,9 @@ def _expand(num: QLaurent, weights: Iterable[int], hi: int) -> QLaurent:
 
 
 def quantum_integer(m: int) -> QLaurent:
-    """[m] = q^(1-m) + q^(3-m) + ... + q^(m-1); zero for m <= 0."""
-    if m <= 0:
-        return QLaurent.zero()
-    return QLaurent({1 - m + 2 * j: 1 for j in range(m)})
+    """[m] = q^(1-m) + q^(3-m) + ... + q^(m-1), read as ``qbinomial(m, 1)``;
+    zero for m <= 0."""
+    return qbinomial(m, 1)
 
 
 @lru_cache(maxsize=None)
@@ -278,24 +250,12 @@ def p_coeff(j: int, n1: int, n2: int) -> int:
 
 
 def jacobi_series(n: int, r: int) -> QLaurent:
-    """prod_{k<=n}(1-q^2k) / [prod_{k<=r}(1-q^2k) * prod_{k<=n-r}(1-q^2k)].
-
-    Computed by exact division of whole products in QLaurent arithmetic,
-    where qbinomial divides one factor at a time on integer lists; the two
-    agree after recentering.  Both are product formulas, so the tests take
-    their independent check of qbinomial from Pascal's rule instead.
-    """
+    """prod_{k<=n}(1-q^2k) / [prod_{k<=r}(1-q^2k) * prod_{k<=n-r}(1-q^2k)]:
+    the Gaussian binomial in q^2, that is ``qbinomial(n, r)`` recentred to
+    start at q^0.  Raises ValueError unless 0 <= r <= n."""
     if r < 0 or r > n:
         raise ValueError("need 0 <= r <= n")
-    num = QLaurent.one()
-    for k in range(1, n + 1):
-        num = num * (QLaurent.one() - QLaurent.q_power(2 * k))
-    den = QLaurent.one()
-    for k in range(1, r + 1):
-        den = den * (QLaurent.one() - QLaurent.q_power(2 * k))
-    for k in range(1, n - r + 1):
-        den = den * (QLaurent.one() - QLaurent.q_power(2 * k))
-    return num.divide_exact(den)
+    return qbinomial(n, r).shift(r * (n - r))
 
 
 def poincare_regular_quotient(

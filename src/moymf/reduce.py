@@ -431,14 +431,22 @@ def absorb_zero_row(k: KoszulMF, row: int, force: bool = False) -> KoszulMF:
     grading by potential_degree/2 - deg a.  The entry joins the base as
     the row holds it; the Groebner basis makes its own elements monic.
     """
-    return _absorbed(k, [row], force)[0]
+    new = _absorbed(k, [row], force)[0]
+    if new is None:
+        raise RegularityUnverified(
+            f"rows [{row}]: entries not verified as a regular sequence; "
+            "pass force to absorb anyway"
+        )
+    return new
 
 
 def _absorbed(
     k: KoszulMF, rows: Sequence[int], force: bool
-) -> tuple[KoszulMF, str, tuple[Poly, ...]]:
+) -> tuple[KoszulMF | None, str, tuple[Poly, ...]]:
     """The zero-sided ``rows`` absorbed at once, the gate's verdict on
     their entries and the generators joined, as the new base holds them.
+    When the gate does not verify them and force is not given, no
+    presentation is built and the first item is None.
 
     The entries, as the rows hold them, are gated as one sequence in the
     order given; a regular sequence gives the quotient that absorbing them
@@ -455,10 +463,7 @@ def _absorbed(
         gens.append(b)
     verdict, new_base = _gate(k.base, gens)
     if verdict != "verified" and not force:
-        raise RegularityUnverified(
-            f"rows {list(rows)}: entries not verified as a regular sequence; "
-            "pass force to absorb anyway"
-        )
+        return None, verdict, tuple(gens)
     rest = (r for m, r in enumerate(k.rows) if m not in rows)
     kept = _rebased_rows(rest, new_base, None, f"while absorbing rows {list(rows)}")
     return k.regraded(shift, flips, kept, new_base), verdict, tuple(gens)
@@ -563,7 +568,9 @@ class ReductionSession:
 
     ``external`` lists the boundary variables exclusion must preserve;
     with ``force``, a step whose entries the regularity gate does not
-    verify is taken anyway, and its log entry says "unverified".
+    verify is taken anyway, and its log entry says "unverified".  Without
+    it, such a step raises, except an absorption: its row stays and the
+    log gets a ``skip`` entry.  ``log`` starts empty.
 
     Steps read the potential of ``current`` as ``KoszulMF._known_potential``
     gives it: the row sum the step before took, or, before any step on a
@@ -574,7 +581,7 @@ class ReductionSession:
     current: KoszulMF
     external: frozenset[GradedVar] = frozenset()
     force: bool = False
-    log: list[LogEntry] = field(default_factory=list)
+    log: list[LogEntry] = field(default_factory=list, init=False)
 
     def _step(self, op: str, params: dict | Callable[[], dict], new: KoszulMF) -> None:
         """Adopt new once its row sum equals the potential of current (see
@@ -638,16 +645,17 @@ class ReductionSession:
             removed += self._exclude(*best, run=True)
         return removed
 
-    def absorb_zero_rows(self, skip_unverified: bool = False) -> int:
+    def absorb_zero_rows(self) -> int:
         """Absorb every zero-sided row whose entry passes the regularity
         gate; returns the number of rows absorbed.
 
         The zero-sided rows not yet skipped are gated as one sequence, in
         row order; when it is verified, one ``absorb`` step takes them all.
         Otherwise, or when there is one such row, the first is absorbed
-        alone, forced when the session is: a sequence is never forced.
-        With skip_unverified, a row the gate refuses is left in place
-        instead of raising."""
+        alone, forced when the session is: a sequence is never forced.  A
+        row the gate refuses stays where it is, and the session logs a
+        ``skip`` entry, potential check "unchanged", with the params its
+        ``absorb`` would have had."""
         absorbed = 0
         skipped: set[int] = set()
         while True:
@@ -655,36 +663,36 @@ class ReductionSession:
             rows = [m for m, (a, b) in enumerate(k.rows) if (not a or not b) and m not in skipped]
             if not rows:
                 return absorbed
-            try:
-                taken = _absorbed(k, rows, False) if len(rows) > 1 else None
-            except RegularityUnverified:
-                taken = None
-            if taken is None:
+            new = None
+            if len(rows) > 1:
+                new, verdict, gens = _absorbed(k, rows, False)
+            if new is None:
                 rows = rows[:1]
-                try:
-                    taken = _absorbed(k, rows, self.force)
-                except RegularityUnverified:
-                    if not skip_unverified:
-                        raise
-                    skipped.add(rows[0])
-                    continue
-            new, verdict, gens = taken
+                new, verdict, gens = _absorbed(k, rows, self.force)
             sides = ["a" if k.rows[m][0] else "b" for m in rows]
-            params = {"rows": rows, "sides": sides, "generators": gens, "regularity": verdict}
-            self._step("absorb", _rendering(params, "generators"), new)
+            params = _rendering(
+                {"rows": rows, "sides": sides, "generators": gens, "regularity": verdict},
+                "generators",
+            )
+            if new is None:
+                self.log.append(LogEntry("skip", params, "unchanged"))
+                skipped.add(rows[0])
+                continue
+            self._step("absorb", params, new)
             absorbed += len(rows)
             skipped = set()
 
     def reduce_fully(self) -> KoszulMF:
         """Exclusions to a fixed point, then regular zero-sided absorptions,
-        then, if neither made progress, one clearing step, until none
-        applies.  Exclusion and absorption drop a row, a clearing row op
-        lowers a well-founded measure and a clearing transpose is followed
-        by an exclusion, so the loop ends."""
+        then, if no row was absorbed, one clearing step, until none
+        applies.  Exclusions and absorptions over an unchanged
+        presentation would find nothing new, so a refused row is gated
+        again only after a step.  Exclusion and absorption drop a row, a
+        clearing row op lowers a well-founded measure and a clearing
+        transpose is followed by an exclusion, so the loop ends."""
         while True:
-            n = self.exclude_all()
-            m = self.absorb_zero_rows(skip_unverified=True)
-            if n == 0 and m == 0 and not self._clear_internal():
+            self.exclude_all()
+            if self.absorb_zero_rows() == 0 and not self._clear_internal():
                 return self.current
 
     def _clear_internal(self) -> bool:

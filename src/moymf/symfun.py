@@ -184,12 +184,12 @@ def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _P
 
     One sweep builds every row: g starts as F on the slots, and for j =
     1..i (``V``: i..1) row j is g's divided difference in slot j, after
-    which slot j takes its other value in g.  So each slot is substituted
-    once, and row j sees the slots already passed moved and the rest not.
-    Row j times its b-entry is g before step j less g after it, so the
-    rows sum to the two ends of the sweep: F on the slots less the last g,
-    or (``V``) the last g less F on the slots, where the last g is F on
-    dst, or F(a) + F(b).
+    which, if a row follows, slot j takes its other value in g.  So a
+    shape of i slots substitutes i - 1 times, and row j sees the slots
+    already passed moved and the rest not.  Row j times its b-entry is g
+    before step j less g after it, so the rows sum to the two ends of the
+    sweep: F on the slots less the last g, or (``V``) the last g less F on
+    the slots, where the last g, never built, is F on dst, or F(a) + F(b).
     """
     i = sum(colors)
     slots = generic_slots(i)
@@ -202,12 +202,14 @@ def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _P
         other = [product_term(m, *alpha) for m in range(1, i + 1)]
     plans = [None] * i
     g = power_sum_F(i, n)
-    for j in range(i, 0, -1) if family == "V" else range(1, i + 1):
+    order = range(i, 0, -1) if family == "V" else range(1, i + 1)
+    for step, j in enumerate(order, 1):
         x, y = Poly.variable(slots[j - 1]), other[j - 1]
         hi, lo = (y, x) if family == "V" else (x, y)
         row = divided_difference_values(g, slots[j - 1], hi, lo)
         plans[j - 1] = (_to_plan(row, tvars), _to_plan(hi - lo, tvars))
-        g = g.substitute({slots[j - 1]: y})
+        if step < i:
+            g = g.substitute({slots[j - 1]: y})
     return tuple(plans)
 
 

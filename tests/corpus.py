@@ -250,7 +250,7 @@ def random_order_reduce(
         if rows:
             session.exclude_variable(rng.choice(rows))
             continue
-        if session.absorb_zero_rows(skip_unverified=True) == 0:
+        if session.absorb_zero_rows() == 0:
             return session
 
 

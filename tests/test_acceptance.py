@@ -22,6 +22,7 @@ from moymf import (
     ReductionSession,
     RegularityUnverified,
     SparseMat,
+    absorb_zero_row,
     compile_diagram,
     euler_characteristic,
     homology,
@@ -248,12 +249,14 @@ def test_criterion_10_defects_are_caught() -> None:
     k = KoszulMF(
         QuotientRing((x, y), (px * py,)), ((px * px, Poly.zero()),), 0, 0, 8
     )
-    session = ReductionSession(k)
     try:
-        session.absorb_zero_rows()
+        absorb_zero_row(k, 0)
     except RegularityUnverified:
         pass
     else:
         raise AssertionError("unverified absorption was not flagged")
+    session = ReductionSession(k)
+    assert session.absorb_zero_rows() == 0 and session.current.rows == k.rows
+    assert [(e.op, e.params["regularity"]) for e in session.log] == [("skip", "unverified")]
 
     _finish(10, "defect detection", t0, 30.0)

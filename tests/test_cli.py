@@ -12,6 +12,7 @@ import pytest
 
 import moymf.cli as cli
 from moymf import ReductionSession, compile_diagram, parse, qbinomial
+from moymf import reduce as reduce_module
 from moymf.cli import main
 
 CIRCLE = "level n 3\nedge e1 color 1 from boundary:a to boundary:a\n"
@@ -242,6 +243,24 @@ class TestReduceCommand:
         assert len(entries) == 1
         assert entries[0]["op"] == "absorb"
         assert entries[0]["potential_check"] == "ok"
+
+    def test_a_refused_absorption_is_logged_but_is_no_step(
+        self, theta_file, tmp_path, capsys, monkeypatch
+    ) -> None:
+        # a gate that verifies nothing leaves both zero-sided rows of the
+        # excluded theta in place, each skipped once
+        monkeypatch.setattr(reduce_module, "_gate", lambda base, seq: ("unverified", base))
+        log_path = tmp_path / "log.json"
+        assert main(["reduce", theta_file, "--log", str(log_path)]) == 0
+        entries = json.loads(log_path.read_text())
+        assert [e["op"] for e in entries] == ["exclude_variable", "skip", "skip"]
+        assert [e["params"]["rows"] for e in entries[1:]] == [[0], [1]]
+        assert all(
+            (e["params"]["regularity"], e["potential_check"]) == ("unverified", "unchanged")
+            for e in entries[1:]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "rows: 2" and lines[-1] == "steps: 1"
 
     def test_the_log_carries_each_absorption_verdict(self, theta_file, tmp_path) -> None:
         log_path = tmp_path / "log.json"

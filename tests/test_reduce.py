@@ -4,6 +4,7 @@ regularity gating, gluing, and the potential-preservation contract."""
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -426,11 +427,25 @@ class TestAbsorption:
     def test_zero_divisor_is_flagged(self) -> None:
         base = QuotientRing((X, Y), (PX * PY,))
         k = KoszulMF(base, ((PX * PX, Poly.zero()),), 0, 0, 8)
-        session = ReductionSession(k)
         with pytest.raises(RegularityUnverified):
-            session.absorb_zero_rows()
-        assert session.absorb_zero_rows(skip_unverified=True) == 0
-        assert session.current.row_count == 1
+            absorb_zero_row(k, 0)
+        session = ReductionSession(k)
+        assert session.absorb_zero_rows() == 0
+        assert session.current.rows == k.rows
+        [entry] = session.log_dicts()
+        assert entry == {
+            "op": "skip",
+            "params": {
+                "rows": [0], "sides": ["a"], "generators": ["x^2"], "regularity": "unverified",
+            },
+            "potential_check": "unchanged",
+        }
+
+    def test_a_session_takes_no_log_and_absorption_no_option(self) -> None:
+        k = KoszulMF(QuotientRing((X, Y)), ((PX * PX, Poly.zero()),), 0, 0, 8)
+        with pytest.raises(TypeError):
+            ReductionSession(k, log=[])
+        assert list(inspect.signature(ReductionSession.absorb_zero_rows).parameters) == ["self"]
 
     def test_force_overrides_the_gate(self) -> None:
         base = QuotientRing((X, Y), (PX * PY,))
@@ -572,16 +587,20 @@ class TestSequenceAbsorption:
 
     def test_a_refused_sequence_falls_back_to_its_first_row(self) -> None:
         session = self._two_zero_rows()
-        assert session.absorb_zero_rows(skip_unverified=True) == 1
-        [entry] = session.log
-        assert (entry.params["rows"], entry.params["regularity"]) == ([0], "verified")
+        assert session.absorb_zero_rows() == 1
+        entry, skip = session.log
+        assert (entry.op, entry.params["rows"], entry.params["regularity"]) == (
+            "absorb", [0], "verified"
+        )
+        # x*y, now row 0, is a zero divisor over Q[x,y]/(x^2): it is left
+        assert (skip.op, skip.params["rows"], skip.params["regularity"]) == (
+            "skip", [0], "unverified"
+        )
+        assert skip.potential_check == "unchanged"
         assert session.current.rows == ((Poly.zero(), PX * PY),)
         assert session.current.base.ideal_gens == (PX * PX,)
-        session = self._two_zero_rows()
         with pytest.raises(RegularityUnverified):
-            session.absorb_zero_rows()
-        assert [e.params["rows"] for e in session.log] == [[0]]
-        assert session.current.row_count == 1
+            absorb_zero_row(session.current, 0)
 
     def test_force_absorbs_a_refused_sequence_row_by_row(self) -> None:
         session = self._two_zero_rows(force=True)
@@ -756,11 +775,12 @@ class TestRegularityHeuristic:
         base = QuotientRing((X, Y, w), (PX**100 * PY**20, PX**20 * PY**100))
         assert regularity_heuristic(base, [pw]) == "unverified"
         k = KoszulMF(base, ((pw, Poly.zero()),), 0, 0, 8)
-        session = ReductionSession(k)
-        assert session.absorb_zero_rows(skip_unverified=True) == 0
-        assert session.current.rows == k.rows and not session.log
         with pytest.raises(RegularityUnverified):
-            session.absorb_zero_rows()
+            absorb_zero_row(k, 0)
+        session = ReductionSession(k)
+        assert session.absorb_zero_rows() == 0
+        assert session.current.rows == k.rows
+        assert [(e.op, e.params["regularity"]) for e in session.log] == [("skip", "unverified")]
 
     def test_an_entry_whose_pair_passes_the_packed_limit_is_unverified(
         self, monkeypatch
@@ -787,8 +807,9 @@ class TestRegularityHeuristic:
         with pytest.raises(RegularityUnverified):
             absorb_zero_row(k, 0)
         session = ReductionSession(k)
-        assert session.absorb_zero_rows(skip_unverified=True) == 0
-        assert session.current.rows == k.rows and not session.log
+        assert session.absorb_zero_rows() == 0
+        assert session.current.rows == k.rows
+        assert [(e.op, e.params["regularity"]) for e in session.log] == [("skip", "unverified")]
         assert session.reduce_fully() == k
 
     def test_sequence_is_decided_in_every_degree(self) -> None:

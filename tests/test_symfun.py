@@ -299,6 +299,19 @@ class TestTemplates:
                 for pair in plans:
                     assert len(pair) == 2 and all(len(plan) == 2 for plan in pair)
 
+    def test_a_shape_of_i_slots_substitutes_i_minus_one_times(self, monkeypatch) -> None:
+        # the sweep moves a slot only when another row follows
+        calls = []
+        substitute = Poly.substitute
+        monkeypatch.setattr(
+            Poly, "substitute", lambda p, sigma: calls.append(sigma) or substitute(p, sigma)
+        )
+        for n in range(1, 7):
+            for family, colors in _shapes(n):
+                calls.clear()
+                plans = symfun._plan.__wrapped__(family, colors, n)
+                assert len(calls) == len(plans) - 1 == sum(colors) - 1, (family, colors, n)
+
     def test_every_compiled_row_equals_its_direct_construction(self) -> None:
         """Both entries of every row ``compile_diagram`` builds from plans,
         against the divided difference and the slot difference built by

@@ -2,14 +2,18 @@
 by name, so a renamed or deleted one breaks ``bench/run.py --trace 1``.
 One pass of each benchmark workload still gives the answers it gave, by
 digest.  And the package imports no name it does not read, but those the
-tracer rebinds."""
+tracer rebinds, and nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -194,3 +198,30 @@ def test_every_private_helper_is_read_in_the_package() -> None:
                 read.add(node.attr)
     assert len(defined) > 100
     assert {key: line for key, line in defined.items() if key[1] not in read} == {}
+
+
+_NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+import moymf
+moymf.verify_relation("bubble", [1, 1, 2, 3])
+moymf.oracle_crosscheck(moymf.parse(
+    "level n 3\\n"
+    "edge e2 color 1 from v1 to v2\\nedge e3 color 1 from v1 to v2\\n"
+    "edge e4 color 2 from v2 to v1\\n"
+    "vertex v1 split in e4 out e2 e3\\nvertex v2 merge in e2 e3 out e4\\n"
+))
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_engine_loads_only_the_standard_library() -> None:
+    # a fresh interpreter, so modules the tests loaded do not hide one;
+    # one relation check and one crosscheck run the reduction, the
+    # homology and the oracle paths
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = {name.partition(".")[0] for name in json.loads(out.stdout)}
+    assert sorted(loaded - set(sys.stdlib_module_names)) == ["moymf"]
