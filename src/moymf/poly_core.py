@@ -172,28 +172,17 @@ def _unpack(k: int) -> Mono:
     return tuple(sorted(pairs, key=lambda p: p[0].name))
 
 
-def pure_power(p: Poly, v: GradedVar) -> tuple[int, int | Fraction] | None:
-    """(k, c) when p = c*v^k + rest, with k the top exponent of v in p and
-    no monomial of rest divisible by v^k; None otherwise.  As k is the top
-    exponent, v^k divides a monomial exactly when its exponent of v is k."""
-    k = p.max_exponent(v)
-    u = _UNITS[v]
-    s, pure = u.bit_length() - 1, k * u
-    c = p._terms.get(pure) if k else 0
-    if not c or any(m != pure and (m >> s) & _FIELD == k for m in p._terms):
-        return None
-    return k, c
-
-
-def _power_vars(p: Poly) -> list[GradedVar]:
-    """The variables of the terms c*v^e of p, the only ones ``pure_power``
-    can find: keys with one exponent field set."""
+def _pure_terms(p: Poly) -> list[tuple[GradedVar, int, int | Fraction]]:
+    """(v, e, c) for each term c*v^e of p with e >= 1: keys with one
+    exponent field set.  In a homogeneous p no other monomial has v's
+    exponent e or more, so v^e is v's top power and divides no other one."""
     out = []
-    for k in p._terms:
-        f = k >> _BITS
-        i = (f.bit_length() - 1) // _BITS
-        if f and f == (f >> _BITS * i) << _BITS * i:
-            out.append(_VARS[i])
+    for k, c in p._terms.items():
+        if f := k >> _BITS:
+            i = (f.bit_length() - 1) // _BITS
+            e = f >> _BITS * i
+            if f == e << _BITS * i:
+                out.append((_VARS[i], e, c))
     return out
 
 
@@ -591,12 +580,22 @@ def _fields(vs: Iterable[GradedVar]) -> tuple[int, ...]:
 
 def _to_plan(p: Poly, tvars: Sequence[GradedVar]) -> _Plan:
     """p as a plan over tvars, which must hold every variable of p
-    (KeyError naming one otherwise)."""
+    (KeyError naming one otherwise), read off each key through a map
+    from the field of each registered template variable to its index."""
     deg = p.homogeneous_degree() if p else 0
-    index = {v: i for i, v in enumerate(tvars)}
-    return deg, tuple(
-        (c, tuple((index[v], e) for v, e in _unpack(m))) for m, c in p._terms.items()
-    )
+    index = {(_UNITS[v].bit_length() - 1) // _BITS: i for i, v in enumerate(tvars) if v in _UNITS}
+    terms = []
+    for k, c in p._terms.items():
+        pairs = []
+        while k > _FIELD:
+            f = (k.bit_length() - 1) // _BITS
+            e = k >> _BITS * f
+            k -= e << _BITS * f
+            if f not in index:
+                raise KeyError(_VARS[f - 1])
+            pairs.append((index[f], e))
+        terms.append((c, tuple(pairs)))
+    return deg, tuple(terms)
 
 
 def _apply_plan(plan: _Plan, fields: Sequence[int]) -> Poly:

@@ -53,13 +53,15 @@ from .poly_core import (
     Poly,
     QuotientRing,
     _by_monomial,
+    _coeff,
+    _from_clean,
     _inverse,
     _lead_quotient,
     _outside,
     _part,
-    _power_vars,
+    _pure_terms,
     _substitution,
-    pure_power,
+    _unit,
 )
 from .mf_core import KoszulMF
 from .symfun import Alphabet, ColorMismatch
@@ -290,21 +292,15 @@ def _generator_vars(base: QuotientRing) -> frozenset[GradedVar]:
 def _candidate(
     b: Poly, external: frozenset[GradedVar], gen_vars: frozenset[GradedVar]
 ) -> _Candidate | None:
-    """``exclusion_candidate`` for a row with second entry b, the generator
-    variables given."""
-    internal = sorted(
-        (v for v in _power_vars(b) if v not in external), key=lambda v: v.name
-    )
-    best: _Candidate | None = None
-    for y in internal:
-        # b is homogeneous, so its pure term c*y^e holds y's top power alone
-        e, c = pure_power(b, y)
-        if e > 1 and y in gen_vars:
-            # y is already constrained; y^e is no longer a free monomial
-            continue
-        # prefer substitutions, then the lexicographically smallest variable
-        if best is None or (e == 1 and best.power > 1):
-            best = _Candidate(y, e, c)
+    """``exclusion_candidate`` for b, a homogeneous row's second entry: each
+    pure term c*y^e of b holds y's top power, which divides no other term."""
+    best = None
+    for y, e, c in _pure_terms(b):
+        # for e > 1 a constrained y^e is no longer a free monomial; prefer
+        # substitutions, then the lexicographically smallest variable
+        if y not in external and (e == 1 or y not in gen_vars):
+            if best is None or (e > 1, y.name) < (best.power > 1, best.var.name):
+                best = _Candidate(y, e, c)
     return best
 
 
@@ -394,7 +390,8 @@ def _excluded(
     while cand.power == 1:
         y, c, b = cand.var, cand.coeff, rows.pop(row)[1]
         taken.append((row, cand))
-        img = (b - Poly({((y, 1),): c})) * -_inverse(c)
+        s, u = -_inverse(c), _unit(y)  # b = c*y + rest, and y = s * rest modulo b
+        img = _from_clean({m: _coeff(d * s) for m, d in b._terms.items() if m != u})
         sub = _substitution({y: img})
         base = _substituted_ring(base, sub, tuple(v for v in base.vars if v != y))
         tau = {v: sub(p) for v, p in tau.items()} | {y: img}

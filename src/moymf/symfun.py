@@ -31,7 +31,8 @@ degree and, per term, its coefficient and the template variables it
 holds.  A call applies the plan onto its own alphabets' variables,
 packing each key straight from their fields (``poly_core._apply_plan``),
 with no polynomial arithmetic; this is exact for any alphabets, also two
-that share variables.
+that share variables.  A vertex's shape lists its smaller color first,
+as its rows are symmetric in its thin alphabets (``_rows``).
 """
 
 from __future__ import annotations
@@ -215,7 +216,10 @@ def _plan(family: str, colors: tuple[int, ...], n: int) -> tuple[tuple[_Plan, _P
 
 def _rows(family: str, n: int, *alphabets: Alphabet) -> list[tuple[Poly, Poly]]:
     """Every (a, b) row of one line piece or vertex, slot by slot, from
-    its shape's plan: ``L`` takes (src, dst), ``Lambda`` and ``V`` (c, a, b)."""
+    its shape's plan: ``L`` takes (src, dst), ``Lambda`` and ``V`` (c, a, b),
+    whose shape takes the smaller color first, a and b swapped to match."""
+    if family != "L" and alphabets[1].color > alphabets[2].color:
+        alphabets = (alphabets[0], alphabets[2], alphabets[1])
     colors = tuple(a.color for a in (alphabets[:1] if family == "L" else alphabets[1:]))
     fields = sum((a._fields for a in alphabets), ())
     plans = _plan(family, colors, n)

@@ -38,9 +38,9 @@ from moymf.poly_core import (
     _apply_plan,
     _fields,
     _pack,
+    _pure_terms,
     _to_plan,
     insert_pivot_row,
-    pure_power,
 )
 from moymf.qseries import _expand
 
@@ -278,11 +278,20 @@ class TestMonomialKernel:
             _apply_plan(plan, _fields((X, GradedVar("x", 4))))
 
     def test_pure_power(self) -> None:
-        v, w = Poly.variable(X), Poly.variable(Y)
-        # v^2 also divides v^2*w, so v^2 is no pure power of the sum
-        assert pure_power(3 * v**2 + v**2 * w, X) is None
-        assert pure_power(2 * v**3 + v * w, X) == (3, 2)
-        assert pure_power(w**2 + 5, X) is None
+        x, y, z = (Poly.variable(v) for v in VARS)
+        # homogeneous, so x^3 is x's top power and divides no other monomial
+        assert _pure_terms(2 * x**3 + x * y * y) == [(X, 3, 2)]
+        assert set(_pure_terms(y * y + 5 * z + x * y)) == {(Y, 2, 1), (Z, 1, 5)}
+        assert _pure_terms(x * y) == _pure_terms(Poly.zero()) == []
+        rows = ((x, 2 * x**3 + x * y * y), (x * x, y * y + 5 * z), (x * x, x * y))
+        k = KoszulMF(QuotientRing(VARS), rows, 0, 0, 8)
+        cand = reduce_module.exclusion_candidate
+        assert (c := cand(k, 0, frozenset())) and (c.var, c.power, c.coeff) == (X, 3, 2)
+        assert cand(k, 0, frozenset({X})) is None
+        # a substitution comes first, although y's name is smaller
+        assert (c := cand(k, 1, frozenset())) and (c.var, c.power, c.coeff) == (Z, 1, 5)
+        assert (c := cand(k, 1, frozenset({Z}))) and (c.var, c.power) == (Y, 2)
+        assert cand(k, 2, frozenset()) is None
 
     @given(polys(), polys(), substitutions())
     def test_monomials_stay_canonical(self, p: Poly, q: Poly, sigma: dict) -> None:
@@ -933,6 +942,30 @@ print("ok")
 """
 
 
+def _candidate_tuple(b: Poly, external: frozenset, gen_vars: frozenset) -> tuple | None:
+    cand = reduce_module._candidate(b, external, gen_vars)
+    return None if cand is None else (cand.var, cand.power, cand.coeff)
+
+
+def _reference_candidate(b: Poly, external: frozenset, gen_vars: frozenset) -> tuple | None:
+    """(variable, power, coefficient) of the exclusion a row with second
+    entry b admits, by a search over each variable's top power."""
+    terms = [(dict(m), c) for m, c in b.terms.items()]
+    best = None
+    for v in sorted(b.variables(), key=lambda v: v.name):
+        if v in external:
+            continue
+        k = max(m.get(v, 0) for m, _ in terms)
+        pure = [c for m, c in terms if m == {v: k}]
+        if not pure or sum(m.get(v, 0) >= k for m, _ in terms) > 1:
+            continue  # no term c*v^k, or v^k divides another monomial
+        if k > 1 and v in gen_vars:
+            continue
+        if best is None or (k == 1 and best[1] > 1):
+            best = (v, k, pure[0])
+    return best
+
+
 class TestKeyHelpers:
     """The key-level reads the reduction calculus makes of row entries."""
 
@@ -952,13 +985,37 @@ class TestKeyHelpers:
         groups = dict(poly_core._by_monomial(p, poly_core._outside([X, Y])))
         assert groups == {z: x * y + 2 * x * x + y, Poly.const(1): x * x, z * z: Poly.const(5)}
 
-    def test_power_vars_hold_every_pure_power(self) -> None:
-        x, y, z = (Poly.variable(v) for v in VARS)
-        assert set(poly_core._power_vars(x * x + x * y + 3 * z)) == {X, Z}
-        assert poly_core._power_vars(x * y + Poly.const(2)) == []
-        for p in (x**3 + x * y * y + z * y, y * y + x * y, z * z + z * x * x):
-            found = poly_core._power_vars(p)
-            assert all(pure_power(p, v) is None or v in found for v in VARS)
+    def test_candidates_match_a_pure_power_search(self) -> None:
+        """``_candidate`` against a scan of every internal variable of a
+        homogeneous b, in name order, on ``Mono`` terms: its top exponent
+        k, taken when c*v^k is a term and v^k divides no other monomial,
+        and when k = 1 or v is in no generator; a substitution first."""
+        rng = random.Random(45)
+        # (b, the externals it is drawn against besides random ones)
+        samples = [
+            (corpus.random_homogeneous(rng, rng.sample((Y, Z), rng.randint(0, 2)) + [X], d), [])
+            for d in (2, 4, 4, 6, 6, 8) for _ in range(40)
+        ]
+        for closed in (True, False):
+            for _ in range(15):
+                _, d, k = corpus.random_compiled(rng, closed=closed)
+                samples += [(b, [d.external_vars()]) for _, b in k.rows if b]
+        pinned = GradedVar("za", 4)
+        x, z, za = Poly.variable(X), Poly.variable(Z), Poly.variable(pinned)
+        # two power-1 internal variables and a power-2 one of a smaller name
+        tie = x * x + 2 * za + 3 * z
+        assert _candidate_tuple(tie, frozenset(), frozenset()) == (Z, 1, 3)
+        assert _candidate_tuple(tie, frozenset({Z}), frozenset({Z})) == (pinned, 1, 2)
+        assert _candidate_tuple(tie, frozenset({Z, pinned}), frozenset()) == (X, 2, 1)
+        assert _candidate_tuple(tie, frozenset({Z, pinned}), frozenset({X})) is None
+        samples.append((tie, []))
+        for b, externals in samples:
+            vs = sorted(b.variables())
+            for external in externals + [rng.sample(vs, rng.randint(0, len(vs))) for _ in range(3)]:
+                external = frozenset(external)
+                gen_vars = frozenset(rng.sample(vs, rng.randint(0, len(vs))))
+                want = _reference_candidate(b, external, gen_vars)
+                assert _candidate_tuple(b, external, gen_vars) == want, b.render()
 
     def test_homogeneous_degree_is_kept_and_still_refuses(self) -> None:
         x, z = Poly.variable(X), Poly.variable(Z)
@@ -1124,6 +1181,30 @@ def _full_normal_form(ring: QuotientRing, p: Poly) -> Poly:
     return poly_core._from_clean(out)
 
 
+SHUFFLED = tuple(GradedVar(f"shuffled{i}", d) for i, d in enumerate((2, 2, 4, 4, 2, 6)))
+
+
+def _shuffled_vars() -> tuple[GradedVar, ...]:
+    """SHUFFLED, registered in a seeded shuffle of the order they are listed in."""
+    for v in random.Random(7).sample(SHUFFLED, len(SHUFFLED)):
+        Poly.variable(v)
+    return SHUFFLED
+
+
+@st.composite
+def shuffled_plans(draw) -> tuple[Poly, tuple[GradedVar, ...], tuple[GradedVar, ...]]:
+    """A homogeneous polynomial over the shuffled variables, or zero; the
+    templates, those variables in a drawn order; and targets, each a
+    variable of its template's degree, so that two may be one."""
+    vs = _shuffled_vars()
+    p = Poly.zero()
+    for m in QuotientRing(vs).monomials(draw(st.sampled_from([2, 4, 6, 8]))):
+        p = p + Poly({m: draw(st.sampled_from([0, 0, 1, -2, Fraction(3, 2)]))})
+    tvars = tuple(draw(st.permutations(vs)))
+    targets = tuple(draw(st.sampled_from([w for w in vs if w.degree == t.degree])) for t in tvars)
+    return p, tvars, targets
+
+
 class TestStepSetUp:
     """A substitution built once for many polynomials, and the packed-key
     lead test before a normal form, answer as the unshared paths do; a
@@ -1210,6 +1291,19 @@ class TestStepSetUp:
         # in any order of the templates, every exponent is read
         tvars = (LATE[0], Z, Y, X)
         assert _apply_plan(_to_plan(p, tvars), _fields(tvars)) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_plans())
+    def test_a_plan_reads_every_field_in_any_registration_order(self, drawn) -> None:
+        """A plan over templates listed in another order than the registry
+        holds them, applied onto the templates and onto targets of which
+        some coincide."""
+        p, tvars, targets = drawn
+        assert [v for v in poly_core._VARS if v in SHUFFLED] != list(SHUFFLED)
+        plan = _to_plan(p, tvars)
+        assert _apply_plan(plan, _fields(tvars)) == p
+        sigma = {t: Poly.variable(v) for t, v in zip(tvars, targets)}
+        assert _apply_plan(plan, _fields(targets)) == p.substitute(sigma)
 
 
 def _top_part(p: Poly, vs) -> Poly:

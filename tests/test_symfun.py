@@ -290,6 +290,37 @@ class TestTemplates:
         assert (info.misses, info.hits) == (1, 5)
         assert rows[:3] != rows[3:]
 
+    def test_a_vertex_takes_its_smaller_color_first(self) -> None:
+        # the rows of (a, b), a > b, come from the (b, a) plan with the thin
+        # alphabets swapped; Lambda_poly and V_poly index the (a, b) plan
+        for n in range(1, 7):
+            for i in range(3, 6):
+                for ia in range(i // 2 + 1, i):
+                    c, a, b = Alphabet(i, "c"), Alphabet(ia, "a"), Alphabet(i - ia, "b")
+                    for family, poly, sign in (("Lambda", Lambda_poly, 1), ("V", V_poly, -1)):
+                        want = [
+                            (poly(j, a, b, c, n), sign * (c.poly(j) - product_term(j, a, b)))
+                            for j in range(1, i + 1)
+                        ]
+                        assert symfun._rows(family, n, c, a, b) == want, (family, ia, i - ia, n)
+
+    def test_mirrored_vertices_share_one_plan(self) -> None:
+        d = parse(
+            "level n 4\n"
+            "edge a1 color 3 from boundary:p to v1\n"
+            "edge b1 color 1 from boundary:q to v1\n"
+            "edge c1 color 4 from v1 to boundary:r\n"
+            "edge a2 color 1 from boundary:s to v2\n"
+            "edge b2 color 3 from boundary:t to v2\n"
+            "edge c2 color 4 from v2 to boundary:u\n"
+            "vertex v1 merge in a1 b1 out c1\n"
+            "vertex v2 merge in a2 b2 out c2\n"
+        )
+        symfun._plan.cache_clear()
+        k = compile_diagram(d)
+        assert symfun._plan.cache_info().currsize == 1
+        assert list(k.rows) == _direct_rows(d)
+
     def test_a_plan_holds_one_pair_per_slot_and_nothing_else(self) -> None:
         # the potential is no part of a plan: boundary_potential builds it
         for n in (1, 4):
